@@ -21,27 +21,18 @@ from . import chars as _chars
 from . import epsilon as _epsilon
 from . import gf as _gf
 from .chars import LocalCharacter
-from .coeff import CoeffField, coeff_setup, complex_embed, second_ell
+from .coeff import coeff_setup, complex_embed, pinned_ell, second_ell
 from .curve import (
+    GlobalComputation,
     SheafSpec,
     divisor_points,
-    global_epsilon,
     gos_degree,
-    l_polynomial,
-    local_character_at,
     product_formula_check,
-    verify_gos,
+    transfer_constants,
 )
 from .epsilon import eps_local, eps_punctual, gamma_psi, gamma_psi_symbolic
 from .gf import CapExceeded, fq_build
-from .localfield import (
-    Form,
-    Point,
-    Poly,
-    RationalFunction,
-    expand_form_at,
-    ord_at,
-)
+from .localfield import Form, Point, Poly, RationalFunction
 from .twisted import run_twisted_suite
 
 _KINDS = {"j!": "shriek", "j*": "star", "shriek": "shriek", "star": "star", "punctual": "punctual"}
@@ -59,7 +50,13 @@ def _bundled(name):
     return resources.files("epsilon_lab").joinpath("data", name)
 
 
-def _load(path):
+def _need(ok, field, what):
+    if not ok:
+        raise Unsupported("%s must be %s" % (field, what), field=field)
+
+
+def _load(path, field):
+    """The JSON object in a file; field names the input in errors."""
     if path is None:
         raise Unsupported("missing input file")
     if hasattr(path, "read_text"):
@@ -67,7 +64,26 @@ def _load(path):
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return json.loads(text)
+    obj = json.loads(text)
+    _need(isinstance(obj, dict), field, "a JSON object")
+    return obj
+
+
+def _sheaf(obj, field):
+    """SheafSpec from a JSON record whose shape is checked first."""
+    _need(isinstance(obj, dict), field, "a JSON object")
+    for key in ("p", "n"):
+        _need(type(obj.get(key, 0)) is int, key, "an integer")
+    return SheafSpec.from_json(obj)
+
+
+def _load_spec(path):
+    """A spec file is either a bare sheaf record or a wrapper with
+    optional coefficient settings; returns (spec, settings)."""
+    obj = _load(path, "spec")
+    if "spec" in obj:
+        return _sheaf(obj["spec"], "spec"), obj.get("coeff") or {}
+    return _sheaf(obj, "spec"), {}
 
 
 def _parse_orders(text):
@@ -77,26 +93,41 @@ def _parse_orders(text):
         raise Unsupported("orders must be a comma list of integers", field="orders")
 
 
-def _coeff_for(p, orders, ell=None, d_max=1):
-    """Coefficient field for the run: smallest admissible prime, or the
-    pinned one after an admissibility check."""
-    orders = [o for o in orders if o > 0] or [1]
+def _coeff_for(cfg, p, orders, ell, spec):
+    """Coefficient field of a run.
+
+    The input's coefficient settings cfg may set p, orders and ell, and an
+    --ell flag (ell) wins over them.  Without a pinned prime the smallest
+    admissible one is taken.  Given a spec (else None), the prime must also
+    exceed its determinant degree plus two: a pinned prime that does not is
+    refused, a chosen one is moved up."""
+    _need(isinstance(cfg, dict), "coeff", "a JSON object")
+    p = cfg.get("p", p)
+    orders = cfg.get("orders", orders)
     if ell is None:
-        return coeff_setup(p, orders, d_max=d_max)
-    probe = coeff_setup(p, orders, d_max=1)
-    M = probe.M
-    if ell <= max(d_max, p * M) or (ell - 1) % (p * M) or not _gf._is_prime(ell):
-        raise Unsupported(
-            "ell=%d is not admissible (needs a prime > %d with ell = 1 mod %d)"
-            % (ell, max(d_max, p * M), p * M),
-            field="ell",
-        )
-    from .coeff import _smallest_primitive_root
+        ell = cfg.get("ell")
+    _need(type(p) is int, "p", "an integer")
+    _need(spec is None or p == spec.base.p, "p", "the characteristic of the sheaf data")
+    _need(isinstance(orders, list) and all(type(o) is int for o in orders), "orders", "a list of integers")
+    _need(ell is None or type(ell) is int, "ell", "an integer")
+    orders = [o for o in orders if o > 0] or [1]
+    coeff = coeff_setup(p, orders)
+    if ell is not None:
+        try:
+            coeff = pinned_ell(coeff, ell)
+        except ValueError as err:
+            raise Unsupported(str(err), field="ell")
+    if spec is None:
+        return coeff
+    d = gos_degree(spec, coeff)
+    if coeff.ell > d + 2:
+        return coeff
+    if ell is not None:
+        raise Unsupported("ell=%d is too small for a degree-%d determinant" % (coeff.ell, d), field="ell")
+    return coeff_setup(p, orders, d_max=d + 2)
 
-    return CoeffField(ell, p, M, _smallest_primitive_root(ell))
 
-
-def _spec_orders(spec, extra_functions=()):
+def _spec_orders(spec, extra_functions):
     """Character orders forced by the residue fields in play: one q**d - 1
     per puncture degree and per divisor point of each listed function."""
     q = spec.base.q
@@ -108,21 +139,6 @@ def _spec_orders(spec, extra_functions=()):
             for pt, _m in divisor_points(r):
                 degrees.add(pt.degree())
     return sorted(q ** d - 1 for d in degrees if q ** d > 2) or [1]
-
-
-def _spec_payload(obj):
-    """A spec file is either a bare sheaf record or a wrapper with
-    optional coefficient settings."""
-    if "spec" in obj:
-        return obj["spec"], obj.get("coeff") or {}
-    return obj, {}
-
-
-def _coeff_from_config(cfg, fallback_p, fallback_orders, ell_flag, d_max=1):
-    p = cfg.get("p", fallback_p)
-    orders = cfg.get("orders", fallback_orders)
-    ell = ell_flag if ell_flag is not None else cfg.get("ell")
-    return _coeff_for(p, orders, ell=ell, d_max=d_max)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +160,7 @@ def cmd_gauss(args):
     if c.is_zero():
         raise Unsupported("the quadratic coefficient must be a unit", field="c")
     orders = _parse_orders(args.orders) if args.orders else [max(1, q - 1)]
-    coeff = _coeff_for(p, orders, ell=args.ell)
+    coeff = _coeff_for({}, p, orders, args.ell, None)
     value = gamma_psi(coeff, field, c)
     z = complex_embed(coeff, gamma_psi_symbolic(field, c))
     body = {
@@ -162,16 +178,14 @@ def cmd_gauss(args):
 
 
 def cmd_eps_local(args):
-    obj = _load(args.char if args.char is not None else _bundled("char_quadratic.json"))
+    obj = _load(args.char if args.char is not None else _bundled("char_quadratic.json"), "char")
     kind = _KINDS.get(args.kind)
     if kind is None:
         raise Unsupported("kind must be one of %s" % sorted(_KINDS), field="kind")
     charfield = (obj.get("char") or {}).get("field") or {}
     fallback_p = charfield.get("p", 3)
     fallback_q = fallback_p ** charfield.get("n", 1)
-    coeff = _coeff_from_config(
-        obj.get("coeff") or {}, fallback_p, [max(1, fallback_q - 1)], args.ell
-    )
+    coeff = _coeff_for(obj.get("coeff") or {}, fallback_p, [max(1, fallback_q - 1)], args.ell, None)
     if kind == "punctual":
         eigen = obj.get("eigenvalues")
         if not eigen:
@@ -179,7 +193,7 @@ def cmd_eps_local(args):
         res = eps_punctual(coeff, [coeff.elem(v) for v in eigen])
     else:
         chi = LocalCharacter.from_json(coeff, obj["char"])
-        form = Form.from_json(_load(args.form if args.form is not None else _bundled("form_dlog.json")))
+        form = Form.from_json(_load(args.form if args.form is not None else _bundled("form_dlog.json"), "form"))
         if form.w.field != chi.field:
             raise Unsupported("form and character live over different residue fields", field="form")
         res = eps_local(chi, form, kind, method=args.method)
@@ -202,65 +216,36 @@ def cmd_eps_local(args):
     return body, coeff.ell, 1, True
 
 
-def _build_spec_and_coeff(args, spec_name, omega_name):
-    obj = _load(args.spec if args.spec is not None else _bundled(spec_name))
-    spec_obj, cfg = _spec_payload(obj)
-    spec = SheafSpec.from_json(spec_obj)
-    omega_obj = _load(args.omega if getattr(args, "omega", None) is not None else _bundled(omega_name))
-    omega = RationalFunction.from_json(spec.base, omega_obj)
-    if omega.num.degree() < 0:
-        raise Unsupported("the global one-form must be nonzero", field="omega")
-    orders = cfg.get("orders", _spec_orders(spec, [spec.wild, omega]))
-    pinned = args.ell if args.ell is not None else cfg.get("ell")
-    coeff = _coeff_for(spec.base.p, orders, ell=pinned)
-    d = gos_degree(spec, coeff)
-    if coeff.ell <= d + 2:
-        if pinned is not None:
-            raise Unsupported(
-                "ell=%d is too small for a degree-%d determinant" % (coeff.ell, d),
-                field="ell",
-            )
-        coeff = _coeff_for(spec.base.p, orders, d_max=d + 2)
-    return spec, omega, coeff
-
-
 def cmd_eps_global(args):
-    obj = _load(args.spec)
-    spec_obj, cfg = _spec_payload(obj)
-    spec = SheafSpec.from_json(spec_obj)
-    orders = cfg.get("orders", _spec_orders(spec, [spec.wild]))
-    pinned = args.ell if args.ell is not None else cfg.get("ell")
-    coeff = _coeff_from_config(cfg, spec.base.p, orders, args.ell)
-    d = gos_degree(spec, coeff)
-    if coeff.ell <= d + 2:
-        if pinned is not None:
-            raise Unsupported(
-                "ell=%d is too small for a degree-%d determinant" % (coeff.ell, d),
-                field="ell",
-            )
-        coeff = _coeff_for(spec.base.p, orders, d_max=d + 2)
-    value, degree = global_epsilon(spec, coeff)
-    audit = verify_gos(spec, coeff)
-    cs = l_polynomial(spec, coeff)
+    spec, cfg = _load_spec(args.spec)
+    coeff = _coeff_for(cfg, spec.base.p, _spec_orders(spec, [spec.wild]), args.ell, spec)
+    glob = GlobalComputation(spec, coeff)
+    audit = glob.audit()
     body = {
-        "value": value.value,
-        "degree": degree,
-        "l_polynomial": [c.value for c in cs],
+        "value": glob.cs[-1].value,
+        "degree": glob.degree,
+        "l_polynomial": [c.value for c in glob.cs],
         "audit": audit,
     }
     ok = all(v for v in audit.values() if isinstance(v, bool))
-    return body, coeff.ell, degree + 2, ok
+    return body, coeff.ell, glob.degree + 2, ok
 
 
 def cmd_product_check(args):
-    spec, omega, coeff = _build_spec_and_coeff(args, "product_spec.json", "product_omega.json")
+    spec, cfg = _load_spec(args.spec if args.spec is not None else _bundled("product_spec.json"))
+    omega_obj = _load(args.omega if args.omega is not None else _bundled("product_omega.json"), "omega")
+    omega = RationalFunction.from_json(spec.base, omega_obj)
+    if omega.num.degree() < 0:
+        raise Unsupported("the global one-form must be nonzero", field="omega")
+    coeff = _coeff_for(cfg, spec.base.p, _spec_orders(spec, [spec.wild, omega]), args.ell, spec)
     report = product_formula_check(spec, coeff, omega, method=args.method)
     body = {"report": report}
     ok = report["ok"]
-    work = len(report.get("per_point", ())) + report.get("degree", 0) + 1
+    # constant data has no determinant degree
+    d = report["degree"] or 0
+    work = len(report["per_point"]) + d + 1
     if args.second_ell:
-        other = second_ell(coeff, d_max=max(1, report.get("degree", 0) + 2))
-        twin = product_formula_check(spec, other, omega, method=args.method)
+        twin = product_formula_check(spec, second_ell(coeff, d_max=d + 2), omega, method=args.method)
         body["second"] = twin
         ok = ok and twin["ok"]
         work *= 2
@@ -268,13 +253,15 @@ def cmd_product_check(args):
 
 
 def cmd_induction_check(args):
-    cover_obj = _load(args.cover if args.cover is not None else _bundled("induction_cover.json"))
-    spec_obj = _load(args.spec if args.spec is not None else _bundled("induction_spec.json"))
-    omega_obj = _load(args.omega if args.omega is not None else _bundled("induction_omega.json"))
+    cover_obj = _load(args.cover if args.cover is not None else _bundled("induction_cover.json"), "cover")
+    spec_obj = _load(args.spec if args.spec is not None else _bundled("induction_spec.json"), "spec")
+    omega_obj = _load(args.omega if args.omega is not None else _bundled("induction_omega.json"), "omega")
     variants = spec_obj.get("variants")
     if not variants:
         raise Unsupported("cover audit needs a nonempty variants list", field="variants")
-    first_local = SheafSpec.from_json(variants[0]["local"])
+    _need(isinstance(variants, list) and all(isinstance(v, dict) for v in variants), "variants", "a list of objects")
+    pairs = [(_sheaf(v["global"], "global"), _sheaf(v["local"], "local")) for v in variants]
+    first_local = pairs[0][1]
     base = first_local.base
     if cover_obj.get("field", {}).get("p", base.p) != base.p:
         raise Unsupported("cover and sheaf data live over different fields", field="field")
@@ -282,36 +269,11 @@ def cmd_induction_check(args):
     omega = RationalFunction.from_json(base, omega_obj)
     point = Point.from_json(base, spec_obj["point"])
     pulled = _pullback(omega, cover)
-    cfg = spec_obj.get("coeff") or {}
-    orders = cfg.get("orders", _spec_orders(first_local, [pulled]))
-    coeff = _coeff_from_config(cfg, base.p, orders, args.ell)
-    degrees = []
-    lambdas = []
-    conductor_ok = True
-    for var in variants:
-        gspec = SheafSpec.from_json(var["global"])
-        lspec = SheafSpec.from_json(var["local"])
-        cs = l_polynomial(gspec, coeff)
-        d = len(cs) - 1
-        down = coeff.elem(-1) ** d * cs[d]
-        chi = local_character_at(lspec, coeff, point)
-        swan = max(0, -chi.wild_h.v) if chi.wild_h.coeffs else 0
-        prec = swan + abs(ord_at(pulled, point)) + 8
-        form = expand_form_at(pulled, point, prec)
-        up = eps_local(chi, form, "shriek")
-        if up.conductor_a_omega != d:
-            conductor_ok = False
-        degrees.append(d)
-        lambdas.append((down * up.value ** -1).value)
-    body = {
-        "point": point.to_json(),
-        "degrees": degrees,
-        "lambdas": lambdas,
-        "all_equal": all(v == lambdas[0] for v in lambdas),
-        "conductor_ok": conductor_ok,
-    }
-    ok = body["all_equal"] and conductor_ok
-    return body, coeff.ell, 2 * len(variants), ok
+    coeff = _coeff_for(spec_obj.get("coeff") or {}, base.p, _spec_orders(first_local, [pulled]), args.ell, None)
+    body = transfer_constants(coeff, pairs, point, pulled)
+    body["point"] = point.to_json()
+    ok = body["all_equal"] and body["conductor_ok"]
+    return body, coeff.ell, 2 * len(pairs), ok
 
 
 def _pullback(w, f):
@@ -329,7 +291,7 @@ def _pullback(w, f):
 
 def cmd_twisted_check(args):
     orders = _parse_orders(args.orders) if args.orders else [8]
-    coeff = _coeff_for(args.p, orders, ell=args.ell)
+    coeff = _coeff_for({}, args.p, orders, args.ell, None)
     report = run_twisted_suite(coeff, seed=args.seed, min_randomized=args.trials)
     work = sum(report["counts"].values())
     return {"report": report}, coeff.ell, work, report["ok"]

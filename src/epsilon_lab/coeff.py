@@ -271,6 +271,18 @@ def second_ell(field, d_max=1):
     return CoeffField(ell, field.p, field.M, _smallest_primitive_root(ell))
 
 
+def pinned_ell(field, ell):
+    """The given field's p and M at a prime ell chosen by the caller;
+    ell must pass the rule coeff_setup applies: prime, ell = 1 mod p*M and
+    ell > p*M."""
+    step = field.p * field.M
+    if ell <= step or (ell - 1) % step or not _is_prime(ell):
+        raise ValueError(
+            "ell=%d is not admissible (needs a prime > %d with ell = 1 mod %d)" % (ell, step, step)
+        )
+    return CoeffField(ell, field.p, field.M, _smallest_primitive_root(ell))
+
+
 def _smallest_primitive_root(ell):
     from .gf import _prime_factors
 

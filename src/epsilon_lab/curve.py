@@ -18,7 +18,6 @@ from .chars import LocalCharacter
 from .epsilon import eps_local, gamma_psi
 from .gf import LogField, dlog, find_embedding, frobenius, norm, prime_field, residue_field, trace
 from .localfield import (
-    Form,
     LaurentSeries,
     Point,
     Poly,
@@ -380,8 +379,11 @@ def gos_degree(spec, coeff):
     return conductor_profile(spec, coeff)[1]
 
 
-def _newton(spec, coeff):
-    rows, d = conductor_profile(spec, coeff)
+def _newton(spec, coeff, rows, d):
+    """Newton's identities on the trace sums of degrees 1..d, for the
+    conductor profile rows and the degree d it predicts; returns the
+    determinant coefficients, the elementary symmetric functions and the
+    power sums."""
     if not spec.punctures:
         raise ValueError("the determinant route needs at least one puncture")
     if not any(chi.is_ramified() for _pt, chi, _a in rows):
@@ -403,49 +405,68 @@ def _newton(spec, coeff):
             sign = -sign
         es.append(acc * coeff.elem(m) ** -1)
     cs = [es[m] if m % 2 == 0 else coeff.elem(-1) * es[m] for m in range(d + 1)]
-    return cs, es, psums, d
+    return cs, es, psums
+
+
+class GlobalComputation:
+    """The determinant of Frobenius for one (spec, coeff), computed once:
+    the conductor profile, the degree d it predicts, and Newton's
+    identities on the trace sums up to degree d.  Every global answer
+    reads off this object; only audit() walks the degree d + 1 field, q
+    times larger than any the determinant needs.
+    """
+
+    __slots__ = ("spec", "coeff", "degree", "cs", "es", "psums")
+
+    def __init__(self, spec, coeff):
+        rows, d = conductor_profile(spec, coeff)
+        self.spec = spec
+        self.coeff = coeff
+        self.degree = d
+        self.cs, self.es, self.psums = _newton(spec, coeff, rows, d)
+
+    def audit(self):
+        """Degree and consistency audit of the determinant polynomial.
+
+        Checks that the leading coefficient is a unit (full predicted
+        degree) and that the next power sum, forced by the recurrence once
+        all elementary symmetric functions above the degree vanish, matches
+        one more honestly computed trace sum."""
+        coeff, d, es, psums = self.coeff, self.degree, self.es, self.psums
+        leading = self.cs[d]
+        predicted = coeff.zero()
+        sign = 1
+        for i in range(1, d + 1):
+            term = es[i] * psums[d + 1 - i]
+            predicted = predicted + term if sign > 0 else predicted - term
+            sign = -sign
+        observed = coeff.elem(-1) * self.spec.trace_sum(coeff, d + 1)
+        return {
+            "degree": d,
+            "leading": leading.value,
+            "leading_nonzero": not leading.is_zero(),
+            "power_sum_consistent": predicted == observed,
+            "ok": (not leading.is_zero()) and predicted == observed,
+        }
 
 
 def l_polynomial(spec, coeff):
     """Coefficients, constant term first, of the determinant of 1 - T Frob
-    on the compactly supported first cohomology of the data.
-
-    Needs at least one puncture and honest ramification somewhere, so the
-    outer cohomology groups vanish and Newton's identities on the trace
-    sums see exactly the eigenvalues."""
-    return _newton(spec, coeff)[0]
+    on the compactly supported first cohomology of the data."""
+    return GlobalComputation(spec, coeff).cs
 
 
 def verify_gos(spec, coeff):
-    """Degree and consistency audit of the determinant polynomial.
-
-    Checks that the leading coefficient is a unit (full predicted degree)
-    and that the next power sum, forced by the recurrence once all
-    elementary symmetric functions above the degree vanish, matches one
-    more honestly computed trace sum."""
-    cs, es, psums, d = _newton(spec, coeff)
-    leading = cs[d]
-    predicted = coeff.zero()
-    sign = 1
-    for i in range(1, d + 1):
-        term = es[i] * psums[d + 1 - i]
-        predicted = predicted + term if sign > 0 else predicted - term
-        sign = -sign
-    observed = coeff.elem(-1) * spec.trace_sum(coeff, d + 1)
-    return {
-        "degree": d,
-        "leading": leading.value,
-        "leading_nonzero": not leading.is_zero(),
-        "power_sum_consistent": predicted == observed,
-        "ok": (not leading.is_zero()) and predicted == observed,
-    }
+    """Degree and consistency audit of the determinant polynomial; see
+    GlobalComputation.audit."""
+    return GlobalComputation(spec, coeff).audit()
 
 
 def global_epsilon(spec, coeff):
     """Determinant of minus Frobenius on the compactly supported cohomology
     of the data, inverted; returns (value, degree)."""
-    cs = l_polynomial(spec, coeff)
-    return cs[-1], len(cs) - 1
+    glob = GlobalComputation(spec, coeff)
+    return glob.cs[-1], glob.degree
 
 
 def product_formula_check(spec, coeff, omega, method="auto"):
@@ -460,6 +481,11 @@ def product_formula_check(spec, coeff, omega, method="auto"):
     is weighted by residue degree minus one; a third bookkeeping check
     matches the degree parity against the signs weighted by the full
     residue degree.
+
+    Everywhere unramified data is taken on the full line only: both outer
+    cohomology groups are lines, the determinant is (c**2 q)**-1 for the
+    constant Frobenius scale c, no determinant degree is reported, and the
+    local side only sees the form.
     """
     if omega.is_zero():
         raise ValueError("the 1-form must be nonzero")
@@ -467,13 +493,16 @@ def product_formula_check(spec, coeff, omega, method="auto"):
     q = base.q
     ell = coeff.ell
     inf = Point.infinity(base)
-    rows, _d0 = conductor_profile(spec, coeff)
-    if not spec.punctures or not any(chi.is_ramified() for _pt, chi, _a in rows):
+    rows, d = conductor_profile(spec, coeff)
+    constant = not any(chi.is_ramified() for _pt, chi, _a in rows)
+    if constant:
         if spec.punctures:
             raise ValueError("everywhere unramified data needs an empty puncture set here")
-        return _product_formula_constant(spec, coeff, omega)
-    cs, _es, _psums, d = _newton(spec, coeff)
-    lhs = cs[d]
+        scale = spec.trace_at(coeff, 1, base.zero())
+        lhs = (scale * scale * coeff.elem(q)) ** -1
+        d = 0
+    else:
+        lhs = _newton(spec, coeff, rows, d)[0][d]
     contributing = [(pt, chi) for pt, chi, _a in rows]
     punctured = set(spec.punctures)
     for pt, mult in divisor_points(omega):
@@ -516,9 +545,9 @@ def product_formula_check(spec, coeff, omega, method="auto"):
     alternate_ok = lhs_alt == rhs_alt
     main_ok = lhs == rhs
     return {
-        "mode": "determinant",
+        "mode": "constant" if constant else "determinant",
         "ok": main_ok and alternate_ok and sign_consistent,
-        "degree": d,
+        "degree": None if constant else d,
         "lhs": lhs.value,
         "rhs": rhs.value,
         "sign_consistent": sign_consistent,
@@ -528,127 +557,38 @@ def product_formula_check(spec, coeff, omega, method="auto"):
     }
 
 
-def _product_formula_constant(spec, coeff, omega):
-    """Everywhere unramified data on the full line: both outer cohomology
-    groups are lines, the determinant is (c**2 q)**-1 for the constant
-    Frobenius scale c, and the local side only sees the form."""
-    base = spec.base
-    q = base.q
-    scale = spec.trace_at(coeff, 1, base.zero())
-    lhs = (scale * scale * coeff.elem(q)) ** -1
-    rhs = coeff.elem(q)
-    per_point = []
-    points = [(pt, m) for pt, m in divisor_points(omega) if not pt.at_infinity]
-    v_inf = ord_at(omega, Point.infinity(base)) - 2
-    if v_inf:
-        points.append((Point.infinity(base), v_inf))
-    for pt, _m in points:
-        chi = local_character_at(spec, coeff, pt)
-        v_om = ord_at(omega, pt) + (-2 if pt.at_infinity else 0)
-        w_x = expand_form_at(omega, pt, abs(v_om) + 4)
-        res = eps_local(chi, w_x, "star")
-        rhs = rhs * res.value
-        per_point.append(
-            {
-                "point": pt.to_json(),
-                "residue_degree": pt.degree(),
-                "kind": "star",
-                "conductor": 0,
-                "conductor_with_form": res.conductor_a_omega,
-                "epsilon": res.value.value,
-                "sign": 1,
-            }
-        )
+def transfer_constants(coeff, variants, point, form):
+    """Transfer constants of a cover at one upstairs point.
+
+    variants lists pairs (global spec, local spec) of upstairs data.  The
+    global spec carries the pulled back exponential twist; its inverted
+    determinant of minus Frobenius is the downstairs factor.  The local
+    spec is the data itself; its factor at the point is taken with form,
+    the rational coefficient of the pulled back 1-form.  The transfer
+    constant of a variant is the ratio of the two, and it must not depend
+    on the variant; the upstairs conductor with the form must match the
+    determinant degree.
+    """
+    degrees = []
+    lambdas = []
+    conductor_ok = True
+    for gspec, lspec in variants:
+        cs = l_polynomial(gspec, coeff)
+        d = len(cs) - 1
+        down = coeff.elem(-1) ** d * cs[d]
+        chi = local_character_at(lspec, coeff, point)
+        w_x = expand_form_at(form, point, chi.swan() + abs(ord_at(form, point)) + 8)
+        up = eps_local(chi, w_x, "shriek")
+        if up.conductor_a_omega != d:
+            conductor_ok = False
+        degrees.append(d)
+        lambdas.append((down * up.value ** -1).value)
     return {
-        "mode": "constant",
-        "ok": lhs == rhs,
-        "degree": None,
-        "lhs": lhs.value,
-        "rhs": rhs.value,
-        "sign_consistent": True,
-        "alternate_route_ok": lhs == rhs,
-        "per_point": per_point,
-        "ell": coeff.ell,
+        "degrees": degrees,
+        "lambdas": lambdas,
+        "all_equal": all(v == lambdas[0] for v in lambdas),
+        "conductor_ok": conductor_ok,
     }
-
-
-class PushforwardSpec:
-    """Direct image of rank-1 data along a nonconstant rational self-map of
-    the line: the downstream trace value at a point is the sum of the
-    upstairs trace values over its fiber."""
-
-    __slots__ = ("cover", "upstairs")
-
-    def __init__(self, cover, upstairs):
-        if cover.field != upstairs.base:
-            raise ValueError("cover lives over the wrong field")
-        if max(cover.num.degree(), cover.den.degree()) < 1:
-            raise ValueError("cover must be nonconstant")
-        self.cover = cover
-        self.upstairs = upstairs
-
-    def degree(self):
-        return max(self.cover.num.degree(), self.cover.den.degree())
-
-    def fiber(self, m, x):
-        """Points of the degree m extension over x (None for infinity),
-        upstairs punctures dropped; returns (finite points, infinity flag)."""
-        spec = self.upstairs
-        base = spec.base
-        big, emb, _logs, _tr = _extension_data(base, m)
-        num = Poly(big, [emb.embed(c) for c in self.cover.num.coeffs])
-        den = Poly(big, [emb.embed(c) for c in self.cover.den.coeffs])
-        dn, dd = num.degree(), den.degree()
-        if x is None:
-            inf_in_fiber = dn > dd
-            finite = [y for y in big.elements() if den.evaluate(y).is_zero()]
-        else:
-            target = num - Poly.const(big, x) * den
-            if dn > dd:
-                inf_in_fiber = False
-            elif dn < dd:
-                inf_in_fiber = x.is_zero()
-            else:
-                inf_in_fiber = (num.leading() / den.leading()) == x
-            finite = [
-                y
-                for y in big.elements()
-                if target.evaluate(y).is_zero() and not den.evaluate(y).is_zero()
-            ]
-        kept = []
-        for y in finite:
-            over_puncture = False
-            for pt in spec.punctures:
-                if not pt.at_infinity and pt.minpoly.evaluate(y, emb).is_zero():
-                    over_puncture = True
-                    break
-            if not over_puncture:
-                kept.append(y)
-        if inf_in_fiber and not spec.infinity_in_domain():
-            inf_in_fiber = False
-        return kept, inf_in_fiber
-
-    def downstream_trace(self, coeff, m, x):
-        """Fiber sum of the upstairs trace function over the point x of the
-        degree m extension (None for infinity)."""
-        finite, has_inf = self.fiber(m, x)
-        acc = coeff.zero()
-        for y in finite:
-            acc = acc + self.upstairs.trace_at(coeff, m, y)
-        if has_inf:
-            acc = acc + self.upstairs.trace_at(coeff, m, None)
-        return acc
-
-    def trace_sum(self, coeff, m):
-        """Sum of the downstream trace over every point of the projective
-        line; fibers partition the upstairs domain, so this must agree
-        with the upstairs trace sum."""
-        base = self.upstairs.base
-        big, _emb, _logs, _tr = _extension_data(base, m)
-        acc = self.downstream_trace(coeff, m, None)
-        for x in big.elements():
-            acc = acc + self.downstream_trace(coeff, m, x)
-        return acc
 
 
 def induction_power_cover(coeff, base, e, exponents=None):
@@ -672,28 +612,17 @@ def induction_power_cover(coeff, base, e, exponents=None):
     y = RationalFunction.from_poly(Poly.x(base))
     pts = [Point.rational(base, 0), Point.infinity(base)]
     pullback = RationalFunction.from_poly(Poly(base, [0] * e + [-1]))
-    form = Form(LaurentSeries.make(base, e - 1, [e], e + 3))
-    lams = []
-    conductor_ok = True
-    for k in exponents:
-        twisted = SheafSpec(base, wild=pullback, kummer=[(y, k)], punctures=pts)
-        cs = l_polynomial(twisted, coeff)
-        d = len(cs) - 1
-        down = coeff.elem(-1) ** d * cs[d]
-        sheaf = SheafSpec(base, kummer=[(y, k)], punctures=pts)
-        chi = local_character_at(sheaf, coeff, pts[0])
-        up = eps_local(chi, form, "shriek")
-        if up.conductor_a_omega != d:
-            conductor_ok = False
-        lams.append(down * up.value ** -1)
-    out = {
-        "cover": "power",
-        "e": e,
-        "exponents": list(exponents),
-        "lambdas": [v.value for v in lams],
-        "all_equal": all(v == lams[0] for v in lams),
-        "conductor_ok": conductor_ok,
-    }
+    # e y**(e-1) dy is the pullback of dt along t = y**e
+    form = RationalFunction.from_poly(Poly(base, [0] * (e - 1) + [e]))
+    variants = [
+        (
+            SheafSpec(base, wild=pullback, kummer=[(y, k)], punctures=pts),
+            SheafSpec(base, kummer=[(y, k)], punctures=pts),
+        )
+        for k in exponents
+    ]
+    out = {"cover": "power", "e": e, "exponents": list(exponents)}
+    out.update(transfer_constants(coeff, variants, pts[0], form))
     predicted = None
     if e == 1:
         predicted = coeff.one()
@@ -703,8 +632,8 @@ def induction_power_cover(coeff, base, e, exponents=None):
         predicted = coeff.elem(q) ** -1
     if predicted is not None:
         out["predicted"] = predicted.value
-        out["matches_prediction"] = all(v == predicted for v in lams)
-    out["ok"] = out["all_equal"] and conductor_ok and out.get("matches_prediction", True)
+        out["matches_prediction"] = all(v == predicted.value for v in out["lambdas"])
+    out["ok"] = out["all_equal"] and out["conductor_ok"] and out.get("matches_prediction", True)
     return out
 
 
@@ -722,33 +651,22 @@ def induction_wild_cover(coeff, p=3, variants=None):
     y = RationalFunction.from_poly(Poly.x(base))
     cover_poly = Poly(base, [0, -1] + [0] * (p - 2) + [1])
     twist = RationalFunction(Poly.const(base, base.elem(-1)), cover_poly)
+    # dy / (y**p - y)**2 is the pullback of d(1/t) along t = y**p - y
     wform = RationalFunction(Poly(base, [1]), cover_poly * cover_poly)
     pts = [Point.rational(base, b) for b in range(p)] + [Point.infinity(base)]
-    inf = pts[-1]
     if variants is None:
         variants = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    lams = []
-    conductor_ok = True
+    pairs = []
     for k, a in variants:
         extra = RationalFunction.from_poly(Poly(base, [0, a])) if a % p else None
-        sheaf = SheafSpec(base, wild=extra, kummer=[(y, k)], punctures=pts)
         gw = twist if extra is None else twist + extra
-        twisted = SheafSpec(base, wild=gw, kummer=[(y, k)], punctures=pts)
-        cs = l_polynomial(twisted, coeff)
-        d = len(cs) - 1
-        down = coeff.elem(-1) ** d * cs[d]
-        chi = local_character_at(sheaf, coeff, inf)
-        form = expand_form_at(wform, inf, chi.artin_a("shriek") + 2 * p + 2)
-        up = eps_local(chi, form, "shriek")
-        if up.conductor_a_omega != d:
-            conductor_ok = False
-        lams.append(down * up.value ** -1)
-    return {
-        "cover": "wild",
-        "p": p,
-        "variants": [list(v) for v in variants],
-        "lambdas": [v.value for v in lams],
-        "all_equal": all(v == lams[0] for v in lams),
-        "conductor_ok": conductor_ok,
-        "ok": all(v == lams[0] for v in lams) and conductor_ok,
-    }
+        pairs.append(
+            (
+                SheafSpec(base, wild=gw, kummer=[(y, k)], punctures=pts),
+                SheafSpec(base, wild=extra, kummer=[(y, k)], punctures=pts),
+            )
+        )
+    out = {"cover": "wild", "p": p, "variants": [list(v) for v in variants]}
+    out.update(transfer_constants(coeff, pairs, pts[-1], wform))
+    out["ok"] = out["all_equal"] and out["conductor_ok"]
+    return out

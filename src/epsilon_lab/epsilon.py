@@ -131,7 +131,7 @@ def _tate_shape(chi, omega):
     return n, n + 1, a, v_om, a + v_om
 
 
-def eps_tate_slow(chi, omega, c_unit=None, kind="shriek"):
+def eps_tate_slow(chi, omega, c_unit=None):
     """Definitional unit sum, one series evaluation per unit residue.
 
     c_unit, if given, replaces pi**a_omega by c_unit * pi**a_omega as the
@@ -156,7 +156,7 @@ def eps_tate_slow(chi, omega, c_unit=None, kind="shriek"):
     return EpsilonResult(value, a, a_om, "tate_slow")
 
 
-def eps_tate(chi, omega, kind="shriek"):
+def eps_tate(chi, omega):
     """Table-driven walk computing the same unit sum as eps_tate_slow.
 
     Units are written a0 * prod (1 + c_i pi**i); the character value splits
@@ -333,9 +333,9 @@ def eps_local(chi, omega, kind="shriek", method="auto"):
     if not chi.is_ramified():
         return eps_unramified(chi, omega, kind)
     if method == "auto" or method == "tate":
-        return eps_tate(chi, omega, kind)
+        return eps_tate(chi, omega)
     if method == "tate_slow":
-        return eps_tate_slow(chi, omega, kind=kind)
+        return eps_tate_slow(chi, omega)
     if method == "closed":
         return eps_closed_form(chi, omega)
     raise ValueError("unknown method %r" % (method,))

@@ -549,9 +549,6 @@ def find_embedding(small, big):
     big field)."""
     if small.p != big.p or big.n % small.n != 0:
         raise ValueError("not a subfield relation")
-    if small.n == big.n:
-        # identity-degree embedding still needs a root if the moduli differ
-        pass
     q_small = small.q
     gen_sub = big.gen() ** ((big.q - 1) // (q_small - 1)) if q_small > 2 else big.one()
     candidates = [big.zero()]

