@@ -69,12 +69,17 @@ def _load(path, field):
     return obj
 
 
-def _sheaf(obj, field):
-    """SheafSpec from a JSON record whose shape is checked first."""
+def _field_record(obj, field):
+    """A JSON object whose optional p and n, if present, are integers."""
     _need(isinstance(obj, dict), field, "a JSON object")
     for key in ("p", "n"):
         _need(type(obj.get(key, 0)) is int, key, "an integer")
-    return SheafSpec.from_json(obj)
+    return obj
+
+
+def _sheaf(obj, field):
+    """SheafSpec from a JSON record whose shape is checked first."""
+    return SheafSpec.from_json(_field_record(obj, field))
 
 
 def _load_spec(path):
@@ -182,7 +187,9 @@ def cmd_eps_local(args):
     kind = _KINDS.get(args.kind)
     if kind is None:
         raise Unsupported("kind must be one of %s" % sorted(_KINDS), field="kind")
-    charfield = (obj.get("char") or {}).get("field") or {}
+    charobj = obj.get("char") or {}
+    _need(isinstance(charobj, dict), "char", "a JSON object")
+    charfield = _field_record(charobj.get("field") or {}, "field")
     fallback_p = charfield.get("p", 3)
     fallback_q = fallback_p ** charfield.get("n", 1)
     coeff = _coeff_for(obj.get("coeff") or {}, fallback_p, [max(1, fallback_q - 1)], args.ell, None)
@@ -263,7 +270,7 @@ def cmd_induction_check(args):
     pairs = [(_sheaf(v["global"], "global"), _sheaf(v["local"], "local")) for v in variants]
     first_local = pairs[0][1]
     base = first_local.base
-    if cover_obj.get("field", {}).get("p", base.p) != base.p:
+    if _field_record(cover_obj.get("field", {}), "field").get("p", base.p) != base.p:
         raise Unsupported("cover and sheaf data live over different fields", field="field")
     cover = RationalFunction.from_json(base, cover_obj)
     omega = RationalFunction.from_json(base, omega_obj)

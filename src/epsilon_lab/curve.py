@@ -32,26 +32,15 @@ _EXT_CACHE = {}
 
 
 def _extension_data(base, m):
-    """Degree m constant field extension with log tables and a flat table
-    of absolute traces indexed by element encoding."""
+    """Degree m constant field extension with its tables; the fourth entry
+    is the flat table of absolute traces indexed by element encoding."""
     key = (base, m)
     hit = _EXT_CACHE.get(key)
     if hit is not None:
         return hit
     big, emb = residue_field(base, m)
     logs = LogField(big)
-    p = base.p
-    tr_table = [0] * big.q
-    step = 1
-    for k in range(big.n):
-        tb = trace(big.from_index(step)).as_int()
-        for d in range(1, p):
-            off = d * step
-            val = (d * tb) % p
-            for r in range(step):
-                tr_table[off + r] = (tr_table[r] + val) % p
-        step *= p
-    data = (big, emb, logs, tr_table)
+    data = (big, emb, logs, logs.trace)
     _EXT_CACHE[key] = data
     return data
 

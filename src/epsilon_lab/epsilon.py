@@ -27,7 +27,7 @@ gamma_psi.  Acceptance checks compare it against the sum on random data.
 
 from __future__ import annotations
 
-from .gf import CapExceeded, FqElem, SmallFieldTables
+from .gf import CapExceeded, SmallFieldTables
 from .coeff import SymbolicSum
 from .chars import LocalCharacter, OracleCharacter
 from .localfield import Form, LaurentSeries, PrecisionError, dlog, residue, reversion
@@ -175,19 +175,19 @@ def eps_tate(chi, omega):
     # residue pairing window: W[j] multiplies the coefficient of pi**j in u0
     W = [omega.w.coeff(a_om - 1 - j).index() for j in range(nu)]
 
-    # psi powers and the trace-to-prime-field table, all as plain ints
+    # psi powers, and chi**-1 on the units: its value at the generator,
+    # powered along the exp table
     p = field.p
     psi_pow = [coeff.psi(t).value for t in range(p)]
-    from .gf import trace as _trace
-
-    tr = [0] * q
-    for idx in range(q):
-        tr[idx] = _trace(field.from_index(idx)).as_int()
+    tr = tab.logs.trace
+    at_gen = coeff.kummer_chi(inv.tame_e, field.gen()).value
+    kummer = [0] * q
+    val = 1
+    for idx in tab.logs.exp:
+        kummer[idx] = val
+        val = val * at_gen % ell
 
     # fold the outer a0 loop: P[d] = sum over a0 of chi**-1(a0) psi(tr(a0*d))
-    kummer = [0] * q
-    for idx in range(1, q):
-        kummer[idx] = coeff.kummer_chi(inv.tame_e, field.from_index(idx)).value
     P = [0] * q
     for d in range(q):
         acc = 0

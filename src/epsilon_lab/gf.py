@@ -12,6 +12,14 @@ The deterministic recipe:
 * generator: the first element of multiplicative order q - 1, scanning the
   integer encodings 1, 2, ... (a nonzero seed rotates the scan start, the
   modulus never depends on the seed).
+
+There is one arithmetic table engine, LogField: exp, log, Zech and
+trace-to-F_p tables on the packed integer encoding (the coefficients as
+base-p digits), its exp table filled by walking multiplication by x on
+packed ints.  SmallFieldTables, the q x q tables of the unit-sum walk, are
+read off a LogField.  FqElem (polynomial product, then reduction) stays
+for seeds (generators, embeddings, the few products a table build needs)
+and as the oracle the tables are tested against.
 """
 
 from __future__ import annotations
@@ -615,41 +623,122 @@ def identity_embedding(field):
     return TowerEmbedding(field, field, _modulus_root(field))
 
 
-class SmallFieldTables:
-    """Flat add/mul/inverse tables for a small field, elements as indices.
+def _x_orbit(field, start):
+    """Packed indices of start * x**j for j = 0, 1, ... until the walk is
+    back at start (at most q - 1 of them), x being the class of the
+    variable modulo field.modulus, n >= 2.
 
-    Index encoding matches FqElem.index().  Meant for inner loops; refuse
-    fields above 2**10 where the q*q tables stop being desk sized.
+    Multiplying by x shifts the base-p digits up one place.  The digit c
+    pushed out of the top stands for c * x**n = -c * (modulus - x**n), so
+    it is folded back digit by digit, without carries: one XOR for p = 2,
+    one fix-up per nonzero low coefficient of the modulus for odd p.
     """
+    p, n = field.p, field.n
+    top = p ** (n - 1)
+    q = top * p
+    low = field.modulus[:n]
+    out = []
+    k = start
+    if p == 2:
+        mask = q | sum(1 << i for i, c in enumerate(low) if c)
+        for _ in range(q - 1):
+            out.append(k)
+            k <<= 1
+            if k & q:
+                k ^= mask
+            if k == start:
+                break
+        return out
+    # fixes[c]: (place, bound, add, add - p * place) for each nonzero low
+    # coefficient; the digit at place is below bound iff adding does not wrap
+    fixes = [()]
+    for c in range(1, p):
+        row = []
+        for i, m in enumerate(low):
+            d = (-c * m) % p
+            if d:
+                place = p ** i
+                row.append((place, p - d, d * place, (d - p) * place))
+        fixes.append(tuple(row))
+    for _ in range(q - 1):
+        out.append(k)
+        c, k = divmod(k, top)
+        k *= p
+        if c:
+            for place, bound, up, wrap in fixes[c]:
+                k += up if k // place % p < bound else wrap
+        if k == start:
+            break
+    return out
 
-    __slots__ = ("field", "q", "add", "mul", "inv", "neg", "index_of_one")
 
-    def __init__(self, field):
-        q = field.q
-        if q > 1 << 10:
-            raise CapExceeded("tables for q=%d exceed 2^10" % q)
-        self.field = field
-        self.q = q
-        els = [field.from_index(k) for k in range(q)]
-        self.add = [[(els[i] + els[j]).index() for j in range(q)] for i in range(q)]
-        self.mul = [[(els[i] * els[j]).index() for j in range(q)] for i in range(q)]
-        self.neg = [(-els[i]).index() for i in range(q)]
-        self.inv = [0] * q
-        for i in range(1, q):
-            self.inv[i] = els[i].inverse().index()
-        self.index_of_one = 1
+def _exp_table(field):
+    """exp[e] = index encoding of G**e, G the generator, on packed ints.
+
+    In degree 1 this is a walk by the scalar G.  Otherwise x (the class of
+    the variable) has order r = (q - 1) / s and G**s = x**u for some u, so
+    G**(i + s t) = G**i * x**(u t): one walk by x per coset leader G**i,
+    and only the s leaders cost FqElem products.
+    """
+    p, q = field.p, field.q
+    if field.n == 1:
+        g = field.generator[0]
+        exp = [0] * (q - 1)
+        k = 1
+        for e in range(q - 1):
+            exp[e] = k
+            k = k * g % p
+        if k != 1:
+            raise ValueError("generator does not have full order")
+        return exp
+    walk = _x_orbit(field, 1)
+    r = len(walk)
+    s = (q - 1) // r
+    g = field.gen()
+    leaders = []
+    cur = field.one()
+    for _ in range(s):
+        leaders.append(cur.index())
+        cur = cur * g
+    if r * s != q - 1 or cur.index() not in walk:
+        raise ValueError("generator does not have full order")
+    u = walk.index(cur.index())
+    exp = [0] * (q - 1)
+    for i, lead in enumerate(leaders):
+        orbit = _x_orbit(field, lead) if i else walk
+        exp[i::s] = [orbit[u * t % r] for t in range(r)]
+    return exp
+
+
+def _trace_table(field):
+    """tr[k] = absolute trace of the element with index k, as an int in
+    [0, p): the trace is F_p-linear, so the n traces of the basis vectors
+    fill the whole table."""
+    p = field.p
+    tr = [0] * field.q
+    step = 1
+    for _ in range(field.n):
+        tb = trace(field.from_index(step)).as_int()
+        for d in range(1, p):
+            off = d * step
+            val = (d * tb) % p
+            for r in range(step):
+                tr[off + r] = (tr[r] + val) % p
+        step *= p
+    return tr
 
 
 class LogField:
-    """Zech logarithm tables for F_{p^n}, packed integer element encoding.
+    """The arithmetic tables of F_{p^n}, packed integer element encoding.
 
     exp[e] is the index encoding of G**e, log is its inverse permutation,
-    zech[e] = log(1 + G**e) with -1 standing for log(0).  Everything an
-    inner loop needs (mul, add, trace to F_p, norm exponent to a subfield)
-    happens on ints.
+    zech[e] = log(1 + G**e) with -1 standing for log(0), and trace[k] is
+    the absolute trace of the element with index k, an int in [0, p).
+    Everything an inner loop needs (mul, add, trace to F_p, norm exponent
+    to a subfield) happens on ints.
     """
 
-    __slots__ = ("field", "q", "order", "exp", "log", "zech", "p", "_plog")
+    __slots__ = ("field", "q", "order", "exp", "log", "zech", "trace", "p", "_plog")
 
     def __init__(self, field):
         q = field.q
@@ -657,31 +746,19 @@ class LogField:
             raise CapExceeded("field size %d exceeds cap %d" % (q, FIELD_CAP))
         self.field = field
         self.q = q
-        self.p = field.p
+        self.p = p = field.p
         self.order = q - 1
-        exp = [0] * (q - 1)
-        cur = field.one()
-        g = field.gen()
-        for e in range(q - 1):
-            exp[e] = cur.index()
-            cur = cur * g
-        if cur != field.one():
-            raise ValueError("generator does not have full order")
+        exp = _exp_table(field)
         log = [-1] * q
         for e, idx in enumerate(exp):
             if log[idx] != -1:
                 raise ValueError("generator does not have full order")
             log[idx] = e
-        p = field.p
-        zech = [0] * (q - 1)
-        for e in range(q - 1):
-            idx = exp[e]
-            low = idx % p
-            idx2 = idx - low + ((low + 1) % p)
-            zech[e] = log[idx2]
+        # 1 + G**e only changes the low digit of G**e
+        self.zech = [log[idx - idx % p + (idx + 1) % p] for idx in exp]
         self.exp = exp
         self.log = log
-        self.zech = zech
+        self.trace = _trace_table(field)
         # log encoding of the prime field scalars 0..p-1 (index encoding is
         # the scalar itself, low digit)
         self._plog = [log[c] for c in range(p)]
@@ -727,21 +804,43 @@ class LogField:
 
     def trace_to_prime(self, a):
         """Absolute trace of G**a as an int in [0, p)."""
-        if a < 0:
-            return 0
-        acc = -1
-        cur = a
-        for _ in range(self.field.n):
-            acc = self.add(acc, cur)
-            cur = (cur * self.p) % self.order
-        if acc < 0:
-            return 0
-        idx = self.exp[acc]
-        if idx >= self.p:
-            raise ValueError("trace left the prime field, broken tables")
-        return idx
+        return self.trace[self.exp[a]] if a >= 0 else 0
 
     def elem_log(self, x):
         if x.field != self.field:
             raise ValueError("element from another field")
         return self.log[x.index()]
+
+
+class SmallFieldTables:
+    """Flat q x q add/mul tables and neg/inv rows for a small field,
+    elements as indices, read off the field's LogField (kept as logs).
+
+    Index encoding matches FqElem.index().  Meant for inner loops; refuse
+    fields above 2**10 where the q*q tables stop being desk sized.
+    """
+
+    __slots__ = ("field", "q", "logs", "add", "mul", "inv", "neg", "index_of_one")
+
+    def __init__(self, field):
+        q = field.q
+        if q > 1 << 10:
+            raise CapExceeded("tables for q=%d exceed 2^10" % q)
+        self.field = field
+        self.q = q
+        logs = LogField(field)
+        exp, log, zech, order = logs.exp, logs.log, logs.zech, logs.order
+        self.logs = logs
+        self.mul = [[0] * q]
+        self.add = [list(range(q))]
+        for i in range(1, q):
+            a = log[i]
+            self.mul.append([0] + [exp[(a + log[j]) % order] for j in range(1, q)])
+            row = [i]
+            for j in range(1, q):
+                z = zech[(log[j] - a) % order]
+                row.append(0 if z < 0 else exp[(a + z) % order])
+            self.add.append(row)
+        self.neg = [0] + [exp[logs.neg_log(log[i])] for i in range(1, q)]
+        self.inv = [0] + [exp[-log[i] % order] for i in range(1, q)]
+        self.index_of_one = 1

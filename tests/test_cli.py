@@ -150,3 +150,21 @@ def test_reports_byte_identical_across_threads(capsys, tmp_path):
     rerun = tmp_path / "rerun.json"
     code, _ = run(capsys, ["product-check", "--threads", "1", "--seed", "5", "--json-out", str(rerun)])
     assert code == 0 and rerun.read_bytes() == out1.read_bytes()
+
+
+def test_malformed_character_record_points_at_field(capsys, tmp_path):
+    path = tmp_path / "char.json"
+    for char, field in (([1], "char"), ({"field": [3]}, "field"), ({"field": {"p": "3"}}, "p")):
+        path.write_text(json.dumps({"char": char, "coeff": {"p": 3, "orders": [8]}}))
+        code, report = run(capsys, ["eps-local", "--char", str(path)])
+        assert code == 3 and report["field"] == field
+
+
+def test_malformed_cover_field_points_at_field(capsys, tmp_path):
+    cover = json.loads((DATA / "induction_cover.json").read_text())
+    path = tmp_path / "cover.json"
+    for bad in ([3], None, {"p": "3"}):
+        cover["field"] = bad
+        path.write_text(json.dumps(cover))
+        code, report = run(capsys, ["induction-check", "--cover", str(path)])
+        assert code == 3 and report["field"] == ("p" if isinstance(bad, dict) else "field")

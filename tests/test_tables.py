@@ -1,0 +1,77 @@
+"""The table engine against the polynomial arithmetic of FqElem: LogField's
+exp/log/Zech/trace tables, the q x q tables read off them, and the amount
+of FqElem work a table build may do."""
+
+import pytest
+
+from epsilon_lab import gf
+from epsilon_lab.gf import FieldDesc, LogField, SmallFieldTables, fq_build, residue_field, trace
+
+
+def _oracle_fields():
+    f9 = fq_build(3, 2)
+    # x is not primitive in F_9 (x^2 = -1), so the walk by x needs cosets
+    assert f9.elem([0, 1]) ** 4 == f9.one()
+    big, _emb = residue_field(fq_build(3, 1), 4)
+    return [fq_build(2, 1), fq_build(7, 1), f9, fq_build(2, 6), fq_build(5, 3), big]
+
+
+@pytest.mark.parametrize("field", _oracle_fields(), ids=repr)
+def test_log_field_tables_match_elem_arithmetic(field):
+    lf = LogField(field)
+    g = field.gen()
+    cur = field.one()
+    for e in range(field.q - 1):
+        assert lf.exp[e] == cur.index()
+        assert lf.log[cur.index()] == e
+        succ = cur + 1
+        assert lf.zech[e] == (-1 if succ.is_zero() else lf.log[succ.index()])
+        cur = cur * g
+    assert cur == field.one() and lf.log[0] == -1
+    for k in range(field.q):
+        assert lf.trace[k] == trace(field.from_index(k)).as_int()
+
+
+@pytest.mark.parametrize(
+    "p, n, modulus, generator",
+    [
+        (3, 2, (1, 0, 1), (0, 1)),  # x has order 4 in F_9
+        (3, 2, (1, 0, 1), (1, 0)),  # 1
+        (3, 2, (1, 0, 1), (0, 0)),  # 0
+        (7, 1, (0, 1), (2,)),  # 2 has order 3 mod 7
+        (3, 1, (0, 1), (0,)),
+        (2, 4, (1, 1, 0, 0, 1), (1, 1, 1, 1)),  # order 5 in F_16
+    ],
+)
+def test_generator_without_full_order_is_refused(p, n, modulus, generator):
+    with pytest.raises(ValueError, match="full order"):
+        LogField(FieldDesc(p, n, modulus, generator))
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 2)])
+def test_small_tables_match_elem_arithmetic(p, n):
+    f = fq_build(p, n)
+    tab = SmallFieldTables(f)
+    els = list(f.elements())
+    for i, a in enumerate(els):
+        assert tab.neg[i] == (-a).index()
+        if i:
+            assert tab.inv[i] == a.inverse().index()
+        for j, b in enumerate(els):
+            assert tab.add[i][j] == (a + b).index()
+            assert tab.mul[i][j] == (a * b).index()
+
+
+@pytest.mark.parametrize("p, n", [(3, 10), (2, 16)])
+def test_table_build_makes_few_elem_products(monkeypatch, p, n):
+    f = fq_build(p, n)
+    calls = []
+    plain = gf.FqElem.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return plain(self, other)
+
+    monkeypatch.setattr(gf.FqElem, "__mul__", counting)
+    LogField(f)
+    assert len(calls) < f.q // 20
