@@ -27,7 +27,9 @@ gamma_psi.  Acceptance checks compare it against the sum on random data.
 
 from __future__ import annotations
 
-from .gf import CapExceeded, SmallFieldTables
+from operator import mul
+
+from .gf import CapExceeded, LogField
 from .coeff import SymbolicSum
 from .chars import LocalCharacter, OracleCharacter
 from .localfield import Form, LaurentSeries, PrecisionError, dlog, residue, reversion
@@ -37,10 +39,10 @@ TATE_CAP = 1 << 22
 _TABLE_CACHE = {}
 
 
-def _tables(field):
+def _log_field(field):
     got = _TABLE_CACHE.get(field)
     if got is None:
-        got = SmallFieldTables(field)
+        got = LogField(field)
         _TABLE_CACHE[field] = got
     return got
 
@@ -78,6 +80,8 @@ class EpsilonResult:
 
 
 def _gamma_counts(field, c):
+    """How often each trace value e in F_p is Tr(c t**2 / 2), t over F_q,
+    keyed in the order the values first occur with t in index order."""
     p = field.p
     if p == 2:
         raise ValueError("the quadratic constant needs odd characteristic")
@@ -85,12 +89,12 @@ def _gamma_counts(field, c):
         c = field.elem(c)
     if c.is_zero():
         raise ValueError("the quadratic constant needs a nonzero scale")
-    half = field.elem(pow(2, -1, p))
-    from .gf import trace
-
+    logs = _log_field(field)
+    exp, tr, m = logs.exp, logs.trace, logs.order
+    base = logs.log[(c * field.elem(pow(2, -1, p))).index()]
     counts = {}
-    for t in field.elements():
-        e = trace(c * t * t * half).as_int() % p
+    for lt in logs.log:
+        e = tr[exp[(base + 2 * lt) % m]] if lt >= 0 else 0
         counts[e] = counts.get(e, 0) + 1
     return counts
 
@@ -159,9 +163,15 @@ def eps_tate_slow(chi, omega, c_unit=None):
 def eps_tate(chi, omega):
     """Table-driven walk computing the same unit sum as eps_tate_slow.
 
-    Units are written a0 * prod (1 + c_i pi**i); the character value splits
-    level by level and the residue pairing is linear in the additive
-    coefficients, so each unit costs a few table lookups.
+    Units are written a0 * prod (1 + c_i pi**i), and field elements are
+    logs to the generator G, -1 standing for zero, so that products are
+    sums of logs and additions are Zech lookups.  The character splits
+    level by level.  The residue pairing <u, W> = sum u_j W[j] satisfies
+    <u (1 + c pi**i), W> = <u, W'> with W'[j] = W[j] + c W[j + i], so the
+    walk moves the window instead of the unit and a leaf pairs to W[0].
+    With g = chi**-1(G), substituting a0 = b / d folds the a0 sum to
+    P(G**k) = g**-k P(1), and the last level is summed once per pairing
+    value, as a cyclic correlation through the Zech table.
     """
     field, coeff = chi.field, chi.coeff
     ell = coeff.ell
@@ -169,83 +179,95 @@ def eps_tate(chi, omega):
     n, nu, a, v_om, a_om = _tate_shape(chi, omega)
     if q ** nu > TATE_CAP:
         raise CapExceeded("unit sum would exceed %d terms" % TATE_CAP)
-    tab = _tables(field)
+    if q > 1 << 10:
+        raise CapExceeded("tables for q=%d exceed 2^10" % q)
+    logs = _log_field(field)
+    exp, log, zech, tr = logs.exp, logs.log, logs.zech, logs.trace
+    m = q - 1
     inv = chi.inverse()
 
-    # residue pairing window: W[j] multiplies the coefficient of pi**j in u0
-    W = [omega.w.coeff(a_om - 1 - j).index() for j in range(nu)]
+    # residue pairing window: W[j] multiplies the coefficient of pi**j in u0;
+    # W[nu - 1] is the leading coefficient of omega, never zero, never moved
+    W = [log[omega.w.coeff(a_om - 1 - j).index()] for j in range(nu)]
 
-    # psi powers, and chi**-1 on the units: its value at the generator,
-    # powered along the exp table
-    p = field.p
-    psi_pow = [coeff.psi(t).value for t in range(p)]
-    tr = tab.logs.trace
-    at_gen = coeff.kummer_chi(inv.tame_e, field.gen()).value
-    kummer = [0] * q
-    val = 1
-    for idx in tab.logs.exp:
-        kummer[idx] = val
-        val = val * at_gen % ell
-
-    # fold the outer a0 loop: P[d] = sum over a0 of chi**-1(a0) psi(tr(a0*d))
-    P = [0] * q
-    for d in range(q):
-        acc = 0
-        for a0 in range(1, q):
-            acc += kummer[a0] * psi_pow[tr[tab.mul[a0][d]]]
-        P[d] = acc % ell
-
-    # per level unit-values of chi**-1 on 1 + c pi**i
-    T = []
-    for i in range(1, nu):
-        row = [1] * q
-        if inv.wild_h.coeffs:
-            for cdx in range(1, q):
-                u = LaurentSeries.make(
-                    field, 0, [field.one()] + [field.zero()] * (i - 1) + [field.from_index(cdx)], nu
-                )
-                row[cdx] = inv(u).value
-        T.append(row)
-
-    mul = tab.mul
-    add = tab.add
-    total = 0
-    one_idx = field.one().index()
+    # ginv[k] = g**-k; P(G**k) = ginv[k] * P1 and P(0) = P0
+    g = coeff.kummer_chi(inv.tame_e, field.gen()).value
+    step = pow(g, -1, ell)
+    ginv = [1] * m
+    for k in range(1, m):
+        ginv[k] = ginv[k - 1] * step % ell
+    psi_pow = [coeff.psi(t).value for t in range(field.p)]
+    P1 = sum(ginv[-e % m] * psi_pow[tr[exp[e]]] for e in range(m)) % ell
+    P0 = m % ell if g == 1 else 0
 
     if nu == 1:
-        total = P[mul[one_idx][W[0]]]
+        total = ginv[W[0]] * P1
     else:
+        # T[i - 1][f] = chi**-1(1 + G**f pi**i)
+        pad = [field.one()] + [field.zero()] * (nu - 2)
+        T = [
+            [inv(LaurentSeries.make(field, 0, pad[:i] + [field.from_index(exp[f])], nu)).value for f in range(m)]
+            for i in range(1, nu)
+        ]
+
+        # S[e] = sum over c of T_last(c) P(G**e + c W_last), and S[-1], read
+        # through the log -1 of zero, is the same sum at pairing 0.  With
+        # c = G**f, G**e + c W_last = G**(e + zech[f + lw - e]), so S[e] is
+        # a correlation of T_last against Z[t] = g**-zech[t], zero where
+        # 1 + G**t = 0
         last = nu - 1
         Tlast = T[last - 1]
+        lw = W[last]
+        t0 = zech.index(-1)
+        Z = [ginv[z] if z >= 0 else 0 for z in zech] * 2
+        G2 = ginv * 2
+        S = [0] * q
+        for e in range(m):
+            s = (lw - e) % m
+            corr = sum(map(mul, Tlast, Z[s : s + m]))
+            S[e] = (ginv[e] * P1 * (1 + corr) + P0 * Tlast[(t0 - s) % m]) % ell
+        S[-1] = (P0 + P1 * sum(map(mul, Tlast, G2[lw : lw + m]))) % ell
 
-        def walk(level, vec, pref):
+        # levels 1 .. last - 1 move the window; the leaves under the deepest
+        # of them read only the pairing w[0] + c w[level], so it sums them
+        total = 0
+
+        def walk(level, w, pref):
             nonlocal total
-            if level == last:
-                d = 0
-                for j in range(nu):
-                    if vec[j]:
-                        d = add[d][mul[vec[j]][W[j]]]
-                m = mul[vec[0]][W[last]]
-                acc = P[d]
-                if m:
-                    for cdx in range(1, q):
-                        acc += Tlast[cdx] * P[add[d][mul[cdx][m]]]
-                else:
-                    for cdx in range(1, q):
-                        acc += Tlast[cdx] * P[d]
-                total = (total + pref * acc) % ell
-                return
             row = T[level - 1]
-            walk(level + 1, vec, pref)
-            for cdx in range(1, q):
-                new = list(vec)
-                for j in range(nu - 1, level - 1, -1):
-                    s = new[j - level]
-                    if s:
-                        new[j] = add[new[j]][mul[cdx][s]]
-                walk(level + 1, new, (pref * row[cdx]) % ell)
+            if level == last - 1:
+                x, y = w[0], w[level]
+                acc = S[x]
+                for f in range(m):
+                    if y < 0:
+                        d = x
+                    elif x < 0:
+                        d = (y + f) % m
+                    else:
+                        z = zech[(y + f - x) % m]
+                        d = -1 if z < 0 else (x + z) % m
+                    acc += row[f] * S[d]
+                total += pref * acc
+                return
+            walk(level + 1, w, pref)
+            for f in range(m):
+                new = list(w)
+                for j, y in enumerate(w[level:]):
+                    if y < 0:
+                        continue
+                    y += f
+                    x = w[j]
+                    if x < 0:
+                        new[j] = y % m
+                    else:
+                        z = zech[(y - x) % m]
+                        new[j] = -1 if z < 0 else (x + z) % m
+                walk(level + 1, new, pref * row[f] % ell)
 
-        walk(1, [one_idx] + [0] * (nu - 1), 1)
+        if last == 1:
+            total = S[W[0]]
+        else:
+            walk(1, W, 1)
 
     sign = ell - 1 if a % 2 else 1
     value = (sign * pow(q, v_om, ell) * total) % ell

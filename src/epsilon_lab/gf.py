@@ -16,10 +16,11 @@ The deterministic recipe:
 There is one arithmetic table engine, LogField: exp, log, Zech and
 trace-to-F_p tables on the packed integer encoding (the coefficients as
 base-p digits), its exp table filled by walking multiplication by x on
-packed ints.  SmallFieldTables, the q x q tables of the unit-sum walk, are
-read off a LogField.  FqElem (polynomial product, then reduction) stays
-for seeds (generators, embeddings, the few products a table build needs)
-and as the oracle the tables are tested against.
+packed ints.  Inner loops (the point walk, the unit sum, the quadratic
+Gauss constant) read these tables directly, elements as logs to the
+generator.  FqElem (polynomial product, then reduction) stays for seeds
+(generators, embeddings, the few products a table build needs) and as
+the oracle the tables are tested against.
 """
 
 from __future__ import annotations
@@ -734,11 +735,11 @@ class LogField:
     exp[e] is the index encoding of G**e, log is its inverse permutation,
     zech[e] = log(1 + G**e) with -1 standing for log(0), and trace[k] is
     the absolute trace of the element with index k, an int in [0, p).
-    Everything an inner loop needs (mul, add, trace to F_p, norm exponent
-    to a subfield) happens on ints.
+    On logs a product is a sum mod order and a + b is
+    a + zech[(b - a) % order], so an inner loop runs on ints alone.
     """
 
-    __slots__ = ("field", "q", "order", "exp", "log", "zech", "trace", "p", "_plog")
+    __slots__ = ("field", "q", "order", "exp", "log", "zech", "trace")
 
     def __init__(self, field):
         q = field.q
@@ -746,8 +747,8 @@ class LogField:
             raise CapExceeded("field size %d exceeds cap %d" % (q, FIELD_CAP))
         self.field = field
         self.q = q
-        self.p = p = field.p
         self.order = q - 1
+        p = field.p
         exp = _exp_table(field)
         log = [-1] * q
         for e, idx in enumerate(exp):
@@ -759,88 +760,3 @@ class LogField:
         self.exp = exp
         self.log = log
         self.trace = _trace_table(field)
-        # log encoding of the prime field scalars 0..p-1 (index encoding is
-        # the scalar itself, low digit)
-        self._plog = [log[c] for c in range(p)]
-
-    # all arithmetic below is on logs, with -1 as log(0)
-
-    def mul(self, a, b):
-        if a < 0 or b < 0:
-            return -1
-        return (a + b) % self.order
-
-    def add(self, a, b):
-        if a < 0:
-            return b
-        if b < 0:
-            return a
-        d = (b - a) % self.order
-        z = self.zech[d]
-        if z < 0:
-            return -1
-        return (a + z) % self.order
-
-    def neg_log(self, a):
-        if a < 0:
-            return -1
-        if self.p == 2:
-            return a
-        return (a + self.order // 2) % self.order
-
-    def sub(self, a, b):
-        return self.add(a, self.neg_log(b))
-
-    def pow(self, a, e):
-        if a < 0:
-            if e <= 0:
-                raise ZeroDivisionError("0**nonpositive in log field")
-            return -1
-        return (a * e) % self.order
-
-    def scalar_log(self, c):
-        """log of the prime field scalar c (int mod p)."""
-        return self._plog[c % self.p]
-
-    def trace_to_prime(self, a):
-        """Absolute trace of G**a as an int in [0, p)."""
-        return self.trace[self.exp[a]] if a >= 0 else 0
-
-    def elem_log(self, x):
-        if x.field != self.field:
-            raise ValueError("element from another field")
-        return self.log[x.index()]
-
-
-class SmallFieldTables:
-    """Flat q x q add/mul tables and neg/inv rows for a small field,
-    elements as indices, read off the field's LogField (kept as logs).
-
-    Index encoding matches FqElem.index().  Meant for inner loops; refuse
-    fields above 2**10 where the q*q tables stop being desk sized.
-    """
-
-    __slots__ = ("field", "q", "logs", "add", "mul", "inv", "neg", "index_of_one")
-
-    def __init__(self, field):
-        q = field.q
-        if q > 1 << 10:
-            raise CapExceeded("tables for q=%d exceed 2^10" % q)
-        self.field = field
-        self.q = q
-        logs = LogField(field)
-        exp, log, zech, order = logs.exp, logs.log, logs.zech, logs.order
-        self.logs = logs
-        self.mul = [[0] * q]
-        self.add = [list(range(q))]
-        for i in range(1, q):
-            a = log[i]
-            self.mul.append([0] + [exp[(a + log[j]) % order] for j in range(1, q)])
-            row = [i]
-            for j in range(1, q):
-                z = zech[(log[j] - a) % order]
-                row.append(0 if z < 0 else exp[(a + z) % order])
-            self.add.append(row)
-        self.neg = [0] + [exp[logs.neg_log(log[i])] for i in range(1, q)]
-        self.inv = [0] + [exp[-log[i] % order] for i in range(1, q)]
-        self.index_of_one = 1

@@ -324,3 +324,77 @@ def test_gamma_guards():
         gamma_psi(C4, F4, F4.one())
     with pytest.raises(ValueError):
         gamma_psi(C73, F3, F3.zero())
+
+
+# ---------------------------------------------------------------------------
+# the unit sum on the field tables
+
+
+def _extra_cases():
+    """(p, n, swan, tame, v(omega)) over fields FIELDS lacks, with
+    q**(swan + 1) <= 3000 so that the definitional sum stays quick."""
+    out = []
+    for p, n in ((2, 1), (2, 3), (2, 4), (5, 2), (3, 3), (7, 2)):
+        q = p ** n
+        for swan in range(4):
+            if q ** (swan + 1) > 3000:
+                break
+            for tame in (0, 1) if q > 2 else (0,):
+                if swan or tame:
+                    out.extend((p, n, swan, tame, v) for v in (-1, 0, 2))
+    return out
+
+
+@pytest.mark.parametrize("p, n, swan, tame, v", _extra_cases())
+def test_fast_matches_slow_on_more_fields(p, n, swan, tame, v):
+    field = fq_build(p, n)
+    coeff = coeff_setup(p, [field.q - 1])
+    rng = random.Random("%d %d %d %d %d" % (p, n, swan, tame, v))
+    if tame:
+        tame = rng.randrange(1, field.q - 1)
+    chi = random_char(rng, field, coeff, swan=swan, tame=tame)
+    while not chi.is_ramified():  # an even pole in characteristic 2 can reduce away
+        chi = random_char(rng, field, coeff, swan=swan, tame=tame)
+    omega = random_form(rng, field, swan + 3, vmin=v, vmax=v)
+    fast = eps_tate(chi, omega)
+    slow = eps_tate_slow(chi, omega)
+    assert fast.value == slow.value
+    assert fast.conductor_a == slow.conductor_a
+    assert fast.conductor_a_omega == slow.conductor_a_omega
+
+
+@pytest.mark.parametrize("p, n", [(2, 11), (3, 7)])
+def test_large_tame_refused_before_any_table(monkeypatch, p, n):
+    from epsilon_lab import gf
+    from epsilon_lab.epsilon import _TABLE_CACHE
+
+    field = fq_build(p, n)
+    coeff = coeff_setup(p, [field.q - 1])
+    chi = LocalCharacter(field, coeff, coeff.one(), 1)
+    builds = []
+    plain = gf.LogField.__init__
+
+    def counting(self, f):
+        builds.append(f.q)
+        plain(self, f)
+
+    monkeypatch.setattr(gf.LogField, "__init__", counting)
+    cached = len(_TABLE_CACHE)
+    with pytest.raises(CapExceeded, match=r"tables for q=%d exceed 2\^10" % field.q):
+        eps_local(chi, form(field, 0, [1], 3))
+    assert builds == [] and len(_TABLE_CACHE) == cached
+
+
+@pytest.mark.parametrize("p, n", [(3, 4), (5, 3), (7, 2)])
+def test_gamma_counts_match_trace_count(p, n):
+    from epsilon_lab.epsilon import _gamma_counts
+
+    field = fq_build(p, n)
+    half = field.elem(pow(2, -1, p))
+    for c in (field.one(), field.elem(-1), field.gen(), field.from_index(field.q - 2)):
+        want = {}
+        for t in field.elements():
+            e = trace(c * t * t * half).as_int()
+            want[e] = want.get(e, 0) + 1
+        got = _gamma_counts(field, c)
+        assert got == want and list(got) == list(want)

@@ -1,5 +1,5 @@
 """Field tower tests: frozen descriptors, field axioms, trace/norm, dlog,
-norm compatible residue fields, Zech tables."""
+norm compatible residue fields."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from epsilon_lab.gf import (
     CapExceeded,
     FieldDesc,
-    LogField,
-    SmallFieldTables,
     dlog,
     find_embedding,
     fq_build,
@@ -160,29 +158,6 @@ def test_find_embedding_roots_modulus():
 def test_json_roundtrip():
     f = fq_build(3, 2, 0)
     assert FieldDesc.from_json(f.to_json()) == f
-
-
-def test_log_field_matches_elem_arithmetic():
-    f = fq_build(3, 2, 0)
-    lf = LogField(f)
-    for i in range(f.q):
-        for j in range(f.q):
-            a, b = f.from_index(i), f.from_index(j)
-            la, lb = lf.log[i], lf.log[j]
-            s = lf.add(la, lb)
-            m = lf.mul(la, lb)
-            assert (a + b).index() == (0 if s < 0 else lf.exp[s])
-            assert (a * b).index() == (0 if m < 0 else lf.exp[m])
-        assert lf.trace_to_prime(lf.log[i]) == trace(f.from_index(i)).as_int()
-
-
-def test_small_tables_match():
-    f = fq_build(2, 2, 0)
-    tab = SmallFieldTables(f)
-    for i in range(4):
-        for j in range(4):
-            assert tab.add[i][j] == (f.from_index(i) + f.from_index(j)).index()
-            assert tab.mul[i][j] == (f.from_index(i) * f.from_index(j)).index()
 
 
 def test_identity_embedding():

@@ -1,11 +1,11 @@
 """The table engine against the polynomial arithmetic of FqElem: LogField's
-exp/log/Zech/trace tables, the q x q tables read off them, and the amount
-of FqElem work a table build may do."""
+exp/log/Zech/trace tables, and the amount of FqElem work a table build
+may do."""
 
 import pytest
 
 from epsilon_lab import gf
-from epsilon_lab.gf import FieldDesc, LogField, SmallFieldTables, fq_build, residue_field, trace
+from epsilon_lab.gf import FieldDesc, LogField, fq_build, residue_field, trace
 
 
 def _oracle_fields():
@@ -46,20 +46,6 @@ def test_log_field_tables_match_elem_arithmetic(field):
 def test_generator_without_full_order_is_refused(p, n, modulus, generator):
     with pytest.raises(ValueError, match="full order"):
         LogField(FieldDesc(p, n, modulus, generator))
-
-
-@pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 2)])
-def test_small_tables_match_elem_arithmetic(p, n):
-    f = fq_build(p, n)
-    tab = SmallFieldTables(f)
-    els = list(f.elements())
-    for i, a in enumerate(els):
-        assert tab.neg[i] == (-a).index()
-        if i:
-            assert tab.inv[i] == a.inverse().index()
-        for j, b in enumerate(els):
-            assert tab.add[i][j] == (a + b).index()
-            assert tab.mul[i][j] == (a * b).index()
 
 
 @pytest.mark.parametrize("p, n", [(3, 10), (2, 16)])
