@@ -392,20 +392,19 @@ def _emit(report, json_out):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    cap_flag = args.cap
-    if cap_flag is None:
-        env = os.environ.get("EPSILON_LAB_CAP")
-        if env is not None:
-            try:
-                cap_flag = int(env)
-            except ValueError:
-                cap_flag = None
     saved_cap = _epsilon.TATE_CAP
-    if cap_flag is not None:
-        _epsilon.TATE_CAP = cap_flag
     started = time.perf_counter()
-    report = {"command": args.command, "seed": args.seed, "caps": _caps()}
+    report = {"command": args.command, "seed": args.seed}
     try:
+        cap = args.cap
+        env = os.environ.get("EPSILON_LAB_CAP")
+        if cap is None and env is not None:
+            try:
+                cap = int(env)
+            except ValueError:
+                raise Unsupported("EPSILON_LAB_CAP must be an integer, got %r" % env, field="cap") from None
+        if cap is not None:
+            _epsilon.TATE_CAP = cap
         body, ell, work, ok = _COMMANDS[args.command](args)
         report.update(body)
         report["ell"] = ell
@@ -427,6 +426,8 @@ def main(argv=None):
         report.update({"ok": False, "error": str(err)})
         code = 3
     finally:
+        # the caps this run used, before the override is undone
+        report["caps"] = _caps()
         _epsilon.TATE_CAP = saved_cap
     _emit(report, args.json_out)
     sys.stderr.write("wall %.3fs\n" % (time.perf_counter() - started))

@@ -16,7 +16,7 @@ factors for induced data.
 
 from .chars import LocalCharacter
 from .epsilon import eps_local, gamma_psi
-from .gf import LogField, dlog, find_embedding, frobenius, norm, prime_field, residue_field, trace
+from .gf import dlog, find_embedding, frobenius, log_field, norm, prime_field, residue_field, trace
 from .localfield import (
     LaurentSeries,
     Point,
@@ -32,14 +32,15 @@ _EXT_CACHE = {}
 
 
 def _extension_data(base, m):
-    """Degree m constant field extension with its tables; the fourth entry
-    is the flat table of absolute traces indexed by element encoding."""
+    """Degree m constant field extension with its LogField (the one gf
+    caches); the fourth entry is the flat table of absolute traces indexed
+    by element encoding."""
     key = (base, m)
     hit = _EXT_CACHE.get(key)
     if hit is not None:
         return hit
     big, emb = residue_field(base, m)
-    logs = LogField(big)
+    logs = log_field(big)
     data = (big, emb, logs, logs.trace)
     _EXT_CACHE[key] = data
     return data

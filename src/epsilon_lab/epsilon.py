@@ -29,22 +29,12 @@ from __future__ import annotations
 
 from operator import mul
 
-from .gf import CapExceeded, LogField
+from .gf import CapExceeded, log_field
 from .coeff import SymbolicSum
 from .chars import LocalCharacter, OracleCharacter
 from .localfield import Form, LaurentSeries, PrecisionError, dlog, residue, reversion
 
 TATE_CAP = 1 << 22
-
-_TABLE_CACHE = {}
-
-
-def _log_field(field):
-    got = _TABLE_CACHE.get(field)
-    if got is None:
-        got = LogField(field)
-        _TABLE_CACHE[field] = got
-    return got
 
 
 class EpsilonResult:
@@ -89,7 +79,7 @@ def _gamma_counts(field, c):
         c = field.elem(c)
     if c.is_zero():
         raise ValueError("the quadratic constant needs a nonzero scale")
-    logs = _log_field(field)
+    logs = log_field(field)
     exp, tr, m = logs.exp, logs.trace, logs.order
     base = logs.log[(c * field.elem(pow(2, -1, p))).index()]
     counts = {}
@@ -181,7 +171,7 @@ def eps_tate(chi, omega):
         raise CapExceeded("unit sum would exceed %d terms" % TATE_CAP)
     if q > 1 << 10:
         raise CapExceeded("tables for q=%d exceed 2^10" % q)
-    logs = _log_field(field)
+    logs = log_field(field)
     exp, log, zech, tr = logs.exp, logs.log, logs.zech, logs.trace
     m = q - 1
     inv = chi.inverse()

@@ -16,11 +16,15 @@ The deterministic recipe:
 There is one arithmetic table engine, LogField: exp, log, Zech and
 trace-to-F_p tables on the packed integer encoding (the coefficients as
 base-p digits), its exp table filled by walking multiplication by x on
-packed ints.  Inner loops (the point walk, the unit sum, the quadratic
-Gauss constant) read these tables directly, elements as logs to the
-generator.  FqElem (polynomial product, then reduction) stays for seeds
-(generators, embeddings, the few products a table build needs) and as
-the oracle the tables are tested against.
+packed ints.  Each field has one LogField, built on first use and
+cached by log_field(field); nothing else builds or caches tables.  Inner
+loops (the point walk, the unit sum, the quadratic Gauss constant) read
+these tables directly, elements as logs to the generator, and dlog is a
+lookup in the log table, so its only limit is the field cap.  FqElem
+(polynomial product, then reduction) stays for seeds (generators,
+embeddings, the few products a table build needs), for traces and
+Frobenius on single elements, and as the oracle the tables are tested
+against.
 """
 
 from __future__ import annotations
@@ -520,36 +524,12 @@ def prime_field(p):
     return _PRIME_CACHE[p]
 
 
-def dlog(x, base=None):
-    """Discrete log of x to the given base (field generator by default).
-
-    Baby-step giant-step, refused above 2**20 because the table would not
-    be desk sized.
-    """
-    f = x.field
+def dlog(x):
+    """Discrete log of x to its field's generator: a lookup in the field's
+    one cached LogField, so the only limit is the field cap."""
     if x.is_zero():
         raise ValueError("dlog of zero")
-    if f.q > 1 << 20:
-        raise CapExceeded("dlog table for q=%d exceeds 2^20" % f.q)
-    if base is None:
-        base = f.gen()
-    order = f.q - 1
-    if order == 1:
-        return 0
-    m = math.isqrt(order) + 1
-    table = {}
-    cur = f.one()
-    for j in range(m):
-        table.setdefault(cur.coeffs, j)
-        cur = cur * base
-    giant = base ** (-m % order)
-    cur = x
-    for i in range(m + 1):
-        j = table.get(cur.coeffs)
-        if j is not None:
-            return (i * m + j) % order
-        cur = cur * giant
-    raise ValueError("dlog failed, base is not a generator")
+    return log_field(x.field).log[x.index()]
 
 
 def find_embedding(small, big):
@@ -594,18 +574,11 @@ def residue_field(base, d, seed=0):
     emb = find_embedding(base, big)
     q = base.q
     Q = big.q
-    idx = (Q - 1) // (q - 1)
-    # dlog of norm(G) to the base generator, inside the small field
-    j = dlog(norm(big.gen(), emb), base.gen()) if q > 2 else 0
-    if q > 2:
-        jinv = pow(j, -1, q - 1)
-        k = jinv
-        while math.gcd(k, Q - 1) != 1:
-            k += q - 1
-    else:
-        k = 1
-        while math.gcd(k, Q - 1) != 1:
-            k += 1
+    # G = big.gen()**k with k the inverse mod q - 1 of the dlog of
+    # norm(big.gen()) in the small field, lifted to a unit mod Q - 1
+    k = pow(dlog(norm(big.gen(), emb)), -1, q - 1) if q > 2 else 1
+    while math.gcd(k, Q - 1) != 1:
+        k += q - 1
     gen = big.gen() ** k
     desc = FieldDesc(big.p, big.n, big.modulus, gen.coeffs)
     emb = TowerEmbedding(base, desc, FqElem(desc, emb.root.coeffs))
@@ -760,3 +733,14 @@ class LogField:
         self.exp = exp
         self.log = log
         self.trace = _trace_table(field)
+
+
+_TABLE_CACHE = {}
+
+
+def log_field(field):
+    """The one LogField of field, built on first use and cached."""
+    got = _TABLE_CACHE.get(field)
+    if got is None:
+        got = _TABLE_CACHE[field] = LogField(field)
+    return got

@@ -11,16 +11,12 @@ Conventions:
 
 * residue(w dpi) is the coefficient of pi**(-1) in w, defined only when the
   window proves it,
-* dlog u = (du/dpi)/u dpi, so residue(dlog u) = v(u) for any u,
-* tame norms: unramified ones are Galois orbit products under the
-  coefficientwise Frobenius, Kummer ones (pi = pi'**e, gcd(e, p) = 1) are
-  products of u(zeta pi') over the e-th roots of unity; wild extensions are
-  refused.
+* dlog u = (du/dpi)/u dpi, so residue(dlog u) = v(u) for any u.
 """
 
 from __future__ import annotations
 
-from .gf import FieldDesc, FqElem, frobenius, residue_field
+from .gf import FieldDesc, FqElem, residue_field
 
 
 class PrecisionError(ValueError):
@@ -342,63 +338,6 @@ def reversion(s):
             raise ValueError("reversion drifted, broken invariant")
         t = t + LaurentSeries.make(field, k, [-(gamma / a1)], prec)
     return t
-
-
-def norm_tame(u, e=1, emb=None):
-    """Norm of u along a tame extension of local fields.
-
-    e > 1: totally tame Kummer layer pi = pi'**e (u lives in the pi'
-    variable, the result in pi); requires gcd(e, p) = 1 and the e-th roots
-    of unity in the coefficient field.  emb: unramified layer given by a
-    TowerEmbedding, Galois orbit product under the coefficientwise
-    Frobenius, coefficients descend along emb.  Both together compose the
-    two layers (Kummer first).  Wild requests raise ValueError.
-    """
-    out = u
-    if e > 1:
-        field = out.field
-        if e % field.p == 0:
-            raise ValueError("wildly ramified extensions are not supported")
-        if (field.q - 1) % e != 0:
-            raise ValueError("need the %d-th roots of unity in F_%d" % (e, field.q))
-        zeta = out.field.gen() ** ((field.q - 1) // e)
-        acc = None
-        for i in range(e):
-            z = zeta ** i
-            twisted = LaurentSeries.make(
-                field,
-                out.v,
-                [c * (z ** ((out.v + j) % (field.q - 1))) for j, c in enumerate(out.coeffs)],
-                out.prec,
-            )
-            acc = twisted if acc is None else acc * twisted
-        # the product is invariant under pi' -> zeta pi', so only exponents
-        # divisible by e survive
-        coeffs = []
-        if acc.coeffs:
-            if acc.v % e:
-                raise ValueError("Kummer norm produced a stray valuation, broken invariant")
-            for j, c in enumerate(acc.coeffs):
-                k = acc.v + j
-                if k % e == 0:
-                    coeffs.append(c)
-                elif not c.is_zero():
-                    raise ValueError("Kummer norm left a non invariant term, broken invariant")
-            out = LaurentSeries.make(field, acc.v // e, coeffs, acc.v // e + len(coeffs))
-        else:
-            out = LaurentSeries.zero(field, acc.prec // e)
-    if emb is not None:
-        big, small = emb.big, emb.small
-        if out.field != big:
-            raise ValueError("series does not live in the big field of emb")
-        d = big.n // small.n
-        acc = out
-        cur = out
-        for _ in range(d - 1):
-            cur = cur.map_coeffs(lambda c: frobenius(c, small.n))
-            acc = acc * cur
-        out = acc.map_coeffs(emb.section, small)
-    return out
 
 
 # ---------------------------------------------------------------------------

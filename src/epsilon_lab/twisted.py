@@ -535,6 +535,7 @@ def _cosets(group, members, sub, order=None):
     scan = list(members) if order is None else list(order)
     if sorted(scan) != sorted(members):
         raise ValueError("scan order must enumerate the members")
+    member_set = set(members)
     coset_of = {}
     reps = []
     for g in scan:
@@ -544,24 +545,12 @@ def _cosets(group, members, sub, order=None):
         reps.append(g)
         for h in sub:
             gh = group.mul(g, h)
-            if gh not in members_set(members):
+            if gh not in member_set:
                 raise ValueError("sub does not keep the members stable")
             coset_of[gh] = c
     if len(coset_of) != len(tuple(members)):
         raise ValueError("cosets do not partition the members")
     return reps, coset_of
-
-
-_MEMBERS_CACHE = {}
-
-
-def members_set(members):
-    key = tuple(members)
-    got = _MEMBERS_CACHE.get(key)
-    if got is None:
-        got = set(key)
-        _MEMBERS_CACHE[key] = got
-    return got
 
 
 def induce(rep, ambient=None, order=None, check=False):
@@ -576,7 +565,7 @@ def induce(rep, ambient=None, order=None, check=False):
     members = tuple(group.elements()) if ambient is None else tuple(sorted(set(ambient)))
     if not group.is_subgroup(members):
         raise ValueError("ambient must be a subgroup")
-    if not members_set(members).issuperset(sub):
+    if not set(members).issuperset(sub):
         raise ValueError("domain must sit inside the ambient subgroup")
     reps, coset_of = _cosets(group, members, sub, order)
     idx = len(reps)
@@ -683,7 +672,7 @@ def check_ver_identities(group, mid, sub, coeff, seed=0):
     sub = tuple(sorted(set(sub)))
     if not (group.is_subgroup(mid) and group.is_subgroup(sub)):
         raise ValueError("chain members must be subgroups")
-    if not members_set(mid).issuperset(sub):
+    if not set(mid).issuperset(sub):
         raise ValueError("chain must be nested")
     lam = [1] + [rng.randrange(1, coeff.ell) for _ in range(group.n - 1)]
     mu = d1(group, coeff, lam)
@@ -800,7 +789,7 @@ def run_twisted_suite(coeff, seed=0, min_randomized=100):
             counts["exhaustive_pairs"] += 1
         for mid in subs:
             for sub in subs:
-                if len(sub) >= len(mid) or not members_set(mid).issuperset(sub):
+                if len(sub) >= len(mid) or not set(mid).issuperset(sub):
                     continue
                 rep = check_ver_identities(group, mid, sub, coeff, seed=rng.randrange(1 << 30))
                 if not rep["ok"]:

@@ -114,6 +114,14 @@ def test_cap_env_override(capsys, monkeypatch):
     assert epsilon_mod.TATE_CAP == 1 << 22
 
 
+def test_malformed_cap_env_refused(capsys, monkeypatch):
+    monkeypatch.setenv("EPSILON_LAB_CAP", "two")
+    code, report = run(capsys, ["eps-local", "--method", "tate"])
+    assert code == 3 and report["field"] == "cap"
+    assert report["caps"]["unit_sum"] == 1 << 22
+    assert epsilon_mod.TATE_CAP == 1 << 22
+
+
 def test_malformed_spec_points_at_field(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"spec": {"p": 3}}))

@@ -366,7 +366,7 @@ def test_fast_matches_slow_on_more_fields(p, n, swan, tame, v):
 @pytest.mark.parametrize("p, n", [(2, 11), (3, 7)])
 def test_large_tame_refused_before_any_table(monkeypatch, p, n):
     from epsilon_lab import gf
-    from epsilon_lab.epsilon import _TABLE_CACHE
+    from epsilon_lab.gf import _TABLE_CACHE
 
     field = fq_build(p, n)
     coeff = coeff_setup(p, [field.q - 1])

