@@ -6,9 +6,9 @@ for the wild (additive character) values and zeta_M = h**((ell-1)/M) for the
 tame ones, M being the lcm of every multiplicative order q_x - 1 in play.
 Verdicts never rest on a single ell; engines re-run with a second one.
 
-Values are exact residues.  A small symbolic side table records, when cheap,
-how a value was assembled from roots of unity, which is what complex_embed
-renders; it is display only and never feeds a verdict.
+Values are exact residues and a field keeps no side table.  For display
+only, complex_embed renders a SymbolicSum, or a residue that equals a pinned
+root of unity zeta_pM**e; any other residue has no rendering.
 """
 
 from __future__ import annotations
@@ -16,27 +16,24 @@ from __future__ import annotations
 import cmath
 import math
 
-from .gf import FqElem, _is_prime, trace, dlog
+from .gf import FqElem, _is_prime, _prime_factors, trace, dlog
 
 
 class CoeffField:
     """F_ell together with the pinned roots zeta_p and zeta_M."""
 
-    __slots__ = ("ell", "p", "M", "h", "zeta_p", "zeta_M", "zeta_pM", "_symbolic")
+    __slots__ = ("ell", "p", "M", "h", "zeta_p", "zeta_M", "zeta_pM")
 
-    def __init__(self, ell, p, M, h):
+    def __init__(self, ell, p, M):
         self.ell = ell
         self.p = p
         self.M = M
-        self.h = h
+        self.h = h = _smallest_primitive_root(ell)
         self.zeta_p = pow(h, (ell - 1) // p, ell)
         self.zeta_M = pow(h, (ell - 1) // M, ell)
         # p and M are coprime (M is a lcm of numbers q - 1 with q a p power),
         # so zeta_p * zeta_M has exact order p*M
         self.zeta_pM = (self.zeta_p * self.zeta_M) % ell
-        self._symbolic = {}
-        for e in range(p * M):
-            self.register_symbolic(pow(self.zeta_pM, e, ell), SymbolicSum({e: 1}, p * M))
 
     def elem(self, v):
         if isinstance(v, CoeffElem):
@@ -82,14 +79,19 @@ class CoeffField:
         z = pow(self.zeta_M, self.M // m, self.ell)
         return self.elem(pow(z, (e * dlog(x)) % m, self.ell))
 
-    def register_symbolic(self, value, sym):
-        self._symbolic.setdefault(value % self.ell, sym)
-
     def symbolic_for(self, value):
-        return self._symbolic.get(value % self.ell)
+        """SymbolicSum({e: 1}, p*M) when value is zeta_pM**e, else None.
 
-    def to_json(self):
-        return {"ell": self.ell, "p": self.p, "M": self.M, "zeta_p": self.zeta_p, "zeta_M": self.zeta_M}
+        e is found by a scan, up to p*M steps; display only."""
+        n = self.p * self.M
+        value %= self.ell
+        if pow(value, n, self.ell) != 1:
+            return None
+        # the n-th roots of unity are exactly the powers of zeta_pM
+        e, z = 0, 1
+        while z != value:
+            e, z = e + 1, z * self.zeta_pM % self.ell
+        return SymbolicSum({e: 1}, n)
 
     def __repr__(self):
         return "CoeffField(ell=%d, p=%d, M=%d)" % (self.ell, self.p, self.M)
@@ -199,23 +201,8 @@ class SymbolicSum:
         self.order = order
         self.counts = {e % order: c for e, c in counts.items() if c}
 
-    def __add__(self, other):
-        if not isinstance(other, SymbolicSum) or other.order != self.order:
-            return NotImplemented
-        out = dict(self.counts)
-        for e, c in other.counts.items():
-            out[e] = out.get(e, 0) + c
-        return SymbolicSum(out, self.order)
-
     def __neg__(self):
         return SymbolicSum({e: -c for e, c in self.counts.items()}, self.order)
-
-    def rotate(self, k):
-        """Multiply by the k-th power of the root."""
-        return SymbolicSum({(e + k) % self.order: c for e, c in self.counts.items()}, self.order)
-
-    def scale(self, m):
-        return SymbolicSum({e: c * m for e, c in self.counts.items()}, self.order)
 
     def to_value(self, field):
         if field.p * field.M != self.order:
@@ -253,22 +240,13 @@ def coeff_setup(p, orders, d_max=1):
         M = M * o // math.gcd(M, o)
     if M % p == 0:
         raise ValueError("orders must be prime to p")
-    step = p * M
-    ell = max(d_max, step) + 1
-    ell += (1 - ell) % step
-    while not _is_prime(ell):
-        ell += step
-    h = _smallest_primitive_root(ell)
-    return CoeffField(ell, p, M, h)
+    return CoeffField(_admissible_ell(p * M, d_max, math.inf), p, M)
 
 
 def second_ell(field, d_max=1):
     """The next admissible coefficient field after the given one."""
     step = field.p * field.M
-    ell = field.ell + step
-    while not _is_prime(ell) or ell <= max(d_max, step):
-        ell += step
-    return CoeffField(ell, field.p, field.M, _smallest_primitive_root(ell))
+    return CoeffField(_admissible_ell(step, max(field.ell, d_max), math.inf), field.p, field.M)
 
 
 def pinned_ell(field, ell):
@@ -276,16 +254,26 @@ def pinned_ell(field, ell):
     ell must pass the rule coeff_setup applies: prime, ell = 1 mod p*M and
     ell > p*M."""
     step = field.p * field.M
-    if ell <= step or (ell - 1) % step or not _is_prime(ell):
+    if _admissible_ell(step, ell - 1, ell) != ell:
         raise ValueError(
             "ell=%d is not admissible (needs a prime > %d with ell = 1 mod %d)" % (ell, step, step)
         )
-    return CoeffField(ell, field.p, field.M, _smallest_primitive_root(ell))
+    return CoeffField(ell, field.p, field.M)
+
+
+def _admissible_ell(step, bound, limit):
+    """The smallest prime ell = 1 mod step with max(bound, step) < ell,
+    or None when it exceeds limit: the one rule for coefficient primes."""
+    ell = max(bound, step) + 1
+    ell += (1 - ell) % step
+    while ell <= limit:
+        if _is_prime(ell):
+            return ell
+        ell += step
+    return None
 
 
 def _smallest_primitive_root(ell):
-    from .gf import _prime_factors
-
     fac = _prime_factors(ell - 1)
     for h in range(2, ell):
         if all(pow(h, (ell - 1) // r, ell) != 1 for r in fac):
@@ -294,11 +282,11 @@ def _smallest_primitive_root(ell):
 
 
 def complex_embed(field, v, root_choice=1):
-    """Render a tracked value as a complex number, for display only.
+    """Render a value as a complex number, for display only.
 
-    Accepts a CoeffElem whose symbolic form was recorded (roots of unity and
-    values registered by the engines) or a SymbolicSum directly.  Raises
-    ValueError('no embedding available') otherwise.
+    Accepts a SymbolicSum, or a CoeffElem equal to a pinned root of unity
+    (see CoeffField.symbolic_for).  Raises ValueError('no embedding
+    available') otherwise.
     """
     if isinstance(v, SymbolicSum):
         return v.to_complex(root_choice)

@@ -491,8 +491,6 @@ def product_formula_check(spec, coeff, omega, method="auto"):
         scale = spec.trace_at(coeff, 1, base.zero())
         lhs = (scale * scale * coeff.elem(q)) ** -1
         d = 0
-    else:
-        lhs = _newton(spec, coeff, rows, d)[0][d]
     contributing = [(pt, chi) for pt, chi, _a in rows]
     punctured = set(spec.punctures)
     for pt, mult in divisor_points(omega):
@@ -530,6 +528,9 @@ def product_formula_check(spec, coeff, omega, method="auto"):
                 "sign": sign,
             }
         )
+    if not constant:
+        # after the local factors: a local refusal costs no point walk
+        lhs = _newton(spec, coeff, rows, d)[0][d]
     sign_consistent = (coeff.elem(-1) ** d).value == weighted_sign % ell
     lhs_alt = coeff.elem(-1) ** d * lhs
     alternate_ok = lhs_alt == rhs_alt
@@ -562,13 +563,16 @@ def transfer_constants(coeff, variants, point, form):
     degrees = []
     lambdas = []
     conductor_ok = True
-    for gspec, lspec in variants:
+    ups = []
+    # every local factor before any point walk: a local refusal is cheap
+    for _gspec, lspec in variants:
+        chi = local_character_at(lspec, coeff, point)
+        w_x = expand_form_at(form, point, chi.swan() + abs(ord_at(form, point)) + 8)
+        ups.append(eps_local(chi, w_x, "shriek"))
+    for (gspec, _lspec), up in zip(variants, ups):
         cs = l_polynomial(gspec, coeff)
         d = len(cs) - 1
         down = coeff.elem(-1) ** d * cs[d]
-        chi = local_character_at(lspec, coeff, point)
-        w_x = expand_form_at(form, point, chi.swan() + abs(ord_at(form, point)) + 8)
-        up = eps_local(chi, w_x, "shriek")
         if up.conductor_a_omega != d:
             conductor_ok = False
         degrees.append(d)

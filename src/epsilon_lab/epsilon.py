@@ -99,17 +99,14 @@ def gamma_psi(coeff, field, c):
     """gamma_psi(c) = -sum over t in F_q of psi(Tr(c t**2 / 2)), p odd.
 
     Satisfies gamma_psi(c) / gamma_psi(1) = quadratic character of c and
-    |gamma_psi| = sqrt(q) under any complex embedding.  The symbolic sum is
-    offered to the coefficient field's registry so complex_embed can price
-    the value when no root of unity already claimed it.
+    |gamma_psi| = sqrt(q) under any complex embedding.  The value is a
+    residue only; gamma_psi_symbolic gives the same sum for complex
+    rendering.
     """
-    counts = _gamma_counts(field, c)
     val = coeff.zero()
-    for e, k in counts.items():
+    for e, k in _gamma_counts(field, c).items():
         val = val + coeff.psi(e) * coeff.elem(k)
-    out = -val
-    coeff.register_symbolic(out.value, -SymbolicSum(counts, field.p))
-    return out
+    return -val
 
 
 # ---------------------------------------------------------------------------

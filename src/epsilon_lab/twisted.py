@@ -108,16 +108,14 @@ class FiniteGroup:
             gens = set(out)
         return tuple(sorted(out))
 
-    def subgroups(self, max_gens=2):
-        """All subgroups generated by up to max_gens elements (every
-        subgroup, for the groups built here)."""
+    def subgroups(self):
+        """All subgroups generated by up to two elements (every subgroup,
+        for the groups built here)."""
         found = {(0,), tuple(range(self.n))}
-        singles = [self.closure([g]) for g in range(self.n)]
-        found.update(singles)
-        if max_gens >= 2:
-            for g in range(self.n):
-                for h in range(g + 1, self.n):
-                    found.add(self.closure([g, h]))
+        found.update(self.closure([g]) for g in range(self.n))
+        for g in range(self.n):
+            for h in range(g + 1, self.n):
+                found.add(self.closure([g, h]))
         return sorted(found, key=lambda s: (len(s), s))
 
     def is_subgroup(self, members):
@@ -443,33 +441,19 @@ class TwistedRep:
             raise ValueError("scalar value needs rank 1")
         return self.mult.coeff.elem(self.mats[g].rows[0][0])
 
-    def is_valid(self, budget=1_000_000):
-        """Exhaustive check of the composition rule when affordable, a
-        deterministic sample of pairs otherwise."""
+    def is_valid(self):
+        """Exhaustive check of the composition rule over all pairs."""
         if not self.group.is_subgroup(self.sub):
             return False
         if self.mats[0] != Matrix.identity(self.mult.coeff, self.rank):
             return False
-        sub = self.sub
-        npairs = len(sub) * len(sub)
-        cost = npairs * self.rank ** 3
-        if cost <= budget:
-            pairs = ((g, h) for g in sub for h in sub)
-        else:
-            keep = max(1, budget // max(1, self.rank ** 3))
-            step = max(1, npairs // keep)
-            pairs = (
-                (sub[k // len(sub)], sub[k % len(sub)])
-                for k in range(0, npairs, step)
-            )
-        for g, h in pairs:
-            gh = self.group.mul(g, h)
-            if gh not in self.mats:
-                return False
-            lhs = self.mats[g] * self.mats[h]
-            rhs = self.mats[gh].scale(self.mult.value(g, h))
-            if lhs != rhs:
-                return False
+        for g in self.sub:
+            for h in self.sub:
+                gh = self.group.mul(g, h)
+                if gh not in self.mats:
+                    return False
+                if self.mats[g] * self.mats[h] != self.mats[gh].scale(self.mult.value(g, h)):
+                    return False
         return True
 
     def det_char(self):
@@ -478,9 +462,6 @@ class TwistedRep:
         coeff = self.mult.coeff
         mats = {h: Matrix(coeff, [[m.det().value]]) for h, m in self.mats.items()}
         return TwistedRep(self.group, self.sub, self.mult ** self.rank, mats)
-
-    def character(self):
-        return {h: m.trace() for h, m in self.mats.items()}
 
     def twist(self, lam):
         """Scale by a unit scalar function; shifts the multiplier by its
@@ -712,10 +693,9 @@ def check_ver_identities(group, mid, sub, coeff, seed=0):
         mu * mu2,
         {h: lam[h] * lam2[h] % coeff.ell for h in sub},
     )
-    v1 = verlagerung(chi, route="formula")
     v2 = verlagerung(chi2, route="formula")
     v12 = verlagerung(both, route="formula")
-    multiplicative = all(v12[g] == v1[g] * v2[g] for g in group.elements())
+    multiplicative = all(v12[g] == direct[g] * v2[g] for g in group.elements())
 
     report = {
         "routes_agree_inner": routes_sub == routes_sub_det,

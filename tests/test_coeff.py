@@ -5,8 +5,10 @@ import cmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epsilon_lab.coeff import CoeffField, SymbolicSum, coeff_setup, complex_embed, second_ell
-from epsilon_lab.gf import fq_build, trace
+from epsilon_lab import coeff as coeff_mod
+from epsilon_lab.coeff import CoeffField, SymbolicSum, coeff_setup, complex_embed, pinned_ell, second_ell
+from epsilon_lab.epsilon import gamma_psi
+from epsilon_lab.gf import fq_build, prime_field, trace
 
 
 def test_setup_examples():
@@ -131,3 +133,62 @@ def test_elem_ring_ops(a, b):
     assert (x * y).value == (a * b) % 73
     if b % 73:
         assert ((x / y) * y) == x
+
+
+def test_field_setup_builds_no_symbolic_sums(monkeypatch):
+    built = []
+    original = SymbolicSum.__init__
+
+    def counting(self, counts, order):
+        built.append(order)
+        original(self, counts, order)
+
+    monkeypatch.setattr(coeff_mod.SymbolicSum, "__init__", counting)
+    f = coeff_setup(5, [4, 24, 124])
+    second_ell(f)
+    assert built == []
+
+
+@pytest.mark.parametrize("p, orders", [(3, [8]), (5, [4])])
+def test_symbolic_for_renders_exactly_the_pinned_roots(p, orders):
+    f = coeff_setup(p, orders)
+    n = p * f.M
+    exponent = {pow(f.zeta_pM, e, f.ell): e for e in range(n)}
+    assert len(exponent) == n
+    for v in range(f.ell):
+        sym = f.symbolic_for(v)
+        if v in exponent:
+            assert sym.order == n and sym.counts == {exponent[v]: 1}
+        else:
+            assert sym is None
+
+
+def _rendering(field, value):
+    sym = field.symbolic_for(value)
+    return None if sym is None else (sym.order, sym.counts)
+
+
+def test_rendering_does_not_depend_on_call_history():
+    f5 = prime_field(5)
+    target = coeff_setup(5, [4])
+    assert target.ell == 41
+    values = [gamma_psi(coeff_setup(5, [4]), f5, c).value for c in range(1, 5)]
+    before = [_rendering(target, v) for v in values]
+    for c in range(1, 5):
+        gamma_psi(target, f5, c)
+    assert [_rendering(target, v) for v in values] == before
+
+
+@pytest.mark.parametrize("p, orders", [(3, [8]), (2, [3, 7])])
+def test_pinned_ell_accepts_exactly_the_chosen_primes(p, orders):
+    f = coeff_setup(p, orders)
+    chosen = [f.ell]
+    for _ in range(2):
+        f = second_ell(f)
+        chosen.append(f.ell)
+    for ell in range(chosen[-1] + 1):
+        if ell in chosen:
+            assert pinned_ell(f, ell).ell == ell
+        else:
+            with pytest.raises(ValueError, match="ell=%d is not admissible" % ell):
+                pinned_ell(f, ell)

@@ -2,8 +2,12 @@
 evaluation, determinant polynomials, the point by point factorization of
 the global determinant, and transfer factors of small covers."""
 
+import json
+from importlib import resources
+
 import pytest
 
+from epsilon_lab import epsilon as epsilon_mod
 from epsilon_lab.coeff import coeff_setup, second_ell
 from epsilon_lab.curve import (
     SheafSpec,
@@ -16,10 +20,11 @@ from epsilon_lab.curve import (
     l_polynomial,
     local_character_at,
     product_formula_check,
+    transfer_constants,
     verify_gos,
 )
 from epsilon_lab.epsilon import eps_local, gamma_psi
-from epsilon_lab.gf import fq_build, prime_field
+from epsilon_lab.gf import CapExceeded, fq_build, prime_field
 from epsilon_lab.localfield import (
     Point,
     Poly,
@@ -447,3 +452,34 @@ def test_sheafspec_json_roundtrip():
     assert back.punctures == spec.punctures
     assert back.unram == spec.unram
     assert back.trace_sum(C73, 2) == spec.trace_sum(C73, 2)
+
+
+def _no_point_walk(self, m):
+    raise AssertionError("point walk at degree %d" % m)
+
+
+def test_local_refusal_comes_before_the_point_walk(monkeypatch):
+    # swan 13 at infinity: the unit sum at infinity needs 3**14 > 2**22
+    # terms, so the local side refuses
+    spec = SheafSpec(
+        F3,
+        wild=rat(F3, [0] * 13 + [1]),
+        kummer=[(rat(F3, [0, 1]), 1)],
+        punctures=[Point.rational(F3, 0), Point.infinity(F3)],
+    )
+    monkeypatch.setattr(SheafSpec, "point_histogram", _no_point_walk)
+    with pytest.raises(CapExceeded):
+        product_formula_check(spec, C73, rat(F3, [1]))
+
+
+def test_transfer_constants_price_local_factors_first(monkeypatch):
+    data = json.loads(resources.files("epsilon_lab").joinpath("data", "induction_spec.json").read_text())
+    pairs = [(SheafSpec.from_json(v["global"]), SheafSpec.from_json(v["local"])) for v in data["variants"]]
+    point = Point.from_json(F3, data["point"])
+    # 2y dy is the pullback of the bundled form dt along the cover t = y**2
+    form = rat(F3, [0, 2])
+    monkeypatch.setattr(SheafSpec, "point_histogram", _no_point_walk)
+    monkeypatch.setattr(epsilon_mod, "TATE_CAP", 2)
+    with pytest.raises(CapExceeded):
+        transfer_constants(C73, pairs, point, form)
+
