@@ -48,12 +48,6 @@ class CoeffField:
     def zero(self):
         return self.elem(0)
 
-    def zeta(self, m):
-        """A fixed primitive m-th root of unity, for m dividing p*M."""
-        if m <= 0 or (self.p * self.M) % m != 0:
-            raise ValueError("order %d is not tracked by this field" % m)
-        return self.elem(pow(self.zeta_pM, (self.p * self.M) // m, self.ell))
-
     def psi(self, t):
         """Additive character of F_p: t (an int) -> zeta_p**t."""
         return self.elem(pow(self.zeta_p, t % self.p, self.ell))
@@ -203,14 +197,6 @@ class SymbolicSum:
 
     def __neg__(self):
         return SymbolicSum({e: -c for e, c in self.counts.items()}, self.order)
-
-    def to_value(self, field):
-        if field.p * field.M != self.order:
-            raise ValueError("symbolic order does not match the field")
-        acc = 0
-        for e, c in self.counts.items():
-            acc += c * pow(field.zeta_pM, e, field.ell)
-        return field.elem(acc)
 
     def to_complex(self, root_choice=1):
         if math.gcd(root_choice, self.order) != 1:

@@ -331,7 +331,7 @@ def local_character_at(spec, coeff, point):
         raise ValueError("point lives over the wrong field")
     base = spec.base
     big, emb, _alpha = point.residue_data()
-    rel = (big.q - 1) // (base.q - 1) if base.q > 2 else 1
+    rel = (big.q - 1) // (base.q - 1)
     tame = 0
     c_pi = coeff.one()
     for g, e in spec.kummer:

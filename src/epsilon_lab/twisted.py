@@ -13,6 +13,7 @@ exact over a prime coefficient field.
 """
 
 import random
+from operator import mul
 
 __all__ = [
     "FiniteGroup",
@@ -219,23 +220,9 @@ class Matrix:
     def n(self):
         return len(self.rows)
 
-    def __mul__(self, other):
-        if not isinstance(other, Matrix) or other.coeff is not self.coeff:
-            return NotImplemented
-        ell = self.coeff.ell
-        bt = list(zip(*other.rows))
-        rows = [
-            [sum(x * y for x, y in zip(row, col)) % ell for col in bt]
-            for row in self.rows
-        ]
-        return Matrix(self.coeff, rows)
-
     def scale(self, c):
         c = int(getattr(c, "value", c)) % self.coeff.ell
         return Matrix(self.coeff, [[c * v for v in row] for row in self.rows])
-
-    def trace(self):
-        return self.coeff.elem(sum(self.rows[i][i] for i in range(self.n)))
 
     def det(self):
         ell = self.coeff.ell
@@ -352,11 +339,9 @@ def d1(group, coeff, lam):
         raise ValueError("scalar function must take 1 at the identity")
     if any(v == 0 for v in vals):
         raise ValueError("scalar function must take unit values")
+    inv = [pow(v, -1, ell) for v in vals]
     table = [
-        [
-            vals[a] * vals[b] * pow(vals[group.mul(a, b)], -1, ell) % ell
-            for b in range(group.n)
-        ]
+        [vals[a] * vals[b] * inv[group.mul(a, b)] % ell for b in range(group.n)]
         for a in range(group.n)
     ]
     return Multiplier(group, coeff, table)
@@ -442,18 +427,27 @@ class TwistedRep:
         return self.mult.coeff.elem(self.mats[g].rows[0][0])
 
     def is_valid(self):
-        """Exhaustive check of the composition rule over all pairs."""
+        """Exhaustive check of the composition rule on the stored integer
+        rows: (rho(g) rho(h))[i][j] == mu(g,h) rho(gh)[i][j] mod ell for
+        every pair g, h of the domain and every entry i, j."""
         if not self.group.is_subgroup(self.sub):
             return False
         if self.mats[0] != Matrix.identity(self.mult.coeff, self.rank):
             return False
+        ell = self.mult.coeff.ell
+        rows = {g: m.rows for g, m in self.mats.items()}
+        cols = {g: tuple(zip(*r)) for g, r in rows.items()}
         for g in self.sub:
+            row_g, mul_g, mu_g = rows[g], self.group.table[g], self.mult.table[g]
             for h in self.sub:
-                gh = self.group.mul(g, h)
-                if gh not in self.mats:
+                col_h, c = cols[h], mu_g[h]
+                row_gh = rows.get(mul_g[h])
+                if row_gh is None:
                     return False
-                if self.mats[g] * self.mats[h] != self.mats[gh].scale(self.mult.value(g, h)):
-                    return False
+                for r, out in zip(row_g, row_gh):
+                    for col, v in zip(col_h, out):
+                        if sum(map(mul, r, col)) % ell != c * v % ell:
+                            return False
         return True
 
     def det_char(self):

@@ -483,3 +483,23 @@ def test_transfer_constants_price_local_factors_first(monkeypatch):
     with pytest.raises(CapExceeded):
         transfer_constants(C73, pairs, point, form)
 
+
+
+def test_product_formula_over_f2_at_a_degree_two_puncture():
+    # a Kummer datum is trivial over F_2, so its tame exponent at a
+    # puncture of degree 2 must carry the norm index (4 - 1) / (2 - 1)
+    f2 = prime_field(2)
+    conic = Poly(f2, [f2.elem(1)] * 3)
+    spec = SheafSpec(
+        f2,
+        wild=rat(f2, [1, 1, 0, 1]),
+        kummer=[(RationalFunction(conic, Poly(f2, [f2.elem(1)])), 1)],
+        punctures=[Point(f2, conic), Point.infinity(f2)],
+    )
+    # dt / t: a simple pole at 0
+    omega = rat(f2, [1], [0, 1])
+    coeff = coeff_setup(2, [3], d_max=6)
+    for c in (coeff, second_ell(coeff, d_max=6)):
+        check = product_formula_check(spec, c, omega)
+        assert check["ok"], check
+        assert check["degree"] == 4

@@ -55,6 +55,10 @@ def pauli_rep(coeff):
     return group, mu, TwistedRep(group, (0, 1, 2, 3), mu, mats)
 
 
+def trace(m):
+    return m.coeff.elem(sum(m.rows[i][i] for i in range(m.n)))
+
+
 def unit_cochain(group, rng):
     return [1] + [rng.randrange(1, ELL) for _ in range(group.n - 1)]
 
@@ -250,7 +254,7 @@ def test_induce_transitivity_traces_and_dets():
     two_step = induce(induce(chi, ambient=mid))
     assert one_step.rank == two_step.rank == 12
     for g in s4.elements():
-        assert one_step.matrix(g).trace() == two_step.matrix(g).trace()
+        assert trace(one_step.matrix(g)) == trace(two_step.matrix(g))
         assert one_step.matrix(g).det() == two_step.matrix(g).det()
 
 
@@ -365,7 +369,7 @@ def test_representative_independence():
     base = induce(chi)
     other = induce(chi, order=shuffled)
     for g in d6.elements():
-        assert base.matrix(g).trace() == other.matrix(g).trace()
+        assert trace(base.matrix(g)) == trace(other.matrix(g))
         assert base.matrix(g).det() == other.matrix(g).det()
 
 
@@ -390,3 +394,58 @@ def test_run_twisted_suite_smoke():
     assert counts["exhaustive_chains"] >= 40
     assert counts["det_collapse"] >= 19
     assert counts["randomized"] == 12
+
+
+def corrupted(rep, g, i, j):
+    """rep with the (i, j) entry of rho(g) moved by one."""
+    rows = [list(r) for r in rep.matrix(g).rows]
+    rows[i][j] += 1
+    rep.mats[g] = Matrix(rep.mult.coeff, rows)
+    return rep
+
+
+def s4_char():
+    s4 = FiniteGroup.symmetric(4)
+    return lam_char(s4, tuple(s4.elements()), unit_cochain(s4, random.Random(71)))
+
+
+def s3_regular():
+    s3 = FiniteGroup.symmetric(3)
+    sub = next(s for s in s3.subgroups() if len(s) == 3)
+    return TwistedRep.regular(s3, sub, C73)
+
+
+@pytest.mark.parametrize(
+    "build, g, i, j",
+    [
+        (s4_char, 13, 0, 0),
+        (lambda: pauli_rep(C73)[2], 2, 0, 1),
+        (s3_regular, 3, 1, 0),
+    ],
+    ids=["rank1-char", "pauli-off-diagonal", "regular-s3"],
+)
+def test_is_valid_rejects_one_wrong_entry(build, g, i, j):
+    rep = build()
+    assert rep.is_valid()
+    assert not corrupted(rep, g, i, j).is_valid()
+
+
+def test_is_valid_builds_no_matrix_per_pair(monkeypatch):
+    chi = s4_char()
+    assert chi.group.n == 24 and chi.rank == 1
+    built = []
+    init = Matrix.__init__
+
+    def counted(self, coeff, rows):
+        built.append(len(rows))
+        init(self, coeff, rows)
+
+    monkeypatch.setattr(Matrix, "__init__", counted)
+    assert chi.is_valid()
+    # one matrix product and one scaled copy per pair would be 2 |H|^2;
+    # the only matrix built is the identity that rho(1) is compared with
+    assert built == [1]
+    bad = corrupted(chi, 7, 0, 0)
+    built.clear()
+    assert not bad.is_valid()
+    assert len(built) <= 1
