@@ -349,7 +349,7 @@ def _build_parser():
     el.add_argument("--char", default=None, help="character JSON (default: bundled quadratic)")
     el.add_argument("--form", default=None, help="local one-form JSON (default: bundled dpi/pi)")
     el.add_argument("--kind", default="j!", help="j!, j*, or punctual")
-    el.add_argument("--method", default="auto", help="auto, tate, closed, or unramified")
+    el.add_argument("--method", default="auto", help="auto, tate, tate_slow, or closed (ignored if unramified)")
 
     eg = sub.add_parser("eps-global", parents=[common], help="global determinant of the data")
     eg.add_argument("--spec", required=True, help="sheaf data JSON")

@@ -370,12 +370,10 @@ def check_unramified_twist(chi, omega, c, kind="shriek"):
 def check_exact_sequence(chi, omega):
     """For unramified chi the star extension is the shriek extension plus
     the point stalk: factors multiply, conductors add."""
-    if chi.is_ramified():
-        star = eps_local(chi, omega, "star")
-        shriek = eps_local(chi, omega, "shriek")
-        return star.value == shriek.value and star.conductor_a == shriek.conductor_a
     star = eps_local(chi, omega, "star")
     shriek = eps_local(chi, omega, "shriek")
+    if chi.is_ramified():
+        return star.value == shriek.value and star.conductor_a == shriek.conductor_a
     stalk = eps_punctual(chi.coeff, [chi.c_pi])
     ok_value = star.value == shriek.value * stalk.value
     ok_a = star.conductor_a == shriek.conductor_a + stalk.conductor_a

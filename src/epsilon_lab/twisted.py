@@ -17,13 +17,13 @@ from operator import mul
 
 __all__ = [
     "FiniteGroup",
-    "Matrix",
     "Multiplier",
     "TwistedRep",
     "char_rep",
     "check_ver_identities",
     "d1",
     "d2",
+    "det",
     "delta_char",
     "induce",
     "is_cocycle",
@@ -92,10 +92,8 @@ class FiniteGroup:
 
     def closure(self, gens):
         """Subgroup generated by the given indices, as a sorted tuple."""
-        out = {0}
-        frontier = [0]
         gens = set(gens) | {0}
-        out |= gens
+        out = set(gens)
         frontier = list(out)
         while frontier:
             nxt = []
@@ -199,67 +197,34 @@ class FiniteGroup:
         return "FiniteGroup(order=%d)" % self.n
 
 
-class Matrix:
-    """Dense square matrix over a prime coefficient field."""
-
-    __slots__ = ("coeff", "rows")
-
-    def __init__(self, coeff, rows):
-        ell = coeff.ell
-        self.coeff = coeff
-        self.rows = tuple(tuple(int(v) % ell for v in row) for row in rows)
-        n = len(self.rows)
-        if any(len(r) != n for r in self.rows):
-            raise ValueError("matrix must be square")
-
-    @classmethod
-    def identity(cls, coeff, n):
-        return cls(coeff, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @property
-    def n(self):
-        return len(self.rows)
-
-    def scale(self, c):
-        c = int(getattr(c, "value", c)) % self.coeff.ell
-        return Matrix(self.coeff, [[c * v for v in row] for row in self.rows])
-
-    def det(self):
-        ell = self.coeff.ell
-        rows = [list(r) for r in self.rows]
-        n = self.n
-        out = 1
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if rows[r][col] % ell:
-                    piv = r
-                    break
-            if piv is None:
-                return self.coeff.zero()
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                out = -out
-            pv = rows[col][col] % ell
-            out = out * pv % ell
-            inv = pow(pv, -1, ell)
-            for r in range(col + 1, n):
-                f = rows[r][col]
-                if f % ell:
-                    f = f * inv % ell
-                    rr = rows[r]
-                    rc = rows[col]
-                    for c in range(col, n):
-                        rr[c] = (rr[c] - f * rc[c]) % ell
-        return self.coeff.elem(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.coeff is other.coeff and self.rows == other.rows
-
-    def __repr__(self):
-        return "Matrix(%d x %d mod %d)" % (self.n, self.n, self.coeff.ell)
+def det(rows, ell):
+    """Determinant mod ell of a square matrix of integer rows, by Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    out = 1
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if rows[r][col] % ell:
+                piv = r
+                break
+        if piv is None:
+            return 0
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            out = -out
+        pv = rows[col][col] % ell
+        out = out * pv % ell
+        inv = pow(pv, -1, ell)
+        for r in range(col + 1, n):
+            f = rows[r][col]
+            if f % ell:
+                f = f * inv % ell
+                rr = rows[r]
+                rc = rows[col]
+                for c in range(col, n):
+                    rr[c] = (rr[c] - f * rc[c]) % ell
+    return out
 
 
 class Multiplier:
@@ -395,26 +360,31 @@ def twisted_algebra_mul(mult, a, b):
 
 class TwistedRep:
     """Matrices rho(h) over the coefficient field, indexed by a subgroup,
-    with rho(g) rho(h) = mu(g,h) rho(gh) and rho(1) the identity."""
+    with rho(g) rho(h) = mu(g,h) rho(gh) and rho(1) the identity.  Each
+    matrix is stored as a tuple of integer row tuples reduced mod ell."""
 
     __slots__ = ("group", "sub", "mult", "mats", "rank")
 
     def __init__(self, group, sub, mult, mats, check=True):
+        ell = mult.coeff.ell
         self.group = group
         self.sub = tuple(sorted(set(sub)))
         self.mult = mult
-        self.mats = dict(mats)
+        self.mats = {
+            g: tuple(tuple(int(v) % ell for v in row) for row in m)
+            for g, m in dict(mats).items()
+        }
         if mult.group is not group:
             raise ValueError("multiplier lives on a different group")
         if 0 not in self.sub:
             raise ValueError("domain must contain the identity")
         if set(self.mats) != set(self.sub):
             raise ValueError("need exactly one matrix per domain element")
-        self.rank = self.mats[0].n
+        self.rank = len(self.mats[0])
         if self.rank < 1:
             raise ValueError("rank must be positive")
-        if any(m.n != self.rank for m in self.mats.values()):
-            raise ValueError("matrices must share one size")
+        if any(len(m) != self.rank or any(len(r) != self.rank for r in m) for m in self.mats.values()):
+            raise ValueError("matrices must be square and share one size")
         if check and not self.is_valid():
             raise ValueError("matrices do not satisfy the twisted composition rule")
 
@@ -424,7 +394,7 @@ class TwistedRep:
     def value(self, g):
         if self.rank != 1:
             raise ValueError("scalar value needs rank 1")
-        return self.mult.coeff.elem(self.mats[g].rows[0][0])
+        return self.mult.coeff.elem(self.mats[g][0][0])
 
     def is_valid(self):
         """Exhaustive check of the composition rule on the stored integer
@@ -432,10 +402,10 @@ class TwistedRep:
         every pair g, h of the domain and every entry i, j."""
         if not self.group.is_subgroup(self.sub):
             return False
-        if self.mats[0] != Matrix.identity(self.mult.coeff, self.rank):
+        rows, n = self.mats, self.rank
+        if rows[0] != tuple(tuple(int(i == j) for j in range(n)) for i in range(n)):
             return False
         ell = self.mult.coeff.ell
-        rows = {g: m.rows for g, m in self.mats.items()}
         cols = {g: tuple(zip(*r)) for g, r in rows.items()}
         for g in self.sub:
             row_g, mul_g, mu_g = rows[g], self.group.table[g], self.mult.table[g]
@@ -453,15 +423,18 @@ class TwistedRep:
     def det_char(self):
         """Rank-1 determinant character; twisted by the rank-th power of
         the multiplier."""
-        coeff = self.mult.coeff
-        mats = {h: Matrix(coeff, [[m.det().value]]) for h, m in self.mats.items()}
+        ell = self.mult.coeff.ell
+        mats = {h: [[det(m, ell)]] for h, m in self.mats.items()}
         return TwistedRep(self.group, self.sub, self.mult ** self.rank, mats)
 
     def twist(self, lam):
         """Scale by a unit scalar function; shifts the multiplier by its
         coboundary."""
         coeff = self.mult.coeff
-        mats = {h: m.scale(coeff.elem(lam[h])) for h, m in self.mats.items()}
+        mats = {}
+        for h, m in self.mats.items():
+            c = coeff.elem(lam[h]).value
+            mats[h] = [[c * v for v in row] for row in m]
         return TwistedRep(self.group, self.sub, self.mult * d1(self.group, coeff, lam), mats)
 
     @classmethod
@@ -475,17 +448,13 @@ class TwistedRep:
             rows = [[0] * len(sub) for _ in range(len(sub))]
             for hp in sub:
                 rows[pos[group.mul(h, hp)]][pos[hp]] = 1
-            mats[h] = Matrix(coeff, rows)
+            mats[h] = rows
         return cls(group, sub, Multiplier.trivial(group, coeff), mats)
 
 
 def char_rep(group, sub, mult, values):
     """Rank-1 twisted representation from a scalar map on the subgroup."""
-    coeff = mult.coeff
-    mats = {
-        h: Matrix(coeff, [[int(getattr(values[h], "value", values[h]))]])
-        for h in sub
-    }
+    mats = {h: [[getattr(values[h], "value", values[h])]] for h in sub}
     return TwistedRep(group, sub, mult, mats)
 
 
@@ -493,13 +462,12 @@ def twisted_regular(group, mult, check=False):
     """Left multiplication on the twisted algebra basis: the matrix of k
     maps [g] to mu(k,g) [kg].  Satisfies the composition rule exactly when
     the multiplier is a cocycle."""
-    coeff = mult.coeff
     mats = {}
     for k in group.elements():
         rows = [[0] * group.n for _ in range(group.n)]
         for g in group.elements():
             rows[group.mul(k, g)][g] = mult.table[k][g]
-        mats[k] = Matrix(coeff, rows)
+        mats[k] = rows
     return TwistedRep(group, tuple(group.elements()), mult, mats, check=check)
 
 
@@ -535,8 +503,7 @@ def induce(rep, ambient=None, order=None, check=False):
     mu(k, g_c) mu(g_target, h)^{-1} rho(h) for h the conjugated element
     g_target^{-1} k g_c of the domain."""
     group, sub, mult = rep.group, rep.sub, rep.mult
-    coeff = mult.coeff
-    ell = coeff.ell
+    ell = mult.coeff.ell
     members = tuple(group.elements()) if ambient is None else tuple(sorted(set(ambient)))
     if not group.is_subgroup(members):
         raise ValueError("ambient must be a subgroup")
@@ -557,10 +524,10 @@ def induce(rep, ambient=None, order=None, check=False):
             block = rep.mats[h]
             for i in range(r):
                 tgt = rows[c2 * r + i]
-                src = block.rows[i]
+                src = block[i]
                 for j in range(r):
                     tgt[c * r + j] = s * src[j] % ell
-        mats[k] = Matrix(coeff, rows)
+        mats[k] = rows
     return TwistedRep(group, members, mult, mats, check=check)
 
 
@@ -611,25 +578,25 @@ def verlagerung(rep, ambient=None, order=None, route="formula"):
         ind = induce(rep, members, order)
         delta = delta_char(group, sub, members, order)
         return {
-            k: ind.mats[k].det() * coeff.elem(delta[k]) ** (-rep.rank)
+            k: coeff.elem(det(ind.mats[k], ell)) * coeff.elem(delta[k]) ** (-rep.rank)
             for k in members
         }
     if route != "formula":
         raise ValueError("route must be 'formula' or 'det'")
     reps, coset_of = _cosets(group, members, sub, order)
-    dets = {h: rep.mats[h].det().value for h in sub}
+    dets = {h: det(rep.mats[h], ell) for h in sub}
     rk = rep.rank
     out = {}
     for k in members:
-        acc = 1
+        num = den = dprod = 1
         for gc in reps:
             kg = group.mul(k, gc)
             c2 = coset_of[kg]
             h = group.mul(group.inverse(reps[c2]), kg)
-            s = mult.table[k][gc] * pow(mult.table[reps[c2]][h], -1, ell) % ell
-            acc = acc * pow(s, rk, ell) % ell
-            acc = acc * dets[h] % ell
-        out[k] = coeff.elem(acc)
+            num = num * mult.table[k][gc] % ell
+            den = den * mult.table[reps[c2]][h] % ell
+            dprod = dprod * dets[h] % ell
+        out[k] = coeff.elem(pow(num, rk, ell) * pow(den, -rk, ell) * dprod)
     return out
 
 

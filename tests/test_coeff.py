@@ -116,6 +116,7 @@ def test_symbolic_roundtrip():
     c = coeff_setup(3, [8], 4)
     s = SymbolicSum({1: 2, 5: -1}, 24)
     v = symbolic_value(s, c)
+    assert v == 2 * zeta(c, 24) - zeta(c, 24) ** 5
     z = cmath.exp(2j * cmath.pi / 24)
     want = 2 * z - z ** 5
     got = s.to_complex()

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epsilon_lab import twisted
 from epsilon_lab.coeff import coeff_setup
 from epsilon_lab.twisted import (
     FiniteGroup,
-    Matrix,
     Multiplier,
     TwistedRep,
     char_rep,
     check_ver_identities,
     d1,
     d2,
+    det,
     delta_char,
     induce,
     is_cocycle,
@@ -47,16 +48,16 @@ def klein_multiplier(coeff):
 def pauli_rep(coeff):
     group, mu = klein_multiplier(coeff)
     mats = {
-        0: Matrix.identity(coeff, 2),
-        1: Matrix(coeff, [[1, 0], [0, -1]]),
-        2: Matrix(coeff, [[0, 1], [1, 0]]),
-        3: Matrix(coeff, [[0, -1], [1, 0]]),
+        0: [[1, 0], [0, 1]],
+        1: [[1, 0], [0, -1]],
+        2: [[0, 1], [1, 0]],
+        3: [[0, -1], [1, 0]],
     }
     return group, mu, TwistedRep(group, (0, 1, 2, 3), mu, mats)
 
 
-def trace(m):
-    return m.coeff.elem(sum(m.rows[i][i] for i in range(m.n)))
+def trace(rows):
+    return sum(rows[i][i] for i in range(len(rows))) % ELL
 
 
 def unit_cochain(group, rng):
@@ -67,6 +68,23 @@ def lam_char(group, sub, lam):
     """Rank-1 representation of the subgroup carried by a global scalar
     function, twisted by its coboundary."""
     return char_rep(group, sub, d1(group, C73, lam), {h: lam[h] for h in sub})
+
+
+def test_star_import_resolves_every_export():
+    namespace = {}
+    exec("from epsilon_lab.twisted import *", namespace)
+    assert set(twisted.__all__) <= set(namespace)
+
+
+def test_rows_are_reduced_and_checked():
+    group, mu, rep = pauli_rep(C73)
+    assert rep.matrix(1) == ((1, 0), (0, ELL - 1))
+    assert det(rep.matrix(3), ELL) == 1 and det(rep.matrix(2), ELL) == ELL - 1
+    assert det([[1, 2], [2, 4]], ELL) == 0
+    for bad in ([[1, 0]], [[1, 0], [0]], [[1]]):
+        mats = {g: (bad if g == 2 else m) for g, m in rep.mats.items()}
+        with pytest.raises(ValueError, match="square"):
+            TwistedRep(group, (0, 1, 2, 3), mu, mats)
 
 
 def test_group_constructors():
@@ -221,7 +239,7 @@ def test_twisted_regular_valid_iff_cocycle():
     for k in group.elements():
         for g in group.elements():
             prod = twisted_algebra_mul(mu, {k: C73.one()}, {g: C73.one()})
-            col = [reg.matrix(k).rows[i][g] for i in range(group.n)]
+            col = [reg.matrix(k)[i][g] for i in range(group.n)]
             assert prod == {group.mul(k, g): mu.value(k, g)}
             assert col[group.mul(k, g)] == mu.table[k][g]
 
@@ -255,7 +273,7 @@ def test_induce_transitivity_traces_and_dets():
     assert one_step.rank == two_step.rank == 12
     for g in s4.elements():
         assert trace(one_step.matrix(g)) == trace(two_step.matrix(g))
-        assert one_step.matrix(g).det() == two_step.matrix(g).det()
+        assert det(one_step.matrix(g), ELL) == det(two_step.matrix(g), ELL)
 
 
 def test_delta_char_small_examples():
@@ -326,9 +344,7 @@ def test_ver_equals_ver_of_det_rank_two():
     lam = unit_cochain(s3, rng)
     mu = d1(s3, C73, lam)
     sign = delta_char(s3, (0,), ambient=sub)
-    mats = {
-        h: Matrix(C73, [[lam[h], 0], [0, lam[h] * sign[h]]]) for h in sub
-    }
+    mats = {h: [[lam[h], 0], [0, lam[h] * sign[h]]] for h in sub}
     rep = TwistedRep(s3, sub, mu, mats)
     assert rep.rank == 2
     ver_direct = verlagerung(rep, route="formula")
@@ -370,7 +386,7 @@ def test_representative_independence():
     other = induce(chi, order=shuffled)
     for g in d6.elements():
         assert trace(base.matrix(g)) == trace(other.matrix(g))
-        assert base.matrix(g).det() == other.matrix(g).det()
+        assert det(base.matrix(g), ELL) == det(other.matrix(g), ELL)
 
 
 def test_char_rep_rejects_wrong_multiplier_power():
@@ -398,9 +414,9 @@ def test_run_twisted_suite_smoke():
 
 def corrupted(rep, g, i, j):
     """rep with the (i, j) entry of rho(g) moved by one."""
-    rows = [list(r) for r in rep.matrix(g).rows]
-    rows[i][j] += 1
-    rep.mats[g] = Matrix(rep.mult.coeff, rows)
+    rows = [list(r) for r in rep.matrix(g)]
+    rows[i][j] = (rows[i][j] + 1) % rep.mult.coeff.ell
+    rep.mats[g] = tuple(map(tuple, rows))
     return rep
 
 
@@ -428,24 +444,3 @@ def test_is_valid_rejects_one_wrong_entry(build, g, i, j):
     rep = build()
     assert rep.is_valid()
     assert not corrupted(rep, g, i, j).is_valid()
-
-
-def test_is_valid_builds_no_matrix_per_pair(monkeypatch):
-    chi = s4_char()
-    assert chi.group.n == 24 and chi.rank == 1
-    built = []
-    init = Matrix.__init__
-
-    def counted(self, coeff, rows):
-        built.append(len(rows))
-        init(self, coeff, rows)
-
-    monkeypatch.setattr(Matrix, "__init__", counted)
-    assert chi.is_valid()
-    # one matrix product and one scaled copy per pair would be 2 |H|^2;
-    # the only matrix built is the identity that rho(1) is compared with
-    assert built == [1]
-    bad = corrupted(chi, 7, 0, 0)
-    built.clear()
-    assert not bad.is_valid()
-    assert len(built) <= 1
