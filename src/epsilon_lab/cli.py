@@ -358,7 +358,11 @@ def _build_parser():
     pc.add_argument("--spec", default=None, help="sheaf data JSON (default: bundled Gauss data)")
     pc.add_argument("--omega", default=None, help="global one-form JSON (default: dt/t)")
     pc.add_argument("--second-ell", action="store_true", help="repeat at the next coefficient prime")
-    pc.add_argument("--method", default="auto")
+    pc.add_argument(
+        "--method",
+        default="auto",
+        help="auto, tate, tate_slow, or closed (ignored if unramified); closed refuses any spec with a tame point",
+    )
 
     ic = sub.add_parser("induction-check", parents=[common], help="cover transfer-factor audit")
     ic.add_argument("--cover", default=None, help="covering map JSON (default: bundled square map)")

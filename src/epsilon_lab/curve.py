@@ -12,11 +12,16 @@ completed local field at any closed point, and the point by point
 factorization of the global determinant into local factors attached to
 a nonzero rational 1-form.  Small covers of the line supply transfer
 factors for induced data.
+
+A SheafSpec reads the divisor of its data once, when it is built, as one
+row per irreducible factor.  The point walk then evaluates each factor
+once per point and adds up logs, since the log of a value is the log of
+its leading constant plus the factors' exponents times their logs.
 """
 
 from .chars import LocalCharacter
 from .epsilon import eps_local, gamma_psi
-from .gf import dlog, find_embedding, frobenius, log_field, norm, prime_field, residue_field, trace
+from .gf import dlog, log_field, norm, prime_field, residue_field, trace
 from .localfield import (
     LaurentSeries,
     Point,
@@ -98,7 +103,7 @@ class SheafSpec:
     g must sit inside the punctures, so the data is lisse on the rest.
     """
 
-    __slots__ = ("base", "wild", "kummer", "punctures", "unram", "_hist")
+    __slots__ = ("base", "wild", "kummer", "punctures", "unram", "_hist", "_divisor")
 
     def __init__(self, base, wild=None, kummer=(), punctures=(), unram=1):
         self.base = base
@@ -128,66 +133,42 @@ class SheafSpec:
             raise ValueError("unramified scaling must be a nonzero integer")
         self.unram = unram
         self._hist = {}
-        self._check_support()
+        self._divisor = self._read_divisor()
 
-    def _check_support(self):
+    def _read_divisor(self):
+        """One pass over the divisors of the data.  Refuses a pole of the
+        additive datum or a zero or pole of a multiplicative datum off the
+        punctures, and returns rows (monic minimal polynomial, summed Kummer
+        exponent, additive exponent, is a puncture): one per finite puncture
+        and one per other zero of the additive datum."""
         allowed = set(self.punctures)
-        if self.wild is not None:
-            for pt, mult in divisor_points(self.wild):
-                if mult < 0 and pt not in allowed:
-                    raise ValueError("additive datum has a pole off the punctures")
-        for g, _e in self.kummer:
+        rows = {pt: [0, 0] for pt in self.punctures if not pt.at_infinity}
+        for pt, mult in divisor_points(self.wild) if self.wild is not None else ():
+            if mult < 0 and pt not in allowed:
+                raise ValueError("additive datum has a pole off the punctures")
+            if not pt.at_infinity:
+                rows.setdefault(pt, [0, 0])[1] += mult
+        for g, e in self.kummer:
             for pt, mult in divisor_points(g):
-                if mult and pt not in allowed:
+                if pt not in allowed:
                     raise ValueError("multiplicative datum has a zero or pole off the punctures")
+                if not pt.at_infinity:
+                    rows[pt][0] += e * mult
+        return [(pt.minpoly, k, w, pt in allowed) for pt, (k, w) in rows.items()]
 
     def infinity_in_domain(self):
         return not any(pt.at_infinity for pt in self.punctures)
 
-    def _forbidden_logs(self, m):
-        """Log encodings of the degree m points lying over a puncture."""
-        big, emb, logs, _tr = _extension_data(self.base, m)
-        bad = set()
-        for pt in self.punctures:
-            if pt.at_infinity:
-                continue
-            e = pt.degree()
-            if m % e:
-                continue
-            small, _semb, alpha = pt.residue_data()
-            if e == m:
-                root = big.elem(list(alpha.coeffs))
-            else:
-                root = find_embedding(small, big).embed(alpha)
-            # An arbitrary embedding of the residue field may twist the
-            # base subfield, so walk the absolute Frobenius orbit and keep
-            # the conjugates that really kill the minimal polynomial under
-            # the canonical base embedding.
-            for _ in range(big.n):
-                if pt.minpoly.evaluate(root, emb).is_zero():
-                    bad.add(logs.log[root.index()])
-                root = frobenius(root, 1)
-        return bad
-
     def _infinity_key(self, m):
         base = self.base
-        q = base.q
-        red = q - 1 if q > 2 else 1
+        red = base.q - 1
         pe = 0
-        if self.wild is not None:
-            v = ord_at(self.wild, Point.infinity(base))
-            if v < 0:
-                raise ValueError("additive datum has a pole at infinity")
-            if v == 0:
-                c = self.wild.num.leading() / self.wild.den.leading()
-                pe = trace(base.elem(m % base.p) * c).as_int()
+        if self.wild is not None and ord_at(self.wild, Point.infinity(base)) == 0:
+            c = self.wild.num.leading() / self.wild.den.leading()
+            pe = trace(base.elem(m % base.p) * c).as_int()
         ke = 0
         for g, e in self.kummer:
-            if ord_at(g, Point.infinity(base)):
-                raise ValueError("multiplicative datum meets infinity")
-            c = g.num.leading() / g.den.leading()
-            if q > 2:
-                ke += e * m * dlog(c)
+            ke += e * m * dlog(g.num.leading() / g.den.leading())
         return (pe, ke % red)
 
     def point_histogram(self, m):
@@ -197,48 +178,46 @@ class SheafSpec:
         The additive exponent is the absolute trace of the additive datum;
         the multiplicative exponent is the discrete log, reduced for the
         norm to the base, of the product of the powered multiplicative
-        data.  The histogram prices trace sums for any coefficient prime.
+        data.  Both come from the divisor rows: a value's log is the log of
+        its leading constant plus the rows' exponents times the logs of
+        their irreducible factors, each evaluated once per point.  The
+        histogram prices trace sums for any coefficient prime.
         """
         hit = self._hist.get(m)
         if hit is not None:
             return hit
-        base = self.base
-        _big, emb, logs, tr_table = _extension_data(base, m)
+        _big, emb, logs, tr_table = _extension_data(self.base, m)
         order = logs.order
-        red = base.q - 1 if base.q > 2 else 1
-        wild_ev = None
-        if self.wild is not None:
-            wild_ev = (
-                _log_evaluator(logs, self.wild.num, emb),
-                _log_evaluator(logs, self.wild.den, emb),
-            )
-        kevs = [
-            (_log_evaluator(logs, g.num, emb), _log_evaluator(logs, g.den, emb), e)
-            for g, e in self.kummer
+        red = self.base.q - 1
+        log, exp = logs.log, logs.exp
+
+        def lead_log(r):
+            return log[emb.embed(r.num.leading() / r.den.leading()).index()]
+
+        lk0 = sum(e * lead_log(g) for g, e in self.kummer)
+        no_wild = self.wild is None
+        lw0 = 0 if no_wild else lead_log(self.wild)
+        # a puncture that carries no datum only matters where it has points
+        rows = [
+            (_log_evaluator(logs, f, emb), k, w, punct)
+            for f, k, w, punct in self._divisor
+            if k or w or m % f.degree() == 0
         ]
-        bad = self._forbidden_logs(m)
-        exp = logs.exp
         hist = {}
         for lx in range(-1, order):
-            if lx in bad:
-                continue
-            pe = 0
-            if wild_ev is not None:
-                nl = wild_ev[0](lx)
-                dl = wild_ev[1](lx)
-                if dl < 0:
-                    raise ValueError("additive datum has a pole off the punctures")
-                if nl >= 0:
-                    pe = tr_table[exp[(nl - dl) % order]]
-            ke = 0
-            for nev, dev, e in kevs:
-                nl = nev(lx)
-                dl = dev(lx)
-                if nl < 0 or dl < 0:
-                    raise ValueError("multiplicative datum vanishes off the punctures")
-                ke += e * (nl - dl)
-            key = (pe, ke % red)
-            hist[key] = hist.get(key, 0) + 1
+            lk, lw, wild_zero = lk0, lw0, no_wild
+            for ev, k, w, punct in rows:
+                v = ev(lx)
+                if v >= 0:
+                    lk += k * v
+                    lw += w * v
+                elif punct:
+                    break
+                else:
+                    wild_zero = True
+            else:
+                key = (0 if wild_zero else tr_table[exp[lw % order]], lk % red)
+                hist[key] = hist.get(key, 0) + 1
         if self.infinity_in_domain():
             key = self._infinity_key(m)
             hist[key] = hist.get(key, 0) + 1
@@ -257,8 +236,8 @@ class SheafSpec:
             raise ValueError("unramified scaling is not invertible modulo ell")
         hist = self.point_histogram(m)
         psi_pow = [coeff.psi(t).value for t in range(base.p)]
-        red = base.q - 1 if base.q > 2 else 1
-        z = coeff.kummer_chi(1, base.gen()).value if base.q > 2 else 1
+        red = base.q - 1
+        z = coeff.kummer_chi(1, base.gen()).value
         zpow = [1] * red
         for k in range(1, red):
             zpow[k] = (zpow[k - 1] * z) % ell
@@ -280,7 +259,7 @@ class SheafSpec:
             if not self.infinity_in_domain():
                 raise ValueError("infinity is punctured")
             pe, ke = self._infinity_key(m)
-            z = coeff.kummer_chi(1, base.gen()) if base.q > 2 else coeff.one()
+            z = coeff.kummer_chi(1, base.gen())
             return coeff.psi(pe) * z ** ke * coeff.elem(self.unram) ** m
         if x.field != big:
             raise ValueError("the point must live in the cached degree m extension")

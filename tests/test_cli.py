@@ -82,6 +82,24 @@ def test_product_check_bundled_with_second_ell(capsys):
     assert report["second"]["ell"] != report["report"]["ell"]
 
 
+def test_product_check_closed_method_refuses_tame_point(capsys):
+    code, report = run(capsys, ["product-check", "--method", "closed"])
+    assert code == 3 and report["error"] == "closed form needs a wild character"
+
+
+def test_product_check_scaled_degree_eleven(capsys, tmp_path):
+    # wild t^11, Kummer t, punctures {0, infinity} and the bundled dt/t
+    spec = json.loads((DATA / "product_spec.json").read_text())
+    spec["wild"] = {"num": [[0]] * 11 + [[1]], "den": [[1]]}
+    path = tmp_path / "deg11.json"
+    path.write_text(json.dumps(spec))
+    code, report = run(capsys, ["product-check", "--spec", str(path), "--second-ell"])
+    assert code == 0 and report["ok"]
+    for side in ("report", "second"):
+        assert report[side]["ok"] and report[side]["degree"] == 11
+    assert report["second"]["ell"] != report["report"]["ell"]
+
+
 def test_induction_check_bundled(capsys):
     code, report = run(capsys, ["induction-check"])
     assert code == 0 and report["ok"]

@@ -134,10 +134,60 @@ def test_trace_sum_matches_pointwise_f4():
         assert spec.trace_sum(C4, m) == pointwise_sum(spec, C4, m)
 
 
-def test_trace_sum_matches_pointwise_deg2_puncture():
-    spec = deg2_puncture_spec()
-    for m in (1, 2):
-        assert spec.trace_sum(C73, m) == pointwise_sum(spec, C73, m)
+T = rat(F3, [0, 1])
+T5 = rat(F5, [0, 1])
+T5_T5_MINUS_1 = rat(F5, [0, -1, 1])
+F5_0_1_INF = [Point.rational(F5, 0), Point.rational(F5, 1), Point.infinity(F5)]
+
+
+@pytest.mark.parametrize(
+    "make_spec, coeff, degrees",
+    [
+        pytest.param(deg2_puncture_spec, C73, (1, 2), id="kummer-at-deg2-puncture"),
+        # a degree 2 puncture with no datum: no points at odd degree
+        pytest.param(
+            lambda: SheafSpec(
+                F3,
+                wild=T,
+                kummer=[(T, 1)],
+                punctures=[Point(F3, Poly(F3, [1, 0, 1])), Point.rational(F3, 0), Point.infinity(F3)],
+            ),
+            C73,
+            (1, 2, 3),
+            id="bare-deg2-puncture",
+        ),
+        # t enters both data: exponent 2 + 1 at 0, 1 at 1
+        pytest.param(
+            lambda: SheafSpec(F5, kummer=[(rat(F5, [0, 2]), 2), (T5_T5_MINUS_1, 1)], punctures=F5_0_1_INF),
+            C5,
+            (1, 2),
+            id="kummer-shared-factor",
+        ),
+        # exponents 3 - 3 cancel at 0, which stays punctured
+        pytest.param(
+            lambda: SheafSpec(F5, wild=T5, kummer=[(T5, 3), (T5_T5_MINUS_1, -3)], punctures=F5_0_1_INF),
+            C5,
+            (1, 2),
+            id="kummer-cancels-at-puncture",
+        ),
+        # 2 (t^2 + t + 2) / t vanishes at a degree 2 point off the punctures
+        pytest.param(
+            lambda: SheafSpec(
+                F3,
+                wild=rat(F3, [1, 2, 2], [0, 1]),
+                kummer=[(T, 1)],
+                punctures=[Point.rational(F3, 0), Point.infinity(F3)],
+            ),
+            C73,
+            (1, 2, 3),
+            id="additive-deg2-zero",
+        ),
+    ],
+)
+def test_trace_sum_matches_pointwise_factored(make_spec, coeff, degrees):
+    spec = make_spec()
+    for m in degrees:
+        assert spec.trace_sum(coeff, m) == pointwise_sum(spec, coeff, m)
 
 
 def test_trace_sum_deg2_puncture_over_extension_base():
