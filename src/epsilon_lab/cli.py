@@ -25,8 +25,8 @@ from .coeff import coeff_setup, complex_embed, pinned_ell, second_ell
 from .curve import (
     GlobalComputation,
     SheafSpec,
+    conductor_profile,
     divisor_points,
-    gos_degree,
     product_formula_check,
     transfer_constants,
 )
@@ -116,20 +116,17 @@ def _coeff_for(cfg, p, orders, ell, spec):
     _need(isinstance(orders, list) and all(type(o) is int for o in orders), "orders", "a list of integers")
     _need(ell is None or type(ell) is int, "ell", "an integer")
     orders = [o for o in orders if o > 0] or [1]
-    coeff = coeff_setup(p, orders)
-    if ell is not None:
-        try:
-            coeff = pinned_ell(coeff, ell)
-        except ValueError as err:
-            raise Unsupported(str(err), field="ell")
-    if spec is None:
+    d_max = 1 if spec is None else conductor_profile(spec)[1] + 2
+    coeff = coeff_setup(p, orders, d_max=d_max)
+    if ell is None:
         return coeff
-    d = gos_degree(spec, coeff)
-    if coeff.ell > d + 2:
-        return coeff
-    if ell is not None:
-        raise Unsupported("ell=%d is too small for a degree-%d determinant" % (coeff.ell, d), field="ell")
-    return coeff_setup(p, orders, d_max=d + 2)
+    try:
+        coeff = pinned_ell(coeff, ell)
+    except ValueError as err:
+        raise Unsupported(str(err), field="ell")
+    if ell <= d_max:
+        raise Unsupported("ell=%d is too small for a degree-%d determinant" % (ell, d_max - 2), field="ell")
+    return coeff
 
 
 def _spec_orders(spec, extra_functions):

@@ -17,9 +17,13 @@ A SheafSpec reads the divisor of its data once, when it is built, as one
 row per irreducible factor.  The point walk then evaluates each factor
 once per point and adds up logs, since the log of a value is the log of
 its leading constant plus the factors' exponents times their logs.
+
+The local data at a closed point is read once per spec and point, with no
+coefficient field: the coefficient prime only prices it, and the conductors
+do not depend on it.  Newton's identities run in one place, GlobalComputation.
 """
 
-from .chars import LocalCharacter
+from .chars import LocalCharacter, as_reduce
 from .epsilon import eps_local, gamma_psi
 from .gf import dlog, log_field, norm, prime_field, residue_field, trace
 from .localfield import (
@@ -103,7 +107,7 @@ class SheafSpec:
     g must sit inside the punctures, so the data is lisse on the rest.
     """
 
-    __slots__ = ("base", "wild", "kummer", "punctures", "unram", "_hist", "_divisor")
+    __slots__ = ("base", "wild", "kummer", "punctures", "unram", "_hist", "_local", "_divisor")
 
     def __init__(self, base, wild=None, kummer=(), punctures=(), unram=1):
         self.base = base
@@ -133,6 +137,7 @@ class SheafSpec:
             raise ValueError("unramified scaling must be a nonzero integer")
         self.unram = unram
         self._hist = {}
+        self._local = {}
         self._divisor = self._read_divisor()
 
     def _read_divisor(self):
@@ -155,6 +160,37 @@ class SheafSpec:
                 if not pt.at_infinity:
                     rows[pt][0] += e * mult
         return [(pt.minpoly, k, w, pt in allowed) for pt, (k, w) in rows.items()]
+
+    def local_data(self, point):
+        """(residue field, tame exponent, reduced wild datum, Kummer key,
+        additive key) of the data at a closed point, read once, with no
+        coefficient field.  The Kummer key is the log mod q - 1 of the
+        powered sign-twisted leading symbols normed to the base; the wild
+        datum is the principal part of the additive datum's expansion, and
+        the additive key the absolute trace of its constant term."""
+        hit = self._local.get(point)
+        if hit is not None:
+            return hit
+        if point.base != self.base:
+            raise ValueError("point lives over the wrong field")
+        base = self.base
+        big, emb, _alpha = point.residue_data()
+        rel = (big.q - 1) // (base.q - 1)
+        tame = ke = pe = 0
+        for g, e in self.kummer:
+            v = ord_at(g, point)
+            tame -= e * v * rel
+            lead = expand_at(g, point, v + 1).coeff(v)
+            ke += e * dlog(norm(-lead if v % 2 else lead, emb))
+        wild_h = LaurentSeries.zero(big, 1)
+        if self.wild is not None:
+            fx = expand_at(self.wild, point, 1)
+            if not fx.is_zero() and fx.valuation() < 0:
+                v = fx.valuation()
+                wild_h = as_reduce(LaurentSeries.make(big, v, list(fx.coeffs[:-v]), 1))
+            pe = trace(fx.coeff(0)).as_int()
+        hit = self._local[point] = (big, tame % (big.q - 1), wild_h, ke % (base.q - 1), pe)
+        return hit
 
     def infinity_in_domain(self):
         return not any(pt.at_infinity for pt in self.punctures)
@@ -297,84 +333,28 @@ class SheafSpec:
 
 def local_character_at(spec, coeff, point):
     """Restriction of the global data to the completed local field at a
-    closed point, as a character of that local field.
-
-    The multiplicative layer contributes the tame exponent through the
-    orders of its data at the point, and a value at the local parameter
-    through the sign-twisted symbol, normed down to the base.  The
-    additive layer contributes the principal part of its expansion as the
-    wild datum and the trace of the constant term as a value at the
-    parameter.  The unramified scaling enters through the residue degree.
-    """
-    if point.base != spec.base:
-        raise ValueError("point lives over the wrong field")
-    base = spec.base
-    big, emb, _alpha = point.residue_data()
-    rel = (big.q - 1) // (base.q - 1)
-    tame = 0
-    c_pi = coeff.one()
-    for g, e in spec.kummer:
-        v = ord_at(g, point)
-        tame -= e * v * rel
-        lead = expand_at(g, point, v + 1).coeff(v)
-        sym = -lead if v % 2 else lead
-        c_pi = c_pi * coeff.kummer_chi(e, norm(sym, emb))
-    wild_h = None
-    if spec.wild is not None:
-        fx = expand_at(spec.wild, point, 1)
-        if not fx.is_zero() and fx.valuation() < 0:
-            v = fx.valuation()
-            wild_h = LaurentSeries.make(big, v, list(fx.coeffs[:-v]), 1)
-        c_pi = c_pi * coeff.psi_trace(fx.coeff(0))
-    if spec.unram != 1:
-        c_pi = c_pi * coeff.elem(spec.unram) ** point.degree()
+    closed point: the spec's local_data priced in coeff, as trace_sum prices
+    histogram keys, times the unramified scaling to the residue degree."""
+    big, tame, wild_h, ke, pe = spec.local_data(point)
+    c_pi = coeff.psi(pe)
+    if spec.kummer:
+        c_pi = c_pi * coeff.kummer_chi(ke, spec.base.gen())
+    c_pi = c_pi * coeff.elem(spec.unram) ** point.degree()
     return LocalCharacter(big, coeff, c_pi, tame, wild_h)
 
 
-def conductor_profile(spec, coeff):
-    """Per-puncture conductor exponents of the extension by zero, and the
-    degree of the determinant they predict."""
+def conductor_profile(spec):
+    """Per-puncture rows (point, is ramified, conductor exponent of the
+    extension by zero), and the degree of the determinant they predict:
+    twice the genus side is absent on the line, so the conductors alone
+    decide."""
     rows = []
     for pt in spec.punctures:
-        chi = local_character_at(spec, coeff, pt)
-        rows.append((pt, chi, chi.artin_a("shriek")))
-    d = sum(pt.degree() * a for pt, _chi, a in rows) - 2
+        _big, tame, wild_h, _ke, _pe = spec.local_data(pt)
+        swan = -wild_h.v if wild_h.coeffs else 0
+        rows.append((pt, bool(tame or swan), 1 + swan))
+    d = sum(pt.degree() * a for pt, _ram, a in rows) - 2
     return rows, d
-
-
-def gos_degree(spec, coeff):
-    """Expected degree of the determinant polynomial: twice the genus side
-    is absent on the line, so the conductors alone decide."""
-    return conductor_profile(spec, coeff)[1]
-
-
-def _newton(spec, coeff, rows, d):
-    """Newton's identities on the trace sums of degrees 1..d, for the
-    conductor profile rows and the degree d it predicts; returns the
-    determinant coefficients, the elementary symmetric functions and the
-    power sums."""
-    if not spec.punctures:
-        raise ValueError("the determinant route needs at least one puncture")
-    if not any(chi.is_ramified() for _pt, chi, _a in rows):
-        raise ValueError("everywhere unramified data is geometrically constant")
-    if d < 0:
-        raise ValueError("conductor bookkeeping went negative, broken data")
-    if coeff.ell <= d:
-        raise ValueError("coefficient prime %d too small for degree %d" % (coeff.ell, d))
-    psums = [coeff.zero()]
-    for m in range(1, d + 1):
-        psums.append(coeff.elem(-1) * spec.trace_sum(coeff, m))
-    es = [coeff.one()]
-    for m in range(1, d + 1):
-        acc = coeff.zero()
-        sign = 1
-        for i in range(1, m + 1):
-            term = es[m - i] * psums[i]
-            acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-        es.append(acc * coeff.elem(m) ** -1)
-    cs = [es[m] if m % 2 == 0 else coeff.elem(-1) * es[m] for m in range(d + 1)]
-    return cs, es, psums
 
 
 class GlobalComputation:
@@ -388,11 +368,33 @@ class GlobalComputation:
     __slots__ = ("spec", "coeff", "degree", "cs", "es", "psums")
 
     def __init__(self, spec, coeff):
-        rows, d = conductor_profile(spec, coeff)
+        rows, d = conductor_profile(spec)
+        if not spec.punctures:
+            raise ValueError("the determinant route needs at least one puncture")
+        if not any(ram for _pt, ram, _a in rows):
+            raise ValueError("everywhere unramified data is geometrically constant")
+        if d < 0:
+            raise ValueError("conductor bookkeeping went negative, broken data")
+        if coeff.ell <= d:
+            raise ValueError("coefficient prime %d too small for degree %d" % (coeff.ell, d))
+        psums = [coeff.zero()]
+        for m in range(1, d + 1):
+            psums.append(coeff.elem(-1) * spec.trace_sum(coeff, m))
+        es = [coeff.one()]
+        for m in range(1, d + 1):
+            acc = coeff.zero()
+            sign = 1
+            for i in range(1, m + 1):
+                term = es[m - i] * psums[i]
+                acc = acc + term if sign > 0 else acc - term
+                sign = -sign
+            es.append(acc * coeff.elem(m) ** -1)
         self.spec = spec
         self.coeff = coeff
         self.degree = d
-        self.cs, self.es, self.psums = _newton(spec, coeff, rows, d)
+        self.cs = [es[m] if m % 2 == 0 else coeff.elem(-1) * es[m] for m in range(d + 1)]
+        self.es = es
+        self.psums = psums
 
     def audit(self):
         """Degree and consistency audit of the determinant polynomial.
@@ -462,15 +464,14 @@ def product_formula_check(spec, coeff, omega, method="auto"):
     q = base.q
     ell = coeff.ell
     inf = Point.infinity(base)
-    rows, d = conductor_profile(spec, coeff)
-    constant = not any(chi.is_ramified() for _pt, chi, _a in rows)
+    contributing = [(pt, local_character_at(spec, coeff, pt)) for pt in spec.punctures]
+    constant = not any(chi.is_ramified() for _pt, chi in contributing)
     if constant:
         if spec.punctures:
             raise ValueError("everywhere unramified data needs an empty puncture set here")
         scale = spec.trace_at(coeff, 1, base.zero())
         lhs = (scale * scale * coeff.elem(q)) ** -1
         d = 0
-    contributing = [(pt, chi) for pt, chi, _a in rows]
     punctured = set(spec.punctures)
     for pt, mult in divisor_points(omega):
         if pt.at_infinity:
@@ -509,7 +510,9 @@ def product_formula_check(spec, coeff, omega, method="auto"):
         )
     if not constant:
         # after the local factors: a local refusal costs no point walk
-        lhs = _newton(spec, coeff, rows, d)[0][d]
+        glob = GlobalComputation(spec, coeff)
+        d = glob.degree
+        lhs = glob.cs[d]
     sign_consistent = (coeff.elem(-1) ** d).value == weighted_sign % ell
     lhs_alt = coeff.elem(-1) ** d * lhs
     alternate_ok = lhs_alt == rhs_alt

@@ -520,13 +520,10 @@ def induce(rep, ambient=None, order=None, check=False):
             kg = group.mul(k, gc)
             c2 = coset_of[kg]
             h = group.mul(group.inverse(reps[c2]), kg)
-            s = mult.table[k][gc] * pow(mult.table[reps[c2]][h], -1, ell) % ell
-            block = rep.mats[h]
-            for i in range(r):
-                tgt = rows[c2 * r + i]
-                src = block[i]
-                for j in range(r):
-                    tgt[c * r + j] = s * src[j] % ell
+            s = mult.table[k][gc] * pow(mult.table[reps[c2]][h], -1, ell)
+            # TwistedRep reduces every entry mod ell
+            for i, src in enumerate(rep.mats[h]):
+                rows[c2 * r + i][c * r:(c + 1) * r] = [s * v for v in src]
         mats[k] = rows
     return TwistedRep(group, members, mult, mats, check=check)
 

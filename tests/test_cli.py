@@ -100,6 +100,23 @@ def test_product_check_scaled_degree_eleven(capsys, tmp_path):
     assert report["second"]["ell"] != report["report"]["ell"]
 
 
+def test_eps_global_moves_or_refuses_the_prime_for_the_degree(capsys, tmp_path):
+    # wild t^5, Kummer t, punctures {0, infinity}: degree 5, so the prime
+    # must exceed 5 + 2, and the default 7 moves up to 13
+    spec = json.loads((DATA / "product_spec.json").read_text())
+    spec["wild"] = {"num": [[0]] * 5 + [[1]], "den": [[1]]}
+    path = tmp_path / "deg5.json"
+    path.write_text(json.dumps(spec))
+    code, report = run(capsys, ["eps-global", "--spec", str(path)])
+    assert code == 0 and report["ok"]
+    assert report["ell"] == 13 and report["degree"] == 5
+    code, report = run(capsys, ["eps-global", "--spec", str(path), "--ell", "7"])
+    assert code == 3 and report["field"] == "ell"
+    assert report["error"] == "ell=7 is too small for a degree-5 determinant"
+    code, report = run(capsys, ["eps-global", "--spec", str(path), "--ell", "13"])
+    assert code == 0 and report["ell"] == 13
+
+
 def test_induction_check_bundled(capsys):
     code, report = run(capsys, ["induction-check"])
     assert code == 0 and report["ok"]

@@ -7,14 +7,15 @@ from importlib import resources
 
 import pytest
 
+from epsilon_lab import curve as curve_mod
 from epsilon_lab import epsilon as epsilon_mod
 from epsilon_lab.coeff import coeff_setup, second_ell
 from epsilon_lab.curve import (
     SheafSpec,
     _extension_data,
+    conductor_profile,
     divisor_points,
     global_epsilon,
-    gos_degree,
     induction_power_cover,
     induction_wild_cover,
     l_polynomial,
@@ -325,10 +326,52 @@ def test_verify_gos_exponential_and_quadratic():
 
 
 def test_gos_degree_counts():
-    assert gos_degree(gm_quadratic(), C73) == 1
+    assert conductor_profile(gm_quadratic())[1] == 1
     line = SheafSpec(F3, wild=rat(F3, [0, 1]), punctures=[Point.infinity(F3)])
-    assert gos_degree(line, C73) == 0
-    assert gos_degree(deg2_puncture_spec(), C73) == 1
+    assert conductor_profile(line)[1] == 0
+    assert conductor_profile(deg2_puncture_spec())[1] == 1
+
+
+def test_local_side_is_read_once_per_spec(monkeypatch):
+    # the README quick-tour spec: one expansion per datum and puncture, on
+    # the first check only, whatever the coefficient prime
+    calls = []
+    expand = curve_mod.expand_at
+
+    def counted(*args):
+        calls.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(curve_mod, "expand_at", counted)
+    spec = gm_quadratic()
+    coeff = coeff_setup(3, [2])
+    assert product_formula_check(spec, coeff, rat(F3, [1]))["ok"]
+    assert len(calls) == 4
+    assert product_formula_check(spec, second_ell(coeff, d_max=3), rat(F3, [1]))["ok"]
+    assert verify_gos(spec, coeff)["ok"]
+    assert len(calls) == 4
+
+
+def test_local_character_matches_pointwise_trace_off_the_punctures():
+    # at a point where the data is lisse, the local character's value at
+    # the parameter is the trace there: the expansion route and trace_at
+    # must agree; infinity is left unpunctured on purpose
+    spec = SheafSpec(
+        F3,
+        wild=rat(F3, [1, 0, 2], [0, -1, 1]),
+        kummer=[(rat(F3, [0, 2], [-1, 1]), 1)],
+        punctures=[Point.rational(F3, 0), Point.rational(F3, 1)],
+        unram=2,
+    )
+    points = [Point(F3, f) for deg in (1, 2, 3) for f in monic_irreducibles(F3, deg)]
+    points = [pt for pt in points if pt not in spec.punctures]
+    assert len(points) == 12
+    for coeff in (C73, second_ell(C73)):
+        for pt in points:
+            alpha = pt.residue_data()[2]
+            assert local_character_at(spec, coeff, pt).c_pi == spec.trace_at(coeff, pt.degree(), alpha)
+        inf = Point.infinity(F3)
+        assert local_character_at(spec, coeff, inf).c_pi == spec.trace_at(coeff, 1, None)
 
 
 class PushforwardSpec:
