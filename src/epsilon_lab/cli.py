@@ -149,6 +149,7 @@ def _spec_orders(spec, extra_functions):
 
 def cmd_gauss(args):
     p, q = args.p, args.q
+    _need(p >= 2, "p", "a prime")
     n = 1
     while p ** n < q:
         n += 1
@@ -423,7 +424,7 @@ def main(argv=None):
     except KeyError as err:
         report.update({"ok": False, "error": "missing field", "field": str(err.args[0])})
         code = 3
-    except (ValueError, OSError) as err:
+    except (ValueError, TypeError, ZeroDivisionError, OSError) as err:
         report.update({"ok": False, "error": str(err)})
         code = 3
     finally:

@@ -8,10 +8,11 @@ basis.  The absolute cap for any enumerated field is q**m <= 2**24.
 The deterministic recipe:
 
 * modulus: the lexicographically first monic irreducible polynomial of the
-  requested degree, scanning constant coefficient fastest,
+  requested degree, scanning constant coefficient fastest; a candidate of
+  degree n is irreducible iff trial division by every monic polynomial of
+  degree 1 .. n // 2 leaves a remainder,
 * generator: the first element of multiplicative order q - 1, scanning the
-  integer encodings 1, 2, ... (a nonzero seed rotates the scan start, the
-  modulus never depends on the seed).
+  integer encodings 1, 2, ...
 
 There is one arithmetic table engine, LogField: exp, log, Zech and
 trace-to-F_p tables on the packed integer encoding (the coefficients as
@@ -49,16 +50,6 @@ def _ptrim(a):
     return a
 
 
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _ptrim(out)
-
-
 def _pmul(a, b, p):
     if not a or not b:
         return []
@@ -83,46 +74,27 @@ def _pmod(a, m, p):
     return a
 
 
-def _pmulmod(a, b, m, p):
-    return _pmod(_pmul(a, b, p), m, p)
-
-
-def _ppowmod(a, e, m, p):
-    out = [1]
-    base = _pmod(a, m, p)
-    while e:
-        if e & 1:
-            out = _pmulmod(out, base, m, p)
-        base = _pmulmod(base, base, m, p)
-        e >>= 1
+def _monic(k, n, p):
+    """The monic polynomial of degree n whose low coefficients are the
+    base-p digits of k, constant coefficient first."""
+    out = []
+    for _ in range(n):
+        out.append(k % p)
+        k //= p
+    out.append(1)
     return out
 
 
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
 def _is_irreducible(f, p):
-    """Rabin test: f of degree n is irreducible over F_p iff x^(p^n) = x
-    mod f and gcd(x^(p^(n/r)) - x, f) = 1 for every prime r | n."""
+    """Trial division: f of degree n is irreducible over F_p iff no monic
+    polynomial of degree 1 .. n // 2 divides it."""
     n = len(f) - 1
     if n <= 0:
         return False
-    x = [0, 1]
-    xq = _ppowmod(x, p ** n, f, p)
-    if _pmod(_padd(xq, [0, p - 1], p), f, p) != []:
-        return False
-    for r in _prime_factors(n):
-        xr = _ppowmod(x, p ** (n // r), f, p)
-        g = _pgcd(_padd(xr, [0, p - 1], p), f, p)
-        if len(g) - 1 != 0:
-            return False
+    for e in range(1, n // 2 + 1):
+        for k in range(p ** e):
+            if not _pmod(f, _monic(k, e, p), p):
+                return False
     return True
 
 
@@ -426,38 +398,26 @@ class TowerEmbedding:
         return x
 
 
-def fq_build(p, n, seed=0):
+def fq_build(p, n):
     """Build the canonical descriptor of F_{p^n}.
 
-    The modulus scan is lexicographic and seed independent; the generator
-    scan starts at an offset rotated by the seed, so fixed seed gives a
-    reproducible descriptor and seed 0 gives the smallest generator.
+    The modulus is the first candidate in the lexicographic scan that trial
+    division finds irreducible; the generator is the first element of full
+    order in the scan of integer encodings 1, 2, ...
     """
     if p ** n > FIELD_CAP:
         raise CapExceeded("field size %d exceeds cap %d" % (p ** n, FIELD_CAP))
-    modulus = None
     for k in range(p ** n):
-        cand = []
-        kk = k
-        for _ in range(n):
-            cand.append(kk % p)
-            kk //= p
-        cand.append(1)
-        if _is_irreducible(cand, p):
-            modulus = tuple(cand)
+        modulus = _monic(k, n, p)
+        if _is_irreducible(modulus, p):
             break
-    if modulus is None:
+    else:
         raise ValueError("no irreducible polynomial found, impossible")
     desc = FieldDesc(p, n, modulus, (1,) + (0,) * (n - 1))
-    q = p ** n
-    order_target = q - 1
+    order_target = p ** n - 1
     fac = _prime_factors(order_target) if order_target > 1 else []
-    span = max(order_target, 1)
-    for i in range(span):
-        k = 1 + (i + seed) % span
+    for k in range(1, max(order_target, 1) + 1):
         x = desc.from_index(k)
-        if x.is_zero():
-            continue
         if all((x ** (order_target // r)) != desc.one() for r in fac):
             return FieldDesc(p, n, modulus, x.coeffs)
     raise ValueError("no generator found, impossible")
@@ -560,7 +520,7 @@ def find_embedding(small, big):
     raise ValueError("no root of the small modulus in the big field")
 
 
-def residue_field(base, d, seed=0):
+def residue_field(base, d):
     """Degree d extension of base with a norm compatible generator.
 
     The returned descriptor's generator G satisfies
@@ -570,7 +530,7 @@ def residue_field(base, d, seed=0):
     """
     if d == 1:
         return base, identity_embedding(base)
-    big = fq_build(base.p, base.n * d, seed)
+    big = fq_build(base.p, base.n * d)
     emb = find_embedding(base, big)
     q = base.q
     Q = big.q

@@ -462,16 +462,6 @@ class Poly:
             acc = acc * x + cc
         return acc
 
-    def powmod(self, e, mod):
-        out = Poly(self.field, [1])
-        base = self % mod
-        while e:
-            if e & 1:
-                out = (out * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return out
-
     def multiplicity_of(self, factor):
         """Largest k with factor**k dividing self."""
         if self.is_zero():
@@ -585,24 +575,12 @@ class RationalFunction:
 
 
 def poly_is_irreducible(f):
-    """Rabin test over the coefficient field F_q."""
+    """Trial division over the coefficient field F_q: f of degree d is
+    irreducible iff no monic irreducible of degree 1 .. d // 2 divides it."""
     d = f.degree()
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    q = f.field.q
-    x = Poly.x(f.field)
-    top = x.powmod(q ** d, f)
-    if not ((top - (x % f)) % f).is_zero():
-        return False
-    from .gf import _prime_factors
-
-    for r in _prime_factors(d):
-        mid = x.powmod(q ** (d // r), f)
-        if ((mid - (x % f)) % f).gcd(f).degree() != 0:
-            return False
-    return True
+    return d >= 1 and all(
+        not (f % g).is_zero() for e in range(1, d // 2 + 1) for g in monic_irreducibles(f.field, e)
+    )
 
 
 _IRRED_CACHE = {}

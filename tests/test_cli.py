@@ -39,6 +39,10 @@ def test_gauss_rejects_non_power(capsys):
     assert code == 3 and report["field"] == "q"
     code, report = run(capsys, ["gauss", "--p", "3", "--q", "3", "--c", "0"])
     assert code == 3 and report["field"] == "c"
+    # no power of p below 2 ever reaches q
+    for p in ("0", "1", "-1"):
+        code, report = run(capsys, ["gauss", "--p", p, "--q", "9", "--c", "1"])
+        assert code == 3 and report["field"] == "p"
 
 
 def test_eps_local_bundled_quadratic(capsys):
@@ -59,6 +63,10 @@ def test_eps_local_punctual(capsys, tmp_path):
     assert code == 0
     assert report["value"] == pow(6, -1, 73)
     assert report["a"] == -2
+    for eigen in ([0], ["x"], 5):
+        path.write_text(json.dumps({"coeff": {"p": 3, "orders": [8]}, "eigenvalues": eigen}))
+        code, report = run(capsys, ["eps-local", "--char", str(path), "--kind", "punctual"])
+        assert code == 3 and report["error"] and not report["ok"]
 
 
 def test_eps_local_bad_kind(capsys):
@@ -173,6 +181,17 @@ def test_malformed_spec_points_at_field(capsys, tmp_path):
         code, report = run(capsys, ["eps-global", "--spec", str(path)])
         assert code == 3 and report["field"] == field
 
+    # wrong JSON types and a zero denominator
+    bundled = json.loads((DATA / "product_spec.json").read_text())
+    for key, bad in (
+        ("punctures", 5),
+        ("wild", {"num": "x", "den": [[1]]}),
+        ("wild", {"num": [[0], [1]], "den": []}),
+    ):
+        path.write_text(json.dumps(dict(bundled, **{key: bad})))
+        code, report = run(capsys, ["eps-global", "--spec", str(path)])
+        assert code == 3 and report["error"] and not report["ok"]
+
 
 def test_product_check_on_everywhere_unramified_data(capsys, tmp_path):
     path = tmp_path / "constant.json"
@@ -201,6 +220,18 @@ def test_malformed_character_record_points_at_field(capsys, tmp_path):
         path.write_text(json.dumps({"char": char, "coeff": {"p": 3, "orders": [8]}}))
         code, report = run(capsys, ["eps-local", "--char", str(path)])
         assert code == 3 and report["field"] == field
+
+    # wrong JSON types inside an otherwise well-formed record
+    bundled = json.loads((DATA / "char_quadratic.json").read_text())
+    for key, bad in (
+        ("tame_e", "x"),
+        ("c_pi", "a"),
+        ("wild_h", {"coeffs": 7, "v": 0}),
+        ("wild_h", {"coeffs": [], "v": "z"}),
+    ):
+        path.write_text(json.dumps(dict(bundled, char=dict(bundled["char"], **{key: bad}))))
+        code, report = run(capsys, ["eps-local", "--char", str(path)])
+        assert code == 3 and report["error"] and not report["ok"]
 
 
 def test_malformed_cover_field_points_at_field(capsys, tmp_path):

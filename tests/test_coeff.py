@@ -61,7 +61,7 @@ def test_psi_is_additive_character():
 
 def test_psi_trace_on_extension():
     c = coeff_setup(3, [8], 4)
-    f9 = fq_build(3, 2, 0)
+    f9 = fq_build(3, 2)
     for k in range(9):
         x = f9.from_index(k)
         assert c.psi_trace(x) == c.psi(trace(x).as_int())
@@ -69,7 +69,7 @@ def test_psi_trace_on_extension():
 
 def test_kummer_chi_is_multiplicative():
     c = coeff_setup(3, [8], 4)
-    f9 = fq_build(3, 2, 0)
+    f9 = fq_build(3, 2)
     for e in (1, 3, 5):
         for i in range(1, 9):
             for j in range(1, 9):
@@ -80,7 +80,7 @@ def test_kummer_chi_is_multiplicative():
 
 def test_kummer_chi_quadratic():
     c = coeff_setup(3, [8], 4)
-    f9 = fq_build(3, 2, 0)
+    f9 = fq_build(3, 2)
     squares = {(x * x).coeffs for x in f9.elements() if not x.is_zero()}
     for x in f9.elements():
         if x.is_zero():
@@ -91,7 +91,7 @@ def test_kummer_chi_quadratic():
 
 def test_kummer_chi_order_not_tracked():
     c = coeff_setup(3, [2], 4)
-    f9 = fq_build(3, 2, 0)
+    f9 = fq_build(3, 2)
     with pytest.raises(ValueError):
         c.kummer_chi(1, f9.gen())
 
@@ -102,7 +102,7 @@ def test_norm_compatibility_of_kummer_chi():
     from epsilon_lab.gf import norm, residue_field
 
     c = coeff_setup(3, [2, 8], 4)
-    base = fq_build(3, 1, 0)
+    base = fq_build(3, 1)
     big, emb = residue_field(base, 2)
     for e in (1, 2):
         for k in range(1, 9):

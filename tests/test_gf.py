@@ -21,13 +21,13 @@ from epsilon_lab.gf import (
 
 
 def test_f3_descriptor():
-    f3 = fq_build(3, 1, 0)
+    f3 = fq_build(3, 1)
     assert f3.modulus == (0, 1)
     assert f3.generator == (2,)
 
 
 def test_f9_descriptor():
-    f9 = fq_build(3, 2, 0)
+    f9 = fq_build(3, 2)
     # x^2 + 1 is the first irreducible in the scan, 1 + x its first generator
     assert f9.modulus == (1, 0, 1)
     assert f9.generator == (1, 1)
@@ -41,25 +41,17 @@ def test_f9_descriptor():
 
 
 def test_f4_descriptor():
-    f4 = fq_build(2, 2, 0)
+    f4 = fq_build(2, 2)
     assert f4.modulus == (1, 1, 1)
 
 
 def test_trace_norm_examples():
-    f3 = fq_build(3, 1, 0)
-    f9 = fq_build(3, 2, 0)
+    f3 = fq_build(3, 1)
+    f9 = fq_build(3, 2)
     assert trace(f9.one()).as_int() == 2
     n = norm(f9.gen())
     # the norm of a generator generates the subfield's units
     assert n == prime_field(3).elem(2)
-
-
-def test_seed_changes_generator_not_modulus():
-    a = fq_build(5, 2, 0)
-    b = fq_build(5, 2, 3)
-    assert a.modulus == b.modulus
-    bg = b.gen()
-    assert all((bg ** ((b.q - 1) // r)) != b.one() for r in (2, 3))
 
 
 def test_cap_enforced():
@@ -70,7 +62,7 @@ def test_cap_enforced():
 @st.composite
 def field_and_pair(draw):
     p, n = draw(st.sampled_from([(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]))
-    f = fq_build(p, n, 0)
+    f = fq_build(p, n)
     a = f.from_index(draw(st.integers(0, f.q - 1)))
     b = f.from_index(draw(st.integers(0, f.q - 1)))
     return f, a, b
@@ -99,7 +91,7 @@ def test_frobenius_is_additive_and_fixes_prime(fab):
 
 
 def test_int_coercion():
-    f9 = fq_build(3, 2, 0)
+    f9 = fq_build(3, 2)
     x = f9.gen()
     assert x + 1 == x + f9.one()
     assert 2 * x == x + x
@@ -107,7 +99,7 @@ def test_int_coercion():
 
 
 def test_dlog_roundtrip():
-    fields = [fq_build(p, n, 0) for p, n in [(3, 2), (5, 1), (7, 1), (2, 4), (2, 10)]]
+    fields = [fq_build(p, n) for p, n in [(3, 2), (5, 1), (7, 1), (2, 4), (2, 10)]]
     fields.append(residue_field(fq_build(3, 1), 4)[0])
     for f in fields:
         g = f.gen()
@@ -116,7 +108,7 @@ def test_dlog_roundtrip():
 
 
 def test_trace_norm_to_intermediate_field():
-    f3 = fq_build(3, 1, 0)
+    f3 = fq_build(3, 1)
     big, emb = residue_field(f3, 2)
     x = big.gen()
     t = trace(x, emb)
@@ -129,13 +121,13 @@ def test_trace_norm_to_intermediate_field():
 
 def test_residue_field_norm_compatible_generator():
     for p, n, d in [(3, 1, 2), (3, 1, 3), (5, 1, 2), (3, 2, 2), (7, 1, 2)]:
-        base = fq_build(p, n, 0)
+        base = fq_build(p, n)
         big, emb = residue_field(base, d)
         assert norm(big.gen(), emb) == base.gen()
 
 
 def test_embedding_is_ring_hom():
-    base = fq_build(3, 1, 0)
+    base = fq_build(3, 1)
     big, emb = residue_field(base, 3)
     for i in range(3):
         for j in range(3):
@@ -145,8 +137,8 @@ def test_embedding_is_ring_hom():
 
 
 def test_find_embedding_roots_modulus():
-    small = fq_build(2, 2, 0)
-    big = fq_build(2, 4, 0)
+    small = fq_build(2, 2)
+    big = fq_build(2, 4)
     emb = find_embedding(small, big)
     acc = big.zero()
     power = big.one()
@@ -157,12 +149,12 @@ def test_find_embedding_roots_modulus():
 
 
 def test_json_roundtrip():
-    f = fq_build(3, 2, 0)
+    f = fq_build(3, 2)
     assert FieldDesc.from_json(f.to_json()) == f
 
 
 def test_identity_embedding():
-    f = fq_build(3, 2, 0)
+    f = fq_build(3, 2)
     emb = identity_embedding(f)
     for k in range(f.q):
         x = f.from_index(k)

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epsilon_lab import gf
 from epsilon_lab.gf import fq_build, frobenius, norm, prime_field, trace
 from epsilon_lab.localfield import (
     Form,
@@ -315,13 +316,32 @@ def test_poly_gcd_and_multiplicity():
     assert f.multiplicity_of(x) == 0
 
 
-def test_poly_evaluate_and_powmod():
+def test_poly_evaluate():
     x = Poly.x(F5)
     f = x * x + 2 * x + 3
     for a in F5.elements():
         assert f.evaluate(a) == a * a + F5.elem(2) * a + F5.elem(3)
-    mod = x * x - 2
-    assert x.powmod(25, mod) == x.powmod(5, mod).powmod(5, mod)
+
+
+def _mobius(n):
+    out = 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+def _scan(field, d):
+    """Every monic polynomial of degree d over field, constant coefficient
+    scanning fastest."""
+    q = field.q
+    for k in range(q ** d):
+        yield Poly(field, [field.from_index(k // q ** i % q) for i in range(d)] + [field.one()])
 
 
 def test_irreducibility_and_counts():
@@ -331,6 +351,28 @@ def test_irreducibility_and_counts():
     assert len(monic_irreducibles(F3, 2)) == 3
     assert len(monic_irreducibles(F3, 3)) == 8
     assert len(monic_irreducibles(F4, 2)) == 6
+    # the int-list route of fq_build and the Poly route agree everywhere
+    for field, top in ((fq_build(2, 1), 8), (F3, 5), (F5, 3)):
+        for d in range(1, top + 1):
+            for f in _scan(field, d):
+                ints = [c.as_int() for c in f.coeffs]
+                assert gf._is_irreducible(ints, field.p) == poly_is_irreducible(f), ints
+    # Gauss's count of monic irreducibles of degree d over F_q
+    for field, top in ((fq_build(2, 1), 8), (F3, 5), (F5, 3), (F4, 3), (F9, 3)):
+        for d in range(1, top + 1):
+            q = field.q
+            count = sum(_mobius(k) * q ** (d // k) for k in range(1, d + 1) if d % k == 0) // d
+            assert len(monic_irreducibles(field, d)) == count, (q, d)
+
+
+@pytest.mark.parametrize("p,top", [(2, 15), (3, 10), (5, 7)])
+def test_fq_build_modulus_is_first_irreducible_in_scan(p, top):
+    """The modulus of F_{p^n} is the first candidate of the scan that
+    factor_poly leaves whole, for every degree the cold CLI ops build."""
+    prime = fq_build(p, 1)
+    for n in range(1, top + 1):
+        first = next(f for f in _scan(prime, n) if factor_poly(f)[1] == [(f, 1)])
+        assert fq_build(p, n).modulus == tuple(c.as_int() for c in first.coeffs), (p, n)
 
 
 def test_factor_roundtrip():
