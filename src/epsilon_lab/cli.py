@@ -31,19 +31,11 @@ from .curve import (
     transfer_constants,
 )
 from .epsilon import eps_local, eps_punctual, gamma_psi, gamma_psi_symbolic
-from .gf import CapExceeded, fq_build
+from .gf import CapExceeded, Unsupported, fq_build
 from .localfield import Form, Point, Poly, RationalFunction
 from .twisted import run_twisted_suite
 
 _KINDS = {"j!": "shriek", "j*": "star", "shriek": "shriek", "star": "star", "punctual": "punctual"}
-
-
-class Unsupported(ValueError):
-    """Input outside the supported domain; carries an optional field name."""
-
-    def __init__(self, message, field=None):
-        super().__init__(message)
-        self.field = field
 
 
 def _bundled(name):

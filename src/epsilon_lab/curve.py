@@ -15,8 +15,11 @@ factors for induced data.
 
 A SheafSpec reads the divisor of its data once, when it is built, as one
 row per irreducible factor.  The point walk then evaluates each factor
-once per point and adds up logs, since the log of a value is the log of
-its leading constant plus the factors' exponents times their logs.
+once per closed point, not once per rational point, and adds up logs,
+since the log of a value is the log of its leading constant plus the
+factors' exponents times their logs.  A closed point of degree e counts
+as e rational points of every degree m it divides, with its keys rescaled
+by m/e.
 
 The local data at a closed point is read once per spec and point, with no
 coefficient field: the coefficient prime only prices it, and the conductors
@@ -79,6 +82,26 @@ def _log_evaluator(logs, poly, emb):
     return ev
 
 
+def _lyndon_logs(q, e):
+    """One log per Frobenius orbit of exact size e >= 2 in F_{q^e}^*: the
+    Lyndon words of length e over q letters (Duval's generator), read as
+    base-q numbers, so each is the least log of its orbit."""
+    top = q - 1
+    w = [-1]
+    while w:
+        w[-1] += 1
+        n = len(w)
+        if n == e:
+            v = 0
+            for c in w:
+                v = v * q + c
+            yield v
+        while len(w) < e:
+            w.append(w[len(w) - n])
+        while w and w[-1] == top:
+            w.pop()
+
+
 def divisor_points(r):
     """Zeros and poles of a nonzero rational function, as pairs of a closed
     point and the order there (positive for zeros)."""
@@ -107,7 +130,7 @@ class SheafSpec:
     g must sit inside the punctures, so the data is lisse on the rest.
     """
 
-    __slots__ = ("base", "wild", "kummer", "punctures", "unram", "_hist", "_local", "_divisor")
+    __slots__ = ("base", "wild", "kummer", "punctures", "unram", "_hist", "_closed", "_local", "_divisor")
 
     def __init__(self, base, wild=None, kummer=(), punctures=(), unram=1):
         self.base = base
@@ -137,6 +160,7 @@ class SheafSpec:
             raise ValueError("unramified scaling must be a nonzero integer")
         self.unram = unram
         self._hist = {}
+        self._closed = {}
         self._local = {}
         self._divisor = self._read_divisor()
 
@@ -207,40 +231,42 @@ class SheafSpec:
             ke += e * m * dlog(g.num.leading() / g.den.leading())
         return (pe, ke % red)
 
-    def point_histogram(self, m):
-        """Counts of (additive exponent, multiplicative exponent) pairs over
-        the degree m rational points of the domain, infinity included.
+    def _closed_point_counts(self, e):
+        """Counts of (additive key, Kummer key) over the closed points of
+        exact degree e of the finite domain, in F_{q^e}: one evaluation per
+        point.  Frobenius multiplies a log by q modulo q^e - 1, so a point of
+        degree e >= 2 is one orbit of e logs, met once at its Lyndon word;
+        at degree 1 every log is a point, and so is x = 0 (log -1).
 
-        The additive exponent is the absolute trace of the additive datum;
-        the multiplicative exponent is the discrete log, reduced for the
-        norm to the base, of the product of the powered multiplicative
-        data.  Both come from the divisor rows: a value's log is the log of
-        its leading constant plus the rows' exponents times the logs of
-        their irreducible factors, each evaluated once per point.  The
-        histogram prices trace sums for any coefficient prime.
-        """
-        hit = self._hist.get(m)
+        A key is read off the divisor rows: a value's log is the log of its
+        leading constant plus the rows' exponents times the logs of their
+        irreducible factors.  The additive key is the absolute trace of the
+        additive datum, the Kummer key the log of the product of the powered
+        multiplicative data reduced for the norm to the base."""
+        hit = self._closed.get(e)
         if hit is not None:
             return hit
-        _big, emb, logs, tr_table = _extension_data(self.base, m)
+        q = self.base.q
+        _big, emb, logs, tr_table = _extension_data(self.base, e)
         order = logs.order
-        red = self.base.q - 1
+        red = q - 1
         log, exp = logs.log, logs.exp
 
         def lead_log(r):
             return log[emb.embed(r.num.leading() / r.den.leading()).index()]
 
-        lk0 = sum(e * lead_log(g) for g, e in self.kummer)
+        lk0 = sum(k * lead_log(g) for g, k in self.kummer)
         no_wild = self.wild is None
         lw0 = 0 if no_wild else lead_log(self.wild)
         # a puncture that carries no datum only matters where it has points
         rows = [
             (_log_evaluator(logs, f, emb), k, w, punct)
             for f, k, w, punct in self._divisor
-            if k or w or m % f.degree() == 0
+            if k or w or f.degree() == e
         ]
-        hist = {}
-        for lx in range(-1, order):
+        reps = range(-1, order) if e == 1 else _lyndon_logs(q, e)
+        counts = {}
+        for lx in reps:
             lk, lw, wild_zero = lk0, lw0, no_wild
             for ev, k, w, punct in rows:
                 v = ev(lx)
@@ -253,7 +279,34 @@ class SheafSpec:
                     wild_zero = True
             else:
                 key = (0 if wild_zero else tr_table[exp[lw % order]], lk % red)
-                hist[key] = hist.get(key, 0) + 1
+                counts[key] = counts.get(key, 0) + 1
+        self._closed[e] = counts
+        return counts
+
+    def point_histogram(self, m):
+        """Counts of (additive exponent, multiplicative exponent) pairs over
+        the degree m rational points of the domain, infinity included.
+
+        The additive exponent is the absolute trace of the additive datum;
+        the multiplicative exponent is the discrete log, reduced for the
+        norm to the base, of the product of the powered multiplicative
+        data.  Each closed point of degree e | m is evaluated once, in
+        F_{q^e}, and stands for e rational points; its keys are rescaled
+        by m/e, since on F_{q^e} the trace from F_{q^m} is m/e times the
+        trace from F_{q^e} and the norm is raised to the power m/e.  The
+        histogram prices trace sums for any coefficient prime.
+        """
+        hit = self._hist.get(m)
+        if hit is not None:
+            return hit
+        p, red = self.base.p, self.base.q - 1
+        hist = {}
+        for e in range(1, m + 1):
+            if m % e == 0:
+                r = m // e
+                for (pe, ke), count in self._closed_point_counts(e).items():
+                    key = (pe * r % p, ke * r % red)
+                    hist[key] = hist.get(key, 0) + e * count
         if self.infinity_in_domain():
             key = self._infinity_key(m)
             hist[key] = hist.get(key, 0) + 1

@@ -39,6 +39,14 @@ class CapExceeded(ValueError):
     """Raised when a requested enumeration would exceed the desk cap."""
 
 
+class Unsupported(ValueError):
+    """Input outside the supported domain; carries an optional field name."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
+
+
 # ---------------------------------------------------------------------------
 # dense polynomial helpers over F_p, coefficients as int lists, low degree
 # first, no trailing zeros

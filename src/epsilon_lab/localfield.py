@@ -16,7 +16,7 @@ Conventions:
 
 from __future__ import annotations
 
-from .gf import FieldDesc, FqElem, residue_field
+from .gf import FieldDesc, FqElem, Unsupported, residue_field
 
 
 class PrecisionError(ValueError):
@@ -732,8 +732,10 @@ class Point:
     def from_json(cls, base, obj):
         if obj["type"] == "infinity":
             return cls.infinity(base)
-        coeffs = [base.elem(c) for c in obj["minpoly"]]
-        return cls(base, Poly(base, coeffs))
+        minpoly = Poly(base, [base.elem(c) for c in obj["minpoly"]])
+        if minpoly.degree() >= 2 and not poly_is_irreducible(minpoly):
+            raise Unsupported("minpoly must be irreducible over the base field", field="minpoly")
+        return cls(base, minpoly)
 
 
 def _poly_series_at(poly, point, prec, emb, alpha):

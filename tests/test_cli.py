@@ -193,6 +193,27 @@ def test_malformed_spec_points_at_field(capsys, tmp_path):
         assert code == 3 and report["error"] and not report["ok"]
 
 
+@pytest.mark.parametrize("command", ["eps-global", "product-check"])
+def test_reducible_puncture_is_refused(capsys, tmp_path, command):
+    # t^2 - 1 = (t - 1)(t + 1) over F_3 is no closed point; read as one,
+    # its two rational roots were walked as points of the domain
+    bundled = json.loads((DATA / "product_spec.json").read_text())
+    spec = dict(bundled, kummer=[], punctures=[{"type": "finite", "minpoly": [2, 0, 1]}, {"type": "infinity"}])
+    path = tmp_path / "reducible.json"
+    path.write_text(json.dumps(spec))
+    code, report = run(capsys, [command, "--spec", str(path)])
+    assert code == 3 and report["field"] == "minpoly" and not report["ok"]
+
+
+def test_induction_check_refuses_a_reducible_point(capsys, tmp_path):
+    spec = json.loads((DATA / "induction_spec.json").read_text())
+    spec["point"] = {"type": "finite", "minpoly": [2, 0, 1]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, report = run(capsys, ["induction-check", "--spec", str(path)])
+    assert code == 3 and report["field"] == "minpoly"
+
+
 def test_product_check_on_everywhere_unramified_data(capsys, tmp_path):
     path = tmp_path / "constant.json"
     path.write_text(json.dumps({"p": 3, "n": 1, "wild": None, "kummer": [], "punctures": [], "unram": 2}))

@@ -225,6 +225,155 @@ def test_trace_sum_matches_pointwise_unram_scaled():
         assert spec.trace_sum(C5, m) == pointwise_sum(spec, C5, m)
 
 
+def brute_histogram(spec, m):
+    """The full-field walk: every element of F_{q^m} is evaluated by the
+    divisor rows, one Python step per point."""
+    _big, emb, logs, tr_table = _extension_data(spec.base, m)
+    order = logs.order
+    red = spec.base.q - 1
+    log, exp = logs.log, logs.exp
+
+    def lead_log(r):
+        return log[emb.embed(r.num.leading() / r.den.leading()).index()]
+
+    lk0 = sum(e * lead_log(g) for g, e in spec.kummer)
+    no_wild = spec.wild is None
+    lw0 = 0 if no_wild else lead_log(spec.wild)
+    # a puncture that carries no datum only matters where it has points
+    rows = [
+        (curve_mod._log_evaluator(logs, f, emb), k, w, punct)
+        for f, k, w, punct in spec._divisor
+        if k or w or m % f.degree() == 0
+    ]
+    hist = {}
+    for lx in range(-1, order):
+        lk, lw, wild_zero = lk0, lw0, no_wild
+        for ev, k, w, punct in rows:
+            v = ev(lx)
+            if v >= 0:
+                lk += k * v
+                lw += w * v
+            elif punct:
+                break
+            else:
+                wild_zero = True
+        else:
+            key = (0 if wild_zero else tr_table[exp[lw % order]], lk % red)
+            hist[key] = hist.get(key, 0) + 1
+    if spec.infinity_in_domain():
+        key = spec._infinity_key(m)
+        hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
+F2 = prime_field(2)
+F9 = fq_build(3, 2)
+F2_CUBIC = Poly(F2, [1, 1, 0, 1])
+F4_CONIC = monic_irreducibles(F4, 2)[0]
+# a degree 2 point over F_9 whose minimal polynomial is not over F_3
+F9_CONIC = next(f for f in monic_irreducibles(F9, 2) if any(c ** 3 != c for c in f.coeffs[:-1]))
+
+HISTOGRAM_SPECS = [
+    # q - 1 = 1: every Kummer key is 0; a degree 3 puncture; m = 2, 4 with
+    # p | m / e
+    pytest.param(
+        lambda: SheafSpec(
+            F2,
+            wild=rat(F2, [0, 1, 0, 1]),
+            kummer=[(RationalFunction.from_poly(F2_CUBIC), 1)],
+            punctures=[Point(F2, F2_CUBIC), Point.infinity(F2)],
+        ),
+        id="f2-deg3-puncture",
+    ),
+    # 2 (t^2 + t + 2) / t vanishes at a degree 2 point off the punctures;
+    # the degree 3 puncture carries no datum
+    pytest.param(
+        lambda: SheafSpec(
+            F3,
+            wild=rat(F3, [1, 2, 2], [0, 1]),
+            kummer=[(T, 1)],
+            punctures=[Point.rational(F3, 0), Point(F3, Poly(F3, [1, 2, 0, 1])), Point.infinity(F3)],
+        ),
+        id="f3-additive-zero-bare-puncture",
+    ),
+    # t enters both Kummer data; m = 3, 6 with p | m / e
+    pytest.param(
+        lambda: SheafSpec(
+            F3,
+            wild=rat(F3, [0, 0, 0, 0, 1]),
+            kummer=[(T, 1), (rat(F3, [0, -1, 1]), 1)],
+            punctures=[Point.rational(F3, 0), Point.rational(F3, 1), Point.infinity(F3)],
+        ),
+        id="f3-kummer-shared-factor",
+    ),
+    # infinity in the domain, a degree 2 puncture
+    pytest.param(
+        lambda: SheafSpec(
+            F3,
+            wild=rat(F3, [1], [0, 0, 1, 0, 1]),
+            kummer=[(rat(F3, [0, 0, 1], [1, 0, 1]), 1)],
+            punctures=[Point.rational(F3, 0), Point(F3, Poly(F3, [1, 0, 1]))],
+        ),
+        id="f3-infinity-in-domain",
+    ),
+    pytest.param(
+        lambda: SheafSpec(
+            F4,
+            wild=rat(F4, [0, 0, 0, 1]),
+            kummer=[(RationalFunction.from_poly(F4_CONIC), 1)],
+            punctures=[Point(F4, F4_CONIC), Point.infinity(F4)],
+        ),
+        id="f4-deg2-puncture",
+    ),
+    pytest.param(
+        lambda: SheafSpec(
+            F9,
+            wild=RationalFunction(Poly(F9, [1]), F9_CONIC),
+            kummer=[(RationalFunction.from_poly(F9_CONIC), 1)],
+            punctures=[Point(F9, F9_CONIC), Point.infinity(F9)],
+        ),
+        id="f9-deg2-puncture",
+    ),
+]
+
+
+@pytest.mark.parametrize("make_spec", HISTOGRAM_SPECS)
+def test_point_histogram_matches_full_field_walk(make_spec):
+    spec = make_spec()
+    d = conductor_profile(spec)[1]
+    for m in range(1, d + 2):
+        assert spec.point_histogram(m) == brute_histogram(spec, m), m
+
+
+@pytest.mark.parametrize("make_spec", HISTOGRAM_SPECS[:4])
+def test_first_histogram_at_degree_six(make_spec):
+    # no smaller degree asked first: the closed points of degree 1, 2, 3
+    # are counted on demand
+    assert make_spec().point_histogram(6) == brute_histogram(make_spec(), 6)
+
+
+@pytest.mark.parametrize("make_spec", HISTOGRAM_SPECS)
+def test_point_counts_add_up(make_spec):
+    spec = make_spec()
+    q = spec.base.q
+    finite = [pt.degree() for pt in spec.punctures if not pt.at_infinity]
+    for m in range(1, conductor_profile(spec)[1] + 2):
+        expected = q ** m + spec.infinity_in_domain() - sum(deg for deg in finite if m % deg == 0)
+        assert sum(spec.point_histogram(m).values()) == expected
+        # monic_irreducibles trial-divides all q**m monic polynomials
+        if q ** m <= 1024:
+            closed = sum(spec._closed_point_counts(m).values())
+            assert closed == len(monic_irreducibles(spec.base, m)) - finite.count(m)
+
+
+def test_trace_at_does_not_count_closed_points(monkeypatch):
+    spec = HISTOGRAM_SPECS[2].values[0]()
+    expected = [spec.trace_sum(C73, m) for m in (1, 2)]
+    monkeypatch.setattr(SheafSpec, "_closed_point_counts", _no_point_walk)
+    monkeypatch.setattr(SheafSpec, "point_histogram", _no_point_walk)
+    assert [pointwise_sum(spec, C73, m) for m in (1, 2)] == expected
+
+
 def test_trace_at_rejects_punctured_points():
     spec = gm_quadratic()
     with pytest.raises(ValueError):
