@@ -33,7 +33,6 @@ from .curve import (
 from .epsilon import eps_local, eps_punctual, gamma_psi, gamma_psi_symbolic
 from .gf import CapExceeded, Unsupported, fq_build
 from .localfield import Form, Point, Poly, RationalFunction
-from .twisted import run_twisted_suite
 
 _KINDS = {"j!": "shriek", "j*": "star", "shriek": "shriek", "star": "star", "punctual": "punctual"}
 
@@ -287,6 +286,8 @@ def _pullback(w, f):
 
 
 def cmd_twisted_check(args):
+    from .twisted import run_twisted_suite  # the only subcommand that needs it
+
     orders = _parse_orders(args.orders) if args.orders else [8]
     coeff = _coeff_for({}, args.p, orders, args.ell, None)
     report = run_twisted_suite(coeff, seed=args.seed, min_randomized=args.trials)

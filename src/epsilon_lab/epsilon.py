@@ -15,9 +15,10 @@ For ramified chi both extensions agree and the factor is the finite sum
                       of chi**-1(c**-1 u0) psi(Tr(Res(c**-1 u0 w dpi)))
 
 with a = swan + 1, c = pi**(a + v(w)).  The sum is independent of the
-choice of c of that valuation; eps_tate exposes the choice for testing.
-A table-driven walk over multiplicative coordinates computes the same sum
-quickly; eps_tate_slow is the definitional anchor.
+choice of c of that valuation; eps_tate_slow exposes the choice for testing
+and is the definitional anchor.  eps_tate computes the same sum by a walk
+over multiplicative coordinates whose character rows come from a closed
+residue formula by table lookups, with no series evaluated per unit.
 
 For wild chi a closed product formula avoids the sum entirely: writing h
 for the negated wild datum of chi and dh for its differential, the factor
@@ -147,18 +148,32 @@ def eps_tate_slow(chi, omega, c_unit=None):
     return EpsilonResult(value, a, a_om, "tate_slow")
 
 
+def _unit_rows(inv, nu, logs, psi_pow):
+    """T[i - 1][f] = inv(1 + G**f pi**i), 0 < i < nu, by table reads.  On
+    u = 1 + c pi**i the tame part is 1 and Res(h du/u), h the wild datum, is
+    the sum over t <= (nu - 1) / i of i (-1)**(t - 1) h_(-i t) c**t."""
+    exp, log, tr, m = logs.exp, logs.log, logs.trace, logs.order
+    h, p = inv.wild_h, inv.field.p
+    T = []
+    for i in range(1, nu):
+        a = [(t, log[(h.coeff(-i * t) * (i * (-1) ** (t - 1))).index()]) for t in range(1, (nu - 1) // i + 1)]
+        a = [(t, l) for t, l in a if l >= 0]
+        T.append([psi_pow[sum(tr[exp[(l + t * f) % m]] for t, l in a) % p] for f in range(m)])
+    return T
+
+
 def eps_tate(chi, omega):
     """Table-driven walk computing the same unit sum as eps_tate_slow.
 
     Units are written a0 * prod (1 + c_i pi**i), and field elements are
     logs to the generator G, -1 standing for zero, so that products are
     sums of logs and additions are Zech lookups.  The character splits
-    level by level.  The residue pairing <u, W> = sum u_j W[j] satisfies
-    <u (1 + c pi**i), W> = <u, W'> with W'[j] = W[j] + c W[j + i], so the
-    walk moves the window instead of the unit and a leaf pairs to W[0].
-    With g = chi**-1(G), substituting a0 = b / d folds the a0 sum to
-    P(G**k) = g**-k P(1), and the last level is summed once per pairing
-    value, as a cyclic correlation through the Zech table.
+    into level rows read off the tables by a residue formula (_unit_rows).
+    The pairing <u, W> = sum u_j W[j] satisfies <u (1 + c pi**i), W> =
+    <u, W'> with W'[j] = W[j] + c W[j + i], so the walk moves the window
+    instead of the unit and a leaf pairs to W[0].  With g = chi**-1(G),
+    substituting a0 = b / d folds the a0 sum to P(G**k) = g**-k P(1), and
+    the last level is summed once per pairing value, by a Zech correlation.
     """
     field, coeff = chi.field, chi.coeff
     ell = coeff.ell
@@ -190,12 +205,7 @@ def eps_tate(chi, omega):
     if nu == 1:
         total = ginv[W[0]] * P1
     else:
-        # T[i - 1][f] = chi**-1(1 + G**f pi**i)
-        pad = [field.one()] + [field.zero()] * (nu - 2)
-        T = [
-            [inv(LaurentSeries.make(field, 0, pad[:i] + [field.from_index(exp[f])], nu)).value for f in range(m)]
-            for i in range(1, nu)
-        ]
+        T = _unit_rows(inv, nu, logs, psi_pow)
 
         # S[e] = sum over c of T_last(c) P(G**e + c W_last), and S[-1], read
         # through the log -1 of zero, is the same sum at pairing 0.  With

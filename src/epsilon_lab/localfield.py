@@ -661,6 +661,8 @@ class Point:
             mp = minpoly.monic()
             if mp.degree() < 1:
                 raise ValueError("minimal polynomial must have positive degree")
+            if mp.degree() >= 2 and not poly_is_irreducible(mp):
+                raise Unsupported("minpoly must be irreducible over the base field", field="minpoly")
             self.minpoly = mp
 
     @classmethod
@@ -732,10 +734,7 @@ class Point:
     def from_json(cls, base, obj):
         if obj["type"] == "infinity":
             return cls.infinity(base)
-        minpoly = Poly(base, [base.elem(c) for c in obj["minpoly"]])
-        if minpoly.degree() >= 2 and not poly_is_irreducible(minpoly):
-            raise Unsupported("minpoly must be irreducible over the base field", field="minpoly")
-        return cls(base, minpoly)
+        return cls(base, Poly(base, [base.elem(c) for c in obj["minpoly"]]))
 
 
 def _poly_series_at(poly, point, prec, emb, alpha):

@@ -25,7 +25,7 @@ from epsilon_lab.curve import (
     verify_gos,
 )
 from epsilon_lab.epsilon import eps_local, gamma_psi
-from epsilon_lab.gf import CapExceeded, fq_build, prime_field
+from epsilon_lab.gf import CapExceeded, Unsupported, fq_build, prime_field
 from epsilon_lab.localfield import (
     Point,
     Poly,
@@ -372,6 +372,14 @@ def test_trace_at_does_not_count_closed_points(monkeypatch):
     monkeypatch.setattr(SheafSpec, "_closed_point_counts", _no_point_walk)
     monkeypatch.setattr(SheafSpec, "point_histogram", _no_point_walk)
     assert [pointwise_sum(spec, C73, m) for m in (1, 2)] == expected
+
+
+def test_reducible_minpoly_is_no_point():
+    # t^2 - 1 = (t - 1)(t + 1) over F_3: taken as a closed point, it made
+    # point_histogram(1) count three points where the domain has one (x = 0)
+    with pytest.raises(Unsupported) as err:
+        SheafSpec(F3, wild=rat(F3, [0, 1]), punctures=[Point(F3, Poly(F3, [2, 0, 1])), Point.infinity(F3)])
+    assert err.value.field == "minpoly"
 
 
 def test_trace_at_rejects_punctured_points():

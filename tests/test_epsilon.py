@@ -5,7 +5,7 @@ import random
 import pytest
 
 from epsilon_lab.coeff import coeff_setup, complex_embed
-from epsilon_lab.gf import CapExceeded, fq_build, trace
+from epsilon_lab.gf import CapExceeded, fq_build, log_field, trace
 from epsilon_lab.chars import LocalCharacter
 from epsilon_lab.epsilon import (
     EpsilonResult,
@@ -21,6 +21,7 @@ from epsilon_lab.epsilon import (
     eps_virtual,
     gamma_psi,
     transport_form,
+    _unit_rows,
 )
 from epsilon_lab.localfield import Form, LaurentSeries
 
@@ -361,6 +362,52 @@ def test_fast_matches_slow_on_more_fields(p, n, swan, tame, v):
     assert fast.value == slow.value
     assert fast.conductor_a == slow.conductor_a
     assert fast.conductor_a_omega == slow.conductor_a_omega
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)])
+def test_unit_rows_match_character_calls(p, n):
+    # every level's row against the series route chi**-1(1 + G**f pi**i);
+    # reduced swans are prime to p, and levels with p | i are rows of ones
+    field = fq_build(p, n)
+    coeff = coeff_setup(p, [field.q - 1])
+    logs = log_field(field)
+    psi_pow = [coeff.psi(t).value for t in range(p)]
+    rng = random.Random("rows %d %d" % (p, n))
+    constant_levels = 0
+    for swan in [s for s in range(1, 8) if s % p]:
+        inv = random_char(rng, field, coeff, swan=swan).inverse()
+        assert inv.swan() == swan
+        nu = swan + 1
+        rows = _unit_rows(inv, nu, logs, psi_pow)
+        assert len(rows) == swan
+        for i, row in enumerate(rows, 1):
+            want = [
+                inv(series(field, 0, [1] + [0] * (i - 1) + [field.from_index(logs.exp[f])], nu)).value
+                for f in range(field.q - 1)
+            ]
+            assert row == want, (swan, i)
+            if i % p == 0:
+                assert set(row) == {1}
+                constant_levels += 1
+    assert constant_levels > 0 or p == 7  # at p = 7 the largest swan here is 6
+
+
+def test_eps_tate_makes_no_character_calls(monkeypatch):
+    # the rows come from the tables: no series is evaluated per unit
+    rng = random.Random(15)
+    chi = random_char(rng, F5, C5, swan=3, tame=2)
+    omega = random_form(rng, F5, 6)
+    want = eps_tate_slow(chi, omega).value
+    calls = []
+    plain = LocalCharacter.__call__
+
+    def counted(self, x):
+        calls.append(x)
+        return plain(self, x)
+
+    monkeypatch.setattr(LocalCharacter, "__call__", counted)
+    assert eps_tate(chi, omega).value == want
+    assert calls == []
 
 
 @pytest.mark.parametrize("p, n", [(2, 11), (3, 7)])
