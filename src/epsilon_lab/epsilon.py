@@ -217,18 +217,16 @@ def eps_tate(chi, omega):
         lw = W[last]
         t0 = zech.index(-1)
         Z = [ginv[z] if z >= 0 else 0 for z in zech] * 2
-        G2 = ginv * 2
-        S = [0] * q
-        for e in range(m):
+
+        def S_at(e):
+            if e < 0:
+                return (P0 + P1 * sum(map(mul, Tlast, (ginv * 2)[lw : lw + m]))) % ell
             s = (lw - e) % m
             corr = sum(map(mul, Tlast, Z[s : s + m]))
-            S[e] = (ginv[e] * P1 * (1 + corr) + P0 * Tlast[(t0 - s) % m]) % ell
-        S[-1] = (P0 + P1 * sum(map(mul, Tlast, G2[lw : lw + m]))) % ell
+            return (ginv[e] * P1 * (1 + corr) + P0 * Tlast[(t0 - s) % m]) % ell
 
         # levels 1 .. last - 1 move the window; the leaves under the deepest
         # of them read only the pairing w[0] + c w[level], so it sums them
-        total = 0
-
         def walk(level, w, pref):
             nonlocal total
             row = T[level - 1]
@@ -261,9 +259,12 @@ def eps_tate(chi, omega):
                         new[j] = -1 if z < 0 else (x + z) % m
                 walk(level + 1, new, pref * row[f] % ell)
 
+        # at swan 1 the sum is the one entry S[W[0]]
         if last == 1:
-            total = S[W[0]]
+            total = S_at(W[0])
         else:
+            S = [S_at(e) for e in range(m)] + [S_at(-1)]
+            total = 0
             walk(1, W, 1)
 
     sign = ell - 1 if a % 2 else 1
@@ -312,8 +313,8 @@ def eps_closed_form(chi, omega):
 
     With h the negated wild datum (pole order n >= 1) and n' the round-up
     half of n, the factor is chi(w/h') q**(v(w/h') - n') for odd n, and for
-    even n (odd p) an extra quadratic Gauss constant at the leading
-    coefficient of h appears.
+    even n an extra quadratic Gauss constant at the leading coefficient of h
+    appears (p is odd then: reduced data in characteristic 2 has odd n).
     """
     n = chi.swan()
     if n == 0:
@@ -330,8 +331,6 @@ def eps_closed_form(chi, omega):
         half = (n + 1) // 2
         value = value * q ** (vr - half)
     else:
-        if field.p == 2:
-            raise ValueError("even pole order in characteristic 2 has no closed form here")
         half = n // 2
         h0 = H.coeff(-n)
         value = value * q ** (vr - half - 1) * gamma_psi(coeff, field, h0 * (-n % field.p))

@@ -22,9 +22,12 @@ cached by log_field(field); nothing else builds or caches tables.  Inner
 loops (the point walk, the unit sum, the quadratic Gauss constant) read
 these tables directly, elements as logs to the generator, and dlog is a
 lookup in the log table, so its only limit is the field cap.  FqElem
-(polynomial product, then reduction) stays for seeds (generators,
-embeddings, the few products a table build needs), for traces and
-Frobenius on single elements, and as the oracle the tables are tested
+multiplies by the schoolbook product of the coefficient vectors, its high
+terms folded back through the reduction rows x**(n + k) mod modulus that
+each FieldDesc computes once.  It carries the Laurent expansions of the
+local side, the seeds (generators, embeddings as F_p-combinations of
+cached root powers, the few products a table build needs), traces and
+Frobenius on single elements, and it is the oracle the tables are tested
 against.
 """
 
@@ -56,17 +59,6 @@ def _ptrim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _ptrim(out)
 
 
 def _pmod(a, m, p):
@@ -132,15 +124,33 @@ def _is_prime(n):
 # ---------------------------------------------------------------------------
 
 
+def _reduction_rows(modulus, p):
+    """rows[k] = the coefficients of x**(n + k) modulo the monic modulus of
+    degree n, k = 0 .. n - 2: the high terms of a product fold back through
+    them in one pass."""
+    n = len(modulus) - 1
+    first = [(-c) % p for c in modulus[:n]]
+    rows = []
+    row = first
+    for _ in range(n - 1):
+        rows.append(tuple(row))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [(a + top * b) % p for a, b in zip(row, first)]
+    return tuple(rows)
+
+
 class FieldDesc:
     """Descriptor of F_{p^n}: modulus and generator pin all encodings.
 
     modulus is a tuple of n + 1 ints (ascending powers, monic), generator a
     tuple of n ints giving the coefficient vector of a fixed multiplicative
-    generator.
+    generator.  rows are the reduction rows of the modulus (_reduction_rows)
+    and the hash is computed once.
     """
 
-    __slots__ = ("p", "n", "modulus", "generator")
+    __slots__ = ("p", "n", "modulus", "generator", "rows", "_hash")
 
     def __init__(self, p, n, modulus, generator):
         if not _is_prime(p):
@@ -158,6 +168,8 @@ class FieldDesc:
         self.generator = tuple(c % p for c in generator)
         if len(self.generator) != n:
             raise ValueError("generator must have n coefficients")
+        self.rows = _reduction_rows(modulus, p)
+        self._hash = hash((p, n, modulus, self.generator))
 
     @property
     def q(self):
@@ -194,14 +206,14 @@ class FieldDesc:
             yield self.from_index(k)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FieldDesc)
             and (self.p, self.n, self.modulus, self.generator)
             == (other.p, other.n, other.modulus, other.generator)
         )
 
     def __hash__(self):
-        return hash((self.p, self.n, self.modulus, self.generator))
+        return self._hash
 
     def __repr__(self):
         return "FieldDesc(p=%d, n=%d)" % (self.p, self.n)
@@ -230,7 +242,7 @@ class FqElem:
 
     def _coerce(self, other):
         if isinstance(other, FqElem):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("elements live in different fields")
             return other
         if isinstance(other, int):
@@ -269,9 +281,22 @@ class FqElem:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        # schoolbook product, then the terms of degree n + k fold back
+        # through rows[k]; one reduction mod p at the end
         f = self.field
-        prod = _pmod(_pmul(list(self.coeffs), list(other.coeffs), f.p), list(f.modulus), f.p)
-        return FqElem(f, tuple(prod) + (0,) * (f.n - len(prod)))
+        n = f.n
+        out = [0] * (2 * n - 1)
+        b = other.coeffs
+        for i, ca in enumerate(self.coeffs):
+            if ca:
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+        for c, row in zip(out[n:], f.rows):
+            if c:
+                for i, r in enumerate(row):
+                    out[i] += c * r
+        p = f.p
+        return FqElem(f, tuple([c % p for c in out[:n]]))
 
     __rmul__ = __mul__
 
@@ -319,7 +344,7 @@ class FqElem:
         return hash((self.field, self.coeffs))
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def index(self):
         """Integer encoding: base-p digits are the coefficients."""
@@ -353,22 +378,8 @@ class TowerEmbedding:
         self.root = root
         self._matrix = None
 
-    def embed(self, x):
-        if x.field != self.small:
-            raise ValueError("element not in the small field")
-        acc = self.big.zero()
-        power = self.big.one()
-        for c in x.coeffs:
-            if c:
-                acc = acc + power * c
-            power = power * self.root
-        return acc
-
-    def section(self, y):
-        """Solve embed(x) = y by Gaussian elimination over F_p."""
-        if y.field != self.big:
-            raise ValueError("element not in the big field")
-        p = self.big.p
+    def _columns(self):
+        """The coefficient vectors of root**i, i < small.n, built once."""
         if self._matrix is None:
             cols = []
             power = self.big.one()
@@ -376,7 +387,26 @@ class TowerEmbedding:
                 cols.append(power.coeffs)
                 power = power * self.root
             self._matrix = cols
-        cols = self._matrix
+        return self._matrix
+
+    def embed(self, x):
+        """sum c_i root**i, an F_p-linear combination of the columns."""
+        if x.field != self.small:
+            raise ValueError("element not in the small field")
+        acc = [0] * self.big.n
+        for c, col in zip(x.coeffs, self._columns()):
+            if c:
+                for k, v in enumerate(col):
+                    acc[k] += c * v
+        p = self.big.p
+        return FqElem(self.big, tuple([v % p for v in acc]))
+
+    def section(self, y):
+        """Solve embed(x) = y by Gaussian elimination over F_p."""
+        if y.field != self.big:
+            raise ValueError("element not in the big field")
+        p = self.big.p
+        cols = self._columns()
         rows = self.big.n
         aug = [[cols[j][i] for j in range(self.small.n)] + [y.coeffs[i]] for i in range(rows)]
         piv = []

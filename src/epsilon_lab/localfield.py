@@ -11,7 +11,9 @@ Conventions:
 
 * residue(w dpi) is the coefficient of pi**(-1) in w, defined only when the
   window proves it,
-* dlog u = (du/dpi)/u dpi, so residue(dlog u) = v(u) for any u.
+* dlog u = (du/dpi)/u dpi, so residue(dlog u) = v(u) for any u,
+* a / b is one pass of long division, known on the window that a times
+  the inverse of b would have; inverse() is 1 / b.
 """
 
 from __future__ import annotations
@@ -156,30 +158,36 @@ class LaurentSeries:
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self.coeffs:
-            raise ZeroDivisionError("inverse of a series that is zero to precision")
-        lead = self.coeffs[0].inverse()
-        n = self.prec - self.v
-        # invert the unit part 1 + x by iterative coefficient recovery
-        unit = [c * lead for c in self.coeffs]
-        inv = [self.field.zero()] * n
-        inv[0] = self.field.one()
-        for k in range(1, n):
-            acc = self.field.zero()
-            for j in range(1, k + 1):
-                if j < len(unit):
-                    acc = acc + unit[j] * inv[k - j]
-            inv[k] = -acc
-        out = [c * lead for c in inv]
-        return LaurentSeries.make(self.field, -self.v, out, -self.v + n)
+        return LaurentSeries.one(self.field, self.prec - self.v) / self
 
     def __truediv__(self, other):
+        """Long division, one pass: with a = self, b = other shifted to
+        valuation 0, out[k] = (a[k] - sum_j b[j] out[k - j]) / b[0] over the
+        nonzero b[j], j >= 1.  The window is the one of self times the
+        inverse of other: prec - v is the shorter of the two known lengths."""
         if isinstance(other, (int, FqElem)):
             c = self.field.elem(other) if isinstance(other, int) else other
             return self * c.inverse()
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return self * other.inverse()
+        den = other.coeffs
+        if not den:
+            raise ZeroDivisionError("division by a series that is zero to precision")
+        if not self.coeffs:
+            return LaurentSeries.zero(self.field, self.prec - other.v)
+        v = self.v - other.v
+        n = min(len(self.coeffs), len(den))
+        lead = den[0].inverse()
+        terms = [(j, -(b * lead)) for j, b in enumerate(den[1:n], 1) if not b.is_zero()]
+        out = []
+        for k, a in enumerate(self.coeffs[:n]):
+            acc = a * lead
+            for j, b in terms:
+                if j > k:
+                    break
+                acc = acc + b * out[k - j]
+            out.append(acc)
+        return LaurentSeries.make(self.field, v, out, v + n)
 
     def __pow__(self, e):
         if e < 0:

@@ -410,6 +410,39 @@ def test_eps_tate_makes_no_character_calls(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("p, n", [(2, 5), (2, 6), (2, 7), (2, 8), (3, 4), (3, 5)])
+def test_swan_one_sum_is_one_correlation(monkeypatch, p, n):
+    # at swan 1 the walk reads one entry of the last level's correlation,
+    # W[0] the log of the second coefficient of omega: -1 (zero), 0 (one) or
+    # random
+    from epsilon_lab import epsilon
+
+    field = fq_build(p, n)
+    coeff = coeff_setup(p, [field.q - 1])
+    rng = random.Random("swan1 %d %d" % (p, n))
+    products = []
+    plain = epsilon.mul
+
+    def counted(x, y):
+        products.append(1)
+        return plain(x, y)
+
+    monkeypatch.setattr(epsilon, "mul", counted)
+    for second in (0, 1, None):
+        for v in (-1, 0, 2):
+            chi = random_char(rng, field, coeff, swan=1)
+            omega = random_form(rng, field, 4, vmin=v, vmax=v)
+            if second is not None:
+                fix = field.elem(second) - omega.w.coeff(v + 1)
+                omega = Form(omega.w + LaurentSeries.pi_power(field, v + 1, v + 4) * fix)
+                assert omega.w.coeff(v + 1) == field.elem(second) and omega.valuation() == v
+            del products[:]
+            got = eps_tate(chi, omega)
+            assert len(products) == field.q - 1
+            want = eps_closed_form(chi, omega)
+            assert got.value == want.value and got.conductor_a_omega == want.conductor_a_omega
+
+
 @pytest.mark.parametrize("p, n", [(2, 11), (3, 7)])
 def test_large_tame_refused_before_any_table(monkeypatch, p, n):
     from epsilon_lab import gf

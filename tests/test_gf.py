@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from epsilon_lab.gf import (
     CapExceeded,
     FieldDesc,
+    LogField,
     dlog,
     find_embedding,
     fq_build,
@@ -160,3 +161,52 @@ def test_identity_embedding():
         x = f.from_index(k)
         assert emb.embed(x) == x
         assert emb.section(x) == x
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3)])
+def test_product_sum_inverse_against_log_tables(p, n):
+    # the tables walk by x on packed ints and multiply FqElems only for the
+    # few coset leaders, so exp/log/Zech give every product, sum and inverse
+    # by a route apart from the reduction rows
+    field = fq_build(p, n)
+    lf = LogField(field)
+    exp, log, zech, m = lf.exp, lf.log, lf.zech, lf.order
+    elems = [field.from_index(k) for k in range(field.q)]
+    for a in elems:
+        la = log[a.index()]
+        if la >= 0:
+            assert a.inverse().index() == exp[-la % m]
+        for b in elems:
+            lb = log[b.index()]
+            want = 0 if la < 0 or lb < 0 else exp[(la + lb) % m]
+            assert (a * b).index() == want
+            if la < 0 or lb < 0:
+                want = b.index() if la < 0 else a.index()
+            else:
+                z = zech[(lb - la) % m]
+                want = 0 if z < 0 else exp[(la + z) % m]
+            assert (a + b).index() == want
+
+
+@pytest.mark.parametrize("small, big", [((3, 1), (3, 3)), ((2, 2), (2, 6)), ((3, 2), (3, 4)), ((5, 1), (5, 3))])
+def test_embed_is_horner_in_the_root_and_section_inverts_it(small, big):
+    small = fq_build(*small)
+    for emb in (find_embedding(small, fq_build(*big)), residue_field(small, big[1] // small.n)[1]):
+        for k in range(small.q):
+            x = small.from_index(k)
+            want = emb.big.zero()
+            for c in reversed(x.coeffs):
+                want = want * emb.root + c
+            assert emb.embed(x) == want
+            assert emb.section(emb.embed(x)) == x
+
+
+def test_mismatched_fields_still_raise():
+    f9, f4 = fq_build(3, 2), fq_build(2, 2)
+    same = FieldDesc(3, 2, f9.modulus, f9.generator)
+    assert same == f9 and hash(same) == hash(f9) and same is not f9
+    assert same.gen() * f9.gen() == f9.gen() * f9.gen()
+    with pytest.raises(ValueError):
+        f9.gen() * f4.gen()
+    with pytest.raises(ValueError):
+        f9.gen() + f4.gen()

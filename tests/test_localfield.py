@@ -75,6 +75,36 @@ def test_inverse_roundtrip():
                 assert prod.coeff(k) == field.elem(want)
 
 
+def test_division_window_and_roundtrip():
+    # the window of a * b.inverse(): b**-1 is known on [-v(b), prec(b) - 2 v(b))
+    rng = random.Random(16)
+    for field in SMALL_FIELDS:
+        for _ in range(40):
+            a = random_series(rng, field, width=rng.randrange(1, 8))
+            b = random_series(rng, field, width=rng.randrange(1, 8))
+            # sparse divisors too: the division loops over the nonzero terms
+            b = LaurentSeries.make(
+                field, b.v, [c if j == 0 or rng.random() < 0.5 else field.zero() for j, c in enumerate(b.coeffs)], b.prec
+            )
+            got = a / b
+            assert (got.v, got.prec) == (a.v - b.v, min(a.v + b.prec - 2 * b.v, a.prec - b.v))
+            back = got * b
+            assert back == a and back.prec - back.v >= min(a.prec - a.v, b.prec - b.v)
+            inv = b.inverse()
+            assert (inv.v, inv.prec) == (-b.v, b.prec - 2 * b.v)
+            zero = LaurentSeries.zero(field, a.prec) / b
+            assert zero.is_zero() and zero.prec == a.prec - b.v
+
+
+def test_division_by_zero_to_precision_raises():
+    a = LaurentSeries.make(F5, 0, [1, 2], 4)
+    for z in (LaurentSeries.zero(F5, 3), LaurentSeries.make(F5, 0, [0, 0, 0], 3)):
+        with pytest.raises(ZeroDivisionError):
+            a / z
+        with pytest.raises(ZeroDivisionError):
+            z.inverse()
+
+
 def test_pow_matches_repeated_mul():
     u = LaurentSeries.make(F5, -1, [2, 1, 3], 4)
     assert u ** 3 == u * u * u
