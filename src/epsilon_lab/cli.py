@@ -25,7 +25,6 @@ from .coeff import coeff_setup, complex_embed, pinned_ell, second_ell
 from .curve import (
     GlobalComputation,
     SheafSpec,
-    conductor_profile,
     divisor_points,
     product_formula_check,
     transfer_constants,
@@ -94,9 +93,9 @@ def _coeff_for(cfg, p, orders, ell, spec):
 
     The input's coefficient settings cfg may set p, orders and ell, and an
     --ell flag (ell) wins over them.  Without a pinned prime the smallest
-    admissible one is taken.  Given a spec (else None), the prime must also
-    exceed its determinant degree plus two: a pinned prime that does not is
-    refused, a chosen one is moved up."""
+    admissible one is taken.  Given a spec (else None), the prime must not
+    divide its unramified scaling: a pinned prime that does is refused, a
+    chosen one is moved up."""
     _need(isinstance(cfg, dict), "coeff", "a JSON object")
     p = cfg.get("p", p)
     orders = cfg.get("orders", orders)
@@ -107,16 +106,21 @@ def _coeff_for(cfg, p, orders, ell, spec):
     _need(isinstance(orders, list) and all(type(o) is int for o in orders), "orders", "a list of integers")
     _need(ell is None or type(ell) is int, "ell", "an integer")
     orders = [o for o in orders if o > 0] or [1]
-    d_max = 1 if spec is None else conductor_profile(spec)[1] + 2
-    coeff = coeff_setup(p, orders, d_max=d_max)
+    coeff = coeff_setup(p, orders)
     if ell is None:
-        return coeff
+        return coeff if spec is None else _prime_to(coeff, spec.unram)
     try:
         coeff = pinned_ell(coeff, ell)
     except ValueError as err:
         raise Unsupported(str(err), field="ell")
-    if ell <= d_max:
-        raise Unsupported("ell=%d is too small for a degree-%d determinant" % (ell, d_max - 2), field="ell")
+    _need(spec is None or spec.unram % ell, "ell", "prime to the unramified scaling")
+    return coeff
+
+
+def _prime_to(coeff, unram):
+    """coeff, or the next admissible field whose prime does not divide unram."""
+    while unram % coeff.ell == 0:
+        coeff = second_ell(coeff)
     return coeff
 
 
@@ -241,7 +245,7 @@ def cmd_product_check(args):
     d = report["degree"] or 0
     work = len(report["per_point"]) + d + 1
     if args.second_ell:
-        twin = product_formula_check(spec, second_ell(coeff, d_max=d + 2), omega, method=args.method)
+        twin = product_formula_check(spec, _prime_to(second_ell(coeff), spec.unram), omega, method=args.method)
         body["second"] = twin
         ok = ok and twin["ok"]
         work *= 2

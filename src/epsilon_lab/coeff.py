@@ -215,7 +215,7 @@ def coeff_setup(p, orders, d_max=1):
 
     M = lcm(orders), then ell is the smallest prime with ell = 1 mod p*M and
     ell > max(d_max, p*M); h is the smallest primitive root mod ell.  d_max
-    guards the Newton identity divisions: every m <= d_max stays invertible.
+    is a plain lower bound on ell; nothing in the library needs it.
     """
     if not _is_prime(p):
         raise ValueError("p must be prime")
@@ -230,7 +230,7 @@ def coeff_setup(p, orders, d_max=1):
 
 
 def second_ell(field, d_max=1):
-    """The next admissible coefficient field after the given one."""
+    """The next admissible field after the given one; d_max is a plain lower bound on ell."""
     step = field.p * field.M
     return CoeffField(_admissible_ell(step, max(field.ell, d_max), math.inf), field.p, field.M)
 

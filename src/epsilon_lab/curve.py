@@ -6,12 +6,12 @@ exponential twist by a rational function, multiplicative twists by
 rational functions with integer character exponents, and a constant
 unramified scaling.  The module computes trace sums of the data over
 growing constant field extensions, the numerator polynomial of the
-associated zeta function through Newton's identities, the determinant
-of Frobenius on compact cohomology, the restriction of the data to the
-completed local field at any closed point, and the point by point
-factorization of the global determinant into local factors attached to
-a nonzero rational 1-form.  Small covers of the line supply transfer
-factors for induced data.
+associated zeta function as an Euler product over closed points, the
+determinant of Frobenius on compact cohomology, the restriction of the
+data to the completed local field at any closed point, and the point by
+point factorization of the global determinant into local factors
+attached to a nonzero rational 1-form.  Small covers of the line supply
+transfer factors for induced data.
 
 A SheafSpec reads the divisor of its data once, when it is built, as one
 row per irreducible factor.  The point walk then evaluates each factor
@@ -23,8 +23,10 @@ by m/e.
 
 The local data at a closed point is read once per spec and point, with no
 coefficient field: the coefficient prime only prices it, and the conductors
-do not depend on it.  Newton's identities run in one place, GlobalComputation.
+do not depend on it.  The Euler product runs in one place, GlobalComputation.
 """
+
+from math import comb
 
 from .chars import LocalCharacter, as_reduce
 from .epsilon import eps_local, gamma_psi
@@ -313,9 +315,9 @@ class SheafSpec:
         self._hist[m] = hist
         return hist
 
-    def trace_sum(self, coeff, m):
-        """Sum of the trace function over the degree m rational points of
-        the domain, as an element of the coefficient field."""
+    def _prices(self, coeff):
+        """(psi_pow, zpow, c): a histogram key (pe, ke) of degree m is
+        priced psi_pow[pe] * zpow[ke] * c**m modulo ell, as plain ints."""
         base = self.base
         if coeff.p != base.p:
             raise ValueError("coefficient field has the wrong residue characteristic")
@@ -323,15 +325,21 @@ class SheafSpec:
         c = self.unram % ell
         if c == 0:
             raise ValueError("unramified scaling is not invertible modulo ell")
-        hist = self.point_histogram(m)
         psi_pow = [coeff.psi(t).value for t in range(base.p)]
         red = base.q - 1
         z = coeff.kummer_chi(1, base.gen()).value
         zpow = [1] * red
         for k in range(1, red):
             zpow[k] = (zpow[k - 1] * z) % ell
+        return psi_pow, zpow, c
+
+    def trace_sum(self, coeff, m):
+        """Sum of the trace function over the degree m rational points of
+        the domain, as an element of the coefficient field."""
+        psi_pow, zpow, c = self._prices(coeff)
+        ell = coeff.ell
         acc = 0
-        for (pe, ke), count in hist.items():
+        for (pe, ke), count in self.point_histogram(m).items():
             acc = (acc + count * psi_pow[pe] * zpow[ke]) % ell
         return coeff.elem(acc * pow(c, m, ell))
 
@@ -412,13 +420,14 @@ def conductor_profile(spec):
 
 class GlobalComputation:
     """The determinant of Frobenius for one (spec, coeff), computed once:
-    the conductor profile, the degree d it predicts, and Newton's
-    identities on the trace sums up to degree d.  Every global answer
-    reads off this object; only audit() walks the degree d + 1 field, q
-    times larger than any the determinant needs.
+    the conductor profile, the degree d it predicts, and the Euler product
+    prod_x (1 - a_x T^deg x)^-1 mod T^(d + 1) over closed points of degree
+    at most d.  It divides by nothing, so any coefficient prime serves every
+    degree.  Every global answer reads off this object; only audit() walks
+    the degree d + 1 field, q times larger than any the determinant needs.
     """
 
-    __slots__ = ("spec", "coeff", "degree", "cs", "es", "psums")
+    __slots__ = ("spec", "coeff", "degree", "cs")
 
     def __init__(self, spec, coeff):
         rows, d = conductor_profile(spec)
@@ -428,42 +437,40 @@ class GlobalComputation:
             raise ValueError("everywhere unramified data is geometrically constant")
         if d < 0:
             raise ValueError("conductor bookkeeping went negative, broken data")
-        if coeff.ell <= d:
-            raise ValueError("coefficient prime %d too small for degree %d" % (coeff.ell, d))
-        psums = [coeff.zero()]
-        for m in range(1, d + 1):
-            psums.append(coeff.elem(-1) * spec.trace_sum(coeff, m))
-        es = [coeff.one()]
-        for m in range(1, d + 1):
-            acc = coeff.zero()
-            sign = 1
-            for i in range(1, m + 1):
-                term = es[m - i] * psums[i]
-                acc = acc + term if sign > 0 else acc - term
-                sign = -sign
-            es.append(acc * coeff.elem(m) ** -1)
+        ell = coeff.ell
+        cs = [1] + [0] * d
+        if d:
+            psi_pow, zpow, c = spec._prices(coeff)
+            points = [(e, key, n) for e in range(1, d + 1) for key, n in spec._closed_point_counts(e).items()]
+            if spec.infinity_in_domain():
+                points.append((1, spec._infinity_key(1), 1))
+            for e, (pe, ke), n in points:
+                a = psi_pow[pe] * zpow[ke] * pow(c, e, ell) % ell
+                # (1 - a T^e)^-n = sum_j C(n + j - 1, j) a^j T^(ej)
+                series = [comb(n + j - 1, j) * pow(a, j, ell) % ell for j in range(d // e + 1)]
+                # top down, so each cs[m - ej] read is still the old one
+                for m in range(d, e - 1, -1):
+                    cs[m] = sum(series[j] * cs[m - e * j] for j in range(m // e + 1)) % ell
         self.spec = spec
         self.coeff = coeff
         self.degree = d
-        self.cs = [es[m] if m % 2 == 0 else coeff.elem(-1) * es[m] for m in range(d + 1)]
-        self.es = es
-        self.psums = psums
+        self.cs = [coeff.elem(v) for v in cs]
 
     def audit(self):
         """Degree and consistency audit of the determinant polynomial.
 
         Checks that the leading coefficient is a unit (full predicted
-        degree) and that the next power sum, forced by the recurrence once
-        all elementary symmetric functions above the degree vanish, matches
-        one more honestly computed trace sum."""
-        coeff, d, es, psums = self.coeff, self.degree, self.es, self.psums
+        degree) and that the power sum p_(d+1) the polynomial forces, by
+        Newton's recurrence p_m = -(m c_m + sum_(i<m) c_(m-i) p_i) with no
+        division, matches one more honestly computed trace sum."""
+        coeff, d = self.coeff, self.degree
+        ell = coeff.ell
+        cs = [v.value for v in self.cs] + [0]
+        ps = [0]
+        for m in range(1, d + 2):
+            ps.append(-(m * cs[m] + sum(cs[m - i] * ps[i] for i in range(1, m))) % ell)
         leading = self.cs[d]
-        predicted = coeff.zero()
-        sign = 1
-        for i in range(1, d + 1):
-            term = es[i] * psums[d + 1 - i]
-            predicted = predicted + term if sign > 0 else predicted - term
-            sign = -sign
+        predicted = coeff.elem(ps[d + 1])
         observed = coeff.elem(-1) * self.spec.trace_sum(coeff, d + 1)
         return {
             "degree": d,

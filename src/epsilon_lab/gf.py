@@ -34,6 +34,7 @@ against.
 from __future__ import annotations
 
 import math
+from operator import add, mul
 
 FIELD_CAP = 1 << 24
 
@@ -303,6 +304,9 @@ class FqElem:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
+        # one is its own inverse, and most divisors met are monic
+        if self.coeffs[0] == 1 and not any(self.coeffs[1:]):
+            return self
         # q - 2 exponentiation, fields here are small
         return self ** (self.field.q - 2)
 
@@ -466,12 +470,23 @@ def frobenius(x, i=1):
     return x ** (x.field.p ** i)
 
 
-def _orbit_degree(x, emb):
-    if emb is None:
-        return 1, x.field.n
-    if x.field != emb.big:
-        raise ValueError("element not in the big field")
-    return emb.small.n, emb.big.n // emb.small.n
+def _fold(x, emb, op):
+    """op folded over the Frobenius orbit of x down to the subfield given
+    by emb, or to F_p when emb is None; an element of that subfield."""
+    step, m = 1, x.field.n
+    if emb is not None:
+        if x.field != emb.big:
+            raise ValueError("element not in the big field")
+        step, m = emb.small.n, emb.big.n // emb.small.n
+    acc = cur = x
+    for _ in range(m - 1):
+        cur = frobenius(cur, step)
+        acc = op(acc, cur)
+    if emb is not None:
+        return emb.section(acc)
+    if any(acc.coeffs[1:]):
+        raise ValueError("trace/norm landed outside the subfield, broken tower")
+    return prime_field(x.field.p).elem(acc.coeffs[0])
 
 
 def trace(x, emb=None):
@@ -479,38 +494,12 @@ def trace(x, emb=None):
 
     Returns an FqElem of the small field (of the prime field for None).
     """
-    step, m = _orbit_degree(x, emb)
-    acc = x
-    cur = x
-    for _ in range(m - 1):
-        cur = frobenius(cur, step)
-        acc = acc + cur
-    if emb is None:
-        prime = prime_field(x.field.p)
-        return prime.elem(acc.coeffs[0]) if _in_prime(acc) else _fail_subfield()
-    return emb.section(acc)
+    return _fold(x, emb, add)
 
 
 def norm(x, emb=None):
     """Norm to the subfield given by emb, or to F_p when emb is None."""
-    step, m = _orbit_degree(x, emb)
-    acc = x
-    cur = x
-    for _ in range(m - 1):
-        cur = frobenius(cur, step)
-        acc = acc * cur
-    if emb is None:
-        prime = prime_field(x.field.p)
-        return prime.elem(acc.coeffs[0]) if _in_prime(acc) else _fail_subfield()
-    return emb.section(acc)
-
-
-def _in_prime(x):
-    return all(c == 0 for c in x.coeffs[1:])
-
-
-def _fail_subfield():
-    raise ValueError("trace/norm landed outside the subfield, broken tower")
+    return _fold(x, emb, mul)
 
 
 _PRIME_CACHE = {}

@@ -108,21 +108,41 @@ def test_product_check_scaled_degree_eleven(capsys, tmp_path):
     assert report["second"]["ell"] != report["report"]["ell"]
 
 
-def test_eps_global_moves_or_refuses_the_prime_for_the_degree(capsys, tmp_path):
-    # wild t^5, Kummer t, punctures {0, infinity}: degree 5, so the prime
-    # must exceed 5 + 2, and the default 7 moves up to 13
+def _bundled_spec(tmp_path, k=1, unram=1):
+    """The bundled product spec with wild t^k and the given scaling: wild
+    t^k, Kummer t, punctures {0, infinity}, so degree k."""
     spec = json.loads((DATA / "product_spec.json").read_text())
-    spec["wild"] = {"num": [[0]] * 5 + [[1]], "den": [[1]]}
-    path = tmp_path / "deg5.json"
+    spec["wild"] = {"num": [[0]] * k + [[1]], "den": [[1]]}
+    spec["unram"] = unram
+    path = tmp_path / ("deg%d-unram%d.json" % (k, unram))
     path.write_text(json.dumps(spec))
-    code, report = run(capsys, ["eps-global", "--spec", str(path)])
+    return str(path)
+
+
+def test_eps_global_default_prime_does_not_depend_on_the_degree(capsys, tmp_path):
+    path = _bundled_spec(tmp_path, k=5)
+    code, report = run(capsys, ["eps-global", "--spec", path])
     assert code == 0 and report["ok"]
-    assert report["ell"] == 13 and report["degree"] == 5
-    code, report = run(capsys, ["eps-global", "--spec", str(path), "--ell", "7"])
-    assert code == 3 and report["field"] == "ell"
-    assert report["error"] == "ell=7 is too small for a degree-5 determinant"
-    code, report = run(capsys, ["eps-global", "--spec", str(path), "--ell", "13"])
-    assert code == 0 and report["ell"] == 13
+    assert report["ell"] == 7 and report["degree"] == 5
+    for ell in (7, 13):
+        code, report = run(capsys, ["eps-global", "--spec", path, "--ell", str(ell)])
+        assert code == 0 and report["ok"] and report["ell"] == ell
+
+
+def test_default_prime_skips_a_divisor_of_the_scaling(capsys, tmp_path):
+    path = _bundled_spec(tmp_path, unram=7)
+    for argv in (["eps-global", "--spec", path], ["product-check", "--spec", path]):
+        code, report = run(capsys, argv)
+        assert code == 0 and report["ok"] and report["ell"] == 13
+        code, report = run(capsys, argv + ["--ell", "7"])
+        assert code == 3 and report["field"] == "ell"
+
+
+def test_second_ell_skips_a_divisor_of_the_scaling(capsys, tmp_path):
+    path = _bundled_spec(tmp_path, k=5, unram=13)
+    code, report = run(capsys, ["product-check", "--spec", path, "--second-ell"])
+    assert code == 0 and report["ok"]
+    assert (report["report"]["ell"], report["second"]["ell"]) == (7, 19)
 
 
 def test_induction_check_bundled(capsys):

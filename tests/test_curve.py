@@ -464,10 +464,94 @@ def test_unramified_with_punctures_is_refused():
         product_formula_check(spec, C73, rat(F3, [1]))
 
 
-def test_small_ell_is_refused():
+def test_small_ell_serves_a_degree_above_it():
+    # degree 8 at ell = 7: the Euler product divides by nothing
     spec = SheafSpec(F4, wild=rat(F4, [0] * 9 + [1]), punctures=[Point.infinity(F4)])
-    with pytest.raises(ValueError):
-        l_polynomial(spec, C4)
+    assert C4.ell == 7
+    rep = verify_gos(spec, C4)
+    assert rep["degree"] == 8 and rep["ok"]
+    for coeff in (C4, second_ell(C4)):
+        check = product_formula_check(spec, coeff, rat(F4, [1]))
+        assert check["ok"] and check["degree"] == 8
+
+
+def newton_l_polynomial(spec, coeff, d):
+    """Newton's identities on the trace sums up to degree d: an independent
+    route to the determinant polynomial.  It divides by m <= d, so the
+    coefficient prime must exceed d."""
+    psums = [coeff.zero()]
+    for m in range(1, d + 1):
+        psums.append(coeff.elem(-1) * spec.trace_sum(coeff, m))
+    es = [coeff.one()]
+    for m in range(1, d + 1):
+        acc = coeff.zero()
+        sign = 1
+        for i in range(1, m + 1):
+            term = es[m - i] * psums[i]
+            acc = acc + term if sign > 0 else acc - term
+            sign = -sign
+        es.append(acc * coeff.elem(m) ** -1)
+    return [es[m] if m % 2 == 0 else coeff.elem(-1) * es[m] for m in range(d + 1)]
+
+
+@pytest.mark.parametrize(
+    "make_spec",
+    HISTOGRAM_SPECS
+    + [
+        pytest.param(gm_quadratic, id="gm-quadratic"),
+        pytest.param(lambda: deg2_puncture_spec(unram=2), id="deg2-puncture-unram"),
+    ],
+)
+def test_euler_product_matches_newton(make_spec):
+    spec = make_spec()
+    d = conductor_profile(spec)[1]
+    first = coeff_setup(spec.base.p, [spec.base.q - 1], d_max=d + 2)
+    for coeff in (first, second_ell(first)):
+        assert l_polynomial(spec, coeff) == newton_l_polynomial(spec, coeff, d)
+
+
+def baseline_spec(k):
+    """Wild t^k, Kummer t, punctures {0, infinity} over F_3: degree k."""
+    return SheafSpec(
+        F3,
+        wild=rat(F3, [0] * k + [1]),
+        kummer=[(rat(F3, [0, 1]), 1)],
+        punctures=[Point.rational(F3, 0), Point.infinity(F3)],
+    )
+
+
+def _drop_one_point(monkeypatch, degree):
+    counts = SheafSpec._closed_point_counts
+
+    def dropped(self, e):
+        out = dict(counts(self, e))
+        if e == degree:
+            key = min(out)
+            out[key] -= 1
+        return out
+
+    monkeypatch.setattr(SheafSpec, "_closed_point_counts", dropped)
+
+
+def test_audit_bites_below_the_degree(monkeypatch):
+    # ell = 7 at degree 11: a point of degree d + 1 dropped from the walk
+    # breaks the power sum the polynomial forces
+    coeff = coeff_setup(3, [2])
+    assert coeff.ell == 7
+    _drop_one_point(monkeypatch, 12)
+    rep = verify_gos(baseline_spec(11), coeff)
+    assert rep["degree"] == 11 and rep["leading_nonzero"]
+    assert not rep["power_sum_consistent"] and not rep["ok"]
+
+
+def test_product_formula_bites_below_the_degree(monkeypatch):
+    # the same, with a point of degree 5 <= d dropped from the Euler product
+    coeff = coeff_setup(3, [2])
+    omega = rat(F3, [1], [0, 1])
+    assert product_formula_check(baseline_spec(11), coeff, omega)["ok"]
+    _drop_one_point(monkeypatch, 5)
+    check = product_formula_check(baseline_spec(11), coeff, omega)
+    assert check["degree"] == 11 and not check["ok"]
 
 
 def test_verify_gos_exponential_and_quadratic():
@@ -717,6 +801,7 @@ def test_local_refusal_comes_before_the_point_walk(monkeypatch):
         kummer=[(rat(F3, [0, 1]), 1)],
         punctures=[Point.rational(F3, 0), Point.infinity(F3)],
     )
+    monkeypatch.setattr(SheafSpec, "_closed_point_counts", _no_point_walk)
     monkeypatch.setattr(SheafSpec, "point_histogram", _no_point_walk)
     with pytest.raises(CapExceeded):
         product_formula_check(spec, C73, rat(F3, [1]))
@@ -728,6 +813,7 @@ def test_transfer_constants_price_local_factors_first(monkeypatch):
     point = Point.from_json(F3, data["point"])
     # 2y dy is the pullback of the bundled form dt along the cover t = y**2
     form = rat(F3, [0, 2])
+    monkeypatch.setattr(SheafSpec, "_closed_point_counts", _no_point_walk)
     monkeypatch.setattr(SheafSpec, "point_histogram", _no_point_walk)
     monkeypatch.setattr(epsilon_mod, "TATE_CAP", 2)
     with pytest.raises(CapExceeded):

@@ -428,6 +428,25 @@ def test_factor_roundtrip():
             assert rebuilt == f
 
 
+def test_factoring_a_monic_product_takes_no_power(monkeypatch):
+    # every divisor is monic, so no inverse costs an exponentiation
+    f = Poly(F9, [F9.one()])
+    for d in (1, 2, 3):
+        for g in monic_irreducibles(F9, d)[:2]:
+            f = f * g
+    calls = []
+    power = gf.FqElem.__pow__
+
+    def counted(self, e):
+        calls.append(e)
+        return power(self, e)
+
+    monkeypatch.setattr(gf.FqElem, "__pow__", counted)
+    _unit, factors = factor_poly(f)
+    assert sum(m * g.degree() for g, m in factors) == 12
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # rational functions
 
