@@ -12,6 +12,7 @@ input, 4 an enumeration cap was exceeded.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -88,32 +89,34 @@ def _parse_orders(text):
         raise Unsupported("orders must be a comma list of integers", field="orders")
 
 
-def _coeff_for(cfg, p, orders, ell, spec):
+def _coeff_for(cfg, p, orders, ell, specs=()):
     """Coefficient field of a run.
 
     The input's coefficient settings cfg may set p, orders and ell, and an
     --ell flag (ell) wins over them.  Without a pinned prime the smallest
-    admissible one is taken.  Given a spec (else None), the prime must not
-    divide its unramified scaling: a pinned prime that does is refused, a
-    chosen one is moved up."""
+    admissible one is taken.  p must be the characteristic of the given
+    sheaf data, and the prime must not divide any of their unramified
+    scalings: a pinned prime that does is refused, a chosen one is moved
+    up."""
     _need(isinstance(cfg, dict), "coeff", "a JSON object")
     p = cfg.get("p", p)
     orders = cfg.get("orders", orders)
     if ell is None:
         ell = cfg.get("ell")
     _need(type(p) is int, "p", "an integer")
-    _need(spec is None or p == spec.base.p, "p", "the characteristic of the sheaf data")
+    _need(all(p == spec.base.p for spec in specs), "p", "the characteristic of the sheaf data")
     _need(isinstance(orders, list) and all(type(o) is int for o in orders), "orders", "a list of integers")
     _need(ell is None or type(ell) is int, "ell", "an integer")
     orders = [o for o in orders if o > 0] or [1]
     coeff = coeff_setup(p, orders)
+    unram = math.prod(spec.unram for spec in specs)
     if ell is None:
-        return coeff if spec is None else _prime_to(coeff, spec.unram)
+        return _prime_to(coeff, unram)
     try:
         coeff = pinned_ell(coeff, ell)
     except ValueError as err:
         raise Unsupported(str(err), field="ell")
-    _need(spec is None or spec.unram % ell, "ell", "prime to the unramified scaling")
+    _need(unram % ell, "ell", "prime to the unramified scaling")
     return coeff
 
 
@@ -158,7 +161,7 @@ def cmd_gauss(args):
     if c.is_zero():
         raise Unsupported("the quadratic coefficient must be a unit", field="c")
     orders = _parse_orders(args.orders) if args.orders else [max(1, q - 1)]
-    coeff = _coeff_for({}, p, orders, args.ell, None)
+    coeff = _coeff_for({}, p, orders, args.ell)
     value = gamma_psi(coeff, field, c)
     z = complex_embed(coeff, gamma_psi_symbolic(field, c))
     body = {
@@ -185,7 +188,7 @@ def cmd_eps_local(args):
     charfield = _field_record(charobj.get("field") or {}, "field")
     fallback_p = charfield.get("p", 3)
     fallback_q = fallback_p ** charfield.get("n", 1)
-    coeff = _coeff_for(obj.get("coeff") or {}, fallback_p, [max(1, fallback_q - 1)], args.ell, None)
+    coeff = _coeff_for(obj.get("coeff") or {}, fallback_p, [max(1, fallback_q - 1)], args.ell)
     if kind == "punctual":
         eigen = obj.get("eigenvalues")
         if not eigen:
@@ -218,7 +221,7 @@ def cmd_eps_local(args):
 
 def cmd_eps_global(args):
     spec, cfg = _load_spec(args.spec)
-    coeff = _coeff_for(cfg, spec.base.p, _spec_orders(spec, [spec.wild]), args.ell, spec)
+    coeff = _coeff_for(cfg, spec.base.p, _spec_orders(spec, [spec.wild]), args.ell, [spec])
     glob = GlobalComputation(spec, coeff)
     audit = glob.audit()
     body = {
@@ -237,7 +240,7 @@ def cmd_product_check(args):
     omega = RationalFunction.from_json(spec.base, omega_obj)
     if omega.num.degree() < 0:
         raise Unsupported("the global one-form must be nonzero", field="omega")
-    coeff = _coeff_for(cfg, spec.base.p, _spec_orders(spec, [spec.wild, omega]), args.ell, spec)
+    coeff = _coeff_for(cfg, spec.base.p, _spec_orders(spec, [spec.wild, omega]), args.ell, [spec])
     report = product_formula_check(spec, coeff, omega, method=args.method)
     body = {"report": report}
     ok = report["ok"]
@@ -269,7 +272,8 @@ def cmd_induction_check(args):
     omega = RationalFunction.from_json(base, omega_obj)
     point = Point.from_json(base, spec_obj["point"])
     pulled = _pullback(omega, cover)
-    coeff = _coeff_for(spec_obj.get("coeff") or {}, base.p, _spec_orders(first_local, [pulled]), args.ell, None)
+    specs = [spec for pair in pairs for spec in pair]
+    coeff = _coeff_for(spec_obj.get("coeff") or {}, base.p, _spec_orders(first_local, [pulled]), args.ell, specs)
     body = transfer_constants(coeff, pairs, point, pulled)
     body["point"] = point.to_json()
     ok = body["all_equal"] and body["conductor_ok"]
@@ -293,7 +297,7 @@ def cmd_twisted_check(args):
     from .twisted import run_twisted_suite  # the only subcommand that needs it
 
     orders = _parse_orders(args.orders) if args.orders else [8]
-    coeff = _coeff_for({}, args.p, orders, args.ell, None)
+    coeff = _coeff_for({}, args.p, orders, args.ell)
     report = run_twisted_suite(coeff, seed=args.seed, min_randomized=args.trials)
     work = sum(report["counts"].values())
     return {"report": report}, coeff.ell, work, report["ok"]

@@ -24,6 +24,9 @@ by m/e.
 The local data at a closed point is read once per spec and point, with no
 coefficient field: the coefficient prime only prices it, and the conductors
 do not depend on it.  The Euler product runs in one place, GlobalComputation.
+The functional equation of the middle extension fixes the top half of the
+determinant from the bottom half, so the walk counts closed points to about
+half the degree, and the audit one degree further.
 """
 
 from math import comb
@@ -418,16 +421,56 @@ def conductor_profile(spec):
     return rows, d
 
 
+def _euler_product(points, top, ell):
+    """prod (1 - a T^e)^-n mod T^(top + 1) over the triples (e, a, n), on
+    ints mod ell.  It divides by nothing, so any prime serves any degree."""
+    cs = [1] + [0] * top
+    for e, a, n in points:
+        # (1 - a T^e)^-n = sum_j C(n + j - 1, j) a^j T^(ej)
+        series = [comb(n + j - 1, j) * pow(a, j, ell) % ell for j in range(top // e + 1)]
+        # top down, so each cs[m - ej] read is still the old one
+        for m in range(top, e - 1, -1):
+            cs[m] = sum(series[j] * cs[m - e * j] for j in range(m // e + 1)) % ell
+    return cs
+
+
+def _functional_equation(mid, dual, d, q, ell):
+    """The degree d polynomial L with L(T) = eps T^d L^dual(1/(qT)), from L
+    and L^dual expanded mod T^(k + 1), k = len(mid) - 1 >= d / 2.
+
+    c_(d - i) = eps q^-i c^dual_i fixes eps at i = d - k and then every
+    c_j above k.  Returns (c_0 .. c_d, whether the c_j with d - k <= j <= k
+    agree both ways), or None when c^dual_(d - k) is not a unit."""
+    k = len(mid) - 1
+    if not dual[d - k]:
+        return None
+    qi = pow(q, -1, ell)
+    eps = mid[k] * pow(q, d - k, ell) * pow(dual[d - k], -1, ell) % ell
+    # the c_j for j = d - k .. d, read off the dual
+    mirrored = [eps * pow(qi, d - j, ell) * dual[d - j] % ell for j in range(d - k, d + 1)]
+    return mid + mirrored[2 * k - d + 1 :], mid[d - k :] == mirrored[: 2 * k - d + 1]
+
+
 class GlobalComputation:
     """The determinant of Frobenius for one (spec, coeff), computed once:
-    the conductor profile, the degree d it predicts, and the Euler product
-    prod_x (1 - a_x T^deg x)^-1 mod T^(d + 1) over closed points of degree
-    at most d.  It divides by nothing, so any coefficient prime serves every
-    degree.  Every global answer reads off this object; only audit() walks
-    the degree d + 1 field, q times larger than any the determinant needs.
+    the conductor profile, the degree d it predicts, and the polynomial
+    prod_x (1 - a_x T^deg x)^-1 over the closed points of the domain.
+
+    Duality halves the counts.  An unramified puncture x is a point where
+    the middle extension j_* of the data is lisse, with stalk price a_x, so
+    the determinant is L_* times (1 - a_x T^deg x) over those points, and
+    L_* has degree d* = d - sum deg x.  Poincare duality on the line gives
+    L_*(T) = eps T^d* L_*^dual(1/(qT)), the dual data priced by the
+    inverses mod ell; so both Euler products mod T^(k + 1), from the
+    closed points of degree at most k, fix L_* once c^dual_(d* - k) is a
+    unit.  k starts at ceil(d*/2) and steps up past a vanishing one; at
+    k = d* the dual's constant term 1 always serves, which counts L_*
+    whole.  Where k > d* - k the coefficients known both ways must agree,
+    and dual_ok says whether they do.  counted is that k; audit() walks
+    one degree further, the only walk past the counts used.
     """
 
-    __slots__ = ("spec", "coeff", "degree", "cs")
+    __slots__ = ("spec", "coeff", "degree", "counted", "dual_ok", "cs")
 
     def __init__(self, spec, coeff):
         rows, d = conductor_profile(spec)
@@ -435,49 +478,76 @@ class GlobalComputation:
             raise ValueError("the determinant route needs at least one puncture")
         if not any(ram for _pt, ram, _a in rows):
             raise ValueError("everywhere unramified data is geometrically constant")
-        if d < 0:
+        lisse = [pt for pt, ram, _a in rows if not ram]
+        d_mid = d - sum(pt.degree() for pt in lisse)
+        if d_mid < 0:
             raise ValueError("conductor bookkeeping went negative, broken data")
         ell = coeff.ell
-        cs = [1] + [0] * d
+        cs, k, dual_ok = [1], 0, True
         if d:
             psi_pow, zpow, c = spec._prices(coeff)
-            points = [(e, key, n) for e in range(1, d + 1) for key, n in spec._closed_point_counts(e).items()]
+
+            def price(e, key):
+                return psi_pow[key[0]] * zpow[key[1]] * pow(c, e, ell) % ell
+
+            # an unramified puncture is priced as local_character_at prices the parameter
+            stalks = []
+            for pt in lisse:
+                _big, _tame, _wild, ke, pe = spec.local_data(pt)
+                stalks.append((pt.degree(), price(pt.degree(), (pe, ke))))
+            known = [(e, a, 1) for e, a in stalks]
             if spec.infinity_in_domain():
-                points.append((1, spec._infinity_key(1), 1))
-            for e, (pe, ke), n in points:
-                a = psi_pow[pe] * zpow[ke] * pow(c, e, ell) % ell
-                # (1 - a T^e)^-n = sum_j C(n + j - 1, j) a^j T^(ej)
-                series = [comb(n + j - 1, j) * pow(a, j, ell) % ell for j in range(d // e + 1)]
-                # top down, so each cs[m - ej] read is still the old one
-                for m in range(d, e - 1, -1):
-                    cs[m] = sum(series[j] * cs[m - e * j] for j in range(m // e + 1)) % ell
+                known.append((1, price(1, spec._infinity_key(1)), 1))
+            for k in range((d_mid + 1) // 2, d_mid + 1):
+                points = known + [
+                    (e, price(e, key), n) for e in range(1, k + 1) for key, n in spec._closed_point_counts(e).items()
+                ]
+                mid = _euler_product(points, k, ell)
+                dual = _euler_product([(e, pow(a, -1, ell), n) for e, a, n in points], k, ell)
+                solved = _functional_equation(mid, dual, d_mid, spec.base.q, ell)
+                if solved:
+                    break
+            cs, dual_ok = solved
+            for e, a in stalks:
+                cs += [0] * e
+                for m in range(len(cs) - 1, e - 1, -1):
+                    cs[m] = (cs[m] - a * cs[m - e]) % ell
         self.spec = spec
         self.coeff = coeff
         self.degree = d
+        self.counted = k
+        self.dual_ok = dual_ok
         self.cs = [coeff.elem(v) for v in cs]
 
     def audit(self):
         """Degree and consistency audit of the determinant polynomial.
 
         Checks that the leading coefficient is a unit (full predicted
-        degree) and that the power sum p_(d+1) the polynomial forces, by
-        Newton's recurrence p_m = -(m c_m + sum_(i<m) c_(m-i) p_i) with no
-        division, matches one more honestly computed trace sum."""
+        degree), that the coefficients duality fixed agree with the counted
+        ones where both are known, and that the power sum p_m one degree
+        past the counts, which the polynomial forces by Newton's recurrence
+        p_m = -(m c_m + sum_(i<m) c_(m-i) p_i) with no division, matches one
+        more honestly computed trace sum.  Where ell divides counted + 1 that
+        degree checks nothing new: both sides drop c_m and the points of
+        degree m, which count m times.  The audit then takes m one higher."""
         coeff, d = self.coeff, self.degree
         ell = coeff.ell
-        cs = [v.value for v in self.cs] + [0]
+        top = self.counted + 1
+        if top % ell == 0:
+            top += 1
+        cs = [v.value for v in self.cs] + [0, 0]
         ps = [0]
-        for m in range(1, d + 2):
+        for m in range(1, top + 1):
             ps.append(-(m * cs[m] + sum(cs[m - i] * ps[i] for i in range(1, m))) % ell)
         leading = self.cs[d]
-        predicted = coeff.elem(ps[d + 1])
-        observed = coeff.elem(-1) * self.spec.trace_sum(coeff, d + 1)
+        predicted = coeff.elem(ps[top])
+        observed = coeff.elem(-1) * self.spec.trace_sum(coeff, top)
         return {
             "degree": d,
             "leading": leading.value,
             "leading_nonzero": not leading.is_zero(),
             "power_sum_consistent": predicted == observed,
-            "ok": (not leading.is_zero()) and predicted == observed,
+            "ok": (not leading.is_zero()) and predicted == observed and self.dual_ok,
         }
 
 
@@ -579,7 +649,7 @@ def product_formula_check(spec, coeff, omega, method="auto"):
     main_ok = lhs == rhs
     return {
         "mode": "constant" if constant else "determinant",
-        "ok": main_ok and alternate_ok and sign_consistent,
+        "ok": main_ok and alternate_ok and sign_consistent and (constant or glob.dual_ok),
         "degree": None if constant else d,
         "lhs": lhs.value,
         "rhs": rhs.value,

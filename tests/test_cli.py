@@ -138,6 +138,18 @@ def test_default_prime_skips_a_divisor_of_the_scaling(capsys, tmp_path):
         assert code == 3 and report["field"] == "ell"
 
 
+def test_induction_check_skips_a_divisor_of_the_variants_scaling(capsys, tmp_path):
+    spec = json.loads((DATA / "induction_spec.json").read_text())
+    for variant in spec["variants"]:
+        variant["global"]["unram"] = variant["local"]["unram"] = 7
+    path = tmp_path / "unram7.json"
+    path.write_text(json.dumps(spec))
+    code, report = run(capsys, ["induction-check", "--spec", str(path)])
+    assert code == 0 and report["ok"] and report["ell"] == 13
+    code, report = run(capsys, ["induction-check", "--spec", str(path), "--ell", "7"])
+    assert code == 3 and report["field"] == "ell"
+
+
 def test_second_ell_skips_a_divisor_of_the_scaling(capsys, tmp_path):
     path = _bundled_spec(tmp_path, k=5, unram=13)
     code, report = run(capsys, ["product-check", "--spec", path, "--second-ell"])

@@ -9,8 +9,10 @@ import pytest
 
 from epsilon_lab import curve as curve_mod
 from epsilon_lab import epsilon as epsilon_mod
+from epsilon_lab import gf as gf_mod
 from epsilon_lab.coeff import coeff_setup, second_ell
 from epsilon_lab.curve import (
+    GlobalComputation,
     SheafSpec,
     _extension_data,
     conductor_profile,
@@ -500,14 +502,54 @@ def newton_l_polynomial(spec, coeff, d):
     + [
         pytest.param(gm_quadratic, id="gm-quadratic"),
         pytest.param(lambda: deg2_puncture_spec(unram=2), id="deg2-puncture-unram"),
+        # 0 is an unramified puncture with Kummer key 2: the exponents 3 - 3
+        # cancel there, each leading symbol taken with the sign (-1)^1
+        pytest.param(
+            lambda: SheafSpec(
+                F5, wild=rat(F5, [0] * 4 + [1]), kummer=[(T5, 3), (T5_T5_MINUS_1, -3)], punctures=F5_0_1_INF
+            ),
+            id="unramified-puncture-kummer-key",
+        ),
+        # infinity is an unramified puncture with additive key 1
+        pytest.param(
+            lambda: SheafSpec(
+                F3,
+                wild=rat(F3, [2, 0, 2, 0, 1], [1, 0, 2, 0, 1]),
+                kummer=[(rat(F3, [1, 0, 1]), 1)],
+                punctures=[Point(F3, Poly(F3, [1, 0, 1])), Point.infinity(F3)],
+                unram=2,
+            ),
+            id="unramified-infinity",
+        ),
     ],
 )
 def test_euler_product_matches_newton(make_spec):
-    spec = make_spec()
-    d = conductor_profile(spec)[1]
-    first = coeff_setup(spec.base.p, [spec.base.q - 1], d_max=d + 2)
+    # duality stops the walk at about half the degree: no closed point above
+    # counted is walked, and the coefficients known both ways agree
+    probe = make_spec()
+    d = conductor_profile(probe)[1]
+    first = coeff_setup(probe.base.p, [probe.base.q - 1], d_max=d + 2)
     for coeff in (first, second_ell(first)):
-        assert l_polynomial(spec, coeff) == newton_l_polynomial(spec, coeff, d)
+        spec = make_spec()
+        glob = GlobalComputation(spec, coeff)
+        assert glob.counted <= (d + 1) // 2 and max(spec._closed, default=0) == glob.counted
+        assert glob.dual_ok and glob.audit()["ok"]
+        assert glob.cs == newton_l_polynomial(spec, coeff, d)
+
+
+@pytest.mark.parametrize("k", [5, 7])
+def test_frobenius_sparse_data_counts_to_the_degree(k):
+    # psi(t^k) over F_3 has L = 1 + c_d T^d, d = k - 1: the c^dual_i with
+    # 0 < i < d vanish, so no degree below d fixes eps and the walk counts
+    # to d; at k = 7 and ell = 7 the audit then walks degree d + 2
+    spec = SheafSpec(F3, wild=rat(F3, [0] * k + [1]), punctures=[Point.infinity(F3)])
+    first = coeff_setup(3, [2])
+    for coeff in (first, second_ell(first)):
+        glob = GlobalComputation(spec, coeff)
+        assert glob.degree == glob.counted == k - 1
+        assert all(c.is_zero() for c in glob.cs[1 : k - 1])
+        assert glob.dual_ok and glob.audit()["ok"]
+        assert glob.cs == newton_l_polynomial(spec, coeff, k - 1)
 
 
 def baseline_spec(k):
@@ -534,14 +576,69 @@ def _drop_one_point(monkeypatch, degree):
 
 
 def test_audit_bites_below_the_degree(monkeypatch):
-    # ell = 7 at degree 11: a point of degree d + 1 dropped from the walk
-    # breaks the power sum the polynomial forces
+    # ell = 7 at degree 13: a point of degree counted + 1 dropped from the
+    # walk breaks the power sum the polynomial forces
     coeff = coeff_setup(3, [2])
     assert coeff.ell == 7
-    _drop_one_point(monkeypatch, 12)
-    rep = verify_gos(baseline_spec(11), coeff)
-    assert rep["degree"] == 11 and rep["leading_nonzero"]
+    counted = GlobalComputation(baseline_spec(13), coeff).counted
+    assert counted == 7
+    _drop_one_point(monkeypatch, counted + 1)
+    rep = verify_gos(baseline_spec(13), coeff)
+    assert rep["degree"] == 13 and rep["leading_nonzero"]
     assert not rep["power_sum_consistent"] and not rep["ok"]
+
+
+def test_audit_steps_past_a_degree_the_prime_divides(monkeypatch):
+    # ell = 7 at degree 11 counts to 6, but a point of degree 7 counts
+    # 7 a = 0 in the trace sum there, so the audit walks degree 8
+    coeff = coeff_setup(3, [2])
+    assert GlobalComputation(baseline_spec(11), coeff).counted == 6
+    full = baseline_spec(11).trace_sum(coeff, 7)
+    _drop_one_point(monkeypatch, 7)
+    assert baseline_spec(11).trace_sum(coeff, 7) == full
+    _drop_one_point(monkeypatch, 8)
+    assert not verify_gos(baseline_spec(11), coeff)["ok"]
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1], ids=["overlap", "eps", "above-counted"])
+def test_corrupted_duality_is_caught(monkeypatch, shift):
+    # one dual coefficient off by one, at degree 11 and ell = 7 (k = 6):
+    # c^dual_(d - k + 1) only mirrors the counted c_(k - 1), so only the
+    # overlap check sees it; c^dual_(d - k) fixes eps, which the overlap
+    # check and the product formula both see; c^dual_(d - k - 1) fixes
+    # c_(k + 1), which only the audit reads
+    solve = curve_mod._functional_equation
+
+    def corrupted(mid, dual, d, q, ell):
+        i = d - (len(mid) - 1) - shift
+        return solve(mid, dual[:i] + [(dual[i] + 1) % ell] + dual[i + 1 :], d, q, ell)
+
+    monkeypatch.setattr(curve_mod, "_functional_equation", corrupted)
+    coeff = coeff_setup(3, [2])
+    glob = GlobalComputation(baseline_spec(11), coeff)
+    assert glob.counted == 6 and glob.dual_ok == (shift == 1)
+    assert not glob.audit()["ok"]
+    check = product_formula_check(baseline_spec(11), coeff, rat(F3, [1], [0, 1]))
+    assert check["ok"] == (shift == 1)
+
+
+def test_degree_thirteen_walks_no_field_above_half(monkeypatch):
+    # wild t^13, Kummer t: the audit's field 3^8 is the largest built
+    built = []
+    init = gf_mod.LogField.__init__
+
+    def recorded(self, field):
+        built.append(field.q)
+        init(self, field)
+
+    monkeypatch.setattr(gf_mod, "_TABLE_CACHE", {})
+    monkeypatch.setattr(curve_mod, "_EXT_CACHE", {})
+    monkeypatch.setattr(gf_mod.LogField, "__init__", recorded)
+    first = coeff_setup(3, [2])
+    for coeff in (first, second_ell(first)):
+        rep = verify_gos(baseline_spec(13), coeff)
+        assert rep["degree"] == 13 and rep["ok"]
+    assert max(built) == 3 ** 8
 
 
 def test_product_formula_bites_below_the_degree(monkeypatch):
