@@ -5,7 +5,7 @@ global Frobenius determinants, the product-formula audit, cover transfer
 audits, and the projective-representation identity suite.  Reports are
 deterministic for a fixed input and seed: the timing block counts logical
 work units rather than wall clock, so identical runs serialize to
-identical bytes at any thread count (wall time goes to stderr).  Exit
+identical bytes (wall time goes to stderr).  Exit
 codes: 0 pass, 2 a checked identity failed, 3 unsupported or malformed
 input, 4 an enumeration cap was exceeded.
 """
@@ -322,13 +322,6 @@ def _build_parser():
     common.add_argument("--ell", type=int, default=None, help="pin the coefficient prime")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized corpora")
     common.add_argument("--cap", type=int, default=None, help="override the unit-sum cap")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for interface compatibility; reductions run in a "
-        "fixed order so reports are identical at any thread count",
-    )
     common.add_argument("--json-out", default=None, help="also write the report to this path")
 
     parser = argparse.ArgumentParser(

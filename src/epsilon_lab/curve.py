@@ -17,9 +17,11 @@ A SheafSpec reads the divisor of its data once, when it is built, as one
 row per irreducible factor.  The point walk then evaluates each factor
 once per closed point, not once per rational point, and adds up logs,
 since the log of a value is the log of its leading constant plus the
-factors' exponents times their logs.  A closed point of degree e counts
-as e rational points of every degree m it divides, with its keys rescaled
-by m/e.
+factors' exponents times their logs.  Infinity, when the data is lisse
+there, is one more closed point of degree 1.  Every global quantity is
+priced from these counts: the Euler product directly, and a trace sum
+over the rational points of degree m by letting a closed point of degree
+e | m stand for e of them, with its keys rescaled by m/e.
 
 The local data at a closed point is read once per spec and point, with no
 coefficient field: the coefficient prime only prices it, and the conductors
@@ -44,48 +46,6 @@ from .localfield import (
     factor_poly,
     ord_at,
 )
-
-_EXT_CACHE = {}
-
-
-def _extension_data(base, m):
-    """Degree m constant field extension with its LogField (the one gf
-    caches); the fourth entry is the flat table of absolute traces indexed
-    by element encoding."""
-    key = (base, m)
-    hit = _EXT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    big, emb = residue_field(base, m)
-    logs = log_field(big)
-    data = (big, emb, logs, logs.trace)
-    _EXT_CACHE[key] = data
-    return data
-
-
-def _log_evaluator(logs, poly, emb):
-    """Evaluator of a base-coefficient polynomial on log encoded points of
-    the big field; -1 encodes zero on both sides."""
-    cs = [logs.log[emb.embed(c).index()] for c in reversed(poly.coeffs)]
-    if not cs:
-        return lambda lx: -1
-    zech = logs.zech
-    order = logs.order
-
-    def ev(lx):
-        acc = cs[0]
-        for c in cs[1:]:
-            if acc >= 0:
-                acc = (acc + lx) % order if lx >= 0 else -1
-            if acc < 0:
-                acc = c
-            elif c >= 0:
-                z = zech[(c - acc) % order]
-                acc = -1 if z < 0 else (acc + z) % order
-        return acc
-
-    return ev
-
 
 def _lyndon_logs(q, e):
     """One log per Frobenius orbit of exact size e >= 2 in F_{q^e}^*: the
@@ -135,7 +95,7 @@ class SheafSpec:
     g must sit inside the punctures, so the data is lisse on the rest.
     """
 
-    __slots__ = ("base", "wild", "kummer", "punctures", "unram", "_hist", "_closed", "_local", "_divisor")
+    __slots__ = ("base", "wild", "kummer", "punctures", "unram", "_closed", "_local", "_divisor")
 
     def __init__(self, base, wild=None, kummer=(), punctures=(), unram=1):
         self.base = base
@@ -164,7 +124,6 @@ class SheafSpec:
         if not isinstance(unram, int) or unram == 0:
             raise ValueError("unramified scaling must be a nonzero integer")
         self.unram = unram
-        self._hist = {}
         self._closed = {}
         self._local = {}
         self._divisor = self._read_divisor()
@@ -224,38 +183,39 @@ class SheafSpec:
     def infinity_in_domain(self):
         return not any(pt.at_infinity for pt in self.punctures)
 
-    def _infinity_key(self, m):
+    def _infinity_key(self):
+        """(additive key, Kummer key) of infinity as a point of degree 1."""
         base = self.base
-        red = base.q - 1
         pe = 0
         if self.wild is not None and ord_at(self.wild, Point.infinity(base)) == 0:
-            c = self.wild.num.leading() / self.wild.den.leading()
-            pe = trace(base.elem(m % base.p) * c).as_int()
-        ke = 0
-        for g, e in self.kummer:
-            ke += e * m * dlog(g.num.leading() / g.den.leading())
-        return (pe, ke % red)
+            pe = trace(self.wild.num.leading() / self.wild.den.leading()).as_int()
+        ke = sum(e * dlog(g.num.leading() / g.den.leading()) for g, e in self.kummer)
+        return (pe, ke % (base.q - 1))
 
     def _closed_point_counts(self, e):
         """Counts of (additive key, Kummer key) over the closed points of
-        exact degree e of the finite domain, in F_{q^e}: one evaluation per
-        point.  Frobenius multiplies a log by q modulo q^e - 1, so a point of
-        degree e >= 2 is one orbit of e logs, met once at its Lyndon word;
-        at degree 1 every log is a point, and so is x = 0 (log -1).
+        exact degree e of the domain, infinity included at e = 1, in
+        F_{q^e}: one evaluation per point.  Frobenius multiplies a log by q
+        modulo q^e - 1, so a point of degree e >= 2 is one orbit of e logs,
+        met once at its Lyndon word; at degree 1 every log is a point, and
+        so is x = 0 (log -1).
 
         A key is read off the divisor rows: a value's log is the log of its
         leading constant plus the rows' exponents times the logs of their
-        irreducible factors.  The additive key is the absolute trace of the
-        additive datum, the Kummer key the log of the product of the powered
-        multiplicative data reduced for the norm to the base."""
+        irreducible factors.  A factor is evaluated by Horner's rule on
+        logs, where a + b is a + zech[b - a], from the logs of its lower
+        coefficients (it is monic).  The additive key is the absolute trace
+        of the additive datum, the Kummer key the log of the product of the
+        powered multiplicative data reduced for the norm to the base."""
         hit = self._closed.get(e)
         if hit is not None:
             return hit
         q = self.base.q
-        _big, emb, logs, tr_table = _extension_data(self.base, e)
+        big, emb = residue_field(self.base, e)
+        logs = log_field(big)
         order = logs.order
         red = q - 1
-        log, exp = logs.log, logs.exp
+        log, exp, zech, tr_table = logs.log, logs.exp, logs.zech, logs.trace
 
         def lead_log(r):
             return log[emb.embed(r.num.leading() / r.den.leading()).index()]
@@ -265,16 +225,26 @@ class SheafSpec:
         lw0 = 0 if no_wild else lead_log(self.wild)
         # a puncture that carries no datum only matters where it has points
         rows = [
-            (_log_evaluator(logs, f, emb), k, w, punct)
+            ([log[emb.embed(c).index()] for c in reversed(f.coeffs[:-1])], k, w, punct)
             for f, k, w, punct in self._divisor
             if k or w or f.degree() == e
         ]
         reps = range(-1, order) if e == 1 else _lyndon_logs(q, e)
         counts = {}
+        if e == 1 and self.infinity_in_domain():
+            counts[self._infinity_key()] = 1
         for lx in reps:
             lk, lw, wild_zero = lk0, lw0, no_wild
-            for ev, k, w, punct in rows:
-                v = ev(lx)
+            for cs, k, w, punct in rows:
+                v = 0
+                for c in cs:
+                    if v < 0 or lx < 0:
+                        v = c
+                    else:
+                        v = (v + lx) % order
+                        if c >= 0:
+                            z = zech[(c - v) % order]
+                            v = -1 if z < 0 else (v + z) % order
                 if v >= 0:
                     lk += k * v
                     lw += w * v
@@ -288,38 +258,8 @@ class SheafSpec:
         self._closed[e] = counts
         return counts
 
-    def point_histogram(self, m):
-        """Counts of (additive exponent, multiplicative exponent) pairs over
-        the degree m rational points of the domain, infinity included.
-
-        The additive exponent is the absolute trace of the additive datum;
-        the multiplicative exponent is the discrete log, reduced for the
-        norm to the base, of the product of the powered multiplicative
-        data.  Each closed point of degree e | m is evaluated once, in
-        F_{q^e}, and stands for e rational points; its keys are rescaled
-        by m/e, since on F_{q^e} the trace from F_{q^m} is m/e times the
-        trace from F_{q^e} and the norm is raised to the power m/e.  The
-        histogram prices trace sums for any coefficient prime.
-        """
-        hit = self._hist.get(m)
-        if hit is not None:
-            return hit
-        p, red = self.base.p, self.base.q - 1
-        hist = {}
-        for e in range(1, m + 1):
-            if m % e == 0:
-                r = m // e
-                for (pe, ke), count in self._closed_point_counts(e).items():
-                    key = (pe * r % p, ke * r % red)
-                    hist[key] = hist.get(key, 0) + e * count
-        if self.infinity_in_domain():
-            key = self._infinity_key(m)
-            hist[key] = hist.get(key, 0) + 1
-        self._hist[m] = hist
-        return hist
-
     def _prices(self, coeff):
-        """(psi_pow, zpow, c): a histogram key (pe, ke) of degree m is
+        """(psi_pow, zpow, c): a point key (pe, ke) of degree m is
         priced psi_pow[pe] * zpow[ke] * c**m modulo ell, as plain ints."""
         base = self.base
         if coeff.p != base.p:
@@ -338,12 +278,20 @@ class SheafSpec:
 
     def trace_sum(self, coeff, m):
         """Sum of the trace function over the degree m rational points of
-        the domain, as an element of the coefficient field."""
+        the domain, as an element of the coefficient field.
+
+        A closed point of degree e | m stands for e rational points, with
+        its keys scaled by m/e: on F_{q^e} the trace from F_{q^m} is m/e
+        times the trace from F_{q^e}, and the norm is raised to the power
+        m/e."""
         psi_pow, zpow, c = self._prices(coeff)
-        ell = coeff.ell
+        p, red, ell = self.base.p, self.base.q - 1, coeff.ell
         acc = 0
-        for (pe, ke), count in self.point_histogram(m).items():
-            acc = (acc + count * psi_pow[pe] * zpow[ke]) % ell
+        for e in range(1, m + 1):
+            if m % e == 0:
+                r = m // e
+                for (pe, ke), count in self._closed_point_counts(e).items():
+                    acc = (acc + e * count * psi_pow[pe * r % p] * zpow[ke * r % red]) % ell
         return coeff.elem(acc * pow(c, m, ell))
 
     def trace_at(self, coeff, m, x):
@@ -354,13 +302,13 @@ class SheafSpec:
         is evaluated and traced, each multiplicative datum is evaluated,
         normed down and fed to the character."""
         base = self.base
-        big, emb, _logs, _tr = _extension_data(base, m)
+        big, emb = residue_field(base, m)
         if x is None:
             if not self.infinity_in_domain():
                 raise ValueError("infinity is punctured")
-            pe, ke = self._infinity_key(m)
+            pe, ke = self._infinity_key()
             z = coeff.kummer_chi(1, base.gen())
-            return coeff.psi(pe) * z ** ke * coeff.elem(self.unram) ** m
+            return coeff.psi(pe * m) * z ** (ke * m) * coeff.elem(self.unram) ** m
         if x.field != big:
             raise ValueError("the point must live in the cached degree m extension")
         for pt in self.punctures:
@@ -495,11 +443,8 @@ class GlobalComputation:
             for pt in lisse:
                 _big, _tame, _wild, ke, pe = spec.local_data(pt)
                 stalks.append((pt.degree(), price(pt.degree(), (pe, ke))))
-            known = [(e, a, 1) for e, a in stalks]
-            if spec.infinity_in_domain():
-                known.append((1, price(1, spec._infinity_key(1)), 1))
             for k in range((d_mid + 1) // 2, d_mid + 1):
-                points = known + [
+                points = [(e, a, 1) for e, a in stalks] + [
                     (e, price(e, key), n) for e in range(1, k + 1) for key, n in spec._closed_point_counts(e).items()
                 ]
                 mid = _euler_product(points, k, ell)
@@ -593,7 +538,6 @@ def product_formula_check(spec, coeff, omega, method="auto"):
     base = spec.base
     q = base.q
     ell = coeff.ell
-    inf = Point.infinity(base)
     contributing = [(pt, local_character_at(spec, coeff, pt)) for pt in spec.punctures]
     constant = not any(chi.is_ramified() for _pt, chi in contributing)
     if constant:
@@ -603,21 +547,19 @@ def product_formula_check(spec, coeff, omega, method="auto"):
         lhs = (scale * scale * coeff.elem(q)) ** -1
         d = 0
     punctured = set(spec.punctures)
-    for pt, mult in divisor_points(omega):
-        if pt.at_infinity:
-            continue
-        if mult and pt not in punctured:
-            contributing.append((pt, local_character_at(spec, coeff, pt)))
-    v_inf = ord_at(omega, inf) - 2
-    if v_inf and inf not in punctured:
-        contributing.append((inf, local_character_at(spec, coeff, inf)))
+    # the orders of omega dt: dt adds its double pole at infinity, which
+    # stays last, after the finite points in divisor order
+    orders = dict(divisor_points(omega))
+    inf = Point.infinity(base)
+    orders[inf] = orders.get(inf, 0) - 2
+    contributing += [(pt, local_character_at(spec, coeff, pt)) for pt, v in orders.items() if v and pt not in punctured]
     rhs = coeff.elem(q)
     rhs_alt = coeff.elem(q)
     weighted_sign = 1
     per_point = []
     for pt, chi in contributing:
         kind = "shriek" if pt in punctured else "star"
-        v_om = ord_at(omega, pt) + (-2 if pt.at_infinity else 0)
+        v_om = orders.get(pt, 0)
         a = chi.artin_a(kind)
         w_x = expand_form_at(omega, pt, a + abs(v_om) + 4)
         res = eps_local(chi, w_x, kind, method)

@@ -547,14 +547,25 @@ def find_embedding(small, big):
     raise ValueError("no root of the small modulus in the big field")
 
 
+_RESIDUE_CACHE = {}
+
+
 def residue_field(base, d):
-    """Degree d extension of base with a norm compatible generator.
+    """Degree d extension of base with a norm compatible generator, built
+    on first use and cached.
 
     The returned descriptor's generator G satisfies
     norm(G, emb) == base.generator, which makes multiplicative characters
     of the base compose with norms by plain exponent bookkeeping.  Returns
     (desc, emb) with emb the embedding of base.
     """
+    got = _RESIDUE_CACHE.get((base, d))
+    if got is None:
+        got = _RESIDUE_CACHE[(base, d)] = _residue_field(base, d)
+    return got
+
+
+def _residue_field(base, d):
     if d == 1:
         return base, identity_embedding(base)
     big = fq_build(base.p, base.n * d)

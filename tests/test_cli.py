@@ -255,16 +255,16 @@ def test_product_check_on_everywhere_unramified_data(capsys, tmp_path):
     assert report["second"]["mode"] == "constant" and report["second"]["ok"]
 
 
-def test_reports_byte_identical_across_threads(capsys, tmp_path):
-    out1 = tmp_path / "one.json"
-    out8 = tmp_path / "eight.json"
-    code1, _ = run(capsys, ["product-check", "--threads", "1", "--seed", "5", "--json-out", str(out1)])
-    code8, _ = run(capsys, ["product-check", "--threads", "8", "--seed", "5", "--json-out", str(out8)])
-    assert code1 == code8 == 0
-    assert out1.read_bytes() == out8.read_bytes()
+def test_reports_byte_identical_across_reruns(capsys, tmp_path):
+    first = tmp_path / "first.json"
     rerun = tmp_path / "rerun.json"
-    code, _ = run(capsys, ["product-check", "--threads", "1", "--seed", "5", "--json-out", str(rerun)])
-    assert code == 0 and rerun.read_bytes() == out1.read_bytes()
+    code1, _ = run(capsys, ["product-check", "--seed", "5", "--json-out", str(first)])
+    code2, _ = run(capsys, ["product-check", "--seed", "5", "--json-out", str(rerun)])
+    assert code1 == code2 == 0
+    assert rerun.read_bytes() == first.read_bytes()
+    # evaluation is sequential: there is no thread count to set
+    with pytest.raises(SystemExit):
+        main(["product-check", "--threads", "1"])
 
 
 def test_malformed_character_record_points_at_field(capsys, tmp_path):

@@ -14,7 +14,6 @@ from epsilon_lab.coeff import coeff_setup, second_ell
 from epsilon_lab.curve import (
     GlobalComputation,
     SheafSpec,
-    _extension_data,
     conductor_profile,
     divisor_points,
     global_epsilon,
@@ -27,7 +26,7 @@ from epsilon_lab.curve import (
     verify_gos,
 )
 from epsilon_lab.epsilon import eps_local, gamma_psi
-from epsilon_lab.gf import CapExceeded, Unsupported, fq_build, prime_field
+from epsilon_lab.gf import CapExceeded, Unsupported, fq_build, log_field, prime_field, residue_field
 from epsilon_lab.localfield import (
     Point,
     Poly,
@@ -52,7 +51,7 @@ def rat(field, num, den=(1,)):
 
 
 def pointwise_sum(spec, coeff, m):
-    big, _emb, _logs, _tr = _extension_data(spec.base, m)
+    big, _emb = residue_field(spec.base, m)
     total = coeff.zero()
     for x in big.elements():
         try:
@@ -228,43 +227,52 @@ def test_trace_sum_matches_pointwise_unram_scaled():
 
 
 def brute_histogram(spec, m):
-    """The full-field walk: every element of F_{q^m} is evaluated by the
-    divisor rows, one Python step per point."""
-    _big, emb, logs, tr_table = _extension_data(spec.base, m)
-    order = logs.order
-    red = spec.base.q - 1
-    log, exp = logs.log, logs.exp
+    """The full-field walk: every divisor row is evaluated on FqElem at
+    every element of F_{q^m}, one Python step per point; infinity takes its
+    keys from local_data, scaled by m."""
+    big, emb = residue_field(spec.base, m)
+    logs = log_field(big)
+    p, red = spec.base.p, spec.base.q - 1
 
     def lead_log(r):
-        return log[emb.embed(r.num.leading() / r.den.leading()).index()]
+        return logs.log[emb.embed(r.num.leading() / r.den.leading()).index()]
 
     lk0 = sum(e * lead_log(g) for g, e in spec.kummer)
     no_wild = spec.wild is None
     lw0 = 0 if no_wild else lead_log(spec.wild)
-    # a puncture that carries no datum only matters where it has points
-    rows = [
-        (curve_mod._log_evaluator(logs, f, emb), k, w, punct)
-        for f, k, w, punct in spec._divisor
-        if k or w or m % f.degree() == 0
-    ]
     hist = {}
-    for lx in range(-1, order):
+    for x in big.elements():
         lk, lw, wild_zero = lk0, lw0, no_wild
-        for ev, k, w, punct in rows:
-            v = ev(lx)
-            if v >= 0:
-                lk += k * v
-                lw += w * v
+        for f, k, w, punct in spec._divisor:
+            v = f.evaluate(x, emb)
+            if not v.is_zero():
+                lv = logs.log[v.index()]
+                lk += k * lv
+                lw += w * lv
             elif punct:
                 break
             else:
                 wild_zero = True
         else:
-            key = (0 if wild_zero else tr_table[exp[lw % order]], lk % red)
+            key = (0 if wild_zero else logs.trace[logs.exp[lw % logs.order]], lk % red)
             hist[key] = hist.get(key, 0) + 1
     if spec.infinity_in_domain():
-        key = spec._infinity_key(m)
+        _big, _tame, _wild, ke, pe = spec.local_data(Point.infinity(spec.base))
+        key = (pe * m % p, ke * m % red)
         hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
+def histogram(spec, m):
+    """The same counts from the walk: a closed point of degree e | m stands
+    for e rational points of degree m, with its keys scaled by m/e."""
+    p, red = spec.base.p, spec.base.q - 1
+    hist = {}
+    for e in range(1, m + 1):
+        if m % e == 0:
+            for (pe, ke), n in spec._closed_point_counts(e).items():
+                key = (pe * (m // e) % p, ke * (m // e) % red)
+                hist[key] = hist.get(key, 0) + e * n
     return hist
 
 
@@ -344,14 +352,14 @@ def test_point_histogram_matches_full_field_walk(make_spec):
     spec = make_spec()
     d = conductor_profile(spec)[1]
     for m in range(1, d + 2):
-        assert spec.point_histogram(m) == brute_histogram(spec, m), m
+        assert histogram(spec, m) == brute_histogram(spec, m), m
 
 
 @pytest.mark.parametrize("make_spec", HISTOGRAM_SPECS[:4])
 def test_first_histogram_at_degree_six(make_spec):
     # no smaller degree asked first: the closed points of degree 1, 2, 3
     # are counted on demand
-    assert make_spec().point_histogram(6) == brute_histogram(make_spec(), 6)
+    assert histogram(make_spec(), 6) == brute_histogram(make_spec(), 6)
 
 
 @pytest.mark.parametrize("make_spec", HISTOGRAM_SPECS)
@@ -361,24 +369,24 @@ def test_point_counts_add_up(make_spec):
     finite = [pt.degree() for pt in spec.punctures if not pt.at_infinity]
     for m in range(1, conductor_profile(spec)[1] + 2):
         expected = q ** m + spec.infinity_in_domain() - sum(deg for deg in finite if m % deg == 0)
-        assert sum(spec.point_histogram(m).values()) == expected
+        assert sum(histogram(spec, m).values()) == expected
         # monic_irreducibles trial-divides all q**m monic polynomials
         if q ** m <= 1024:
             closed = sum(spec._closed_point_counts(m).values())
-            assert closed == len(monic_irreducibles(spec.base, m)) - finite.count(m)
+            infinity = m == 1 and spec.infinity_in_domain()
+            assert closed == len(monic_irreducibles(spec.base, m)) - finite.count(m) + infinity
 
 
 def test_trace_at_does_not_count_closed_points(monkeypatch):
     spec = HISTOGRAM_SPECS[2].values[0]()
     expected = [spec.trace_sum(C73, m) for m in (1, 2)]
     monkeypatch.setattr(SheafSpec, "_closed_point_counts", _no_point_walk)
-    monkeypatch.setattr(SheafSpec, "point_histogram", _no_point_walk)
     assert [pointwise_sum(spec, C73, m) for m in (1, 2)] == expected
 
 
 def test_reducible_minpoly_is_no_point():
     # t^2 - 1 = (t - 1)(t + 1) over F_3: taken as a closed point, it made
-    # point_histogram(1) count three points where the domain has one (x = 0)
+    # the walk count three points of degree 1 where the domain has one (x = 0)
     with pytest.raises(Unsupported) as err:
         SheafSpec(F3, wild=rat(F3, [0, 1]), punctures=[Point(F3, Poly(F3, [2, 0, 1])), Point.infinity(F3)])
     assert err.value.field == "minpoly"
@@ -632,7 +640,7 @@ def test_degree_thirteen_walks_no_field_above_half(monkeypatch):
         init(self, field)
 
     monkeypatch.setattr(gf_mod, "_TABLE_CACHE", {})
-    monkeypatch.setattr(curve_mod, "_EXT_CACHE", {})
+    monkeypatch.setattr(gf_mod, "_RESIDUE_CACHE", {})
     monkeypatch.setattr(gf_mod.LogField, "__init__", recorded)
     first = coeff_setup(3, [2])
     for coeff in (first, second_ell(first)):
@@ -735,7 +743,7 @@ class PushforwardSpec:
         upstairs punctures dropped; returns (finite points, infinity flag)."""
         spec = self.upstairs
         base = spec.base
-        big, emb, _logs, _tr = _extension_data(base, m)
+        big, emb = residue_field(base, m)
         num = Poly(big, [emb.embed(c) for c in self.cover.num.coeffs])
         den = Poly(big, [emb.embed(c) for c in self.cover.den.coeffs])
         dn, dd = num.degree(), den.degree()
@@ -784,7 +792,7 @@ class PushforwardSpec:
         line; fibers partition the upstairs domain, so this must agree
         with the upstairs trace sum."""
         base = self.upstairs.base
-        big, _emb, _logs, _tr = _extension_data(base, m)
+        big, _emb = residue_field(base, m)
         acc = self.downstream_trace(coeff, m, None)
         for x in big.elements():
             acc = acc + self.downstream_trace(coeff, m, x)
@@ -899,7 +907,6 @@ def test_local_refusal_comes_before_the_point_walk(monkeypatch):
         punctures=[Point.rational(F3, 0), Point.infinity(F3)],
     )
     monkeypatch.setattr(SheafSpec, "_closed_point_counts", _no_point_walk)
-    monkeypatch.setattr(SheafSpec, "point_histogram", _no_point_walk)
     with pytest.raises(CapExceeded):
         product_formula_check(spec, C73, rat(F3, [1]))
 
@@ -911,7 +918,6 @@ def test_transfer_constants_price_local_factors_first(monkeypatch):
     # 2y dy is the pullback of the bundled form dt along the cover t = y**2
     form = rat(F3, [0, 2])
     monkeypatch.setattr(SheafSpec, "_closed_point_counts", _no_point_walk)
-    monkeypatch.setattr(SheafSpec, "point_histogram", _no_point_walk)
     monkeypatch.setattr(epsilon_mod, "TATE_CAP", 2)
     with pytest.raises(CapExceeded):
         transfer_constants(C73, pairs, point, form)

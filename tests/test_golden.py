@@ -16,6 +16,9 @@ CASES = {
     "eps_local": ["eps-local"],
     "eps_global": ["eps-global", "--spec", str(DATA / "product_spec.json")],
     "product_check": ["product-check", "--second-ell"],
+    # infinity in the domain: it is a closed point of degree 1 like any other
+    "product_check_infinity": ["product-check", "--second-ell", "--spec", str(GOLDEN / "infinity_spec.json")],
+    "eps_global_infinity": ["eps-global", "--spec", str(GOLDEN / "infinity_spec.json")],
     "induction_check": ["induction-check"],
     "twisted_check": ["twisted-check", "--trials", "3", "--seed", "9"],
 }
