@@ -22,7 +22,7 @@ verify fast paths against it.
 
 from __future__ import annotations
 
-from .gf import CapExceeded, FqElem, frobenius
+from .gf import CapExceeded, FqElem, Unsupported, frobenius
 from .localfield import Form, LaurentSeries, PrecisionError, dlog, residue, reversion
 
 ORACLE_CAP = 1 << 16
@@ -223,6 +223,9 @@ class LocalCharacter:
         from .gf import FieldDesc
 
         field = FieldDesc.from_json(obj["field"])
+        for key in ("c_pi", "tame_e"):
+            if type(obj[key]) is not int:
+                raise Unsupported("%s must be an integer" % key, field=key)
         wild = obj.get("wild_h") or {"v": 0, "coeffs": []}
         h = LaurentSeries.make(
             field, wild["v"], [field.elem(tuple(c)) for c in wild["coeffs"]], 1
@@ -240,17 +243,16 @@ class OracleCharacter:
 
     __slots__ = ("field", "coeff", "nu", "c_pi", "table")
 
-    def __init__(self, field, coeff, nu, c_pi, table, check=True):
+    def __init__(self, field, coeff, nu, c_pi, table):
         self.field = field
         self.coeff = coeff
         self.nu = nu
         self.c_pi = c_pi
         self.table = table
-        if check:
-            self._verify()
+        self._verify()
 
     @classmethod
-    def from_character(cls, chi, nu, check=True):
+    def from_character(cls, chi, nu):
         field = chi.field
         if nu < chi.swan() + 1:
             raise ValueError("table depth %d below swan + 1 = %d" % (nu, chi.swan() + 1))
@@ -260,7 +262,7 @@ class OracleCharacter:
         for key in cls.unit_keys(field, nu):
             u = LaurentSeries.make(field, 0, [field.from_index(i) for i in key], nu)
             table[key] = chi(u)
-        return cls(field, chi.coeff, nu, chi.c_pi, table, check=check)
+        return cls(field, chi.coeff, nu, chi.c_pi, table)
 
     @staticmethod
     def unit_keys(field, nu):

@@ -13,7 +13,6 @@ input, 4 an enumeration cap was exceeded.
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from importlib import resources
@@ -127,6 +126,10 @@ def _prime_to(coeff, unram):
     return coeff
 
 
+def _complex(z):
+    return {"re": round(z.real, 10) + 0.0, "im": round(z.imag, 10) + 0.0, "abs": round(abs(z), 10)}
+
+
 def _spec_orders(spec, extra_functions):
     """Character orders forced by the residue fields in play: one q**d - 1
     per puncture degree and per divisor point of each listed function."""
@@ -169,11 +172,7 @@ def cmd_gauss(args):
         "q": q,
         "c": [int(v) for v in c.coeffs],
         "value": value.value,
-        "complex": {
-            "re": round(z.real, 10) + 0.0,
-            "im": round(z.imag, 10) + 0.0,
-            "abs": round(abs(z), 10),
-        },
+        "complex": _complex(z),
     }
     return body, coeff.ell, q, True
 
@@ -193,6 +192,7 @@ def cmd_eps_local(args):
         eigen = obj.get("eigenvalues")
         if not eigen:
             raise Unsupported("punctual kind needs eigenvalues", field="eigenvalues")
+        _need(isinstance(eigen, list) and all(type(v) is int for v in eigen), "eigenvalues", "a list of integers")
         res = eps_punctual(coeff, [coeff.elem(v) for v in eigen])
     else:
         chi = LocalCharacter.from_json(coeff, obj["char"])
@@ -208,12 +208,7 @@ def cmd_eps_local(args):
         "kind": kind,
     }
     try:
-        z = complex_embed(coeff, res.value)
-        body["complex"] = {
-            "re": round(z.real, 10) + 0.0,
-            "im": round(z.imag, 10) + 0.0,
-            "abs": round(abs(z), 10),
-        }
+        body["complex"] = _complex(complex_embed(coeff, res.value))
     except ValueError:
         body["complex"] = None
     return body, coeff.ell, 1, True
@@ -230,8 +225,7 @@ def cmd_eps_global(args):
         "l_polynomial": [c.value for c in glob.cs],
         "audit": audit,
     }
-    ok = all(v for v in audit.values() if isinstance(v, bool))
-    return body, coeff.ell, glob.degree + 2, ok
+    return body, coeff.ell, glob.degree + 2, audit["ok"]
 
 
 def cmd_product_check(args):
@@ -392,15 +386,8 @@ def main(argv=None):
     started = time.perf_counter()
     report = {"command": args.command, "seed": args.seed}
     try:
-        cap = args.cap
-        env = os.environ.get("EPSILON_LAB_CAP")
-        if cap is None and env is not None:
-            try:
-                cap = int(env)
-            except ValueError:
-                raise Unsupported("EPSILON_LAB_CAP must be an integer, got %r" % env, field="cap") from None
-        if cap is not None:
-            _epsilon.TATE_CAP = cap
+        if args.cap is not None:
+            _epsilon.TATE_CAP = args.cap
         body, ell, work, ok = _COMMANDS[args.command](args)
         report.update(body)
         report["ell"] = ell

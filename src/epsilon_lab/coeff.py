@@ -198,12 +198,10 @@ class SymbolicSum:
     def __neg__(self):
         return SymbolicSum({e: -c for e, c in self.counts.items()}, self.order)
 
-    def to_complex(self, root_choice=1):
-        if math.gcd(root_choice, self.order) != 1:
-            raise ValueError("root_choice must be prime to the order")
+    def to_complex(self):
         acc = 0j
         for e, c in self.counts.items():
-            acc += c * cmath.exp(2j * cmath.pi * root_choice * e / self.order)
+            acc += c * cmath.exp(2j * cmath.pi * e / self.order)
         return acc
 
     def __repr__(self):
@@ -267,17 +265,17 @@ def _smallest_primitive_root(ell):
     raise ValueError("no primitive root, ell is not prime")
 
 
-def complex_embed(field, v, root_choice=1):
+def complex_embed(field, v):
     """Render a value as a complex number, for display only.
 
     Accepts a SymbolicSum, or a CoeffElem equal to a pinned root of unity
-    (see CoeffField.symbolic_for).  Raises ValueError('no embedding
-    available') otherwise.
+    (see CoeffField.symbolic_for), read at exp(2 pi i / order).  Raises
+    ValueError('no embedding available') otherwise.
     """
     if isinstance(v, SymbolicSum):
-        return v.to_complex(root_choice)
+        return v.to_complex()
     if isinstance(v, CoeffElem):
         sym = field.symbolic_for(v.value)
         if sym is not None:
-            return sym.to_complex(root_choice)
+            return sym.to_complex()
     raise ValueError("no embedding available")

@@ -18,10 +18,11 @@ row per irreducible factor.  The point walk then evaluates each factor
 once per closed point, not once per rational point, and adds up logs,
 since the log of a value is the log of its leading constant plus the
 factors' exponents times their logs.  Infinity, when the data is lisse
-there, is one more closed point of degree 1.  Every global quantity is
-priced from these counts: the Euler product directly, and a trace sum
-over the rational points of degree m by letting a closed point of degree
-e | m stand for e of them, with its keys rescaled by m/e.
+there, is one more closed point of degree 1, read off the leading
+constants.  Every global quantity is priced from these counts: the Euler
+product directly, and a trace sum over the rational points of degree m
+by letting a closed point of degree e | m stand for e of them, with its
+keys rescaled by m/e.
 
 The local data at a closed point is read once per spec and point, with no
 coefficient field: the coefficient prime only prices it, and the conductors
@@ -106,7 +107,7 @@ class SheafSpec:
         self.wild = wild
         self.kummer = []
         for g, e in kummer:
-            if not isinstance(e, int):
+            if type(e) is not int:
                 raise ValueError("character exponents must be integers")
             if g.is_zero():
                 raise ValueError("multiplicative datum must be nonzero")
@@ -121,7 +122,7 @@ class SheafSpec:
                 raise ValueError("duplicate puncture")
             pts.append(pt)
         self.punctures = pts
-        if not isinstance(unram, int) or unram == 0:
+        if type(unram) is not int or unram == 0:
             raise ValueError("unramified scaling must be a nonzero integer")
         self.unram = unram
         self._closed = {}
@@ -135,18 +136,17 @@ class SheafSpec:
         exponent, additive exponent, is a puncture): one per finite puncture
         and one per other zero of the additive datum."""
         allowed = set(self.punctures)
-        rows = {pt: [0, 0] for pt in self.punctures if not pt.at_infinity}
+        rows = {pt: [0, 0] for pt in self.punctures}
         for pt, mult in divisor_points(self.wild) if self.wild is not None else ():
             if mult < 0 and pt not in allowed:
                 raise ValueError("additive datum has a pole off the punctures")
-            if not pt.at_infinity:
-                rows.setdefault(pt, [0, 0])[1] += mult
+            rows.setdefault(pt, [0, 0])[1] += mult
         for g, e in self.kummer:
             for pt, mult in divisor_points(g):
                 if pt not in allowed:
                     raise ValueError("multiplicative datum has a zero or pole off the punctures")
-                if not pt.at_infinity:
-                    rows[pt][0] += e * mult
+                rows[pt][0] += e * mult
+        rows.pop(Point.infinity(self.base), None)
         return [(pt.minpoly, k, w, pt in allowed) for pt, (k, w) in rows.items()]
 
     def local_data(self, point):
@@ -183,22 +183,14 @@ class SheafSpec:
     def infinity_in_domain(self):
         return not any(pt.at_infinity for pt in self.punctures)
 
-    def _infinity_key(self):
-        """(additive key, Kummer key) of infinity as a point of degree 1."""
-        base = self.base
-        pe = 0
-        if self.wild is not None and ord_at(self.wild, Point.infinity(base)) == 0:
-            pe = trace(self.wild.num.leading() / self.wild.den.leading()).as_int()
-        ke = sum(e * dlog(g.num.leading() / g.den.leading()) for g, e in self.kummer)
-        return (pe, ke % (base.q - 1))
-
     def _closed_point_counts(self, e):
         """Counts of (additive key, Kummer key) over the closed points of
         exact degree e of the domain, infinity included at e = 1, in
         F_{q^e}: one evaluation per point.  Frobenius multiplies a log by q
         modulo q^e - 1, so a point of degree e >= 2 is one orbit of e logs,
         met once at its Lyndon word; at degree 1 every log is a point, and
-        so is x = 0 (log -1).
+        so is x = 0 (log -1), and so is infinity, keyed by the leading
+        constants alone (additive key 0 unless num and den degrees agree).
 
         A key is read off the divisor rows: a value's log is the log of its
         leading constant plus the rows' exponents times the logs of their
@@ -232,7 +224,8 @@ class SheafSpec:
         reps = range(-1, order) if e == 1 else _lyndon_logs(q, e)
         counts = {}
         if e == 1 and self.infinity_in_domain():
-            counts[self._infinity_key()] = 1
+            flat = not no_wild and self.wild.num.degree() == self.wild.den.degree()
+            counts[(tr_table[exp[lw0]] if flat else 0, lk0 % red)] = 1
         for lx in reps:
             lk, lw, wild_zero = lk0, lw0, no_wild
             for cs, k, w, punct in rows:
@@ -300,13 +293,14 @@ class SheafSpec:
 
         Pointwise route, independent of the histogram: the additive datum
         is evaluated and traced, each multiplicative datum is evaluated,
-        normed down and fed to the character."""
+        normed down and fed to the character; infinity's keys are read off
+        local_data, not off the walk's leading constants."""
         base = self.base
         big, emb = residue_field(base, m)
         if x is None:
             if not self.infinity_in_domain():
                 raise ValueError("infinity is punctured")
-            pe, ke = self._infinity_key()
+            _big, _tame, _wild, ke, pe = self.local_data(Point.infinity(base))
             z = coeff.kummer_chi(1, base.gen())
             return coeff.psi(pe * m) * z ** (ke * m) * coeff.elem(self.unram) ** m
         if x.field != big:

@@ -519,32 +519,35 @@ def dlog(x):
     return log_field(x.field).log[x.index()]
 
 
+def first_root(coeffs, step, count):
+    """The first step**k, k < count, that is a root of sum coeffs[i] x**i
+    (ints or elements of step's field), or None."""
+    cur = step.field.one()
+    for _ in range(count):
+        acc = step.field.zero()
+        for c in reversed(coeffs):
+            acc = acc * cur + c
+        if acc.is_zero():
+            return cur
+        cur = cur * step
+    return None
+
+
 def find_embedding(small, big):
     """Embedding of small into big: locate a root of small.modulus among
-    the subfield of big of the right order (tiny scan, never the whole
-    big field)."""
+    0 and the powers of a generator of the subfield of big of the right
+    order (tiny scan, never the whole big field)."""
     if small.p != big.p or big.n % small.n != 0:
         raise ValueError("not a subfield relation")
+    mod = small.modulus
+    if mod[0] == 0:
+        return TowerEmbedding(small, big, big.zero())
     q_small = small.q
     gen_sub = big.gen() ** ((big.q - 1) // (q_small - 1)) if q_small > 2 else big.one()
-    candidates = [big.zero()]
-    cur = big.one()
-    for _ in range(q_small - 1):
-        candidates.append(cur)
-        cur = cur * gen_sub
-        if cur == big.one():
-            break
-    mod = small.modulus
-    for cand in candidates:
-        acc = big.zero()
-        power = big.one()
-        for c in mod:
-            if c:
-                acc = acc + power * c
-            power = power * cand
-        if acc.is_zero():
-            return TowerEmbedding(small, big, cand)
-    raise ValueError("no root of the small modulus in the big field")
+    root = first_root(mod, gen_sub, q_small - 1)
+    if root is None:
+        raise ValueError("no root of the small modulus in the big field")
+    return TowerEmbedding(small, big, root)
 
 
 _RESIDUE_CACHE = {}

@@ -18,7 +18,7 @@ Conventions:
 
 from __future__ import annotations
 
-from .gf import FieldDesc, FqElem, Unsupported, residue_field
+from .gf import FieldDesc, FqElem, Unsupported, first_root, residue_field
 
 
 class PrecisionError(ValueError):
@@ -692,30 +692,18 @@ class Point:
         exponent k; for degree 1 it is the rational point itself, and at
         infinity the residue field is the base with alpha unused (None).
         """
-        if self._expansion is not None:
-            return self._expansion
-        from .gf import identity_embedding
-
-        if self.at_infinity:
-            self._expansion = (self.base, identity_embedding(self.base), None)
-            return self._expansion
-        d = self.degree()
-        if d == 1:
-            alpha = -self.minpoly.coeffs[0]
-            self._expansion = (self.base, identity_embedding(self.base), alpha)
-            return self._expansion
-        big, emb = residue_field(self.base, d)
-        g = big.gen()
-        alpha = None
-        cur = big.one()
-        for k in range(big.q - 1):
-            if self.minpoly.evaluate(cur, emb).is_zero():
-                alpha = cur
-                break
-            cur = cur * g
-        if alpha is None:
-            raise ValueError("minimal polynomial has no root in its residue field")
-        self._expansion = (big, emb, alpha)
+        if self._expansion is None:
+            d = self.degree()
+            big, emb = residue_field(self.base, d)
+            if self.at_infinity:
+                alpha = None
+            elif d == 1:
+                alpha = -self.minpoly.coeffs[0]
+            else:
+                alpha = first_root([emb.embed(c) for c in self.minpoly.coeffs], big.gen(), big.q - 1)
+                if alpha is None:
+                    raise ValueError("minimal polynomial has no root in its residue field")
+            self._expansion = (big, emb, alpha)
         return self._expansion
 
     def __eq__(self, other):

@@ -1,15 +1,15 @@
 """Projective representations of finite groups with unit multipliers.
 
 A multiplier is a unit valued function on pairs of group elements; the
-cochain maps d1 and d2 connect scalar functions, multipliers and triple
-functions, and a multiplier twists the group algebra, whose associativity
-is equivalent to the cocycle relation.  Representations twisted by a
-multiplier compose up to that multiplier; they induce from subgroups by a
-block construction with explicit multiplier corrections, and the
-determinant of an induced representation splits into the signature of the
-coset permutation action and a transfer of the determinant character,
-computable independently by a coset walk.  Every map here is finite and
-exact over a prime coefficient field.
+coboundary d1 takes scalar functions to multipliers, is_cocycle checks the
+cocycle relation on every triple, and a multiplier twists the group
+algebra, whose associativity is equivalent to that relation.
+Representations twisted by a multiplier compose up to that multiplier;
+they induce from subgroups by a block construction with explicit
+multiplier corrections, and the determinant of an induced representation
+splits into the signature of the coset permutation action and a transfer
+of the determinant character, computable independently by a coset walk.
+Every map here is finite and exact over a prime coefficient field.
 """
 
 import random
@@ -22,7 +22,6 @@ __all__ = [
     "char_rep",
     "check_ver_identities",
     "d1",
-    "d2",
     "det",
     "delta_char",
     "induce",
@@ -312,22 +311,6 @@ def d1(group, coeff, lam):
     return Multiplier(group, coeff, table)
 
 
-def d2(mult):
-    """Full triple table mu(x,y) mu(xy,z) / (mu(x,yz) mu(y,z)); identically 1
-    exactly for cocycles."""
-    group, ell = mult.group, mult.coeff.ell
-    t = mult.table
-    out = {}
-    for x in range(group.n):
-        for y in range(group.n):
-            xy = group.mul(x, y)
-            for z in range(group.n):
-                num = t[x][y] * t[xy][z] % ell
-                den = t[x][group.mul(y, z)] * t[y][z] % ell
-                out[(x, y, z)] = mult.coeff.elem(num * pow(den, -1, ell))
-    return out
-
-
 def is_cocycle(mult):
     """mu(x,y) mu(xy,z) == mu(x,yz) mu(y,z) on all triples."""
     group, ell = mult.group, mult.coeff.ell
@@ -458,17 +441,17 @@ def char_rep(group, sub, mult, values):
     return TwistedRep(group, sub, mult, mats)
 
 
-def twisted_regular(group, mult, check=False):
+def twisted_regular(group, mult):
     """Left multiplication on the twisted algebra basis: the matrix of k
     maps [g] to mu(k,g) [kg].  Satisfies the composition rule exactly when
-    the multiplier is a cocycle."""
+    the multiplier is a cocycle, so it is built unchecked."""
     mats = {}
     for k in group.elements():
         rows = [[0] * group.n for _ in range(group.n)]
         for g in group.elements():
             rows[group.mul(k, g)][g] = mult.table[k][g]
         mats[k] = rows
-    return TwistedRep(group, tuple(group.elements()), mult, mats, check=check)
+    return TwistedRep(group, tuple(group.elements()), mult, mats, check=False)
 
 
 def _cosets(group, members, sub, order=None):
@@ -496,12 +479,12 @@ def _cosets(group, members, sub, order=None):
     return reps, coset_of
 
 
-def induce(rep, ambient=None, order=None, check=False):
+def induce(rep, ambient=None, order=None):
     """Induced twisted representation on the ambient subgroup (default the
     full group): one block row and column per coset of the domain, the
     block at (target coset, source coset) of k carrying
     mu(k, g_c) mu(g_target, h)^{-1} rho(h) for h the conjugated element
-    g_target^{-1} k g_c of the domain."""
+    g_target^{-1} k g_c of the domain.  Built unchecked; see is_valid."""
     group, sub, mult = rep.group, rep.sub, rep.mult
     ell = mult.coeff.ell
     members = tuple(group.elements()) if ambient is None else tuple(sorted(set(ambient)))
@@ -525,7 +508,7 @@ def induce(rep, ambient=None, order=None, check=False):
             for i, src in enumerate(rep.mats[h]):
                 rows[c2 * r + i][c * r:(c + 1) * r] = [s * v for v in src]
         mats[k] = rows
-    return TwistedRep(group, members, mult, mats, check=check)
+    return TwistedRep(group, members, mult, mats, check=False)
 
 
 def _perm_sign(p):

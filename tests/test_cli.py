@@ -182,19 +182,30 @@ def test_cap_flag_exceeded(capsys):
     assert epsilon_mod.TATE_CAP == 1 << 22
 
 
-def test_cap_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("EPSILON_LAB_CAP", "2")
-    code, report = run(capsys, ["eps-local", "--method", "tate"])
-    assert code == 4 and report["caps"]["unit_sum"] == 2
-    assert epsilon_mod.TATE_CAP == 1 << 22
+def _with_true(name):
+    """The bundled input of a command with one integer field set to JSON true."""
+    if name in ("tame_e", "c_pi"):
+        obj = json.loads((DATA / "char_quadratic.json").read_text())
+        obj["char"][name] = True
+        return ["eps-local"], obj
+    if name == "eigenvalues":
+        return ["eps-local", "--kind", "punctual"], {"coeff": {"p": 3, "orders": [8]}, "eigenvalues": [2, True]}
+    obj = json.loads((DATA / "product_spec.json").read_text())
+    if name == "unram":
+        obj["unram"] = True
+    else:
+        obj["kummer"][0][1] = True
+    return ["product-check"], obj
 
 
-def test_malformed_cap_env_refused(capsys, monkeypatch):
-    monkeypatch.setenv("EPSILON_LAB_CAP", "two")
-    code, report = run(capsys, ["eps-local", "--method", "tate"])
-    assert code == 3 and report["field"] == "cap"
-    assert report["caps"]["unit_sum"] == 1 << 22
-    assert epsilon_mod.TATE_CAP == 1 << 22
+@pytest.mark.parametrize("name", ["kummer_exponent", "unram", "tame_e", "c_pi", "eigenvalues"])
+def test_json_true_is_not_an_integer(capsys, tmp_path, name):
+    # true == 1 in Python, so an isinstance(x, int) check lets it pass
+    argv, obj = _with_true(name)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    code, report = run(capsys, argv + ["--char" if argv[0] == "eps-local" else "--spec", str(path)])
+    assert code == 3 and not report["ok"] and report["error"]
 
 
 def test_malformed_spec_points_at_field(capsys, tmp_path):

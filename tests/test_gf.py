@@ -149,6 +149,21 @@ def test_find_embedding_roots_modulus():
     assert acc.is_zero()
 
 
+@pytest.mark.parametrize("small, big", [((3, 1), (3, 2)), ((2, 2), (2, 4)), ((3, 2), (3, 4)), ((2, 1), (2, 3)), ((5, 1), (5, 2)), ((2, 3), (2, 6))])
+def test_find_embedding_takes_the_first_root(small, big):
+    # the local expansions depend on this choice: the first root of the
+    # small modulus among 0, 1, g, g**2, ..., g of order small.q - 1
+    small, big = fq_build(*small), fq_build(*big)
+    g = big.gen() ** ((big.q - 1) // (small.q - 1))
+    for x in [big.zero()] + [g ** k for k in range(small.q - 1)]:
+        value = big.zero()
+        for c in reversed(small.modulus):
+            value = value * x + c
+        if value.is_zero():
+            break
+    assert find_embedding(small, big).root == x
+
+
 def test_json_roundtrip():
     f = fq_build(3, 2)
     assert FieldDesc.from_json(f.to_json()) == f

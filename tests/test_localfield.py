@@ -528,6 +528,17 @@ def test_degree_two_point_data():
     assert s.valuation() == 1
 
 
+@pytest.mark.parametrize("base, d", [(F3, 2), (F3, 3), (fq_build(2, 2), 2), (fq_build(2, 2), 3), (F9, 2), (F5, 2)])
+def test_residue_data_root_has_the_least_log(base, d):
+    # the expansions at a point depend on this choice: the root G**k of
+    # the minimal polynomial with the least k, G the residue field's generator
+    big, emb = gf.residue_field(base, d)
+    exp = gf.log_field(big).exp
+    for f in monic_irreducibles(base, d):
+        want = next(x for x in map(big.from_index, exp) if f.evaluate(x, emb).is_zero())
+        assert Point(base, f).residue_data()[2] == want
+
+
 def test_form_at_infinity_sign():
     # d(t) pulled back through t = 1/pi is -pi**-2 dpi
     one = RationalFunction.from_poly(Poly(F3, [1]))
