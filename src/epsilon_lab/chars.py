@@ -227,9 +227,7 @@ class LocalCharacter:
             if type(obj[key]) is not int:
                 raise Unsupported("%s must be an integer" % key, field=key)
         wild = obj.get("wild_h") or {"v": 0, "coeffs": []}
-        h = LaurentSeries.make(
-            field, wild["v"], [field.elem(tuple(c)) for c in wild["coeffs"]], 1
-        )
+        h = LaurentSeries.make(field, wild["v"], [field.json_elem(c) for c in wild["coeffs"]], 1)
         return cls(field, coeff, coeff.elem(obj["c_pi"]), obj["tame_e"], h)
 
 

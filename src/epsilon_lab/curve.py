@@ -45,7 +45,6 @@ from .localfield import (
     expand_at,
     expand_form_at,
     factor_poly,
-    ord_at,
 )
 
 def _lyndon_logs(q, e):
@@ -166,16 +165,17 @@ class SheafSpec:
         rel = (big.q - 1) // (base.q - 1)
         tame = ke = pe = 0
         for g, e in self.kummer:
-            v = ord_at(g, point)
+            gx = expand_at(g, point, 1)
+            v, lead = gx.v, gx.coeffs[0]
             tame -= e * v * rel
-            lead = expand_at(g, point, v + 1).coeff(v)
             ke += e * dlog(norm(-lead if v % 2 else lead, emb))
         wild_h = LaurentSeries.zero(big, 1)
         if self.wild is not None:
-            fx = expand_at(self.wild, point, 1)
-            if not fx.is_zero() and fx.valuation() < 0:
-                v = fx.valuation()
-                wild_h = as_reduce(LaurentSeries.make(big, v, list(fx.coeffs[:-v]), 1))
+            # through the constant term, past the deepest pole there can be
+            num, den = self.wild.num.degree(), self.wild.den.degree()
+            fx = expand_at(self.wild, point, 1 + (max(num - den, 0) if point.at_infinity else den))
+            if fx.v < 0:
+                wild_h = as_reduce(LaurentSeries.make(big, fx.v, list(fx.coeffs[: -fx.v]), 1))
             pe = trace(fx.coeff(0)).as_int()
         hit = self._local[point] = (big, tame % (big.q - 1), wild_h, ke % (base.q - 1), pe)
         return hit
@@ -347,6 +347,14 @@ def local_character_at(spec, coeff, point):
         c_pi = c_pi * coeff.kummer_chi(ke, spec.base.gen())
     c_pi = c_pi * coeff.elem(spec.unram) ** point.degree()
     return LocalCharacter(big, coeff, c_pi, tame, wild_h)
+
+
+def _local_factor(chi, omega, point, kind, method):
+    """The factor of chi at the point with the global form omega dt.  By
+    change of form eps reads the form only to a(chi) coefficients past its
+    valuation, or its valuation alone when chi is unramified, so the form
+    is expanded that far and no further."""
+    return eps_local(chi, expand_form_at(omega, point, max(chi.artin_a(kind), 1)), kind, method)
 
 
 def conductor_profile(spec):
@@ -553,10 +561,8 @@ def product_formula_check(spec, coeff, omega, method="auto"):
     per_point = []
     for pt, chi in contributing:
         kind = "shriek" if pt in punctured else "star"
-        v_om = orders.get(pt, 0)
         a = chi.artin_a(kind)
-        w_x = expand_form_at(omega, pt, a + abs(v_om) + 4)
-        res = eps_local(chi, w_x, kind, method)
+        res = _local_factor(chi, omega, pt, kind, method)
         deg = pt.degree()
         sign = -1 if a % 2 else 1
         sign_alt = -1 if ((deg - 1) * a) % 2 else 1
@@ -614,9 +620,7 @@ def transfer_constants(coeff, variants, point, form):
     ups = []
     # every local factor before any point walk: a local refusal is cheap
     for _gspec, lspec in variants:
-        chi = local_character_at(lspec, coeff, point)
-        w_x = expand_form_at(form, point, chi.swan() + abs(ord_at(form, point)) + 8)
-        ups.append(eps_local(chi, w_x, "shriek"))
+        ups.append(_local_factor(local_character_at(lspec, coeff, point), form, point, "shriek", "auto"))
     for (gspec, _lspec), up in zip(variants, ups):
         cs = l_polynomial(gspec, coeff)
         d = len(cs) - 1

@@ -321,8 +321,9 @@ def eps_closed_form(chi, omega):
         raise ValueError("closed form needs a wild character")
     field, coeff = chi.field, chi.coeff
     w = omega.w
-    pad = max(w.prec - (w.v if w.coeffs else w.prec), n + 2) + n + 3
-    H = LaurentSeries.make(field, chi.wild_h.v, [-c for c in chi.wild_h.coeffs], chi.wild_h.v + pad)
+    # h is exact: padded with known zeros, h' has w's window, so w / h'
+    # does too and chi reads it as far as w is known
+    H = LaurentSeries.make(field, chi.wild_h.v, [-c for c in chi.wild_h.coeffs], chi.wild_h.v + w.prec - w.v)
     ratio = w / H.derivative()
     value = chi(ratio)
     vr = ratio.valuation()

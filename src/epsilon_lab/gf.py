@@ -184,6 +184,14 @@ class FieldDesc:
             raise ValueError("too many coefficients")
         return FqElem(self, coeffs + (0,) * (self.n - len(coeffs)))
 
+    def json_elem(self, c):
+        """The element a JSON coefficient names: an integer, or a list of
+        integers low degree first.  JSON true is no integer here, though
+        Python takes it for 1."""
+        if type(c) is int or (type(c) is list and all(type(x) is int for x in c)):
+            return self.elem(c)
+        raise Unsupported("a coefficient must be an integer or a list of integers", field="coefficient")
+
     def zero(self):
         return self.elem(0)
 

@@ -6,6 +6,9 @@ Form is w * dpi for a series w.  RationalFunction and Point model functions
 on the projective line and their expansions at closed points, including the
 point at infinity and points of higher degree (expansion happens over the
 residue field at a distinguished root of the point's minimal polynomial).
+An expansion is asked for by the number n of coefficients wanted past its
+valuation, which it finds itself: numerator and denominator are exact
+Taylor shifts, padded with known zeros, and one division leaves exactly n.
 
 Conventions:
 
@@ -88,11 +91,6 @@ class LaurentSeries:
         if k >= self.prec:
             raise PrecisionError("coefficient at %d beyond precision %d" % (k, self.prec))
         return self.coeffs[k - self.v]
-
-    def truncate(self, prec):
-        if prec > self.prec:
-            raise PrecisionError("cannot raise precision from %d to %d" % (self.prec, prec))
-        return LaurentSeries.make(self.field, self.v, list(self.coeffs), prec)
 
     def shift(self, k):
         """Multiply by pi**k."""
@@ -256,7 +254,7 @@ class LaurentSeries:
     @classmethod
     def from_json(cls, obj):
         field = FieldDesc.from_json(obj["field"])
-        return cls.make(field, obj["v"], [field.elem(c) for c in obj["coeffs"]], obj["prec"])
+        return cls.make(field, obj["v"], [field.json_elem(c) for c in obj["coeffs"]], obj["prec"])
 
     def __repr__(self):
         if not self.coeffs:
@@ -470,19 +468,6 @@ class Poly:
             acc = acc * x + cc
         return acc
 
-    def multiplicity_of(self, factor):
-        """Largest k with factor**k dividing self."""
-        if self.is_zero():
-            raise ValueError("zero polynomial has infinite multiplicity")
-        k = 0
-        cur = self
-        while True:
-            quo, rem = cur.divmod(factor)
-            if not rem.is_zero():
-                return k
-            k += 1
-            cur = quo
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self.field == other.field and self.coeffs == other.coeffs
 
@@ -577,8 +562,8 @@ class RationalFunction:
 
     @classmethod
     def from_json(cls, field, obj):
-        num = Poly(field, [field.elem(c) for c in obj["num"]])
-        den = Poly(field, [field.elem(c) for c in obj["den"]])
+        num = Poly(field, [field.json_elem(c) for c in obj["num"]])
+        den = Poly(field, [field.json_elem(c) for c in obj["den"]])
         return cls(num, den)
 
 
@@ -730,69 +715,56 @@ class Point:
     def from_json(cls, base, obj):
         if obj["type"] == "infinity":
             return cls.infinity(base)
-        return cls(base, Poly(base, [base.elem(c) for c in obj["minpoly"]]))
+        return cls(base, Poly(base, [base.json_elem(c) for c in obj["minpoly"]]))
 
 
-def _poly_series_at(poly, point, prec, emb, alpha):
-    """Series of poly(t) in the local parameter at the point."""
-    field = emb.big if not point.at_infinity else poly.field
+def _poly_series_at(poly, point, n, emb, alpha):
+    """n coefficients of poly(t) past its valuation, in the local parameter
+    at the point.  The Taylor shift is exact, so past its top the window is
+    known zeros."""
+    if poly.is_zero():
+        raise ValueError("the zero function has no valuation")
+    field, v = emb.big, 0
     if point.at_infinity:
-        # t = 1/pi
-        coeffs = list(reversed(poly.coeffs))
-        if not coeffs:
-            return LaurentSeries.zero(poly.field, prec)
-        return LaurentSeries.make(poly.field, -poly.degree(), coeffs, prec)
-    # t = alpha + pi, Taylor shift by synthetic division
-    rem = [emb.embed(c) for c in poly.coeffs]
-    out = []
-    for _ in range(len(rem)):
-        # divide rem by (x - alpha): value first
-        acc = field.zero()
-        newrem = []
-        for c in reversed(rem):
-            acc = acc * alpha + c
-            newrem.append(acc)
-        out.append(acc)
-        rem = list(reversed(newrem[:-1]))
-        if not rem:
-            break
-    return LaurentSeries.make(field, 0, out, prec)
+        # t = 1/pi: the leading coefficient comes first
+        v = -poly.degree()
+        out = poly.coeffs[::-1][:n]
+    else:
+        # t = alpha + pi, Taylor shift by synthetic division, stopped once
+        # n coefficients past the first nonzero one are known
+        rem = [emb.embed(c) for c in poly.coeffs]
+        out = []
+        while rem and len(out) < n:
+            acc = field.zero()
+            newrem = []
+            for c in reversed(rem):
+                acc = acc * alpha + c
+                newrem.append(acc)
+            rem = newrem[-2::-1]
+            if out or not acc.is_zero():
+                out.append(acc)
+            else:
+                v += 1
+    return LaurentSeries(field, v, v + n, tuple(out) + (field.zero(),) * (n - len(out)))
 
 
-def expand_at(r, point, prec):
-    """Laurent expansion of a rational function at a closed point.
+def expand_at(r, point, n):
+    """Laurent expansion of a nonzero rational function at a closed point,
+    to n coefficients past its valuation, which it finds itself.
 
     Over the residue field of the point; the local parameter is t - t(x)
     at finite points (t - alpha over the residue field in higher degree)
     and 1/t at infinity.
     """
-    big, emb, alpha = point.residue_data()
-    margin = prec + max(r.den.degree(), 1) + max(r.num.degree(), 1) + 2
-    num = _poly_series_at(r.num, point, margin, emb, alpha)
-    den = _poly_series_at(r.den, point, margin, emb, alpha)
-    if den.is_zero():
-        raise ZeroDivisionError("denominator vanished identically, broken reduction")
-    out = num / den
-    if out.coeffs and out.prec > prec:
-        out = out.truncate(prec)
-    return out
+    _big, emb, alpha = point.residue_data()
+    return _poly_series_at(r.num, point, n, emb, alpha) / _poly_series_at(r.den, point, n, emb, alpha)
 
 
-def ord_at(r, point):
-    """Valuation of a rational function at a closed point."""
-    if r.is_zero():
-        raise ValueError("the zero function has no valuation")
-    if point.at_infinity:
-        return r.den.degree() - r.num.degree()
-    return r.num.multiplicity_of(point.minpoly) - r.den.multiplicity_of(point.minpoly)
-
-
-def expand_form_at(w, point, prec):
-    """Expansion of the global form w(t) dt at a point, as a local Form.
+def expand_form_at(w, point, n):
+    """Expansion of the global form w(t) dt at a point, as a local Form,
+    to n coefficients past its valuation.
 
     At finite points dt = dpi; at infinity t = 1/pi gives dt = -pi**-2 dpi.
     """
-    if point.at_infinity:
-        series = expand_at(w, point, prec + 2)
-        return Form(series.shift(-2) * (-1))
-    return Form(expand_at(w, point, prec))
+    series = expand_at(w, point, n)
+    return Form(-series.shift(-2) if point.at_infinity else series)

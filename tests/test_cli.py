@@ -183,29 +183,46 @@ def test_cap_flag_exceeded(capsys):
 
 
 def _with_true(name):
-    """The bundled input of a command with one integer field set to JSON true."""
-    if name in ("tame_e", "c_pi"):
+    """A command, the flag naming its input file, and the bundled input
+    with one integer set to JSON true."""
+    if name in ("tame_e", "c_pi", "wild_h"):
         obj = json.loads((DATA / "char_quadratic.json").read_text())
-        obj["char"][name] = True
-        return ["eps-local"], obj
+        if name == "wild_h":
+            obj["char"]["wild_h"] = {"v": -1, "coeffs": [[True]]}
+        else:
+            obj["char"][name] = True
+        return ["eps-local"], "--char", obj
+    if name == "form":
+        obj = json.loads((DATA / "form_dlog.json").read_text())
+        obj["coeffs"][0] = [True]
+        return ["eps-local"], "--form", obj
     if name == "eigenvalues":
-        return ["eps-local", "--kind", "punctual"], {"coeff": {"p": 3, "orders": [8]}, "eigenvalues": [2, True]}
+        return ["eps-local", "--kind", "punctual"], "--char", {"coeff": {"p": 3, "orders": [8]}, "eigenvalues": [2, True]}
     obj = json.loads((DATA / "product_spec.json").read_text())
     if name == "unram":
         obj["unram"] = True
-    else:
+    elif name == "kummer_exponent":
         obj["kummer"][0][1] = True
-    return ["product-check"], obj
+    elif name == "wild_num":
+        obj["wild"]["num"] = [[0], [True]]
+    else:
+        obj["punctures"][0]["minpoly"] = [0, True]
+    return ["product-check" if name in ("unram", "kummer_exponent") else "eps-global"], "--spec", obj
 
 
-@pytest.mark.parametrize("name", ["kummer_exponent", "unram", "tame_e", "c_pi", "eigenvalues"])
+COEFFICIENT_CASES = ["wild_num", "minpoly", "wild_h", "form"]
+
+
+@pytest.mark.parametrize("name", ["kummer_exponent", "unram", "tame_e", "c_pi", "eigenvalues"] + COEFFICIENT_CASES)
 def test_json_true_is_not_an_integer(capsys, tmp_path, name):
     # true == 1 in Python, so an isinstance(x, int) check lets it pass
-    argv, obj = _with_true(name)
+    argv, flag, obj = _with_true(name)
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))
-    code, report = run(capsys, argv + ["--char" if argv[0] == "eps-local" else "--spec", str(path)])
+    code, report = run(capsys, argv + [flag, str(path)])
     assert code == 3 and not report["ok"] and report["error"]
+    if name in COEFFICIENT_CASES:
+        assert report["field"] == "coefficient"
 
 
 def test_malformed_spec_points_at_field(capsys, tmp_path):

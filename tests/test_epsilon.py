@@ -23,7 +23,7 @@ from epsilon_lab.epsilon import (
     transport_form,
     _unit_rows,
 )
-from epsilon_lab.localfield import Form, LaurentSeries
+from epsilon_lab.localfield import Form, LaurentSeries, PrecisionError
 
 F3 = fq_build(3, 1)
 F4 = fq_build(2, 2)
@@ -260,6 +260,46 @@ def test_dispatch_routes():
         for m in ("auto", "tate", "tate_slow", "closed")
     }
     assert len(values) == 1
+
+
+def _window(omega, n):
+    """The form cut to n coefficients past its valuation."""
+    w = omega.w
+    return Form(LaurentSeries.make(w.field, w.v, list(w.coeffs), w.v + n))
+
+
+@pytest.mark.parametrize("method", ["tate", "tate_slow", "closed"])
+def test_ramified_factor_reads_the_form_to_the_conductor(method):
+    # change of form: eps(chi, w) depends on w only through its first
+    # a(chi) coefficients, and every engine needs all of them
+    rng = random.Random("window " + method)
+    for field, coeff in FIELDS:
+        # a reduced wild datum has no pole order divisible by p
+        for swan in [s for s in range(1 if method == "closed" else 0, 4) if s % field.p or not s]:
+            if field.q ** (swan + 1) > 729:
+                break
+            chi = random_char(rng, field, coeff, swan=swan)
+            while not chi.is_ramified() or chi.swan() != swan:
+                chi = random_char(rng, field, coeff, swan=swan)
+            a = chi.artin_a("shriek")
+            omega = random_form(rng, field, a + 3)
+            want = eps_local(chi, omega, "shriek", method)
+            got = eps_local(chi, _window(omega, a), "shriek", method)
+            assert (got.value, got.conductor_a_omega) == (want.value, want.conductor_a_omega)
+            with pytest.raises(PrecisionError):
+                eps_local(chi, _window(omega, a - 1), "shriek", method)
+
+
+@pytest.mark.parametrize("kind", ["star", "shriek"])
+def test_unramified_factor_reads_the_valuation_alone(kind):
+    rng = random.Random("window " + kind)
+    for field, coeff in FIELDS:
+        for _ in range(3):
+            chi = LocalCharacter(field, coeff, coeff.elem(rng.randrange(1, coeff.ell)), 0)
+            omega = random_form(rng, field, 4)
+            want = eps_local(chi, omega, kind)
+            got = eps_local(chi, _window(omega, 1), kind)
+            assert (got.value, got.conductor_a_omega) == (want.value, want.conductor_a_omega)
 
 
 # ---------------------------------------------------------------------------

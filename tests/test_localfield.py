@@ -19,7 +19,6 @@ from epsilon_lab.localfield import (
     expand_form_at,
     factor_poly,
     monic_irreducibles,
-    ord_at,
     poly_is_irreducible,
     residue,
     reversion,
@@ -342,8 +341,9 @@ def test_poly_gcd_and_multiplicity():
     f = (x - 1) * (x - 1) * (x + 1)
     g = (x - 1) * x
     assert f.gcd(g) == (x - 1)
-    assert f.multiplicity_of(x - 1) == 2
-    assert f.multiplicity_of(x) == 0
+    # multiplicities are orders at rational points
+    assert expand_at(RationalFunction.from_poly(f), Point.rational(F3, 1), 1).v == 2
+    assert expand_at(RationalFunction.from_poly(f), Point.rational(F3, 0), 1).v == 0
 
 
 def test_poly_evaluate():
@@ -502,19 +502,61 @@ def test_expand_at_infinity():
     assert s2.valuation() == 1
 
 
+def _order_by_division(r, f):
+    """Order of r at the zeros of the monic irreducible f: how often f
+    divides the numerator, less how often it divides the denominator."""
+
+    def count(g):
+        k = 0
+        while True:
+            quo, rem = g.divmod(f)
+            if not rem.is_zero():
+                return k
+            g, k = quo, k + 1
+
+    return count(r.num) - count(r.den)
+
+
 def test_ord_matches_expansion_valuation():
+    # an expansion finds its own order: repeated division at finite points
+    # of degree 1 to 3, the degree difference at infinity
     x = Poly.x(F3)
     quad = x * x + 1
-    r = RationalFunction(quad * (x - 1), x * x)
-    pts = [
-        Point.rational(F3, 1),
-        Point.rational(F3, 0),
-        Point(F3, quad),
-        Point.infinity(F3),
-    ]
+    cases = [(F3, RationalFunction(quad * (x - 1), x * x))]
+    rng = random.Random(29)
+    for field in (F3, F4):
+        irr = [f for d in (1, 2, 3) for f in monic_irreducibles(field, d)]
+        for _ in range(6):
+            num, den = Poly(field, [field.from_index(rng.randrange(1, field.q))]), Poly(field, [1])
+            for f in rng.sample(irr, 3):
+                for _ in range(rng.randrange(1, 3)):
+                    num = num * f
+            for f in rng.sample(irr, 3):
+                for _ in range(rng.randrange(1, 3)):
+                    den = den * f
+            cases.append((field, RationalFunction(num, den)))
+    for field, r in cases:
+        for f in [f for d in (1, 2, 3) for f in monic_irreducibles(field, d)]:
+            assert expand_at(r, Point(field, f), 1).v == _order_by_division(r, f)
+        assert expand_at(r, Point.infinity(field), 1).v == r.den.degree() - r.num.degree()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_expansions_hold_exactly_n_coefficients(n):
+    # n counts past the valuation, infinity included, where dt's shift by
+    # -2 keeps the count; a longer window agrees on the shorter one
+    x = Poly.x(F3)
+    quad = x * x + 1
+    r = RationalFunction(quad * (x - 1), x * x * (x + 1))
+    cubic = monic_irreducibles(F3, 3)[0]
+    pts = [Point.rational(F3, a) for a in range(3)] + [Point(F3, quad), Point(F3, cubic), Point.infinity(F3)]
     for pt in pts:
-        s = expand_at(r, pt, 6)
-        assert ord_at(r, pt) == s.valuation()
+        s = expand_at(r, pt, n)
+        assert len(s.coeffs) == s.prec - s.v == n
+        assert s == expand_at(r, pt, n + 3)
+        w = expand_form_at(r, pt, n).w
+        assert len(w.coeffs) == w.prec - w.v == n
+        assert w.v == s.v - (2 if pt.at_infinity else 0)
 
 
 def test_degree_two_point_data():
