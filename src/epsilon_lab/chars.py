@@ -227,6 +227,8 @@ class LocalCharacter:
             if type(obj[key]) is not int:
                 raise Unsupported("%s must be an integer" % key, field=key)
         wild = obj.get("wild_h") or {"v": 0, "coeffs": []}
+        if type(wild["v"]) is not int:
+            raise Unsupported("wild_h.v must be an integer", field="v")
         h = LaurentSeries.make(field, wild["v"], [field.json_elem(c) for c in wild["coeffs"]], 1)
         return cls(field, coeff, coeff.elem(obj["c_pi"]), obj["tame_e"], h)
 

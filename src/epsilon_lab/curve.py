@@ -26,7 +26,10 @@ keys rescaled by m/e.
 
 The local data at a closed point is read once per spec and point, with no
 coefficient field: the coefficient prime only prices it, and the conductors
-do not depend on it.  The Euler product runs in one place, GlobalComputation.
+do not depend on it.  So is a 1-form of the product formula: its divisor
+and its expansions, to the conductors eps reads, are read once per spec and
+form, and each coefficient prime prices the local factors from them.  The
+Euler product runs in one place, GlobalComputation.
 The functional equation of the middle extension fixes the top half of the
 determinant from the bottom half, so the walk counts closed points to about
 half the degree, and the audit one degree further.
@@ -36,7 +39,7 @@ from math import comb
 
 from .chars import LocalCharacter, as_reduce
 from .epsilon import eps_local, gamma_psi
-from .gf import dlog, log_field, norm, prime_field, residue_field, trace
+from .gf import Unsupported, dlog, log_field, norm, prime_field, residue_field, trace
 from .localfield import (
     LaurentSeries,
     Point,
@@ -78,7 +81,8 @@ def divisor_points(r):
         counts[f] = counts.get(f, 0) + m
     for f, m in factor_poly(r.den)[1]:
         counts[f] = counts.get(f, 0) - m
-    out = [(Point(base, f), m) for f, m in counts.items() if m]
+    # factor_poly's factors are irreducible already: no second test
+    out = [(Point._from_factor(base, f), m) for f, m in counts.items() if m]
     v_inf = r.den.degree() - r.num.degree()
     if v_inf:
         out.append((Point.infinity(base), v_inf))
@@ -95,7 +99,7 @@ class SheafSpec:
     g must sit inside the punctures, so the data is lisse on the rest.
     """
 
-    __slots__ = ("base", "wild", "kummer", "punctures", "unram", "_closed", "_local", "_divisor")
+    __slots__ = ("base", "wild", "kummer", "punctures", "unram", "_closed", "_local", "_forms", "_divisor")
 
     def __init__(self, base, wild=None, kummer=(), punctures=(), unram=1):
         self.base = base
@@ -126,6 +130,7 @@ class SheafSpec:
         self.unram = unram
         self._closed = {}
         self._local = {}
+        self._forms = {}
         self._divisor = self._read_divisor()
 
     def _read_divisor(self):
@@ -178,6 +183,22 @@ class SheafSpec:
                 wild_h = as_reduce(LaurentSeries.make(big, fx.v, list(fx.coeffs[: -fx.v]), 1))
             pe = trace(fx.coeff(0)).as_int()
         hit = self._local[point] = (big, tame % (big.q - 1), wild_h, ke % (base.q - 1), pe)
+        return hit
+
+    def form_data(self, omega):
+        """(orders, expansions) of the form omega dt, read once per spec and
+        form, with no coefficient field: the divisor and the expansions are
+        exact data over the base, and every coefficient prime only prices
+        them.  orders maps the zeros and poles of omega dt to their orders,
+        the finite points in divisor order and then infinity, where dt adds
+        its double pole; expansions holds the forms _local_factor expands,
+        keyed by (point, coefficients past the valuation)."""
+        hit = self._forms.get(omega)
+        if hit is None:
+            orders = dict(divisor_points(omega))
+            inf = Point.infinity(self.base)
+            orders[inf] = orders.get(inf, 0) - 2
+            hit = self._forms[omega] = (orders, {})
         return hit
 
     def infinity_in_domain(self):
@@ -332,7 +353,10 @@ class SheafSpec:
 
         base = fq_build(obj["p"], obj["n"])
         wild = RationalFunction.from_json(base, obj["wild"]) if obj.get("wild") else None
-        kummer = [(RationalFunction.from_json(base, g), e) for g, e in obj.get("kummer", [])]
+        kummer = obj.get("kummer", [])
+        if type(kummer) is not list or not all(type(k) is list and len(k) == 2 for k in kummer):
+            raise Unsupported("kummer must be a list of [function, exponent] pairs", field="kummer")
+        kummer = [(RationalFunction.from_json(base, g), e) for g, e in kummer]
         punctures = [Point.from_json(base, pt) for pt in obj.get("punctures", [])]
         return cls(base, wild=wild, kummer=kummer, punctures=punctures, unram=obj.get("unram", 1))
 
@@ -349,12 +373,18 @@ def local_character_at(spec, coeff, point):
     return LocalCharacter(big, coeff, c_pi, tame, wild_h)
 
 
-def _local_factor(chi, omega, point, kind, method):
+def _local_factor(chi, omega, point, kind, method, expansions):
     """The factor of chi at the point with the global form omega dt.  By
     change of form eps reads the form only to a(chi) coefficients past its
     valuation, or its valuation alone when chi is unramified, so the form
-    is expanded that far and no further."""
-    return eps_local(chi, expand_form_at(omega, point, max(chi.artin_a(kind), 1)), kind, method)
+    is expanded that far and no further.  expansions caches those forms
+    for omega by (point, coefficients); the conductor does not depend on
+    the coefficient prime, so one cache serves every prime."""
+    key = (point, max(chi.artin_a(kind), 1))
+    form = expansions.get(key)
+    if form is None:
+        form = expansions[key] = expand_form_at(omega, *key)
+    return eps_local(chi, form, kind, method)
 
 
 def conductor_profile(spec):
@@ -549,11 +579,7 @@ def product_formula_check(spec, coeff, omega, method="auto"):
         lhs = (scale * scale * coeff.elem(q)) ** -1
         d = 0
     punctured = set(spec.punctures)
-    # the orders of omega dt: dt adds its double pole at infinity, which
-    # stays last, after the finite points in divisor order
-    orders = dict(divisor_points(omega))
-    inf = Point.infinity(base)
-    orders[inf] = orders.get(inf, 0) - 2
+    orders, expansions = spec.form_data(omega)
     contributing += [(pt, local_character_at(spec, coeff, pt)) for pt, v in orders.items() if v and pt not in punctured]
     rhs = coeff.elem(q)
     rhs_alt = coeff.elem(q)
@@ -562,7 +588,7 @@ def product_formula_check(spec, coeff, omega, method="auto"):
     for pt, chi in contributing:
         kind = "shriek" if pt in punctured else "star"
         a = chi.artin_a(kind)
-        res = _local_factor(chi, omega, pt, kind, method)
+        res = _local_factor(chi, omega, pt, kind, method, expansions)
         deg = pt.degree()
         sign = -1 if a % 2 else 1
         sign_alt = -1 if ((deg - 1) * a) % 2 else 1
@@ -618,9 +644,10 @@ def transfer_constants(coeff, variants, point, form):
     lambdas = []
     conductor_ok = True
     ups = []
+    expansions = {}
     # every local factor before any point walk: a local refusal is cheap
     for _gspec, lspec in variants:
-        ups.append(_local_factor(local_character_at(lspec, coeff, point), form, point, "shriek", "auto"))
+        ups.append(_local_factor(local_character_at(lspec, coeff, point), form, point, "shriek", "auto", expansions))
     for (gspec, _lspec), up in zip(variants, ups):
         cs = l_polynomial(gspec, coeff)
         d = len(cs) - 1

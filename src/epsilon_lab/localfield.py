@@ -254,6 +254,10 @@ class LaurentSeries:
     @classmethod
     def from_json(cls, obj):
         field = FieldDesc.from_json(obj["field"])
+        for key in ("v", "prec"):
+            # JSON true is no integer here, though Python takes it for 1
+            if type(obj[key]) is not int:
+                raise Unsupported("%s must be an integer" % key, field=key)
         return cls.make(field, obj["v"], [field.json_elem(c) for c in obj["coeffs"]], obj["prec"])
 
     def __repr__(self):
@@ -554,6 +558,10 @@ class RationalFunction:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
+    def __hash__(self):
+        # num/den is canonical, so equal functions hash alike
+        return hash((self.num, self.den))
+
     def __repr__(self):
         return "RationalFunction(%r / %r)" % (self.num, self.den)
 
@@ -663,6 +671,14 @@ class Point:
         return cls(base, at_infinity=True)
 
     @classmethod
+    def _from_factor(cls, base, factor):
+        """The point of a monic factor from factor_poly, which is
+        irreducible by construction, so it is not tested again."""
+        pt = cls.__new__(cls)
+        pt.base, pt.minpoly, pt.at_infinity, pt._expansion = base, factor, False, None
+        return pt
+
+    @classmethod
     def rational(cls, base, a):
         a = base.elem(a) if isinstance(a, int) else a
         return cls(base, Poly(base, [-a, base.one()]))
@@ -713,8 +729,11 @@ class Point:
 
     @classmethod
     def from_json(cls, base, obj):
-        if obj["type"] == "infinity":
+        kind = obj["type"]
+        if kind == "infinity":
             return cls.infinity(base)
+        if kind != "finite":
+            raise Unsupported("a point's type must be finite or infinity", field="type")
         return cls(base, Poly(base, [base.json_elem(c) for c in obj["minpoly"]]))
 
 

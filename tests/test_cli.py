@@ -185,16 +185,21 @@ def test_cap_flag_exceeded(capsys):
 def _with_true(name):
     """A command, the flag naming its input file, and the bundled input
     with one integer set to JSON true."""
-    if name in ("tame_e", "c_pi", "wild_h"):
+    if name in ("tame_e", "c_pi", "wild_h", "wild_h_v"):
         obj = json.loads((DATA / "char_quadratic.json").read_text())
         if name == "wild_h":
             obj["char"]["wild_h"] = {"v": -1, "coeffs": [[True]]}
+        elif name == "wild_h_v":
+            obj["char"]["wild_h"] = {"v": True, "coeffs": [[1]]}
         else:
             obj["char"][name] = True
         return ["eps-local"], "--char", obj
-    if name == "form":
+    if name in ("form", "form_v", "form_prec"):
         obj = json.loads((DATA / "form_dlog.json").read_text())
-        obj["coeffs"][0] = [True]
+        if name == "form":
+            obj["coeffs"][0] = [True]
+        else:
+            obj[name[len("form_"):]] = True
         return ["eps-local"], "--form", obj
     if name == "eigenvalues":
         return ["eps-local", "--kind", "punctual"], "--char", {"coeff": {"p": 3, "orders": [8]}, "eigenvalues": [2, True]}
@@ -211,9 +216,13 @@ def _with_true(name):
 
 
 COEFFICIENT_CASES = ["wild_num", "minpoly", "wild_h", "form"]
+# a series' valuation and precision, the form's and the character's wild datum's
+WINDOW_CASES = {"form_v": "v", "form_prec": "prec", "wild_h_v": "v"}
 
 
-@pytest.mark.parametrize("name", ["kummer_exponent", "unram", "tame_e", "c_pi", "eigenvalues"] + COEFFICIENT_CASES)
+@pytest.mark.parametrize(
+    "name", ["kummer_exponent", "unram", "tame_e", "c_pi", "eigenvalues"] + COEFFICIENT_CASES + sorted(WINDOW_CASES)
+)
 def test_json_true_is_not_an_integer(capsys, tmp_path, name):
     # true == 1 in Python, so an isinstance(x, int) check lets it pass
     argv, flag, obj = _with_true(name)
@@ -223,6 +232,8 @@ def test_json_true_is_not_an_integer(capsys, tmp_path, name):
     assert code == 3 and not report["ok"] and report["error"]
     if name in COEFFICIENT_CASES:
         assert report["field"] == "coefficient"
+    if name in WINDOW_CASES:
+        assert report["field"] == WINDOW_CASES[name]
 
 
 def test_malformed_spec_points_at_field(capsys, tmp_path):
@@ -263,6 +274,32 @@ def test_reducible_puncture_is_refused(capsys, tmp_path, command):
     path.write_text(json.dumps(spec))
     code, report = run(capsys, [command, "--spec", str(path)])
     assert code == 3 and report["field"] == "minpoly" and not report["ok"]
+
+
+@pytest.mark.parametrize("kind", ["foo", "Infinity", "", None])
+def test_point_type_is_finite_or_infinity(capsys, tmp_path, kind):
+    # any other type was read as a finite point, and "Infinity" then missed
+    # its minpoly
+    spec = json.loads((DATA / "product_spec.json").read_text())
+    spec["punctures"][0]["type"] = kind
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, report = run(capsys, ["eps-global", "--spec", str(path)])
+    assert code == 3 and report["field"] == "type" and not report["ok"]
+
+
+_T = {"num": [[0], [1]], "den": [[1]]}  # the function t
+
+
+@pytest.mark.parametrize("kummer", [[[_T]], [[_T, 1, 2]], [5], 5])
+def test_kummer_entry_is_a_pair(capsys, tmp_path, kummer):
+    # an entry that is no [function, exponent] pair failed to unpack
+    spec = json.loads((DATA / "product_spec.json").read_text())
+    spec["kummer"] = kummer
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, report = run(capsys, ["eps-global", "--spec", str(path)])
+    assert code == 3 and report["field"] == "kummer" and not report["ok"]
 
 
 def test_induction_check_refuses_a_reducible_point(capsys, tmp_path):

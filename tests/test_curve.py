@@ -10,6 +10,7 @@ import pytest
 from epsilon_lab import curve as curve_mod
 from epsilon_lab import epsilon as epsilon_mod
 from epsilon_lab import gf as gf_mod
+from epsilon_lab import localfield as localfield_mod
 from epsilon_lab.coeff import coeff_setup, second_ell
 from epsilon_lab.curve import (
     GlobalComputation,
@@ -90,6 +91,40 @@ def test_divisor_points():
     assert pts[Point.infinity(F3)] == -1
     with pytest.raises(ValueError):
         divisor_points(rat(F3, []))
+
+
+def test_divisor_points_trust_factor_poly(monkeypatch):
+    # (t^2 + 1)(t^3 - t + 1) / t: every factor comes out of factor_poly
+    # irreducible, so no point is tested again
+    t = Poly.x(F3)
+    quad, cubic = t * t + 1, t * t * t - t + 1
+    r = RationalFunction(quad * cubic, t)
+    expected = divisor_points(r)
+    calls = []
+    test = localfield_mod.poly_is_irreducible
+
+    def counted(f):
+        calls.append(f)
+        return test(f)
+
+    monkeypatch.setattr(localfield_mod, "poly_is_irreducible", counted)
+    got = divisor_points(r)
+    assert calls == []
+    assert got == expected
+    assert dict(got) == {Point(F3, quad): 1, Point(F3, cubic): 1, Point.rational(F3, 0): -1, Point.infinity(F3): -4}
+    # the public constructor still tests
+    assert len(calls) == 2
+
+
+def test_a_point_refuses_a_reducible_minpoly():
+    # t^2 - 1 = (t - 1)(t + 1) over F_3
+    for make in (
+        lambda: Point(F3, Poly(F3, [2, 0, 1])),
+        lambda: Point.from_json(F3, {"type": "finite", "minpoly": [2, 0, 1]}),
+    ):
+        with pytest.raises(Unsupported) as err:
+            make()
+        assert err.value.field == "minpoly"
 
 
 def test_spec_validation():
@@ -696,6 +731,37 @@ def test_local_side_is_read_once_per_spec(monkeypatch):
     assert product_formula_check(spec, second_ell(coeff, d_max=3), rat(F3, [1]))["ok"]
     assert verify_gos(spec, coeff)["ok"]
     assert len(calls) == 4
+
+
+def test_form_is_read_once_per_spec(monkeypatch):
+    # t / (t^2 + 1): a zero at the puncture 0, a pole at a point of degree 2
+    # off the punctures, and a pole at infinity with dt.  Its divisor and
+    # expansions do not depend on the coefficient prime, so the second prime
+    # and the audit read none of them again
+    divisors, expansions = [], []
+    divisor, expand = curve_mod.divisor_points, curve_mod.expand_form_at
+
+    def counted_divisor(r):
+        divisors.append(r)
+        return divisor(r)
+
+    def counted_expand(w, point, n):
+        expansions.append((point, n))
+        return expand(w, point, n)
+
+    spec = gm_quadratic()
+    omega = rat(F3, [0, 1], [1, 0, 1])
+    monkeypatch.setattr(curve_mod, "divisor_points", counted_divisor)
+    monkeypatch.setattr(curve_mod, "expand_form_at", counted_expand)
+    coeff = coeff_setup(3, [2])
+    first = product_formula_check(spec, coeff, omega)
+    twin = product_formula_check(spec, second_ell(coeff, d_max=3), omega)
+    assert first["ok"] and twin["ok"] and first["ell"] != twin["ell"]
+    assert verify_gos(spec, coeff)["ok"]
+    assert divisors == [omega]
+    points = [Point.rational(F3, 0), Point.infinity(F3), Point(F3, Poly(F3, [1, 0, 1]))]
+    assert len(expansions) == len(set(expansions)) == 3
+    assert {pt for pt, _n in expansions} == set(points)
 
 
 def test_local_character_matches_pointwise_trace_off_the_punctures():

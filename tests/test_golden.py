@@ -23,6 +23,9 @@ CASES = {
     # the embeddings scan for a root, and a point has a residue field of its own
     "product_check_f9": ["product-check", "--second-ell", "--spec", str(GOLDEN / "f9_spec.json")],
     "eps_global_f9": ["eps-global", "--spec", str(GOLDEN / "f9_spec.json")],
+    # t dt / (t^2 + 1): a zero at the puncture 0 and a pole at a point of
+    # degree 2 off the punctures, so the local factors leave the punctures
+    "product_check_form": ["product-check", "--second-ell", "--omega", str(GOLDEN / "form_omega.json")],
     "induction_check": ["induction-check"],
     "twisted_check": ["twisted-check", "--trials", "3", "--seed", "9"],
 }

@@ -458,6 +458,16 @@ def test_rational_reduction():
     assert r.den.leading() == F3.one()
 
 
+def test_equal_rational_functions_hash_alike():
+    # num/den is reduced and den monic, so unreduced inputs meet in one key
+    x = Poly.x(F3)
+    r = RationalFunction((x * x - 1) * 2, (x - 1) * 2)
+    s = RationalFunction((x * x + 2 * x + 1) * (x + 2), (x + 1) * (x - 1))
+    assert r == s and hash(r) == hash(s)
+    assert {r: 1}[s] == 1
+    assert hash(RationalFunction(x * 2, x * x * 2)) == hash(RationalFunction(Poly(F3, [1]), x))
+
+
 def test_rational_evaluate():
     x = Poly.x(F5)
     r = RationalFunction(x * x + 1, x - 1)
