@@ -15,15 +15,17 @@ changes the character, and repeating until no exponent is divisible by p
 makes the representative unique.  The Swan conductor is then the pole
 order of the reduced datum.
 
-OracleCharacter is the brute-force twin: an explicit value table on unit
-residues mod pi**nu, checked to be multiplicative when built.  Engines
-verify fast paths against it.
+unit_keys lists the unit residues mod pi**nu as coefficient index tuples;
+the definitional unit sum walks them.  OracleCharacter, the brute-force
+twin of a character (an explicit value table on those residues), lives in
+tests/test_chars.py with the tests that check the engines against it.
+ORACLE_CAP bounds that table, and the CLI reports it among its caps.
 """
 
 from __future__ import annotations
 
-from .gf import CapExceeded, FqElem, Unsupported, frobenius
-from .localfield import Form, LaurentSeries, PrecisionError, dlog, residue, reversion
+from .gf import FqElem, Unsupported, frobenius
+from .localfield import LaurentSeries, PrecisionError, dlog, residue, reversion
 
 ORACLE_CAP = 1 << 16
 REDUCE_CAP = 64
@@ -106,11 +108,6 @@ class LocalCharacter:
             return 1 + self.swan()
         return 1 if kind == "shriek" else 0
 
-    def a_with_form(self, kind, omega):
-        """Conductor exponent shifted by the twist of a nonzero 1-form."""
-        v = omega.valuation() if isinstance(omega, Form) else omega
-        return self.artin_a(kind) + v
-
     # -- evaluation ---------------------------------------------------------
 
     def eval_unit_const(self, c):
@@ -126,8 +123,6 @@ class LocalCharacter:
 
         Needs the series known to swan + 1 coefficients past its valuation.
         """
-        if isinstance(x, (int, FqElem)):
-            return self.eval_unit_const(x)
         v = x.valuation()
         need = self.swan() + 1
         if x.prec - v < need:
@@ -137,7 +132,7 @@ class LocalCharacter:
         u = x.unit_part()
         out = self.c_pi ** v * self.coeff.kummer_chi(self.tame_e, u.coeff(0))
         if self.wild_h.coeffs:
-            pairing = residue(Form(self.wild_h * dlog(u).w))
+            pairing = residue(self.wild_h * dlog(u))
             out = out * self.coeff.psi_trace(pairing)
         return out
 
@@ -233,99 +228,15 @@ class LocalCharacter:
         return cls(field, coeff, coeff.elem(obj["c_pi"]), obj["tame_e"], h)
 
 
-class OracleCharacter:
-    """Value table of a character on unit residues mod pi**nu.
-
-    The table is keyed by coefficient index tuples of length nu.  On
-    construction the multiplicative law is checked, exhaustively when the
-    unit group is small and on a dense random sample otherwise.
-    """
-
-    __slots__ = ("field", "coeff", "nu", "c_pi", "table")
-
-    def __init__(self, field, coeff, nu, c_pi, table):
-        self.field = field
-        self.coeff = coeff
-        self.nu = nu
-        self.c_pi = c_pi
-        self.table = table
-        self._verify()
-
-    @classmethod
-    def from_character(cls, chi, nu):
-        field = chi.field
-        if nu < chi.swan() + 1:
-            raise ValueError("table depth %d below swan + 1 = %d" % (nu, chi.swan() + 1))
-        if field.q ** nu > ORACLE_CAP:
-            raise CapExceeded("oracle table would exceed %d entries" % ORACLE_CAP)
-        table = {}
-        for key in cls.unit_keys(field, nu):
-            u = LaurentSeries.make(field, 0, [field.from_index(i) for i in key], nu)
-            table[key] = chi(u)
-        return cls(field, chi.coeff, nu, chi.c_pi, table)
-
-    @staticmethod
-    def unit_keys(field, nu):
-        q = field.q
-        for head in range(1, q):
-            for tail in range(q ** (nu - 1)):
-                key = [head]
-                k = tail
-                for _ in range(nu - 1):
-                    key.append(k % q)
-                    k //= q
-                yield tuple(key)
-
-    def _mul_key(self, a, b):
-        q = self.field.q
-        ea = [self.field.from_index(i) for i in a]
-        eb = [self.field.from_index(i) for i in b]
-        out = [self.field.zero()] * self.nu
-        for i, x in enumerate(ea):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(eb):
-                if i + j >= self.nu:
-                    break
-                out[i + j] = out[i + j] + x * y
-        return tuple(c.index() for c in out)
-
-    def _verify(self):
-        import random as _random
-
-        keys = list(self.table)
-        pairs = []
-        if len(keys) <= 300:
-            pairs = [(a, b) for a in keys for b in keys]
-        else:
-            rng = _random.Random(0xC0FFEE)
-            pairs = [(rng.choice(keys), rng.choice(keys)) for _ in range(200)]
-        for a, b in pairs:
-            ab = self._mul_key(a, b)
-            if self.table[a] * self.table[b] != self.table[ab]:
-                raise ValueError("value table is not multiplicative at %r * %r" % (a, b))
-
-    def __call__(self, x):
-        v = x.valuation()
-        if x.prec - v < self.nu:
-            raise PrecisionError("oracle needs %d coefficients" % self.nu)
-        u = x.unit_part()
-        key = tuple(u.coeff(i).index() for i in range(self.nu))
-        return self.c_pi ** v * self.table[key]
-
-    def swan_by_definition(self):
-        """Largest m >= 1 with the character nontrivial on 1 + pi**m O, by
-        scanning the table; 0 if trivial on all principal units."""
-        one = self.coeff.one()
-        out = 0
-        for m in range(1, self.nu):
-            seen = False
-            for c in range(1, self.field.q):
-                key = [1] + [0] * (self.nu - 1)
-                key[m] = c
-                if self.table[tuple(key)] != one:
-                    seen = True
-                    break
-            if seen:
-                out = m
-        return out
+def unit_keys(field, nu):
+    """The unit residues mod pi**nu as tuples of nu coefficient indices,
+    leading coefficient outermost and the rest counted base q, low first."""
+    q = field.q
+    for head in range(1, q):
+        for tail in range(q ** (nu - 1)):
+            key = [head]
+            k = tail
+            for _ in range(nu - 1):
+                key.append(k % q)
+                k //= q
+            yield tuple(key)

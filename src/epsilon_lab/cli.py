@@ -387,6 +387,7 @@ def main(argv=None):
     report = {"command": args.command, "seed": args.seed}
     try:
         if args.cap is not None:
+            _need(args.cap >= 1, "cap", "a positive integer")
             _epsilon.TATE_CAP = args.cap
         body, ell, work, ok = _COMMANDS[args.command](args)
         report.update(body)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .gf import FqElem, _is_prime, _prime_factors, trace, dlog
+from .gf import FqElem, Unsupported, _is_prime, _prime_factors, trace, dlog
 
 
 class CoeffField:
@@ -134,12 +134,6 @@ class CoeffElem:
             return NotImplemented
         return CoeffElem(self.field, self.value - other.value)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CoeffElem(self.field, other.value - self.value)
-
     def inverse(self):
         if self.value == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -150,12 +144,6 @@ class CoeffElem:
         if other is None:
             return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
 
     def __pow__(self, e):
         if self.value == 0:
@@ -216,14 +204,14 @@ def coeff_setup(p, orders, d_max=1):
     is a plain lower bound on ell; nothing in the library needs it.
     """
     if not _is_prime(p):
-        raise ValueError("p must be prime")
+        raise Unsupported("p must be prime", field="p")
     M = 1
     for o in orders:
         if o < 1:
-            raise ValueError("orders must be positive")
+            raise Unsupported("orders must be positive", field="orders")
         M = M * o // math.gcd(M, o)
     if M % p == 0:
-        raise ValueError("orders must be prime to p")
+        raise Unsupported("orders must be prime to p", field="orders")
     return CoeffField(_admissible_ell(p * M, d_max, math.inf), p, M)
 
 

@@ -352,12 +352,12 @@ class SheafSpec:
         from .gf import fq_build
 
         base = fq_build(obj["p"], obj["n"])
-        wild = RationalFunction.from_json(base, obj["wild"]) if obj.get("wild") else None
+        wild = RationalFunction.from_json(base, obj["wild"], "wild") if obj.get("wild") else None
         kummer = obj.get("kummer", [])
         if type(kummer) is not list or not all(type(k) is list and len(k) == 2 for k in kummer):
             raise Unsupported("kummer must be a list of [function, exponent] pairs", field="kummer")
-        kummer = [(RationalFunction.from_json(base, g), e) for g, e in kummer]
-        punctures = [Point.from_json(base, pt) for pt in obj.get("punctures", [])]
+        kummer = [(RationalFunction.from_json(base, g, "kummer"), e) for g, e in kummer]
+        punctures = [Point.from_json(base, pt, "punctures") for pt in obj.get("punctures", [])]
         return cls(base, wild=wild, kummer=kummer, punctures=punctures, unram=obj.get("unram", 1))
 
 

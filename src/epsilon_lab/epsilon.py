@@ -32,8 +32,8 @@ from operator import mul
 
 from .gf import CapExceeded, log_field
 from .coeff import SymbolicSum
-from .chars import LocalCharacter, OracleCharacter
-from .localfield import Form, LaurentSeries, PrecisionError, dlog, residue, reversion
+from .chars import unit_keys
+from .localfield import Form, LaurentSeries, residue, reversion
 
 TATE_CAP = 1 << 22
 
@@ -56,14 +56,6 @@ class EpsilonResult:
             self.conductor_a_omega,
             self.method,
         )
-
-    def to_json(self):
-        return {
-            "value": self.value.value,
-            "conductor_a": self.conductor_a,
-            "conductor_a_omega": self.conductor_a_omega,
-            "method": self.method,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +132,10 @@ def eps_tate_slow(chi, omega, c_unit=None):
     cinv = c.inverse()
     inv = chi.inverse()
     total = coeff.zero()
-    for key in OracleCharacter.unit_keys(field, nu):
+    for key in unit_keys(field, nu):
         u0 = LaurentSeries.make(field, 0, [field.from_index(i) for i in key], nu)
         x = cinv * u0
-        total = total + inv(x) * coeff.psi_trace(residue(Form(x * omega.w)))
+        total = total + inv(x) * coeff.psi_trace(residue(x * omega.w))
     value = coeff.elem(-1) ** a * coeff.elem(field.q) ** v_om * total
     return EpsilonResult(value, a, a_om, "tate_slow")
 

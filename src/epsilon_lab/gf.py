@@ -155,7 +155,7 @@ class FieldDesc:
 
     def __init__(self, p, n, modulus, generator):
         if not _is_prime(p):
-            raise ValueError("p must be prime, got %r" % (p,))
+            raise Unsupported("p must be prime, got %r" % (p,), field="p")
         if n < 1:
             raise ValueError("n must be >= 1")
         if p ** n > FIELD_CAP:
@@ -323,12 +323,6 @@ class FqElem:
         if other is None:
             return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
 
     def __pow__(self, e):
         f = self.field

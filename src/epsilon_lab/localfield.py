@@ -2,19 +2,21 @@
 
 A LaurentSeries knows its field, its valuation window and its precision:
 coefficients are exact for exponents in [v, prec) and unknown beyond.  A
-Form is w * dpi for a series w.  RationalFunction and Point model functions
-on the projective line and their expansions at closed points, including the
-point at infinity and points of higher degree (expansion happens over the
-residue field at a distinguished root of the point's minimal polynomial).
+1-form w dpi is handled through its series w: residue and dlog take and
+return series, and Form only holds the w of the form a local factor is
+taken against.  RationalFunction and Point model functions on the
+projective line and their expansions at closed points, including the point
+at infinity and points of higher degree (expansion happens over the residue
+field at a distinguished root of the point's minimal polynomial).
 An expansion is asked for by the number n of coefficients wanted past its
 valuation, which it finds itself: numerator and denominator are exact
 Taylor shifts, padded with known zeros, and one division leaves exactly n.
 
 Conventions:
 
-* residue(w dpi) is the coefficient of pi**(-1) in w, defined only when the
-  window proves it,
-* dlog u = (du/dpi)/u dpi, so residue(dlog u) = v(u) for any u,
+* residue(w) is the residue of w dpi, the coefficient of pi**(-1) in w,
+  defined only when the window proves it,
+* dlog(u) is the series (du/dpi)/u, so residue(dlog(u)) = v(u) for any u,
 * a / b is one pass of long division, known on the window that a times
   the inverse of b would have; inverse() is 1 / b.
 """
@@ -97,8 +99,6 @@ class LaurentSeries:
         return LaurentSeries(self.field, self.v + k, self.prec + k, self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentSeries.make(self.field, 0, [other], self.prec)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         prec = min(self.prec, other.prec)
@@ -111,20 +111,13 @@ class LaurentSeries:
                     out[k - v] = out[k - v] + c
         return LaurentSeries.make(self.field, v, out, prec)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LaurentSeries(self.field, self.v, self.prec, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentSeries.make(self.field, 0, [other], self.prec)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, FqElem)):
@@ -163,9 +156,6 @@ class LaurentSeries:
         valuation 0, out[k] = (a[k] - sum_j b[j] out[k - j]) / b[0] over the
         nonzero b[j], j >= 1.  The window is the one of self times the
         inverse of other: prec - v is the shorter of the two known lengths."""
-        if isinstance(other, (int, FqElem)):
-            c = self.field.elem(other) if isinstance(other, int) else other
-            return self * c.inverse()
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         den = other.coeffs
@@ -239,10 +229,6 @@ class LaurentSeries:
             acc = acc * (inner ** self.v if self.v > 0 else (inner.inverse()) ** (-self.v))
         return acc
 
-    def map_coeffs(self, fn, field=None):
-        field = field or self.field
-        return LaurentSeries.make(field, self.v, [fn(c) for c in self.coeffs], self.prec)
-
     def to_json(self):
         return {
             "field": self.field.to_json(),
@@ -271,33 +257,16 @@ class LaurentSeries:
 
 
 class Form:
-    """A 1-form w * dpi."""
+    """A 1-form w * dpi: the holder of the series w that a local factor
+    reads."""
 
     __slots__ = ("w",)
 
     def __init__(self, w):
         self.w = w
 
-    @property
-    def field(self):
-        return self.w.field
-
     def valuation(self):
         return self.w.valuation()
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentSeries) or isinstance(other, (int, FqElem)):
-            return Form(self.w * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Form):
-            return self.w / other.w
-        if isinstance(other, (LaurentSeries, int, FqElem)):
-            return Form(self.w / other)
-        return NotImplemented
 
     def __eq__(self, other):
         return isinstance(other, Form) and self.w == other.w
@@ -305,17 +274,14 @@ class Form:
     def __repr__(self):
         return "(%r) dpi" % (self.w,)
 
-    def to_json(self):
-        return self.w.to_json()
-
     @classmethod
     def from_json(cls, obj):
         return cls(LaurentSeries.from_json(obj))
 
 
-def residue(form):
-    """Coefficient of pi**(-1) dpi; needs the window to cover -1."""
-    w = form.w
+def residue(w):
+    """Residue of w dpi, the coefficient of pi**(-1) in the series w; needs
+    the window to cover -1."""
     if w.coeffs and w.v > -1:
         return w.field.zero()
     if w.prec <= -1:
@@ -324,8 +290,8 @@ def residue(form):
 
 
 def dlog(u):
-    """dlog u = (u'/u) dpi."""
-    return Form(u.derivative() / u)
+    """The series u'/u, so that dlog u = (u'/u) dpi."""
+    return u.derivative() / u
 
 
 def reversion(s):
@@ -525,12 +491,6 @@ class RationalFunction:
             return RationalFunction.from_poly(Poly(self.den.field, [other]))
         raise TypeError("cannot coerce %r" % (other,))
 
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
     def __mul__(self, other):
         other = self._coerce(other)
         return RationalFunction(self.num * other.num, self.den * other.den)
@@ -569,7 +529,11 @@ class RationalFunction:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
     @classmethod
-    def from_json(cls, field, obj):
+    def from_json(cls, field, obj, name="function"):
+        """The function a {"num": ..., "den": ...} record names; name is the
+        input it came from, reported when the record is no JSON object."""
+        if not isinstance(obj, dict):
+            raise Unsupported("a rational function must be a JSON object with num and den", field=name)
         num = Poly(field, [field.json_elem(c) for c in obj["num"]])
         den = Poly(field, [field.json_elem(c) for c in obj["den"]])
         return cls(num, den)
@@ -728,7 +692,11 @@ class Point:
         return {"type": "finite", "minpoly": [c.coeffs[0] if self.base.n == 1 else list(c.coeffs) for c in self.minpoly.coeffs]}
 
     @classmethod
-    def from_json(cls, base, obj):
+    def from_json(cls, base, obj, name="point"):
+        """The point a {"type": ...} record names; name is the input it came
+        from, reported when the record is no JSON object."""
+        if not isinstance(obj, dict):
+            raise Unsupported("a point must be a JSON object with a type", field=name)
         kind = obj["type"]
         if kind == "infinity":
             return cls.infinity(base)

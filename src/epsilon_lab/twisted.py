@@ -12,6 +12,7 @@ of the determinant character, computable independently by a coset walk.
 Every map here is finite and exact over a prime coefficient field.
 """
 
+import itertools
 import random
 from operator import mul
 
@@ -37,9 +38,9 @@ class FiniteGroup:
     """Finite group given by its multiplication table on indices 0..n-1,
     with 0 the identity; the axioms are verified on construction."""
 
-    __slots__ = ("table", "n", "inv", "labels")
+    __slots__ = ("table", "n", "inv")
 
-    def __init__(self, table, labels=None):
+    def __init__(self, table):
         n = len(table)
         if n == 0:
             raise ValueError("a group has at least the identity")
@@ -70,7 +71,6 @@ class FiniteGroup:
                 for c in range(n):
                     if tab[c] != ta[tb[c]]:
                         raise ValueError("table is not associative at (%d,%d,%d)" % (a, b, c))
-        self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -80,14 +80,6 @@ class FiniteGroup:
 
     def elements(self):
         return range(self.n)
-
-    def element_order(self, a):
-        k = 1
-        x = a
-        while x != 0:
-            x = self.table[x][a]
-            k += 1
-        return k
 
     def closure(self, gens):
         """Subgroup generated by the given indices, as a sorted tuple."""
@@ -124,8 +116,7 @@ class FiniteGroup:
 
     @classmethod
     def cyclic(cls, n):
-        table = [[(a + b) % n for b in range(n)] for a in range(n)]
-        return cls(table, labels=[str(a) for a in range(n)])
+        return cls([[(a + b) % n for b in range(n)] for a in range(n)])
 
     @classmethod
     def dihedral(cls, n):
@@ -136,28 +127,15 @@ class FiniteGroup:
             r = (r1 + (r2 if s1 == 0 else -r2)) % n
             return r + n * ((s1 + s2) % 2)
 
-        table = [[mul(a, b) for b in range(2 * n)] for a in range(2 * n)]
-        labels = ["r%d" % a for a in range(n)] + ["r%ds" % a for a in range(n)]
-        return cls(table, labels=labels)
+        return cls([[mul(a, b) for b in range(2 * n)] for a in range(2 * n)])
 
     @classmethod
     def symmetric(cls, n):
-        perms = []
-
-        def build(prefix, rest):
-            if not rest:
-                perms.append(tuple(prefix))
-                return
-            for i, v in enumerate(rest):
-                build(prefix + [v], rest[:i] + rest[i + 1 :])
-
-        build([], list(range(n)))
+        """The permutations of range(n) in lexicographic order; the product
+        of p and q is i -> p[q[i]]."""
+        perms = list(itertools.permutations(range(n)))
         index = {p: i for i, p in enumerate(perms)}
-        table = [
-            [index[tuple(p[q[i]] for i in range(n))] for q in perms]
-            for p in perms
-        ]
-        return cls(table, labels=[repr(list(p)) for p in perms])
+        return cls([[index[tuple(p[q[i]] for i in range(n))] for q in perms] for p in perms])
 
     @classmethod
     def quaternion(cls):
@@ -175,22 +153,7 @@ class FiniteGroup:
             u, s = units[u1][u2]
             return u + 4 * ((s1 + s2 + s) % 2)
 
-        table = [[mul(a, b) for b in range(8)] for a in range(8)]
-        labels = ["1", "i", "j", "k", "-1", "-i", "-j", "-k"]
-        return cls(table, labels=labels)
-
-    @classmethod
-    def product(cls, a, b):
-        n2 = b.n
-        table = [
-            [a.table[x1][x2] * n2 + b.table[y1][y2] for x2 in range(a.n) for y2 in range(n2)]
-            for x1 in range(a.n)
-            for y1 in range(n2)
-        ]
-        labels = [
-            "(%s,%s)" % (a.labels[x], b.labels[y]) for x in range(a.n) for y in range(n2)
-        ]
-        return cls(table, labels=labels)
+        return cls([[mul(a, b) for b in range(8)] for a in range(8)])
 
     def __repr__(self):
         return "FiniteGroup(order=%d)" % self.n
@@ -251,17 +214,6 @@ class Multiplier:
     def trivial(cls, group, coeff):
         one = [[1] * group.n for _ in range(group.n)]
         return cls(group, coeff, one)
-
-    @classmethod
-    def from_function(cls, group, coeff, fn):
-        return cls(
-            group,
-            coeff,
-            [[fn(a, b) for b in range(group.n)] for a in range(group.n)],
-        )
-
-    def value(self, a, b):
-        return self.coeff.elem(self.table[a][b])
 
     def __mul__(self, other):
         if not isinstance(other, Multiplier) or other.group is not self.group:
@@ -336,7 +288,7 @@ def twisted_algebra_mul(mult, a, b):
         cg = coeff.elem(cg)
         for h, ch in b.items():
             k = group.mul(g, h)
-            term = cg * coeff.elem(ch) * mult.value(g, h)
+            term = cg * coeff.elem(ch) * coeff.elem(mult.table[g][h])
             out[k] = out.get(k, coeff.zero()) + term
     return {k: v for k, v in out.items() if not v.is_zero()}
 
@@ -370,14 +322,6 @@ class TwistedRep:
             raise ValueError("matrices must be square and share one size")
         if check and not self.is_valid():
             raise ValueError("matrices do not satisfy the twisted composition rule")
-
-    def matrix(self, g):
-        return self.mats[g]
-
-    def value(self, g):
-        if self.rank != 1:
-            raise ValueError("scalar value needs rank 1")
-        return self.mult.coeff.elem(self.mats[g][0][0])
 
     def is_valid(self):
         """Exhaustive check of the composition rule on the stored integer
@@ -651,19 +595,12 @@ def check_ver_identities(group, mid, sub, coeff, seed=0):
     return report
 
 
-def _zoo(max_order):
-    groups = []
-    for n in range(1, max_order + 1):
-        groups.append(FiniteGroup.cyclic(n))
-    for n in range(2, max_order // 2 + 1):
-        groups.append(FiniteGroup.dihedral(n))
-    if max_order >= 6:
-        groups.append(FiniteGroup.symmetric(3))
-    if max_order >= 8:
-        groups.append(FiniteGroup.quaternion())
-    if max_order >= 24:
-        groups.append(FiniteGroup.symmetric(4))
-    return groups
+def _zoo():
+    """The groups of the suite, orders up to 24: cyclic, dihedral, S3, Q8
+    and S4, in that order."""
+    groups = [FiniteGroup.cyclic(n) for n in range(1, 25)]
+    groups += [FiniteGroup.dihedral(n) for n in range(2, 13)]
+    return groups + [FiniteGroup.symmetric(3), FiniteGroup.quaternion(), FiniteGroup.symmetric(4)]
 
 
 def run_twisted_suite(coeff, seed=0, min_randomized=100):
@@ -696,7 +633,8 @@ def run_twisted_suite(coeff, seed=0, min_randomized=100):
             failures.append("determinant collapse failed: %s" % tag)
         counts["det_collapse"] += 1
 
-    for group in _zoo(12):
+    zoo = _zoo()
+    for group in (g for g in zoo if g.n <= 12):
         lam = [1] + [rng.randrange(1, coeff.ell) for _ in range(group.n - 1)]
         mu = d1(group, coeff, lam)
         if not is_cocycle(mu):
@@ -721,7 +659,7 @@ def run_twisted_suite(coeff, seed=0, min_randomized=100):
         for sub in subs[:: max(1, len(subs) // 3)]:
             det_collapse_case(group, sub, lam, "order %d sub %r" % (group.n, sub))
 
-    big = [g for g in _zoo(24) if g.n > 12]
+    big = [g for g in zoo if g.n > 12]
     trials = 0
     while trials < min_randomized:
         group = big[rng.randrange(len(big))]

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from epsilon_lab.coeff import coeff_setup
 from epsilon_lab.gf import CapExceeded, fq_build
-from epsilon_lab.chars import LocalCharacter, OracleCharacter, as_reduce
-from epsilon_lab.localfield import Form, LaurentSeries, PrecisionError, dlog, residue
+from epsilon_lab.chars import ORACLE_CAP, LocalCharacter, as_reduce, unit_keys
+from epsilon_lab.localfield import LaurentSeries, PrecisionError, dlog, residue
 
 F3 = fq_build(3, 1)
 F9 = fq_build(3, 2)
@@ -52,7 +52,7 @@ def random_nonzero_series(rng, field, width=8):
 
 def raw_wild_value(coeff, h, u):
     """Independent route: pair an arbitrary (unreduced) datum with a unit."""
-    return coeff.psi_trace(residue(Form(h * dlog(u).w)))
+    return coeff.psi_trace(residue(h * dlog(u)))
 
 
 def test_reduce_canonical_support():
@@ -88,7 +88,7 @@ def test_reduce_exhaustive_against_raw_pairing():
     field = F3
     coeff = C3
     units = []
-    for key in OracleCharacter.unit_keys(field, 5):
+    for key in unit_keys(field, 5):
         units.append(series(field, 0, [field.from_index(i) for i in key], 5))
     for a in itertools.product(range(3), repeat=4):
         h = LaurentSeries.make(field, -4, [field.elem(c) for c in reversed(a)], 1)
@@ -168,14 +168,98 @@ def test_conductor_exponents():
     wild = LocalCharacter(F3, C3, C3.one(), 1, series(F3, -2, [1, 0], 1))
     assert wild.swan() == 2
     assert wild.artin_a("shriek") == 3 and wild.artin_a("star") == 3
-    w = Form(series(F3, -2, [1, 1, 1], 2))
-    assert wild.a_with_form("shriek", w) == 1
+    # the conductor shifted by the twist of a 1-form of valuation -2
+    w = series(F3, -2, [1, 1, 1], 2)
+    assert wild.artin_a("shriek") + w.valuation() == 1
     with pytest.raises(ValueError):
         unram.artin_a("middle")
 
 
 # ---------------------------------------------------------------------------
 # oracle tables
+
+
+class OracleCharacter:
+    """Value table of a character on unit residues mod pi**nu.
+
+    The table is keyed by coefficient index tuples of length nu.  On
+    construction the multiplicative law is checked, exhaustively when the
+    unit group is small and on a dense random sample otherwise.
+    """
+
+    __slots__ = ("field", "coeff", "nu", "c_pi", "table")
+
+    def __init__(self, field, coeff, nu, c_pi, table):
+        self.field = field
+        self.coeff = coeff
+        self.nu = nu
+        self.c_pi = c_pi
+        self.table = table
+        self._verify()
+
+    @classmethod
+    def from_character(cls, chi, nu):
+        field = chi.field
+        if nu < chi.swan() + 1:
+            raise ValueError("table depth %d below swan + 1 = %d" % (nu, chi.swan() + 1))
+        if field.q ** nu > ORACLE_CAP:
+            raise CapExceeded("oracle table would exceed %d entries" % ORACLE_CAP)
+        table = {}
+        for key in unit_keys(field, nu):
+            u = LaurentSeries.make(field, 0, [field.from_index(i) for i in key], nu)
+            table[key] = chi(u)
+        return cls(field, chi.coeff, nu, chi.c_pi, table)
+
+    def _mul_key(self, a, b):
+        ea = [self.field.from_index(i) for i in a]
+        eb = [self.field.from_index(i) for i in b]
+        out = [self.field.zero()] * self.nu
+        for i, x in enumerate(ea):
+            if x.is_zero():
+                continue
+            for j, y in enumerate(eb):
+                if i + j >= self.nu:
+                    break
+                out[i + j] = out[i + j] + x * y
+        return tuple(c.index() for c in out)
+
+    def _verify(self):
+        keys = list(self.table)
+        pairs = []
+        if len(keys) <= 300:
+            pairs = [(a, b) for a in keys for b in keys]
+        else:
+            rng = random.Random(0xC0FFEE)
+            pairs = [(rng.choice(keys), rng.choice(keys)) for _ in range(200)]
+        for a, b in pairs:
+            ab = self._mul_key(a, b)
+            if self.table[a] * self.table[b] != self.table[ab]:
+                raise ValueError("value table is not multiplicative at %r * %r" % (a, b))
+
+    def __call__(self, x):
+        v = x.valuation()
+        if x.prec - v < self.nu:
+            raise PrecisionError("oracle needs %d coefficients" % self.nu)
+        u = x.unit_part()
+        key = tuple(u.coeff(i).index() for i in range(self.nu))
+        return self.c_pi ** v * self.table[key]
+
+    def swan_by_definition(self):
+        """Largest m >= 1 with the character nontrivial on 1 + pi**m O, by
+        scanning the table; 0 if trivial on all principal units."""
+        one = self.coeff.one()
+        out = 0
+        for m in range(1, self.nu):
+            seen = False
+            for c in range(1, self.field.q):
+                key = [1] + [0] * (self.nu - 1)
+                key[m] = c
+                if self.table[tuple(key)] != one:
+                    seen = True
+                    break
+            if seen:
+                out = m
+        return out
 
 
 def test_oracle_matches_character():

@@ -302,6 +302,39 @@ def test_kummer_entry_is_a_pair(capsys, tmp_path, kummer):
     assert code == 3 and report["field"] == "kummer" and not report["ok"]
 
 
+@pytest.mark.parametrize(
+    "key, bad",
+    [("punctures", [[0, 1]]), ("wild", [[0], [1]]), ("kummer", [[[[0], [1]], 1]])],
+    ids=["puncture", "wild", "kummer-function"],
+)
+def test_record_that_is_no_object_names_its_input(capsys, tmp_path, key, bad):
+    # a point or function given as a list was indexed by a key and failed
+    # with a bare TypeError
+    spec = json.loads((DATA / "product_spec.json").read_text())
+    spec[key] = bad
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, report = run(capsys, ["eps-global", "--spec", str(path)])
+    assert code == 3 and report["field"] == key and not report["ok"]
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["gauss", "--p", "4", "--q", "16", "--c", "1"], "p"),
+        (["twisted-check", "--p", "4", "--trials", "1"], "p"),
+        (["gauss", "--p", "3", "--q", "3", "--c", "1", "--orders", "3"], "orders"),
+        (["product-check", "--cap", "-1"], "cap"),
+        (["product-check", "--cap", "0"], "cap"),
+    ],
+    ids=["gauss-p", "twisted-p", "orders", "cap-negative", "cap-zero"],
+)
+def test_refused_option_names_its_input(capsys, argv, field):
+    code, report = run(capsys, argv)
+    assert code == 3 and report["field"] == field and not report["ok"]
+    assert epsilon_mod.TATE_CAP == 1 << 22
+
+
 def test_induction_check_refuses_a_reducible_point(capsys, tmp_path):
     spec = json.loads((DATA / "induction_spec.json").read_text())
     spec["point"] = {"type": "finite", "minpoly": [2, 0, 1]}

@@ -1,6 +1,7 @@
 """Projective representation layer: groups, multipliers, twisted algebra,
 induction, coset signatures, and the two transfer routes."""
 
+import itertools
 import random
 
 import pytest
@@ -30,18 +31,42 @@ C73 = coeff_setup(3, [8])
 ELL = C73.ell
 
 
+def product(a, b):
+    """The direct product of two groups, (x, y) at index x * b.n + y."""
+    n2 = b.n
+    return FiniteGroup(
+        [
+            [a.table[x1][x2] * n2 + b.table[y1][y2] for x2 in range(a.n) for y2 in range(n2)]
+            for x1 in range(a.n)
+            for y1 in range(n2)
+        ]
+    )
+
+
+def element_order(group, a):
+    k = 1
+    x = a
+    while x != 0:
+        x = group.table[x][a]
+        k += 1
+    return k
+
+
+def multiplier(group, coeff, fn):
+    """The multiplier with table fn(a, b) on every pair."""
+    return Multiplier(group, coeff, [[fn(a, b) for b in range(group.n)] for a in range(group.n)])
+
+
 def klein():
     c2 = FiniteGroup.cyclic(2)
-    return FiniteGroup.product(c2, c2)
+    return product(c2, c2)
 
 
 def klein_multiplier(coeff):
     """Sign multiplier on the four-group: (-1)**(second coordinate of the
     left factor times first coordinate of the right)."""
     group = klein()
-    return group, Multiplier.from_function(
-        group, coeff, lambda g, h: -1 if (g % 2) * (h // 2) % 2 else 1
-    )
+    return group, multiplier(group, coeff, lambda g, h: -1 if (g % 2) * (h // 2) % 2 else 1)
 
 
 def pauli_rep(coeff):
@@ -77,8 +102,8 @@ def test_star_import_resolves_every_export():
 
 def test_rows_are_reduced_and_checked():
     group, mu, rep = pauli_rep(C73)
-    assert rep.matrix(1) == ((1, 0), (0, ELL - 1))
-    assert det(rep.matrix(3), ELL) == 1 and det(rep.matrix(2), ELL) == ELL - 1
+    assert rep.mats[1] == ((1, 0), (0, ELL - 1))
+    assert det(rep.mats[3], ELL) == 1 and det(rep.mats[2], ELL) == ELL - 1
     assert det([[1, 2], [2, 4]], ELL) == 0
     for bad in ([[1, 0]], [[1, 0], [0]], [[1]]):
         mats = {g: (bad if g == 2 else m) for g, m in rep.mats.items()}
@@ -89,28 +114,28 @@ def test_rows_are_reduced_and_checked():
 def test_group_constructors():
     c6 = FiniteGroup.cyclic(6)
     assert c6.n == 6 and c6.mul(4, 5) == 3 and c6.inverse(2) == 4
-    assert c6.element_order(1) == 6 and c6.element_order(3) == 2
+    assert element_order(c6, 1) == 6 and element_order(c6, 3) == 2
 
     d4 = FiniteGroup.dihedral(4)
     assert d4.n == 8
     r, s = 1, 4
-    assert d4.element_order(r) == 4 and d4.element_order(s) == 2
+    assert element_order(d4, r) == 4 and element_order(d4, s) == 2
     assert d4.mul(s, r) == d4.mul(d4.inverse(r), s)
 
     s3 = FiniteGroup.symmetric(3)
     assert s3.n == 6
-    orders = sorted(s3.element_order(g) for g in s3.elements())
+    orders = sorted(element_order(s3, g) for g in s3.elements())
     assert orders == [1, 2, 2, 2, 3, 3]
 
     q8 = FiniteGroup.quaternion()
     assert q8.n == 8
-    assert sorted(q8.element_order(g) for g in q8.elements()) == [1, 2, 4, 4, 4, 4, 4, 4]
+    assert sorted(element_order(q8, g) for g in q8.elements()) == [1, 2, 4, 4, 4, 4, 4, 4]
     i, j, k, m1 = 1, 2, 3, 4
     assert q8.mul(i, j) == k and q8.mul(j, i) == k + 4
     assert q8.mul(i, i) == m1
 
     v4 = klein()
-    assert v4.n == 4 and all(v4.element_order(g) <= 2 for g in v4.elements())
+    assert v4.n == 4 and all(element_order(v4, g) <= 2 for g in v4.elements())
 
 
 def test_group_axiom_validation():
@@ -149,9 +174,9 @@ def test_subgroup_enumeration():
 def test_multiplier_validation():
     v4 = klein()
     with pytest.raises(ValueError):
-        Multiplier.from_function(v4, C73, lambda g, h: 0 if (g, h) == (2, 3) else 1)
+        multiplier(v4, C73, lambda g, h: 0 if (g, h) == (2, 3) else 1)
     with pytest.raises(ValueError):
-        Multiplier.from_function(v4, C73, lambda g, h: 2 if (g, h) == (0, 0) else 1)
+        multiplier(v4, C73, lambda g, h: 2 if (g, h) == (0, 0) else 1)
     triv = Multiplier.trivial(v4, C73)
     assert is_cocycle(triv)
     assert triv == triv ** 3 and triv * triv == triv
@@ -188,11 +213,11 @@ def test_pauli_rep_satisfies_twisted_rule():
     assert rep.rank == 2 and rep.is_valid()
     det = rep.det_char()
     assert det.mult == mu ** 2 == Multiplier.trivial(group, C73)
-    assert [det.value(g).value for g in group.elements()] == [1, ELL - 1, ELL - 1, 1]
+    assert [det.mats[g][0][0] for g in group.elements()] == [1, ELL - 1, ELL - 1, 1]
     # d1 of a rank-1 twisted representation recovers its multiplier
     lam = [1, 5, 17, 42]
     rank1 = char_rep(group, tuple(group.elements()), d1(group, C73, lam), lam)
-    assert d1(group, C73, [rank1.value(g) for g in group.elements()]) == rank1.mult
+    assert d1(group, C73, [rank1.mats[g][0][0] for g in group.elements()]) == rank1.mult
 
 
 def test_twisted_algebra_associativity_iff_cocycle():
@@ -237,15 +262,15 @@ def test_twisted_regular_valid_iff_cocycle():
     for k in group.elements():
         for g in group.elements():
             prod = twisted_algebra_mul(mu, {k: C73.one()}, {g: C73.one()})
-            col = [reg.matrix(k)[i][g] for i in range(group.n)]
-            assert prod == {group.mul(k, g): mu.value(k, g)}
+            col = [reg.mats[k][i][g] for i in range(group.n)]
+            assert prod == {group.mul(k, g): C73.elem(mu.table[k][g])}
             assert col[group.mul(k, g)] == mu.table[k][g]
 
 
 def test_induce_whole_group_and_trivial_subgroup():
     group, mu, rep = pauli_rep(C73)
     same = induce(rep)
-    assert all(same.matrix(g) == rep.matrix(g) for g in group.elements())
+    assert all(same.mats[g] == rep.mats[g] for g in group.elements())
 
     rng = random.Random(5)
     s3 = FiniteGroup.symmetric(3)
@@ -255,7 +280,7 @@ def test_induce_whole_group_and_trivial_subgroup():
     ind = induce(unit)
     assert ind.is_valid()
     reg = twisted_regular(s3, mu3)
-    assert all(ind.matrix(g) == reg.matrix(g) for g in s3.elements())
+    assert all(ind.mats[g] == reg.mats[g] for g in s3.elements())
 
 
 def test_induce_transitivity_traces_and_dets():
@@ -271,8 +296,8 @@ def test_induce_transitivity_traces_and_dets():
     two_step = induce(induce(chi, ambient=mid))
     assert one_step.rank == two_step.rank == 12
     for g in s4.elements():
-        assert trace(one_step.matrix(g)) == trace(two_step.matrix(g))
-        assert det(one_step.matrix(g), ELL) == det(two_step.matrix(g), ELL)
+        assert trace(one_step.mats[g]) == trace(two_step.mats[g])
+        assert det(one_step.mats[g], ELL) == det(two_step.mats[g], ELL)
 
 
 def test_delta_char_small_examples():
@@ -282,8 +307,10 @@ def test_delta_char_small_examples():
     s3 = FiniteGroup.symmetric(3)
     a3 = next(s for s in s3.subgroups() if len(s) == 3)
     delta = delta_char(s3, a3)
+    # FiniteGroup.symmetric indexes the permutations in lexicographic order
+    perms = list(itertools.permutations(range(3)))
     for g in s3.elements():
-        perm = eval(s3.labels[g])
+        perm = perms[g]
         parity = 1
         for i in range(len(perm)):
             for j in range(i + 1, len(perm)):
@@ -384,8 +411,8 @@ def test_representative_independence():
     base = induce(chi)
     other = induce(chi, order=shuffled)
     for g in d6.elements():
-        assert trace(base.matrix(g)) == trace(other.matrix(g))
-        assert det(base.matrix(g), ELL) == det(other.matrix(g), ELL)
+        assert trace(base.mats[g]) == trace(other.mats[g])
+        assert det(base.mats[g], ELL) == det(other.mats[g], ELL)
 
 
 def test_char_rep_rejects_wrong_multiplier_power():
@@ -413,7 +440,7 @@ def test_run_twisted_suite_smoke():
 
 def corrupted(rep, g, i, j):
     """rep with the (i, j) entry of rho(g) moved by one."""
-    rows = [list(r) for r in rep.matrix(g)]
+    rows = [list(r) for r in rep.mats[g]]
     rows[i][j] = (rows[i][j] + 1) % rep.mult.coeff.ell
     rep.mats[g] = tuple(map(tuple, rows))
     return rep
