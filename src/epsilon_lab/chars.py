@@ -24,7 +24,7 @@ ORACLE_CAP bounds that table, and the CLI reports it among its caps.
 
 from __future__ import annotations
 
-from .gf import FqElem, Unsupported, frobenius
+from .gf import Unsupported, frobenius
 from .localfield import LaurentSeries, PrecisionError, dlog, residue, reversion
 
 ORACLE_CAP = 1 << 16
@@ -43,12 +43,7 @@ def as_reduce(h):
     p = field.p
     if h.prec < 0:
         raise PrecisionError("wild datum window must reach exponent 0")
-    terms = {}
-    lo = h.v if h.coeffs else 0
-    for k in range(lo, 0):
-        c = h.coeff(k)
-        if not c.is_zero():
-            terms[-k] = c
+    terms = {-k: c for k, c in enumerate(h.coeffs, h.v) if k < 0 and c}
     steps = 0
     while True:
         divisible = [m for m in terms if m % p == 0]
@@ -58,19 +53,18 @@ def as_reduce(h):
         steps += 1
         if steps > REDUCE_CAP:
             raise ValueError("additive reduction exceeded %d rewrites" % REDUCE_CAP)
-        a = terms.pop(m)
+        a = field.from_index(terms.pop(m))
         k = m // p
-        root = frobenius(a, field.n - 1)
-        got = terms.get(k, field.zero()) + root
-        if got.is_zero():
-            terms.pop(k, None)
-        else:
+        # Frobenius on one element, so FqElem: no table for the field
+        got = (field.from_index(terms.get(k, 0)) + frobenius(a, field.n - 1)).index()
+        if got:
             terms[k] = got
+        else:
+            terms.pop(k, None)
     if not terms:
         return LaurentSeries.zero(field, 1)
     n = max(terms)
-    coeffs = [terms.get(n - i, field.zero()) for i in range(n)]
-    return LaurentSeries.make(field, -n, coeffs, 1)
+    return LaurentSeries.of(field, -n, [terms.get(n - i, 0) for i in range(n)], 1)
 
 
 class LocalCharacter:
@@ -109,14 +103,6 @@ class LocalCharacter:
         return 1 if kind == "shriek" else 0
 
     # -- evaluation ---------------------------------------------------------
-
-    def eval_unit_const(self, c):
-        """Value on a constant unit of the residue field."""
-        if not isinstance(c, FqElem):
-            c = self.field.elem(c)
-        if c.is_zero():
-            raise ZeroDivisionError("character of zero")
-        return self.coeff.kummer_chi(self.tame_e, c)
 
     def __call__(self, x):
         """Value on a nonzero element given as a Laurent series.
@@ -176,10 +162,7 @@ class LocalCharacter:
         if self.wild_h.coeffs:
             # the datum is an exact Laurent polynomial: pad it with known
             # zeros so composition keeps enough window
-            padded = LaurentSeries.make(
-                self.field, self.wild_h.v, list(self.wild_h.coeffs), s.prec
-            )
-            new_h = padded.compose(t)
+            new_h = self.wild_h.pad(s.prec).compose(t)
         else:
             new_h = LaurentSeries.zero(self.field, 1)
         return LocalCharacter(self.field, self.coeff, self(s), self.tame_e, new_h)
@@ -209,7 +192,7 @@ class LocalCharacter:
             "tame_e": self.tame_e,
             "wild_h": {
                 "v": self.wild_h.v if self.wild_h.coeffs else 0,
-                "coeffs": [list(c.coeffs) for c in self.wild_h.coeffs],
+                "coeffs": [self.field.digits(c) for c in self.wild_h.coeffs],
             },
         }
 

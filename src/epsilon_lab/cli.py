@@ -280,8 +280,8 @@ def _pullback(w, f):
 
     def compose(poly, rf):
         acc = RationalFunction.from_poly(Poly.const(rf.field, 0))
-        for c in reversed(list(poly.coeffs)):
-            acc = acc * rf + c
+        for c in reversed(poly.coeffs):
+            acc = acc * rf + poly.field.from_index(c)
         return acc
 
     return compose(w.num, f) / compose(w.den, f) * f.derivative()

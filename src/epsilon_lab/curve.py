@@ -39,7 +39,7 @@ from math import comb
 
 from .chars import LocalCharacter, as_reduce
 from .epsilon import eps_local, gamma_psi
-from .gf import Unsupported, dlog, log_field, norm, prime_field, residue_field, trace
+from .gf import Unsupported, dlog, int_ops, log_field, norm, prime_field, residue_field
 from .localfield import (
     LaurentSeries,
     Point,
@@ -171,7 +171,7 @@ class SheafSpec:
         tame = ke = pe = 0
         for g, e in self.kummer:
             gx = expand_at(g, point, 1)
-            v, lead = gx.v, gx.coeffs[0]
+            v, lead = gx.v, gx.coeff(gx.v)
             tame -= e * v * rel
             ke += e * dlog(norm(-lead if v % 2 else lead, emb))
         wild_h = LaurentSeries.zero(big, 1)
@@ -180,8 +180,8 @@ class SheafSpec:
             num, den = self.wild.num.degree(), self.wild.den.degree()
             fx = expand_at(self.wild, point, 1 + (max(num - den, 0) if point.at_infinity else den))
             if fx.v < 0:
-                wild_h = as_reduce(LaurentSeries.make(big, fx.v, list(fx.coeffs[: -fx.v]), 1))
-            pe = trace(fx.coeff(0)).as_int()
+                wild_h = as_reduce(LaurentSeries.of(big, fx.v, fx.coeffs[: -fx.v], 1))
+            pe = int_ops(big).trace(fx.at(0))
         hit = self._local[point] = (big, tame % (big.q - 1), wild_h, ke % (base.q - 1), pe)
         return hit
 
@@ -231,14 +231,15 @@ class SheafSpec:
         log, exp, zech, tr_table = logs.log, logs.exp, logs.zech, logs.trace
 
         def lead_log(r):
-            return log[emb.embed(r.num.leading() / r.den.leading()).index()]
+            # the denominator is monic
+            return log[emb.embed_index(r.num.coeffs[-1])]
 
         lk0 = sum(k * lead_log(g) for g, k in self.kummer)
         no_wild = self.wild is None
         lw0 = 0 if no_wild else lead_log(self.wild)
         # a puncture that carries no datum only matters where it has points
         rows = [
-            ([log[emb.embed(c).index()] for c in reversed(f.coeffs[:-1])], k, w, punct)
+            ([log[emb.embed_index(c)] for c in reversed(f.coeffs[:-1])], k, w, punct)
             for f, k, w, punct in self._divisor
             if k or w or f.degree() == e
         ]

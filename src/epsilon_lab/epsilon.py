@@ -133,7 +133,7 @@ def eps_tate_slow(chi, omega, c_unit=None):
     inv = chi.inverse()
     total = coeff.zero()
     for key in unit_keys(field, nu):
-        u0 = LaurentSeries.make(field, 0, [field.from_index(i) for i in key], nu)
+        u0 = LaurentSeries.of(field, 0, key, nu)
         x = cinv * u0
         total = total + inv(x) * coeff.psi_trace(residue(x * omega.w))
     value = coeff.elem(-1) ** a * coeff.elem(field.q) ** v_om * total
@@ -148,8 +148,10 @@ def _unit_rows(inv, nu, logs, psi_pow):
     h, p = inv.wild_h, inv.field.p
     T = []
     for i in range(1, nu):
-        a = [(t, log[(h.coeff(-i * t) * (i * (-1) ** (t - 1))).index()]) for t in range(1, (nu - 1) // i + 1)]
-        a = [(t, l) for t, l in a if l >= 0]
+        # log(h_(-i t)) plus the log of the prime field scalar, whose index
+        # is its value
+        a = [(t, log[h.at(-i * t)], log[i * (-1) ** (t - 1) % p]) for t in range(1, (nu - 1) // i + 1)]
+        a = [(t, (l + s) % m) for t, l, s in a if l >= 0 and s >= 0]
         T.append([psi_pow[sum(tr[exp[(l + t * f) % m]] for t, l in a) % p] for f in range(m)])
     return T
 
@@ -182,7 +184,7 @@ def eps_tate(chi, omega):
 
     # residue pairing window: W[j] multiplies the coefficient of pi**j in u0;
     # W[nu - 1] is the leading coefficient of omega, never zero, never moved
-    W = [log[omega.w.coeff(a_om - 1 - j).index()] for j in range(nu)]
+    W = [log[omega.w.at(a_om - 1 - j)] for j in range(nu)]
 
     # ginv[k] = g**-k; P(G**k) = ginv[k] * P1 and P(0) = P0
     g = coeff.kummer_chi(inv.tame_e, field.gen()).value
@@ -315,7 +317,7 @@ def eps_closed_form(chi, omega):
     w = omega.w
     # h is exact: padded with known zeros, h' has w's window, so w / h'
     # does too and chi reads it as far as w is known
-    H = LaurentSeries.make(field, chi.wild_h.v, [-c for c in chi.wild_h.coeffs], chi.wild_h.v + w.prec - w.v)
+    H = (-chi.wild_h).pad(chi.wild_h.v + w.prec - w.v)
     ratio = w / H.derivative()
     value = chi(ratio)
     vr = ratio.valuation()
@@ -407,8 +409,5 @@ def transport_form(omega, s):
     then w(pi) dpi becomes w(t(pi')) t'(pi') dpi'."""
     t = reversion(s)
     w = omega.w
-    if w.coeffs:
-        padded = LaurentSeries.make(w.field, w.v, list(w.coeffs), max(w.prec, s.prec))
-    else:
-        padded = w
+    padded = w.pad(max(w.prec, s.prec)) if w.coeffs else w
     return Form(padded.compose(t) * t.derivative())

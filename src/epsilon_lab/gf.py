@@ -21,14 +21,20 @@ packed ints.  Each field has one LogField, built on first use and
 cached by log_field(field); nothing else builds or caches tables.  Inner
 loops (the point walk, the unit sum, the quadratic Gauss constant) read
 these tables directly, elements as logs to the generator, and dlog is a
-lookup in the log table, so its only limit is the field cap.  FqElem
-multiplies by the schoolbook product of the coefficient vectors, its high
-terms folded back through the reduction rows x**(n + k) mod modulus that
-each FieldDesc computes once.  It carries the Laurent expansions of the
-local side, the seeds (generators, embeddings as F_p-combinations of
-cached root powers, the few products a table build needs), traces and
-Frobenius on single elements, and it is the oracle the tables are tested
-against.
+lookup in the log table, so its only limit is the field cap.
+
+The polynomials and Laurent series of the local side hold packed indices
+too and compute through int_ops(field), ints in and out: on the LogField
+of a field of at most TABLE_LINE = 2**16 elements, through FqElem
+(from_index, the operation, index()) above the line, so no table is built
+past it and no second product is written.  FqElem multiplies by the
+schoolbook product of the coefficient vectors, its high terms folded back
+through the reduction rows x**(n + k) mod modulus that each FieldDesc
+computes once.  It is the boundary type (JSON, the public API, single
+coefficients), it carries the seeds (generators, embeddings as
+F_p-combinations of cached root powers, the few products a table build
+needs), traces and Frobenius on single elements, and it is the oracle the
+tables are tested against.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ import math
 from operator import add, mul
 
 FIELD_CAP = 1 << 24
+TABLE_LINE = 1 << 16
 
 
 class CapExceeded(ValueError):
@@ -75,14 +82,12 @@ def _pmod(a, m, p):
     return a
 
 
-def _monic(k, n, p):
-    """The monic polynomial of degree n whose low coefficients are the
-    base-p digits of k, constant coefficient first."""
+def _digits(k, base, n):
+    """The n lowest digits of k in the given base, low first."""
     out = []
     for _ in range(n):
-        out.append(k % p)
-        k //= p
-    out.append(1)
+        k, d = divmod(k, base)
+        out.append(d)
     return out
 
 
@@ -94,7 +99,7 @@ def _is_irreducible(f, p):
         return False
     for e in range(1, n // 2 + 1):
         for k in range(p ** e):
-            if not _pmod(f, _monic(k, e, p), p):
+            if not _pmod(f, _digits(k, p, e) + [1], p):
                 return False
     return True
 
@@ -156,8 +161,8 @@ class FieldDesc:
     def __init__(self, p, n, modulus, generator):
         if not _is_prime(p):
             raise Unsupported("p must be prime, got %r" % (p,), field="p")
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        if type(n) is not int or n < 1:
+            raise Unsupported("n must be a positive integer, got %r" % (n,), field="n")
         if p ** n > FIELD_CAP:
             raise CapExceeded("field size %d exceeds cap %d" % (p ** n, FIELD_CAP))
         modulus = tuple(c % p for c in modulus)
@@ -184,6 +189,13 @@ class FieldDesc:
             raise ValueError("too many coefficients")
         return FqElem(self, coeffs + (0,) * (self.n - len(coeffs)))
 
+    def index_of(self, c):
+        """The packed index of c: an element of this field, an int naming
+        an element of the prime field, or a coefficient list low first."""
+        if isinstance(c, FqElem) and c.field != self:
+            raise ValueError("elements live in different fields")
+        return (c if isinstance(c, FqElem) else self.elem(c)).index()
+
     def json_elem(self, c):
         """The element a JSON coefficient names: an integer, or a list of
         integers low degree first.  JSON true is no integer here, though
@@ -201,14 +213,14 @@ class FieldDesc:
     def gen(self):
         return FqElem(self, self.generator)
 
+    def digits(self, k):
+        """The coefficient vector of the element with packed index k: the
+        base-p digits of k, low first."""
+        return _digits(k, self.p, self.n)
+
     def from_index(self, k):
         """Element whose coefficient vector is the base-p digits of k."""
-        p = self.p
-        coeffs = []
-        for _ in range(self.n):
-            coeffs.append(k % p)
-            k //= p
-        return FqElem(self, tuple(coeffs))
+        return FqElem(self, tuple(self.digits(k)))
 
     def elements(self):
         for k in range(self.q):
@@ -374,7 +386,7 @@ class TowerEmbedding:
     modulus in the big field.  embed is a ring homomorphism; section inverts
     it on the image (and raises off the image)."""
 
-    __slots__ = ("small", "big", "root", "_matrix")
+    __slots__ = ("small", "big", "root", "_matrix", "_identity")
 
     def __init__(self, small, big, root):
         if small.p != big.p or big.n % small.n != 0:
@@ -383,6 +395,9 @@ class TowerEmbedding:
         self.big = big
         self.root = root
         self._matrix = None
+        # from the prime field, or onto itself by the root the modulus
+        # names, the embedding keeps every packed index
+        self._identity = small.n == 1 or (small == big and root == _modulus_root(big))
 
     def _columns(self):
         """The coefficient vectors of root**i, i < small.n, built once."""
@@ -406,6 +421,12 @@ class TowerEmbedding:
                     acc[k] += c * v
         p = self.big.p
         return FqElem(self.big, tuple([v % p for v in acc]))
+
+    def embed_index(self, k):
+        """embed on packed indices."""
+        if self._identity:
+            return k
+        return self.embed(self.small.from_index(k)).index()
 
     def section(self, y):
         """Solve embed(x) = y by Gaussian elimination over F_p."""
@@ -449,10 +470,12 @@ def fq_build(p, n):
     division finds irreducible; the generator is the first element of full
     order in the scan of integer encodings 1, 2, ...
     """
+    if type(n) is not int or n < 1:
+        raise Unsupported("n must be a positive integer, got %r" % (n,), field="n")
     if p ** n > FIELD_CAP:
         raise CapExceeded("field size %d exceeds cap %d" % (p ** n, FIELD_CAP))
     for k in range(p ** n):
-        modulus = _monic(k, n, p)
+        modulus = _digits(k, p, n) + [1]
         if _is_irreducible(modulus, p):
             break
     else:
@@ -521,17 +544,18 @@ def dlog(x):
     return log_field(x.field).log[x.index()]
 
 
-def first_root(coeffs, step, count):
-    """The first step**k, k < count, that is a root of sum coeffs[i] x**i
-    (ints or elements of step's field), or None."""
-    cur = step.field.one()
+def first_root(ops, coeffs, step, count):
+    """The first step**k, k < count, that is a root of sum coeffs[i] x**i,
+    all packed indices computed with ops, or None."""
+    fma, mul = ops.fma, ops.mul
+    cur = 1
     for _ in range(count):
-        acc = step.field.zero()
+        acc = 0
         for c in reversed(coeffs):
-            acc = acc * cur + c
-        if acc.is_zero():
+            acc = fma(acc, cur, c)
+        if not acc:
             return cur
-        cur = cur * step
+        cur = mul(cur, step)
     return None
 
 
@@ -546,10 +570,12 @@ def find_embedding(small, big):
         return TowerEmbedding(small, big, big.zero())
     q_small = small.q
     gen_sub = big.gen() ** ((big.q - 1) // (q_small - 1)) if q_small > 2 else big.one()
-    root = first_root(mod, gen_sub, q_small - 1)
+    # a seed computation: through FqElem, so it builds no table for big;
+    # the modulus's coefficients lie in F_p, where an index is the value
+    root = first_root(IntOps(big), mod, gen_sub.index(), q_small - 1)
     if root is None:
         raise ValueError("no root of the small modulus in the big field")
-    return TowerEmbedding(small, big, root)
+    return TowerEmbedding(small, big, big.from_index(root))
 
 
 _RESIDUE_CACHE = {}
@@ -746,4 +772,68 @@ def log_field(field):
     got = _TABLE_CACHE.get(field)
     if got is None:
         got = _TABLE_CACHE[field] = LogField(field)
+    return got
+
+
+def _table_ops(logs):
+    """mul, inv, fma and trace on packed indices through the tables: a
+    product is a sum of logs, a sum a Zech lookup."""
+    exp, log, zech, m = logs.exp, logs.log, logs.zech, logs.order
+
+    def mul(a, b):
+        return exp[(log[a] + log[b]) % m] if a and b else 0
+
+    def inv(a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        return exp[-log[a] % m]
+
+    def fma(a, b, c):
+        if not a or not b:
+            return c
+        t = log[a] + log[b]
+        if not c:
+            return exp[t % m]
+        # c + G**t = c (1 + G**(t - log c))
+        lc = log[c]
+        z = zech[(t - lc) % m]
+        return exp[(lc + z) % m] if z >= 0 else 0
+
+    return mul, inv, fma, logs.trace.__getitem__
+
+
+class IntOps:
+    """The arithmetic of one field on packed indices (0 is zero, 1 is one):
+    mul(a, b), inv(a), fma(a, b, c) = a * b + c, add(a, b), neg(a) and the
+    absolute trace(a) as an int in [0, p), each a plain function of ints.
+    Given the field's LogField it runs on the tables; without one, through
+    FqElem."""
+
+    __slots__ = ("mul", "inv", "fma", "trace", "add", "neg")
+
+    def __init__(self, field, logs=None):
+        if logs is None:
+            elem = field.from_index
+            self.mul = lambda a, b: (elem(a) * elem(b)).index()
+            self.inv = lambda a: elem(a).inverse().index()
+            self.fma = lambda a, b, c: (elem(a) * elem(b) + elem(c)).index()
+            self.trace = lambda a: trace(elem(a)).as_int()
+        else:
+            self.mul, self.inv, self.fma, self.trace = _table_ops(logs)
+        # a + b = a * 1 + b, and -1 is the prime field element p - 1
+        mul, fma, minus = self.mul, self.fma, field.p - 1
+        self.add = lambda a, b: fma(a, 1, b)
+        self.neg = lambda a: mul(a, minus)
+
+
+_OPS_CACHE = {}
+
+
+def int_ops(field):
+    """The one IntOps of field, cached: on its LogField when the field has
+    at most TABLE_LINE elements, through FqElem above the line, so the
+    polynomial layer never builds a table for a large field."""
+    got = _OPS_CACHE.get(field)
+    if got is None:
+        got = _OPS_CACHE[field] = IntOps(field, log_field(field) if field.q <= TABLE_LINE else None)
     return got

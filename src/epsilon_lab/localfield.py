@@ -12,6 +12,13 @@ An expansion is asked for by the number n of coefficients wanted past its
 valuation, which it finds itself: numerator and denominator are exact
 Taylor shifts, padded with known zeros, and one division leaves exactly n.
 
+Series and polynomials hold packed indices (0 the zero, 1 the one), and
+their kernels (division, Taylor shifts, series products and quotients,
+the root scan) compute with gf.int_ops: on the field's tables up to 2**16
+elements, through FqElem above.  Building one, its valuation and to_json
+need no table.  Elements are the boundary: make and Poly take them, coeff
+and leading return them, and Poly.evaluate computes with them.
+
 Conventions:
 
 * residue(w) is the residue of w dpi, the coefficient of pi**(-1) in w,
@@ -23,7 +30,7 @@ Conventions:
 
 from __future__ import annotations
 
-from .gf import FieldDesc, FqElem, Unsupported, first_root, residue_field
+from .gf import FieldDesc, FqElem, Unsupported, _digits, first_root, int_ops, residue_field
 
 
 class PrecisionError(ValueError):
@@ -35,7 +42,8 @@ class PrecisionError(ValueError):
 
 
 class LaurentSeries:
-    """Sum of c_i pi**i for i in [v, prec), exact inside the window.
+    """Sum of c_i pi**i for i in [v, prec), exact inside the window; the
+    coefficients are packed indices of the field's elements.
 
     The zero-to-precision series is stored with an empty coefficient tuple
     and v == prec.  Leading zeros are always trimmed, so v is the true
@@ -52,19 +60,22 @@ class LaurentSeries:
 
     @classmethod
     def make(cls, field, v, coeffs, prec=None):
-        coeffs = [field.elem(c) if isinstance(c, (int, list, tuple)) else c for c in coeffs]
+        """The series from coefficients given as elements, ints naming
+        elements of the prime field, or coefficient lists."""
+        return cls.of(field, v, [field.index_of(c) for c in coeffs], prec)
+
+    @classmethod
+    def of(cls, field, v, coeffs, prec=None):
+        """The series from packed indices, known to prec (default: as far
+        as coeffs reach), leading zeros trimmed and the window padded with
+        known zeros."""
         if prec is None:
             prec = v + len(coeffs)
         coeffs = coeffs[: prec - v]
-        while coeffs and coeffs[0].is_zero():
-            coeffs = coeffs[1:]
-            v += 1
-        while coeffs and coeffs[-1].is_zero():
-            coeffs = coeffs[:-1]
-        if not coeffs:
+        lo = next((i for i, c in enumerate(coeffs) if c), None)
+        if lo is None:
             return cls(field, prec, prec, ())
-        got = tuple(coeffs) + tuple(field.zero() for _ in range(prec - v - len(coeffs)))
-        return cls(field, v, prec, got)
+        return cls(field, v + lo, prec, tuple(coeffs[lo:]) + (0,) * (prec - v - len(coeffs)))
 
     @classmethod
     def zero(cls, field, prec):
@@ -72,11 +83,11 @@ class LaurentSeries:
 
     @classmethod
     def one(cls, field, prec):
-        return cls.make(field, 0, [field.one()], prec)
+        return cls.of(field, 0, [1], prec)
 
     @classmethod
     def pi_power(cls, field, k, prec):
-        return cls.make(field, k, [field.one()], prec)
+        return cls.of(field, k, [1], prec)
 
     def is_zero(self):
         """Zero as far as the window can tell."""
@@ -87,32 +98,42 @@ class LaurentSeries:
             raise PrecisionError("series is zero to precision %d, valuation unknown" % self.prec)
         return self.v
 
-    def coeff(self, k):
+    def at(self, k):
+        """The packed index of the coefficient of pi**k."""
         if k < self.v:
-            return self.field.zero()
+            return 0
         if k >= self.prec:
             raise PrecisionError("coefficient at %d beyond precision %d" % (k, self.prec))
         return self.coeffs[k - self.v]
 
+    def coeff(self, k):
+        """The coefficient of pi**k, as an element."""
+        return self.field.from_index(self.at(k))
+
     def shift(self, k):
         """Multiply by pi**k."""
         return LaurentSeries(self.field, self.v + k, self.prec + k, self.coeffs)
+
+    def pad(self, prec):
+        """The same exact Laurent polynomial, its window taken to prec with
+        known zeros."""
+        return LaurentSeries.of(self.field, self.v, self.coeffs, prec)
 
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         prec = min(self.prec, other.prec)
         v = min(self.v if self.coeffs else prec, other.v if other.coeffs else prec)
-        out = [self.field.zero()] * max(prec - v, 0)
+        add = int_ops(self.field).add
+        out = [0] * max(prec - v, 0)
         for s in (self, other):
-            for i, c in enumerate(s.coeffs):
-                k = s.v + i
-                if v <= k < prec:
-                    out[k - v] = out[k - v] + c
-        return LaurentSeries.make(self.field, v, out, prec)
+            for k, c in enumerate(s.coeffs[: prec - s.v], s.v - v):
+                if c:
+                    out[k] = add(out[k], c)
+        return LaurentSeries.of(self.field, v, out, prec)
 
     def __neg__(self):
-        return LaurentSeries(self.field, self.v, self.prec, tuple(-c for c in self.coeffs))
+        return LaurentSeries(self.field, self.v, self.prec, tuple(map(int_ops(self.field).neg, self.coeffs)))
 
     def __sub__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -121,10 +142,8 @@ class LaurentSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, FqElem)):
-            c = self.field.elem(other) if isinstance(other, int) else other
-            return LaurentSeries.make(
-                self.field, self.v, [a * c for a in self.coeffs], self.prec
-            )
+            c, mul = self.field.index_of(other), int_ops(self.field).mul
+            return LaurentSeries.of(self.field, self.v, [mul(a, c) for a in self.coeffs], self.prec)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
@@ -135,16 +154,7 @@ class LaurentSeries:
             return LaurentSeries.zero(self.field, prec)
         prec = min(self.v + other.prec, other.v + self.prec)
         v = self.v + other.v
-        out = [self.field.zero()] * (prec - v)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                k = i + j
-                if k >= prec - v:
-                    break
-                out[k] = out[k] + a * b
-        return LaurentSeries.make(self.field, v, out, prec)
+        return LaurentSeries.of(self.field, v, _product(self.field, self.coeffs, other.coeffs, prec - v), prec)
 
     __rmul__ = __mul__
 
@@ -163,19 +173,22 @@ class LaurentSeries:
             raise ZeroDivisionError("division by a series that is zero to precision")
         if not self.coeffs:
             return LaurentSeries.zero(self.field, self.prec - other.v)
+        ops = int_ops(self.field)
+        mul, fma = ops.mul, ops.fma
         v = self.v - other.v
         n = min(len(self.coeffs), len(den))
-        lead = den[0].inverse()
-        terms = [(j, -(b * lead)) for j, b in enumerate(den[1:n], 1) if not b.is_zero()]
+        lead = ops.inv(den[0])
+        minus = ops.neg(lead)
+        terms = [(j, mul(b, minus)) for j, b in enumerate(den[1:n], 1) if b]
         out = []
         for k, a in enumerate(self.coeffs[:n]):
-            acc = a * lead
+            acc = mul(a, lead)
             for j, b in terms:
                 if j > k:
                     break
-                acc = acc + b * out[k - j]
+                acc = fma(b, out[k - j], acc)
             out.append(acc)
-        return LaurentSeries.make(self.field, v, out, v + n)
+        return LaurentSeries.of(self.field, v, out, v + n)
 
     def __pow__(self, e):
         if e < 0:
@@ -195,24 +208,20 @@ class LaurentSeries:
             return NotImplemented
         prec = min(self.prec, other.prec)
         lo = min(self.v if self.coeffs else prec, other.v if other.coeffs else prec)
-        for k in range(lo, prec):
-            if self.coeff(k) != other.coeff(k):
-                return False
-        return True
+        return self.field == other.field and all(self.at(k) == other.at(k) for k in range(lo, prec))
 
     def __hash__(self):
-        return hash((self.field, self.v, self.prec, tuple(c.coeffs for c in self.coeffs)))
+        return hash((self.field, self.v, self.prec, self.coeffs))
 
     def unit_part(self):
         """u with self = pi**v * u, u a unit."""
         return self.shift(-self.valuation())
 
     def derivative(self):
-        out = []
-        for i, c in enumerate(self.coeffs):
-            k = self.v + i
-            out.append(c * (k % self.field.p))
-        return LaurentSeries.make(self.field, self.v - 1, out, self.prec - 1)
+        p, mul = self.field.p, int_ops(self.field).mul
+        # k mod p is the packed index of the prime field element k
+        out = [mul(c, k % p) for k, c in enumerate(self.coeffs, self.v)]
+        return LaurentSeries.of(self.field, self.v - 1, out, self.prec - 1)
 
     def compose(self, inner):
         """self(inner) for inner of valuation >= 1; self must need no
@@ -224,7 +233,7 @@ class LaurentSeries:
         acc = LaurentSeries.zero(self.field, prec + 1)
         # Horner from the top of the window
         for k in range(self.prec - 1, self.v - 1, -1):
-            acc = acc * inner + LaurentSeries.make(self.field, 0, [self.coeff(k)], prec + 1)
+            acc = acc * inner + LaurentSeries.of(self.field, 0, [self.at(k)], prec + 1)
         if self.v:
             acc = acc * (inner ** self.v if self.v > 0 else (inner.inverse()) ** (-self.v))
         return acc
@@ -234,7 +243,7 @@ class LaurentSeries:
             "field": self.field.to_json(),
             "v": self.v if self.coeffs else self.prec,
             "prec": self.prec,
-            "coeffs": [list(c.coeffs) for c in self.coeffs],
+            "coeffs": [self.field.digits(c) for c in self.coeffs],
         }
 
     @classmethod
@@ -249,10 +258,7 @@ class LaurentSeries:
     def __repr__(self):
         if not self.coeffs:
             return "O(pi^%d)" % self.prec
-        bits = []
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                bits.append("%r*pi^%d" % (list(c.coeffs), self.v + i))
+        bits = ["%r*pi^%d" % (self.field.digits(c), k) for k, c in enumerate(self.coeffs, self.v) if c]
         return " + ".join(bits) + " + O(pi^%d)" % self.prec
 
 
@@ -321,27 +327,33 @@ def reversion(s):
 
 
 class Poly:
-    """Dense polynomial over a FieldDesc, low degree first, no trailing zeros."""
+    """Dense polynomial over a FieldDesc, low degree first, no trailing
+    zeros; the coefficients are packed indices.  The constructor takes
+    elements or ints naming elements of the prime field; of takes packed
+    indices."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
-        coeffs = [field.elem(c) if isinstance(c, int) else c for c in coeffs]
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.coeffs = _trimmed([field.index_of(c) for c in coeffs])
+
+    @classmethod
+    def of(cls, field, coeffs):
+        out = cls.__new__(cls)
+        out.field, out.coeffs = field, _trimmed(list(coeffs))
+        return out
 
     @classmethod
     def x(cls, field):
-        return cls(field, [0, 1])
+        return cls.of(field, [0, 1])
 
     @classmethod
     def const(cls, field, c):
         return cls(field, [c])
 
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else -1
+        return len(self.coeffs) - 1
 
     def is_zero(self):
         return not self.coeffs
@@ -349,48 +361,43 @@ class Poly:
     def leading(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.field.from_index(self.coeffs[-1])
+
+    def scale(self, c):
+        """The polynomial times the element with packed index c."""
+        mul = int_ops(self.field).mul
+        return Poly.of(self.field, [mul(a, c) for a in self.coeffs])
 
     def monic(self):
-        if self.is_zero():
+        if self.is_zero() or self.coeffs[-1] == 1:
             return self
-        inv = self.leading().inverse()
-        return Poly(self.field, [c * inv for c in self.coeffs])
+        return self.scale(int_ops(self.field).inv(self.coeffs[-1]))
 
     def __add__(self, other):
         other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero()
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] = a[i] + c
-        return Poly(self.field, a)
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        add = int_ops(self.field).add
+        return Poly.of(self.field, list(map(add, a, b)) + list(a[len(b):]))
 
     def _coerce(self, other):
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, FqElem)):
-            return Poly(self.field, [other if isinstance(other, FqElem) else self.field.elem(other)])
+            return Poly(self.field, [other])
         raise TypeError("cannot coerce %r" % (other,))
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        return Poly.of(self.field, map(int_ops(self.field).neg, self.coeffs))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
-            return Poly(self.field, [])
-        z = self.field.zero()
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+        top = len(self.coeffs) + len(other.coeffs) - 1
+        return Poly.of(self.field, _product(self.field, self.coeffs, other.coeffs, max(top, 0)))
 
     __rmul__ = __mul__
 
@@ -400,16 +407,22 @@ class Poly:
         rem = list(self.coeffs)
         m = len(other.coeffs)
         if len(rem) < m:
-            return Poly(self.field, []), self
-        inv = other.leading().inverse()
-        quo = [self.field.zero()] * (len(rem) - m + 1)
+            return Poly.of(self.field, []), self
+        ops = int_ops(self.field)
+        mul, fma = ops.mul, ops.fma
+        inv = ops.inv(other.coeffs[-1])
+        # the top term cancels; the lower ones take c times minus the divisor
+        low = [ops.neg(b) for b in other.coeffs[:-1]]
+        quo = [0] * (len(rem) - m + 1)
         for k in range(len(rem) - m, -1, -1):
-            c = rem[k + m - 1] * inv
-            if not c.is_zero():
+            c = rem[k + m - 1]
+            if c:
+                if inv != 1:
+                    c = mul(c, inv)
                 quo[k] = c
-                for i, oc in enumerate(other.coeffs):
-                    rem[i + k] = rem[i + k] - c * oc
-        return Poly(self.field, quo), Poly(self.field, rem[: m - 1])
+                for i, b in enumerate(low, k):
+                    rem[i] = fma(c, b, rem[i])
+        return Poly.of(self.field, quo), Poly.of(self.field, rem[: m - 1])
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -421,34 +434,52 @@ class Poly:
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        return a.monic()
 
     def derivative(self):
-        out = []
-        for i, c in enumerate(self.coeffs[1:], start=1):
-            out.append(c * (i % self.field.p))
-        return Poly(self.field, out)
+        p, mul = self.field.p, int_ops(self.field).mul
+        # i mod p is the packed index of the prime field element i
+        return Poly.of(self.field, [mul(c, i % p) for i, c in enumerate(self.coeffs[1:], 1)])
 
     def evaluate(self, x, emb=None):
-        """Value at x; emb embeds the coefficients into x's field first."""
-        target = x.field
-        acc = target.zero()
-        for c in reversed(self.coeffs):
-            cc = emb.embed(c) if emb is not None else c
-            acc = acc * x + cc
+        """Value at the element x, by FqElem arithmetic; emb embeds the
+        coefficients into x's field first."""
+        acc = x.field.zero()
+        for k in reversed(self.coeffs):
+            c = self.field.from_index(k)
+            acc = acc * x + (emb.embed(c) if emb is not None else c)
         return acc
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.field == other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.field, tuple(c.coeffs for c in self.coeffs)))
+        return hash((self.field, self.coeffs))
 
     def __repr__(self):
-        return "Poly(%r)" % ([list(c.coeffs) for c in self.coeffs],)
+        return "Poly(%r)" % ([self.field.digits(c) for c in self.coeffs],)
 
     def to_json(self):
-        return [list(c.coeffs) for c in self.coeffs]
+        return [self.field.digits(c) for c in self.coeffs]
+
+
+def _product(field, a, b, top):
+    """The first top coefficients of the product of the index sequences a
+    and b, low first."""
+    fma = int_ops(field).fma
+    out = [0] * top
+    for i, x in enumerate(a[:top]):
+        if x:
+            for k, y in enumerate(b[: top - i], i):
+                out[k] = fma(x, y, out[k])
+    return out
+
+
+def _trimmed(coeffs):
+    """coeffs without trailing zeros, as a tuple."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 class RationalFunction:
@@ -460,12 +491,10 @@ class RationalFunction:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         g = num.gcd(den)
-        if not g.is_zero() and g.degree() > 0:
-            num = num // g
-            den = den // g
-        lead = den.leading().inverse()
-        self.num = num * lead
-        self.den = den * lead
+        if g.degree() > 0:
+            num, den = num // g, den // g
+        inv = int_ops(den.field).inv(den.coeffs[-1])
+        self.num, self.den = num.scale(inv), den.scale(inv)
 
     @classmethod
     def from_poly(cls, p):
@@ -560,13 +589,8 @@ def monic_irreducibles(field, d):
     out = []
     q = field.q
     for idx in range(q ** d):
-        coeffs = []
-        k = idx
-        for _ in range(d):
-            coeffs.append(field.from_index(k % q))
-            k //= q
-        coeffs.append(field.one())
-        f = Poly(field, coeffs)
+        # the low coefficients are the base-q digits of idx
+        f = Poly.of(field, _digits(idx, q, d) + [1])
         if poly_is_irreducible(f):
             out.append(f)
     _IRRED_CACHE[key] = tuple(out)
@@ -625,7 +649,7 @@ class Point:
         else:
             mp = minpoly.monic()
             if mp.degree() < 1:
-                raise ValueError("minimal polynomial must have positive degree")
+                raise Unsupported("minimal polynomial must have positive degree", field="minpoly")
             if mp.degree() >= 2 and not poly_is_irreducible(mp):
                 raise Unsupported("minpoly must be irreducible over the base field", field="minpoly")
             self.minpoly = mp
@@ -645,7 +669,7 @@ class Point:
     @classmethod
     def rational(cls, base, a):
         a = base.elem(a) if isinstance(a, int) else a
-        return cls(base, Poly(base, [-a, base.one()]))
+        return cls(base, Poly(base, [-a, 1]))
 
     def degree(self):
         return 1 if self.at_infinity else self.minpoly.degree()
@@ -663,11 +687,13 @@ class Point:
             if self.at_infinity:
                 alpha = None
             elif d == 1:
-                alpha = -self.minpoly.coeffs[0]
+                alpha = -big.from_index(self.minpoly.coeffs[0])
             else:
-                alpha = first_root([emb.embed(c) for c in self.minpoly.coeffs], big.gen(), big.q - 1)
-                if alpha is None:
+                coeffs = [emb.embed_index(c) for c in self.minpoly.coeffs]
+                root = first_root(int_ops(big), coeffs, big.gen().index(), big.q - 1)
+                if root is None:
                     raise ValueError("minimal polynomial has no root in its residue field")
+                alpha = big.from_index(root)
             self._expansion = (big, emb, alpha)
         return self._expansion
 
@@ -684,12 +710,13 @@ class Point:
     def __repr__(self):
         if self.at_infinity:
             return "Point(infinity)"
-        return "Point(minpoly=%r)" % ([list(c.coeffs) for c in self.minpoly.coeffs],)
+        return "Point(minpoly=%r)" % (self.minpoly.to_json(),)
 
     def to_json(self):
         if self.at_infinity:
             return {"type": "infinity"}
-        return {"type": "finite", "minpoly": [c.coeffs[0] if self.base.n == 1 else list(c.coeffs) for c in self.minpoly.coeffs]}
+        # over a prime field an index is the coefficient itself
+        return {"type": "finite", "minpoly": list(self.minpoly.coeffs) if self.base.n == 1 else self.minpoly.to_json()}
 
     @classmethod
     def from_json(cls, base, obj, name="point"):
@@ -707,8 +734,8 @@ class Point:
 
 def _poly_series_at(poly, point, n, emb, alpha):
     """n coefficients of poly(t) past its valuation, in the local parameter
-    at the point.  The Taylor shift is exact, so past its top the window is
-    known zeros."""
+    at the point, alpha the packed index of its root.  The Taylor shift is
+    exact, so past its top the window is known zeros."""
     if poly.is_zero():
         raise ValueError("the zero function has no valuation")
     field, v = emb.big, 0
@@ -719,20 +746,21 @@ def _poly_series_at(poly, point, n, emb, alpha):
     else:
         # t = alpha + pi, Taylor shift by synthetic division, stopped once
         # n coefficients past the first nonzero one are known
-        rem = [emb.embed(c) for c in poly.coeffs]
+        fma = int_ops(field).fma
+        rem = [emb.embed_index(c) for c in poly.coeffs]
         out = []
         while rem and len(out) < n:
-            acc = field.zero()
+            acc = 0
             newrem = []
             for c in reversed(rem):
-                acc = acc * alpha + c
+                acc = fma(acc, alpha, c)
                 newrem.append(acc)
             rem = newrem[-2::-1]
-            if out or not acc.is_zero():
+            if out or acc:
                 out.append(acc)
             else:
                 v += 1
-    return LaurentSeries(field, v, v + n, tuple(out) + (field.zero(),) * (n - len(out)))
+    return LaurentSeries(field, v, v + n, tuple(out) + (0,) * (n - len(out)))
 
 
 def expand_at(r, point, n):
@@ -744,7 +772,8 @@ def expand_at(r, point, n):
     and 1/t at infinity.
     """
     _big, emb, alpha = point.residue_data()
-    return _poly_series_at(r.num, point, n, emb, alpha) / _poly_series_at(r.den, point, n, emb, alpha)
+    a = None if alpha is None else alpha.index()
+    return _poly_series_at(r.num, point, n, emb, a) / _poly_series_at(r.den, point, n, emb, a)
 
 
 def expand_form_at(w, point, n):

@@ -440,6 +440,9 @@ def induce(rep, ambient=None, order=None):
     idx = len(reps)
     r = rep.rank
     size = r * idx
+    # mu(g_target, h)^{-1} for each (target coset, domain element): every
+    # pair meets each source coset once, so it is inverted once here
+    inv = {(c2, h): pow(mult.table[g][h], -1, ell) for c2, g in enumerate(reps) for h in sub}
     mats = {}
     for k in members:
         rows = [[0] * size for _ in range(size)]
@@ -447,7 +450,7 @@ def induce(rep, ambient=None, order=None):
             kg = group.mul(k, gc)
             c2 = coset_of[kg]
             h = group.mul(group.inverse(reps[c2]), kg)
-            s = mult.table[k][gc] * pow(mult.table[reps[c2]][h], -1, ell)
+            s = mult.table[k][gc] * inv[(c2, h)]
             # TwistedRep reduces every entry mod ell
             for i, src in enumerate(rep.mats[h]):
                 rows[c2 * r + i][c * r:(c + 1) * r] = [s * v for v in src]

@@ -65,7 +65,7 @@ def test_reduce_canonical_support():
             red = as_reduce(h)
             for i, c in enumerate(red.coeffs):
                 k = red.v + i
-                if not c.is_zero():
+                if c:
                     assert k < 0 and (-k) % field.p != 0
             assert as_reduce(red) == red
 
@@ -116,7 +116,7 @@ def test_reduce_needs_window():
 def test_tame_hand_values():
     chi = LocalCharacter(F3, C3, C3.elem(5), 1)
     # 2 generates the units of F_3, the quadratic character sends it to -1
-    assert chi.eval_unit_const(2) == -C3.one()
+    assert chi.coeff.kummer_chi(chi.tame_e, F3.elem(2)) == -C3.one()
     assert chi(series(F3, 1, [1, 0], 3)) == C3.elem(5)
     assert chi(series(F3, 1, [2, 0], 3)) == -C3.elem(5)
 

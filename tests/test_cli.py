@@ -393,3 +393,29 @@ def test_malformed_cover_field_points_at_field(capsys, tmp_path):
         path.write_text(json.dumps(cover))
         code, report = run(capsys, ["induction-check", "--cover", str(path)])
         assert code == 3 and report["field"] == ("p" if isinstance(bad, dict) else "field")
+
+
+@pytest.mark.parametrize(
+    "command, data, path, bad, field",
+    [
+        ("eps-global", "product_spec.json", ("n",), 0, "n"),
+        ("eps-global", "product_spec.json", ("n",), -1, "n"),
+        ("eps-local", "char_quadratic.json", ("char", "field", "n"), 0, "n"),
+        ("eps-global", "product_spec.json", ("punctures", 0, "minpoly"), [1], "minpoly"),
+        ("eps-global", "product_spec.json", ("punctures", 0, "minpoly"), [], "minpoly"),
+    ],
+    ids=["spec-n-zero", "spec-n-negative", "char-n-zero", "minpoly-constant", "minpoly-empty"],
+)
+def test_bad_degree_names_its_input(capsys, tmp_path, command, data, path, bad, field):
+    # a field degree below 1 failed inside the modulus scan, on the float
+    # p ** n or in FieldDesc, and a constant minpoly with a plain
+    # ValueError: none of them named its input
+    obj = json.loads((DATA / data).read_text())
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    inp = tmp_path / "input.json"
+    inp.write_text(json.dumps(obj))
+    code, report = run(capsys, [command, "--char" if command == "eps-local" else "--spec", str(inp)])
+    assert code == 3 and report["field"] == field and not report["ok"]

@@ -236,7 +236,7 @@ def test_trace_sum_deg2_puncture_over_extension_base():
     fpol = next(
         f
         for f in monic_irreducibles(F9, 2)
-        if any(c ** 3 != c for c in f.coeffs[:-1])
+        if any(c ** 3 != c for c in map(F9.from_index, f.coeffs[:-1]))
     )
     spec = SheafSpec(
         F9,
@@ -316,7 +316,7 @@ F9 = fq_build(3, 2)
 F2_CUBIC = Poly(F2, [1, 1, 0, 1])
 F4_CONIC = monic_irreducibles(F4, 2)[0]
 # a degree 2 point over F_9 whose minimal polynomial is not over F_3
-F9_CONIC = next(f for f in monic_irreducibles(F9, 2) if any(c ** 3 != c for c in f.coeffs[:-1]))
+F9_CONIC = next(f for f in monic_irreducibles(F9, 2) if any(c ** 3 != c for c in map(F9.from_index, f.coeffs[:-1])))
 
 HISTOGRAM_SPECS = [
     # q - 1 = 1: every Kummer key is 0; a degree 3 puncture; m = 2, 4 with
@@ -810,8 +810,8 @@ class PushforwardSpec:
         spec = self.upstairs
         base = spec.base
         big, emb = residue_field(base, m)
-        num = Poly(big, [emb.embed(c) for c in self.cover.num.coeffs])
-        den = Poly(big, [emb.embed(c) for c in self.cover.den.coeffs])
+        num = Poly.of(big, [emb.embed_index(c) for c in self.cover.num.coeffs])
+        den = Poly.of(big, [emb.embed_index(c) for c in self.cover.den.coeffs])
         dn, dd = num.degree(), den.degree()
         if x is None:
             inf_in_fiber = dn > dd

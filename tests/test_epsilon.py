@@ -96,7 +96,7 @@ def test_tame_sum_shape():
     dpi = form(F3, 0, [1], 3)
     g = C73.zero()
     for u in (1, 2):
-        g = g + chi.eval_unit_const(u) ** -1 * C73.psi(u)
+        g = g + chi.coeff.kummer_chi(chi.tame_e, chi.field.elem(u)) ** -1 * C73.psi(u)
     assert eps_tate(chi, dpi).value == -chi.c_pi * g
 
 
@@ -265,7 +265,7 @@ def test_dispatch_routes():
 def _window(omega, n):
     """The form cut to n coefficients past its valuation."""
     w = omega.w
-    return Form(LaurentSeries.make(w.field, w.v, list(w.coeffs), w.v + n))
+    return Form(LaurentSeries.of(w.field, w.v, w.coeffs, w.v + n))
 
 
 @pytest.mark.parametrize("method", ["tate", "tate_slow", "closed"])

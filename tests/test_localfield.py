@@ -45,7 +45,7 @@ def random_series(rng, field, vmin=-3, vmax=3, width=6, unit=False):
 def test_make_trims_and_pads():
     s = LaurentSeries.make(F3, -2, [0, 0, 1, 2], 4)
     assert s.v == 0 and s.prec == 4
-    assert [c.as_int() for c in s.coeffs] == [1, 2, 0, 0]
+    assert s.coeffs == (1, 2, 0, 0)
 
 
 def test_simple_product():
@@ -81,9 +81,7 @@ def test_division_window_and_roundtrip():
             a = random_series(rng, field, width=rng.randrange(1, 8))
             b = random_series(rng, field, width=rng.randrange(1, 8))
             # sparse divisors too: the division loops over the nonzero terms
-            b = LaurentSeries.make(
-                field, b.v, [c if j == 0 or rng.random() < 0.5 else field.zero() for j, c in enumerate(b.coeffs)], b.prec
-            )
+            b = LaurentSeries.of(field, b.v, [c if j == 0 or rng.random() < 0.5 else 0 for j, c in enumerate(b.coeffs)], b.prec)
             got = a / b
             assert (got.v, got.prec) == (a.v - b.v, min(a.v + b.prec - 2 * b.v, a.prec - b.v))
             back = got * b
@@ -227,7 +225,7 @@ def norm_tame(u, e=1, emb=None):
             twisted = LaurentSeries.make(
                 field,
                 out.v,
-                [c * (z ** ((out.v + j) % (field.q - 1))) for j, c in enumerate(out.coeffs)],
+                [out.coeff(k) * (z ** (k % (field.q - 1))) for k in range(out.v, out.prec)],
                 out.prec,
             )
             acc = twisted if acc is None else acc * twisted
@@ -237,8 +235,8 @@ def norm_tame(u, e=1, emb=None):
         if acc.coeffs:
             if acc.v % e:
                 raise ValueError("Kummer norm produced a stray valuation, broken invariant")
-            for j, c in enumerate(acc.coeffs):
-                k = acc.v + j
+            for k in range(acc.v, acc.prec):
+                c = acc.coeff(k)
                 if k % e == 0:
                     coeffs.append(c)
                 elif not c.is_zero():
@@ -254,9 +252,9 @@ def norm_tame(u, e=1, emb=None):
         acc = out
         cur = out
         for _ in range(d - 1):
-            cur = LaurentSeries.make(big, cur.v, [frobenius(c, small.n) for c in cur.coeffs], cur.prec)
+            cur = LaurentSeries.make(big, cur.v, [frobenius(cur.coeff(k), small.n) for k in range(cur.v, cur.prec)], cur.prec)
             acc = acc * cur
-        out = LaurentSeries.make(small, acc.v, [emb.section(c) for c in acc.coeffs], acc.prec)
+        out = LaurentSeries.make(small, acc.v, [emb.section(acc.coeff(k)) for k in range(acc.v, acc.prec)], acc.prec)
     return out
 
 
@@ -384,7 +382,7 @@ def test_irreducibility_and_counts():
     for field, top in ((fq_build(2, 1), 8), (F3, 5), (F5, 3)):
         for d in range(1, top + 1):
             for f in _scan(field, d):
-                ints = [c.as_int() for c in f.coeffs]
+                ints = list(f.coeffs)
                 assert gf._is_irreducible(ints, field.p) == poly_is_irreducible(f), ints
     # Gauss's count of monic irreducibles of degree d over F_q
     for field, top in ((fq_build(2, 1), 8), (F3, 5), (F5, 3), (F4, 3), (F9, 3)):
@@ -401,7 +399,7 @@ def test_fq_build_modulus_is_first_irreducible_in_scan(p, top):
     prime = fq_build(p, 1)
     for n in range(1, top + 1):
         first = next(f for f in _scan(prime, n) if factor_poly(f)[1] == [(f, 1)])
-        assert fq_build(p, n).modulus == tuple(c.as_int() for c in first.coeffs), (p, n)
+        assert fq_build(p, n).modulus == first.coeffs, (p, n)
 
 
 def test_factor_roundtrip():
