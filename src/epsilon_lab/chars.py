@@ -24,7 +24,7 @@ ORACLE_CAP bounds that table, and the CLI reports it among its caps.
 
 from __future__ import annotations
 
-from .gf import Unsupported, frobenius
+from .gf import Unsupported, _digits, frobenius
 from .localfield import LaurentSeries, PrecisionError, dlog, residue, reversion
 
 ORACLE_CAP = 1 << 16
@@ -217,9 +217,4 @@ def unit_keys(field, nu):
     q = field.q
     for head in range(1, q):
         for tail in range(q ** (nu - 1)):
-            key = [head]
-            k = tail
-            for _ in range(nu - 1):
-                key.append(k % q)
-                k //= q
-            yield tuple(key)
+            yield (head, *_digits(tail, q, nu - 1))

@@ -39,7 +39,7 @@ from math import comb
 
 from .chars import LocalCharacter, as_reduce
 from .epsilon import eps_local, gamma_psi
-from .gf import Unsupported, dlog, int_ops, log_field, norm, prime_field, residue_field
+from .gf import Unsupported, dlog, fq_build, int_ops, log_field, norm, residue_field
 from .localfield import (
     LaurentSeries,
     Point,
@@ -350,8 +350,6 @@ class SheafSpec:
 
     @classmethod
     def from_json(cls, obj):
-        from .gf import fq_build
-
         base = fq_build(obj["p"], obj["n"])
         wild = RationalFunction.from_json(base, obj["wild"], "wild") if obj.get("wild") else None
         kummer = obj.get("kummer", [])
@@ -721,7 +719,7 @@ def induction_wild_cover(coeff, p=3, variants=None):
     back exponential of 1/t, the upstairs factor is local at infinity with
     the pulled back form, and the ratio must not depend on the variant.
     """
-    base = prime_field(p)
+    base = fq_build(p, 1)
     y = RationalFunction.from_poly(Poly.x(base))
     cover_poly = Poly(base, [0, -1] + [0] * (p - 2) + [1])
     twist = RationalFunction(Poly.const(base, base.elem(-1)), cover_poly)

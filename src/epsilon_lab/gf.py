@@ -12,29 +12,29 @@ The deterministic recipe:
   degree n is irreducible iff trial division by every monic polynomial of
   degree 1 .. n // 2 leaves a remainder,
 * generator: the first element of multiplicative order q - 1, scanning the
-  integer encodings 1, 2, ...
+  integer encodings 1, 2, ...; fq_build caches each descriptor it builds.
 
 There is one arithmetic table engine, LogField: exp, log, Zech and
 trace-to-F_p tables on the packed integer encoding (the coefficients as
 base-p digits), its exp table filled by walking multiplication by x on
 packed ints.  Each field has one LogField, built on first use and
-cached by log_field(field); nothing else builds or caches tables.  Inner
+cached by log_field(field); nothing else builds or holds tables.  Inner
 loops (the point walk, the unit sum, the quadratic Gauss constant) read
 these tables directly, elements as logs to the generator, and dlog is a
 lookup in the log table, so its only limit is the field cap.
 
 The polynomials and Laurent series of the local side hold packed indices
-too and compute through int_ops(field), ints in and out: on the LogField
-of a field of at most TABLE_LINE = 2**16 elements, through FqElem
-(from_index, the operation, index()) above the line, so no table is built
-past it and no second product is written.  FqElem multiplies by the
-schoolbook product of the coefficient vectors, its high terms folded back
-through the reduction rows x**(n + k) mod modulus that each FieldDesc
-computes once.  It is the boundary type (JSON, the public API, single
-coefficients), it carries the seeds (generators, embeddings as
-F_p-combinations of cached root powers, the few products a table build
-needs), traces and Frobenius on single elements, and it is the oracle the
-tables are tested against.
+too and compute through int_ops(field), ints in and out: the IntOps that
+the LogField of a field of at most TABLE_LINE = 2**16 elements keeps, and
+IntOps(field), through FqElem (from_index, the operation, index()), above
+the line, so no table is built past it and no second product is written.
+FqElem multiplies by the schoolbook product of the coefficient vectors,
+its high terms folded back through the reduction rows x**(n + k) mod
+modulus that each FieldDesc computes once.  It is the boundary type (JSON,
+the public API, single coefficients), it carries the seeds (generators,
+embeddings as F_p-combinations of cached root powers, the few products a
+table build needs), traces and Frobenius on single elements, and it is the
+oracle the tables are tested against.
 """
 
 from __future__ import annotations
@@ -249,7 +249,19 @@ class FieldDesc:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["p"], obj["n"], obj["modulus"], obj["generator"])
+        """The descriptor a JSON object names, checked where it is read:
+        p, n and the modulus and generator entries are JSON integers, and
+        the generator has order q - 1, so F_p[x]/(modulus) is a field."""
+        for key in ("p", "n"):
+            if type(obj[key]) is not int:
+                raise Unsupported("%s must be an integer" % key, field=key)
+        for key in ("modulus", "generator"):
+            if type(obj[key]) is not list or any(type(c) is not int for c in obj[key]):
+                raise Unsupported("%s must be a list of integers" % key, field=key)
+        desc = cls(obj["p"], obj["n"], obj["modulus"], obj["generator"])
+        if not _full_order(desc.gen()):
+            raise Unsupported("generator must have order q - 1 over an irreducible modulus", field="generator")
+        return desc
 
 
 class FqElem:
@@ -324,7 +336,6 @@ class FqElem:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        # one is its own inverse, and most divisors met are monic
         if self.coeffs[0] == 1 and not any(self.coeffs[1:]):
             return self
         # q - 2 exponentiation, fields here are small
@@ -463,8 +474,25 @@ class TowerEmbedding:
         return x
 
 
+def _full_order(x):
+    """Whether x has multiplicative order q - 1, which in F_p[x]/(modulus)
+    also proves the modulus irreducible: every nonzero element is a unit.
+    With r the least prime factor of q - 1 and y = x**((q - 1) / r), that
+    is y**r = 1 and no x**((q - 1) / s) = 1; y**r is taken as
+    y**(r - 1) * y, since __pow__ reduces exponents mod q - 1."""
+    one, order = x.field.one(), x.field.q - 1
+    if order == 1:
+        return x == one
+    r, *rest = _prime_factors(order)
+    y = x ** (order // r)
+    return y != one and all(x ** (order // s) != one for s in rest) and y ** (r - 1) * y == one
+
+
+_FIELD_CACHE = {}
+
+
 def fq_build(p, n):
-    """Build the canonical descriptor of F_{p^n}.
+    """The canonical descriptor of F_{p^n}, built on first use and cached.
 
     The modulus is the first candidate in the lexicographic scan that trial
     division finds irreducible; the generator is the first element of full
@@ -472,6 +500,9 @@ def fq_build(p, n):
     """
     if type(n) is not int or n < 1:
         raise Unsupported("n must be a positive integer, got %r" % (n,), field="n")
+    # 3.0 and True hash like 3: they skip the cache and fail below
+    if type(p) is int and (p, n) in _FIELD_CACHE:
+        return _FIELD_CACHE[(p, n)]
     if p ** n > FIELD_CAP:
         raise CapExceeded("field size %d exceeds cap %d" % (p ** n, FIELD_CAP))
     for k in range(p ** n):
@@ -481,12 +512,11 @@ def fq_build(p, n):
     else:
         raise ValueError("no irreducible polynomial found, impossible")
     desc = FieldDesc(p, n, modulus, (1,) + (0,) * (n - 1))
-    order_target = p ** n - 1
-    fac = _prime_factors(order_target) if order_target > 1 else []
-    for k in range(1, max(order_target, 1) + 1):
+    for k in range(1, p ** n):
         x = desc.from_index(k)
-        if all((x ** (order_target // r)) != desc.one() for r in fac):
-            return FieldDesc(p, n, modulus, x.coeffs)
+        if _full_order(x):
+            desc = _FIELD_CACHE[(p, n)] = FieldDesc(p, n, modulus, x.coeffs)
+            return desc
     raise ValueError("no generator found, impossible")
 
 
@@ -511,7 +541,7 @@ def _fold(x, emb, op):
         return emb.section(acc)
     if any(acc.coeffs[1:]):
         raise ValueError("trace/norm landed outside the subfield, broken tower")
-    return prime_field(x.field.p).elem(acc.coeffs[0])
+    return fq_build(x.field.p, 1).elem(acc.coeffs[0])
 
 
 def trace(x, emb=None):
@@ -525,15 +555,6 @@ def trace(x, emb=None):
 def norm(x, emb=None):
     """Norm to the subfield given by emb, or to F_p when emb is None."""
     return _fold(x, emb, mul)
-
-
-_PRIME_CACHE = {}
-
-
-def prime_field(p):
-    if p not in _PRIME_CACHE:
-        _PRIME_CACHE[p] = fq_build(p, 1)
-    return _PRIME_CACHE[p]
 
 
 def dlog(x):
@@ -738,10 +759,10 @@ class LogField:
     zech[e] = log(1 + G**e) with -1 standing for log(0), and trace[k] is
     the absolute trace of the element with index k, an int in [0, p).
     On logs a product is a sum mod order and a + b is
-    a + zech[(b - a) % order], so an inner loop runs on ints alone.
-    """
+    a + zech[(b - a) % order], so an inner loop runs on ints alone, and
+    ops is the IntOps on them that int_ops returns."""
 
-    __slots__ = ("field", "q", "order", "exp", "log", "zech", "trace")
+    __slots__ = ("field", "q", "order", "exp", "log", "zech", "trace", "ops")
 
     def __init__(self, field):
         q = field.q
@@ -762,6 +783,7 @@ class LogField:
         self.exp = exp
         self.log = log
         self.trace = _trace_table(field)
+        self.ops = _table_ops(self)
 
 
 _TABLE_CACHE = {}
@@ -776,8 +798,8 @@ def log_field(field):
 
 
 def _table_ops(logs):
-    """mul, inv, fma and trace on packed indices through the tables: a
-    product is a sum of logs, a sum a Zech lookup."""
+    """The IntOps on the tables of logs, kept by that LogField: a product
+    is a sum of logs, a sum a Zech lookup."""
     exp, log, zech, m = logs.exp, logs.log, logs.zech, logs.order
 
     def mul(a, b):
@@ -799,41 +821,39 @@ def _table_ops(logs):
         z = zech[(t - lc) % m]
         return exp[(lc + z) % m] if z >= 0 else 0
 
-    return mul, inv, fma, logs.trace.__getitem__
+    ops = IntOps.__new__(IntOps)
+    ops.mul, ops.inv, ops.fma, ops.trace = mul, inv, fma, logs.trace.__getitem__
+    # a + b = a * 1 + b, and -1 is the prime field element p - 1
+    minus = logs.field.p - 1
+    ops.add = lambda a, b: fma(a, 1, b)
+    ops.neg = lambda a: mul(a, minus)
+    return ops
 
 
 class IntOps:
     """The arithmetic of one field on packed indices (0 is zero, 1 is one):
     mul(a, b), inv(a), fma(a, b, c) = a * b + c, add(a, b), neg(a) and the
     absolute trace(a) as an int in [0, p), each a plain function of ints.
-    Given the field's LogField it runs on the tables; without one, through
-    FqElem."""
+    IntOps(field) goes through FqElem and holds no table; the route on a
+    field's tables is its LogField's ops (_table_ops)."""
 
     __slots__ = ("mul", "inv", "fma", "trace", "add", "neg")
 
-    def __init__(self, field, logs=None):
-        if logs is None:
-            elem = field.from_index
-            self.mul = lambda a, b: (elem(a) * elem(b)).index()
-            self.inv = lambda a: elem(a).inverse().index()
-            self.fma = lambda a, b, c: (elem(a) * elem(b) + elem(c)).index()
-            self.trace = lambda a: trace(elem(a)).as_int()
-        else:
-            self.mul, self.inv, self.fma, self.trace = _table_ops(logs)
-        # a + b = a * 1 + b, and -1 is the prime field element p - 1
-        mul, fma, minus = self.mul, self.fma, field.p - 1
-        self.add = lambda a, b: fma(a, 1, b)
-        self.neg = lambda a: mul(a, minus)
-
-
-_OPS_CACHE = {}
+    def __init__(self, field):
+        elem = field.from_index
+        self.mul = lambda a, b: (elem(a) * elem(b)).index()
+        self.inv = lambda a: elem(a).inverse().index()
+        self.fma = lambda a, b, c: (elem(a) * elem(b) + elem(c)).index()
+        self.add = lambda a, b: (elem(a) + elem(b)).index()
+        self.neg = lambda a: (-elem(a)).index()
+        self.trace = lambda a: trace(elem(a)).as_int()
 
 
 def int_ops(field):
-    """The one IntOps of field, cached: on its LogField when the field has
-    at most TABLE_LINE elements, through FqElem above the line, so the
-    polynomial layer never builds a table for a large field."""
-    got = _OPS_CACHE.get(field)
-    if got is None:
-        got = _OPS_CACHE[field] = IntOps(field, log_field(field) if field.q <= TABLE_LINE else None)
-    return got
+    """The IntOps of field, ints in and out: its LogField's, built on first
+    use up to TABLE_LINE elements; above the line, unless the tables exist,
+    IntOps(field), which builds none.  A hit is one dict lookup."""
+    got = _TABLE_CACHE.get(field)
+    if got is not None:
+        return got.ops
+    return log_field(field).ops if field.q <= TABLE_LINE else IntOps(field)

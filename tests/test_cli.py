@@ -385,6 +385,34 @@ def test_malformed_character_record_points_at_field(capsys, tmp_path):
         assert code == 3 and report["error"] and not report["ok"]
 
 
+F9 = {"p": 3, "n": 2, "modulus": [1, 0, 1], "generator": [1, 1]}
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        dict(F9, modulus=[0, 0, 1], generator=[0, 1]),  # x^2 is reducible
+        dict(F9, generator=[2, 0]),  # 2 has order 2, not 8
+        dict(F9, generator=[True, 1]),  # JSON true is no integer
+        {"p": 2, "n": 17, "modulus": [0] * 17 + [1], "generator": [0, 1] + [0] * 15},  # past the table line
+    ],
+)
+def test_field_descriptor_that_names_no_field_is_refused(capsys, tmp_path, field):
+    # the generator must have order q - 1, which also proves the modulus
+    # irreducible; an unramified character over these read as a field
+    large = field["n"] == 17
+    char = {"field": field, "c_pi": 1 if large else 2, "tame_e": 0}
+    if large:
+        char["wild_h"] = {"v": -3, "coeffs": [[1], [0], [1]]}
+    form = {"field": field, "v": 0, "prec": 4 if large else 3, "coeffs": [[1], [0, 1], [1]]}
+    coeff = {"p": field["p"], "orders": [field["p"] ** field["n"] - 1 if large else 8]}
+    (tmp_path / "char.json").write_text(json.dumps({"char": char, "coeff": coeff}))
+    (tmp_path / "form.json").write_text(json.dumps(form))
+    argv = ["eps-local", "--char", str(tmp_path / "char.json"), "--form", str(tmp_path / "form.json")]
+    code, report = run(capsys, argv + (["--method", "closed"] if large else []))
+    assert code == 3 and not report["ok"] and report["field"] == "generator"
+
+
 def test_malformed_cover_field_points_at_field(capsys, tmp_path):
     cover = json.loads((DATA / "induction_cover.json").read_text())
     path = tmp_path / "cover.json"

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from epsilon_lab import coeff as coeff_mod
 from epsilon_lab.coeff import CoeffField, SymbolicSum, coeff_setup, complex_embed, pinned_ell, second_ell
 from epsilon_lab.epsilon import gamma_psi
-from epsilon_lab.gf import fq_build, prime_field, trace
+from epsilon_lab.gf import fq_build, trace
 
 
 def zeta(field, m):
@@ -184,7 +184,7 @@ def _rendering(field, value):
 
 
 def test_rendering_does_not_depend_on_call_history():
-    f5 = prime_field(5)
+    f5 = fq_build(5, 1)
     target = coeff_setup(5, [4])
     assert target.ell == 41
     values = [gamma_psi(coeff_setup(5, [4]), f5, c).value for c in range(1, 5)]

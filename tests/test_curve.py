@@ -27,7 +27,7 @@ from epsilon_lab.curve import (
     verify_gos,
 )
 from epsilon_lab.epsilon import eps_local, gamma_psi
-from epsilon_lab.gf import CapExceeded, Unsupported, fq_build, log_field, prime_field, residue_field
+from epsilon_lab.gf import CapExceeded, Unsupported, fq_build, log_field, residue_field
 from epsilon_lab.localfield import (
     Point,
     Poly,
@@ -36,9 +36,9 @@ from epsilon_lab.localfield import (
     monic_irreducibles,
 )
 
-F3 = prime_field(3)
-F5 = prime_field(5)
-F7 = prime_field(7)
+F3 = fq_build(3, 1)
+F5 = fq_build(5, 1)
+F7 = fq_build(7, 1)
 F4 = fq_build(2, 2)
 
 C73 = coeff_setup(3, [8])
@@ -311,7 +311,7 @@ def histogram(spec, m):
     return hist
 
 
-F2 = prime_field(2)
+F2 = fq_build(2, 1)
 F9 = fq_build(3, 2)
 F2_CUBIC = Poly(F2, [1, 1, 0, 1])
 F4_CONIC = monic_irreducibles(F4, 2)[0]
@@ -733,6 +733,23 @@ def test_local_side_is_read_once_per_spec(monkeypatch):
     assert len(calls) == 4
 
 
+def test_spec_from_json_scans_its_base_once(monkeypatch):
+    # fq_build keeps each descriptor it builds: a second spec over the same
+    # base runs no modulus scan and gets the same descriptor
+    obj = deg2_puncture_spec().to_json()
+    first = SheafSpec.from_json(obj)
+    scans = []
+    irreducible = gf_mod._is_irreducible
+
+    def counted(f, p):
+        scans.append(f)
+        return irreducible(f, p)
+
+    monkeypatch.setattr(gf_mod, "_is_irreducible", counted)
+    again = SheafSpec.from_json(obj)
+    assert scans == [] and again.base is first.base
+
+
 def test_form_is_read_once_per_spec(monkeypatch):
     # t / (t^2 + 1): a zero at the puncture 0, a pole at a point of degree 2
     # off the punctures, and a pole at infinity with dt.  Its divisor and
@@ -993,7 +1010,7 @@ def test_transfer_constants_price_local_factors_first(monkeypatch):
 def test_product_formula_over_f2_at_a_degree_two_puncture():
     # a Kummer datum is trivial over F_2, so its tame exponent at a
     # puncture of degree 2 must carry the norm index (4 - 1) / (2 - 1)
-    f2 = prime_field(2)
+    f2 = fq_build(2, 1)
     conic = Poly(f2, [f2.elem(1)] * 3)
     spec = SheafSpec(
         f2,

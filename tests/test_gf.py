@@ -8,6 +8,7 @@ from epsilon_lab.gf import (
     CapExceeded,
     FieldDesc,
     LogField,
+    Unsupported,
     dlog,
     find_embedding,
     fq_build,
@@ -15,7 +16,6 @@ from epsilon_lab.gf import (
     fq_build as build,
     identity_embedding,
     norm,
-    prime_field,
     residue_field,
     trace,
 )
@@ -52,12 +52,26 @@ def test_trace_norm_examples():
     assert trace(f9.one()).as_int() == 2
     n = norm(f9.gen())
     # the norm of a generator generates the subfield's units
-    assert n == prime_field(3).elem(2)
+    assert n == fq_build(3, 1).elem(2)
 
 
 def test_cap_enforced():
     with pytest.raises(CapExceeded):
         fq_build(2, 30)
+
+
+def test_fq_build_keeps_each_descriptor_and_its_refusals():
+    # 3.0 and True hash like 3 and 1, so they are refused before the cache
+    assert fq_build(3, 1) is fq_build(3, 1)
+    with pytest.raises(Unsupported) as err:
+        fq_build(3, True)
+    assert err.value.field == "n"
+    with pytest.raises(TypeError):
+        fq_build(3.0, 1)
+    for p in (4, True):
+        with pytest.raises(Unsupported) as err:
+            fq_build(p, 1)
+        assert err.value.field == "p"
 
 
 @st.composite

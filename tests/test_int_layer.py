@@ -261,6 +261,30 @@ def test_no_table_past_the_line():
     assert field not in gf._TABLE_CACHE
 
 
+def test_int_ops_reads_the_tables_the_cache_holds(monkeypatch):
+    # the table kernels live with the LogField: after a reset of the table
+    # cache the next int_ops builds the tables once and computes on them
+    field = fq_build(3, 2)
+    gf.int_ops(field)
+    built = []
+    init = gf.LogField.__init__
+
+    def recorded(self, f):
+        built.append(f)
+        init(self, f)
+
+    monkeypatch.setattr(gf, "_TABLE_CACHE", {})
+    monkeypatch.setattr(gf.LogField, "__init__", recorded)
+    ops = gf.int_ops(field)
+    assert built == [field]
+    logs = gf.log_field(field)
+    assert built == [field] and ops.mul(1, 1) == 1
+    # a product is read off the lists log_field returns (this LogField is
+    # dropped with the patched cache)
+    logs.exp[0] = 5
+    assert ops.mul(1, 1) == 5
+
+
 @pytest.mark.parametrize("field", FIELDS)
 def test_int_ops_agree_with_elements(field):
     # the two routes of int_ops: on the tables and through FqElem
