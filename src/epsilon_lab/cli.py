@@ -21,7 +21,7 @@ from . import chars as _chars
 from . import epsilon as _epsilon
 from . import gf as _gf
 from .chars import LocalCharacter
-from .coeff import coeff_setup, complex_embed, pinned_ell, second_ell
+from .coeff import coeff_setup, pinned_ell, root_sum, second_ell
 from .curve import (
     GlobalComputation,
     SheafSpec,
@@ -29,7 +29,7 @@ from .curve import (
     product_formula_check,
     transfer_constants,
 )
-from .epsilon import eps_local, eps_punctual, gamma_psi, gamma_psi_symbolic
+from .epsilon import eps_local, eps_punctual, gamma_counts, gamma_psi
 from .gf import CapExceeded, Unsupported, fq_build
 from .localfield import Form, Point, Poly, RationalFunction
 
@@ -166,7 +166,7 @@ def cmd_gauss(args):
     orders = _parse_orders(args.orders) if args.orders else [max(1, q - 1)]
     coeff = _coeff_for({}, p, orders, args.ell)
     value = gamma_psi(coeff, field, c)
-    z = complex_embed(coeff, gamma_psi_symbolic(field, c))
+    z = root_sum({e: -k for e, k in gamma_counts(field, c).items()}, p)
     body = {
         "p": p,
         "q": q,
@@ -207,10 +207,8 @@ def cmd_eps_local(args):
         "method": res.method,
         "kind": kind,
     }
-    try:
-        body["complex"] = _complex(complex_embed(coeff, res.value))
-    except ValueError:
-        body["complex"] = None
+    e = coeff.root_exponent(res.value.value)
+    body["complex"] = None if e is None else _complex(root_sum({e: 1}, coeff.p * coeff.M))
     return body, coeff.ell, 1, True
 
 

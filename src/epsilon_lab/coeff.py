@@ -7,8 +7,9 @@ tame ones, M being the lcm of every multiplicative order q_x - 1 in play.
 Verdicts never rest on a single ell; engines re-run with a second one.
 
 Values are exact residues and a field keeps no side table.  For display
-only, complex_embed renders a SymbolicSum, or a residue that equals a pinned
-root of unity zeta_pM**e; any other residue has no rendering.
+only, root_sum reads an integer combination of roots of unity as a complex
+number, and root_exponent finds the e with zeta_pM**e equal to a residue, if
+there is one; any other residue has no rendering.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ class CoeffField:
         z = pow(self.zeta_M, self.M // m, self.ell)
         return self.elem(pow(z, (e * dlog(x)) % m, self.ell))
 
-    def symbolic_for(self, value):
-        """SymbolicSum({e: 1}, p*M) when value is zeta_pM**e, else None.
+    def root_exponent(self, value):
+        """The e in [0, p*M) with zeta_pM**e == value, or None.
 
         e is found by a scan, up to p*M steps; display only."""
         n = self.p * self.M
@@ -85,7 +86,7 @@ class CoeffField:
         e, z = 0, 1
         while z != value:
             e, z = e + 1, z * self.zeta_pM % self.ell
-        return SymbolicSum({e: 1}, n)
+        return e
 
     def __repr__(self):
         return "CoeffField(ell=%d, p=%d, M=%d)" % (self.ell, self.p, self.M)
@@ -170,30 +171,14 @@ class CoeffElem:
         return "CoeffElem(%d mod %d)" % (self.value, self.field.ell)
 
 
-class SymbolicSum:
-    """Integer combination of powers of a fixed root of unity of order n.
-
-    counts maps exponent -> integer multiplicity.  Supports the few ops the
-    engines need to carry Gauss type sums through to a complex rendering.
-    """
-
-    __slots__ = ("counts", "order")
-
-    def __init__(self, counts, order):
-        self.order = order
-        self.counts = {e % order: c for e, c in counts.items() if c}
-
-    def __neg__(self):
-        return SymbolicSum({e: -c for e, c in self.counts.items()}, self.order)
-
-    def to_complex(self):
-        acc = 0j
-        for e, c in self.counts.items():
-            acc += c * cmath.exp(2j * cmath.pi * e / self.order)
-        return acc
-
-    def __repr__(self):
-        return "SymbolicSum(%r, order=%d)" % (self.counts, self.order)
+def root_sum(counts, order):
+    """The sum of c * exp(2 pi i e / order) over counts.items(), in that
+    order, from 0: an integer combination of roots of unity read as a
+    complex number, for display only."""
+    acc = 0j
+    for e, c in counts.items():
+        acc += c * cmath.exp(2j * cmath.pi * e / order)
+    return acc
 
 
 def coeff_setup(p, orders, d_max=1):
@@ -252,18 +237,3 @@ def _smallest_primitive_root(ell):
             return h
     raise ValueError("no primitive root, ell is not prime")
 
-
-def complex_embed(field, v):
-    """Render a value as a complex number, for display only.
-
-    Accepts a SymbolicSum, or a CoeffElem equal to a pinned root of unity
-    (see CoeffField.symbolic_for), read at exp(2 pi i / order).  Raises
-    ValueError('no embedding available') otherwise.
-    """
-    if isinstance(v, SymbolicSum):
-        return v.to_complex()
-    if isinstance(v, CoeffElem):
-        sym = field.symbolic_for(v.value)
-        if sym is not None:
-            return sym.to_complex()
-    raise ValueError("no embedding available")

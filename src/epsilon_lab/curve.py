@@ -39,7 +39,7 @@ from math import comb
 
 from .chars import LocalCharacter, as_reduce
 from .epsilon import eps_local, gamma_psi
-from .gf import Unsupported, dlog, fq_build, int_ops, log_field, norm, residue_field
+from .gf import FIELD_CAP, CapExceeded, Unsupported, dlog, fq_build, int_ops, log_field, norm, residue_field
 from .localfield import (
     LaurentSeries,
     Point,
@@ -464,6 +464,11 @@ class GlobalComputation:
         ell = coeff.ell
         cs, k, dual_ok = [1], 0, True
         if d:
+            q = spec.base.q
+            # refuse before the walk builds every table below the cap
+            if q ** ((d_mid + 1) // 2) > FIELD_CAP:
+                e = next(e for e in range(1, d_mid + 1) if q ** e > FIELD_CAP)
+                raise CapExceeded("field size %d exceeds cap %d" % (q ** e, FIELD_CAP))
             psi_pow, zpow, c = spec._prices(coeff)
 
             def price(e, key):
@@ -480,7 +485,7 @@ class GlobalComputation:
                 ]
                 mid = _euler_product(points, k, ell)
                 dual = _euler_product([(e, pow(a, -1, ell), n) for e, a, n in points], k, ell)
-                solved = _functional_equation(mid, dual, d_mid, spec.base.q, ell)
+                solved = _functional_equation(mid, dual, d_mid, q, ell)
                 if solved:
                     break
             cs, dual_ok = solved

@@ -31,7 +31,6 @@ from __future__ import annotations
 from operator import mul
 
 from .gf import CapExceeded, log_field
-from .coeff import SymbolicSum
 from .chars import unit_keys
 from .localfield import Form, LaurentSeries, residue, reversion
 
@@ -62,7 +61,7 @@ class EpsilonResult:
 # quadratic Gauss constant
 
 
-def _gamma_counts(field, c):
+def gamma_counts(field, c):
     """How often each trace value e in F_p is Tr(c t**2 / 2), t over F_q,
     keyed in the order the values first occur with t in index order."""
     p = field.p
@@ -82,22 +81,16 @@ def _gamma_counts(field, c):
     return counts
 
 
-def gamma_psi_symbolic(field, c):
-    """The quadratic constant as a formal sum of psi powers, for complex
-    rendering (modulus sqrt(q) under every embedding)."""
-    return -SymbolicSum(_gamma_counts(field, c), field.p)
-
-
 def gamma_psi(coeff, field, c):
     """gamma_psi(c) = -sum over t in F_q of psi(Tr(c t**2 / 2)), p odd.
 
     Satisfies gamma_psi(c) / gamma_psi(1) = quadratic character of c and
     |gamma_psi| = sqrt(q) under any complex embedding.  The value is a
-    residue only; gamma_psi_symbolic gives the same sum for complex
-    rendering.
+    residue only; for a complex rendering, coeff.root_sum reads the
+    negated gamma_counts at the p-th roots of unity.
     """
     val = coeff.zero()
-    for e, k in _gamma_counts(field, c).items():
+    for e, k in gamma_counts(field, c).items():
         val = val + coeff.psi(e) * coeff.elem(k)
     return -val
 

@@ -167,13 +167,13 @@ class FieldDesc:
             raise CapExceeded("field size %d exceeds cap %d" % (p ** n, FIELD_CAP))
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != n + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree n")
+            raise Unsupported("modulus must be monic of degree n", field="modulus")
         self.p = p
         self.n = n
         self.modulus = modulus
         self.generator = tuple(c % p for c in generator)
         if len(self.generator) != n:
-            raise ValueError("generator must have n coefficients")
+            raise Unsupported("generator must have n coefficients", field="generator")
         self.rows = _reduction_rows(modulus, p)
         self._hash = hash((p, n, modulus, self.generator))
 
@@ -222,10 +222,6 @@ class FieldDesc:
         """Element whose coefficient vector is the base-p digits of k."""
         return FqElem(self, tuple(self.digits(k)))
 
-    def elements(self):
-        for k in range(self.q):
-            yield self.from_index(k)
-
     def __eq__(self, other):
         return self is other or (
             isinstance(other, FieldDesc)
@@ -250,8 +246,9 @@ class FieldDesc:
     @classmethod
     def from_json(cls, obj):
         """The descriptor a JSON object names, checked where it is read:
-        p, n and the modulus and generator entries are JSON integers, and
-        the generator has order q - 1, so F_p[x]/(modulus) is a field."""
+        p, n and the modulus and generator entries are JSON integers, the
+        constructor checks their shapes, and the generator has order
+        q - 1, so F_p[x]/(modulus) is a field."""
         for key in ("p", "n"):
             if type(obj[key]) is not int:
                 raise Unsupported("%s must be an integer" % key, field=key)

@@ -447,3 +447,18 @@ def test_bad_degree_names_its_input(capsys, tmp_path, command, data, path, bad, 
     inp.write_text(json.dumps(obj))
     code, report = run(capsys, [command, "--char" if command == "eps-local" else "--spec", str(inp)])
     assert code == 3 and report["field"] == field and not report["ok"]
+
+
+@pytest.mark.parametrize(
+    "field, key",
+    [
+        (dict(F9, modulus=[1, 0, 2]), "modulus"),  # not monic
+        (dict(F9, generator=[1]), "generator"),  # one coefficient short
+    ],
+    ids=["modulus-not-monic", "generator-short"],
+)
+def test_descriptor_shape_error_names_its_input(capsys, tmp_path, field, key):
+    char = {"field": field, "c_pi": 2, "tame_e": 0}
+    (tmp_path / "char.json").write_text(json.dumps({"char": char, "coeff": {"p": 3, "orders": [8]}}))
+    code, report = run(capsys, ["eps-local", "--char", str(tmp_path / "char.json")])
+    assert code == 3 and not report["ok"] and report["field"] == key

@@ -1,4 +1,4 @@
-"""Coefficient field selection, character values, symbolic display."""
+"""Coefficient field selection, character values, root-of-unity display."""
 
 import cmath
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epsilon_lab import coeff as coeff_mod
-from epsilon_lab.coeff import CoeffField, SymbolicSum, coeff_setup, complex_embed, pinned_ell, second_ell
+from epsilon_lab.coeff import CoeffField, coeff_setup, pinned_ell, root_sum, second_ell
 from epsilon_lab.epsilon import gamma_psi
 from epsilon_lab.gf import fq_build, trace
 
@@ -18,11 +18,17 @@ def zeta(field, m):
     return field.elem(pow(field.zeta_pM, (field.p * field.M) // m, field.ell))
 
 
-def symbolic_value(s, field):
-    """The residue of a SymbolicSum under the field's pinned root zeta_pM."""
-    if field.p * field.M != s.order:
+def symbolic_value(counts, order, field):
+    """The residue of a root sum under the field's pinned root zeta_pM."""
+    if field.p * field.M != order:
         raise ValueError("symbolic order does not match the field")
-    return field.elem(sum(c * pow(field.zeta_pM, e, field.ell) for e, c in s.counts.items()))
+    return field.elem(sum(c * pow(field.zeta_pM, e, field.ell) for e, c in counts.items()))
+
+
+def render(field, v):
+    """The complex rendering the CLI prints for a residue, or None."""
+    e = field.root_exponent(v.value)
+    return None if e is None else root_sum({e: 1}, field.p * field.M)
 
 
 def test_setup_examples():
@@ -81,8 +87,8 @@ def test_kummer_chi_is_multiplicative():
 def test_kummer_chi_quadratic():
     c = coeff_setup(3, [8], 4)
     f9 = fq_build(3, 2)
-    squares = {(x * x).coeffs for x in f9.elements() if not x.is_zero()}
-    for x in f9.elements():
+    squares = {(x * x).coeffs for x in map(f9.from_index, range(f9.q)) if not x.is_zero()}
+    for x in map(f9.from_index, range(f9.q)):
         if x.is_zero():
             continue
         want = 1 if x.coeffs in squares else c.ell - 1
@@ -114,29 +120,28 @@ def test_norm_compatibility_of_kummer_chi():
 
 def test_symbolic_roundtrip():
     c = coeff_setup(3, [8], 4)
-    s = SymbolicSum({1: 2, 5: -1}, 24)
-    v = symbolic_value(s, c)
+    s = {1: 2, 5: -1}
+    v = symbolic_value(s, 24, c)
     assert v == 2 * zeta(c, 24) - zeta(c, 24) ** 5
     z = cmath.exp(2j * cmath.pi / 24)
     want = 2 * z - z ** 5
-    got = s.to_complex()
+    got = root_sum(s, 24)
     assert abs(got - want) < 1e-12
-    # registry renders pinned roots of unity
-    assert abs(complex_embed(c, zeta(c, 24)) - z) < 1e-12
-    assert abs(complex_embed(c, c.one()) - 1) < 1e-12
+    # pinned roots of unity render
+    assert abs(render(c, zeta(c, 24)) - z) < 1e-12
+    assert abs(render(c, c.one()) - 1) < 1e-12
 
 
 def test_complex_embed_refuses_untracked():
     c = coeff_setup(3, [8], 4)
-    # a random residue with no recorded symbolic form
+    # a random residue that is no pinned root of unity
     probe = None
     for v in range(2, c.ell):
-        if c.symbolic_for(v) is None:
+        if c.root_exponent(v) is None:
             probe = c.elem(v)
             break
     assert probe is not None
-    with pytest.raises(ValueError, match="no embedding available"):
-        complex_embed(c, probe)
+    assert render(c, probe) is None
 
 
 @given(st.integers(0, 72), st.integers(0, 72))
@@ -152,13 +157,13 @@ def test_elem_ring_ops(a, b):
 
 def test_field_setup_builds_no_symbolic_sums(monkeypatch):
     built = []
-    original = SymbolicSum.__init__
+    original = CoeffField.root_exponent
 
-    def counting(self, counts, order):
-        built.append(order)
-        original(self, counts, order)
+    def counting(self, value):
+        built.append(value)
+        return original(self, value)
 
-    monkeypatch.setattr(coeff_mod.SymbolicSum, "__init__", counting)
+    monkeypatch.setattr(coeff_mod.CoeffField, "root_exponent", counting)
     f = coeff_setup(5, [4, 24, 124])
     second_ell(f)
     assert built == []
@@ -171,16 +176,11 @@ def test_symbolic_for_renders_exactly_the_pinned_roots(p, orders):
     exponent = {pow(f.zeta_pM, e, f.ell): e for e in range(n)}
     assert len(exponent) == n
     for v in range(f.ell):
-        sym = f.symbolic_for(v)
+        e = f.root_exponent(v)
         if v in exponent:
-            assert sym.order == n and sym.counts == {exponent[v]: 1}
+            assert e == exponent[v]
         else:
-            assert sym is None
-
-
-def _rendering(field, value):
-    sym = field.symbolic_for(value)
-    return None if sym is None else (sym.order, sym.counts)
+            assert e is None
 
 
 def test_rendering_does_not_depend_on_call_history():
@@ -188,10 +188,10 @@ def test_rendering_does_not_depend_on_call_history():
     target = coeff_setup(5, [4])
     assert target.ell == 41
     values = [gamma_psi(coeff_setup(5, [4]), f5, c).value for c in range(1, 5)]
-    before = [_rendering(target, v) for v in values]
+    before = [target.root_exponent(v) for v in values]
     for c in range(1, 5):
         gamma_psi(target, f5, c)
-    assert [_rendering(target, v) for v in values] == before
+    assert [target.root_exponent(v) for v in values] == before
 
 
 @pytest.mark.parametrize("p, orders", [(3, [8]), (2, [3, 7])])

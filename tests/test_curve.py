@@ -54,7 +54,7 @@ def rat(field, num, den=(1,)):
 def pointwise_sum(spec, coeff, m):
     big, _emb = residue_field(spec.base, m)
     total = coeff.zero()
-    for x in big.elements():
+    for x in map(big.from_index, range(big.q)):
         try:
             total = total + spec.trace_at(coeff, m, x)
         except ValueError:
@@ -276,7 +276,7 @@ def brute_histogram(spec, m):
     no_wild = spec.wild is None
     lw0 = 0 if no_wild else lead_log(spec.wild)
     hist = {}
-    for x in big.elements():
+    for x in map(big.from_index, range(big.q)):
         lk, lw, wild_zero = lk0, lw0, no_wild
         for f, k, w, punct in spec._divisor:
             v = f.evaluate(x, emb)
@@ -684,6 +684,31 @@ def test_degree_thirteen_walks_no_field_above_half(monkeypatch):
     assert max(built) == 3 ** 8
 
 
+def test_walk_past_the_field_cap_is_refused_before_any_count(monkeypatch):
+    # degree 40 counts to degree 20 first: every table up to 3^15 would be
+    # built before the walk reached 3^16, past the cap
+    monkeypatch.setattr(SheafSpec, "_closed_point_counts", _no_point_walk)
+    with pytest.raises(CapExceeded, match="field size 43046721 exceeds cap 16777216"):
+        GlobalComputation(baseline_spec(40), C73)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_lisse_puncture_is_priced_at_its_degree(k):
+    # the lisse puncture t^2 + 1 under the scaling 2 is priced 2**2: a
+    # price of 2**1 breaks the product formula under both primes
+    spec = SheafSpec(
+        F3,
+        wild=rat(F3, [0] * k + [1]),
+        kummer=[(rat(F3, [0, 1]), 1)],
+        punctures=[Point.rational(F3, 0), Point.infinity(F3), Point(F3, Poly(F3, [1, 0, 1]))],
+        unram=2,
+    )
+    first = coeff_setup(3, [8])
+    for coeff in (first, second_ell(first)):
+        assert product_formula_check(spec, coeff, rat(F3, [1], [0, 1]))["ok"]
+        assert verify_gos(spec, coeff)["ok"]
+
+
 def test_product_formula_bites_below_the_degree(monkeypatch):
     # the same, with a point of degree 5 <= d dropped from the Euler product
     coeff = coeff_setup(3, [2])
@@ -832,7 +857,7 @@ class PushforwardSpec:
         dn, dd = num.degree(), den.degree()
         if x is None:
             inf_in_fiber = dn > dd
-            finite = [y for y in big.elements() if den.evaluate(y).is_zero()]
+            finite = [y for y in map(big.from_index, range(big.q)) if den.evaluate(y).is_zero()]
         else:
             target = num - Poly.const(big, x) * den
             if dn > dd:
@@ -843,7 +868,7 @@ class PushforwardSpec:
                 inf_in_fiber = (num.leading() / den.leading()) == x
             finite = [
                 y
-                for y in big.elements()
+                for y in map(big.from_index, range(big.q))
                 if target.evaluate(y).is_zero() and not den.evaluate(y).is_zero()
             ]
         kept = []
@@ -877,7 +902,7 @@ class PushforwardSpec:
         base = self.upstairs.base
         big, _emb = residue_field(base, m)
         acc = self.downstream_trace(coeff, m, None)
-        for x in big.elements():
+        for x in map(big.from_index, range(big.q)):
             acc = acc + self.downstream_trace(coeff, m, x)
         return acc
 

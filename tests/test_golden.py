@@ -13,7 +13,12 @@ GOLDEN = Path(__file__).parent / "data"
 
 CASES = {
     "gauss": ["gauss", "--p", "3", "--q", "3", "--c", "1"],
+    # the complex display: a Gauss sum over F_9 and one over F_49 with a real value
+    "gauss_f9": ["gauss", "--p", "3", "--q", "9", "--c", "1,1"],
+    "gauss_f49": ["gauss", "--p", "7", "--q", "49", "--c", "3"],
     "eps_local": ["eps-local"],
+    # a punctual factor that is no pinned root of unity prints "complex": null
+    "eps_local_punctual": ["eps-local", "--kind", "punctual", "--char", str(GOLDEN / "punctual_char.json")],
     "eps_global": ["eps-global", "--spec", str(DATA / "product_spec.json")],
     "product_check": ["product-check", "--second-ell"],
     # infinity in the domain: it is a closed point of degree 1 like any other
