@@ -23,13 +23,12 @@ from . import gf as _gf
 from .chars import LocalCharacter
 from .coeff import coeff_setup, pinned_ell, root_sum, second_ell
 from .curve import (
-    GlobalComputation,
     SheafSpec,
     divisor_points,
     product_formula_check,
     transfer_constants,
 )
-from .epsilon import eps_local, eps_punctual, gamma_counts, gamma_psi
+from .epsilon import eps_local, eps_punctual, gamma_counts, gamma_from_counts
 from .gf import CapExceeded, Unsupported, fq_build
 from .localfield import Form, Point, Poly, RationalFunction
 
@@ -106,7 +105,6 @@ def _coeff_for(cfg, p, orders, ell, specs=()):
     _need(all(p == spec.base.p for spec in specs), "p", "the characteristic of the sheaf data")
     _need(isinstance(orders, list) and all(type(o) is int for o in orders), "orders", "a list of integers")
     _need(ell is None or type(ell) is int, "ell", "an integer")
-    orders = [o for o in orders if o > 0] or [1]
     coeff = coeff_setup(p, orders)
     unram = math.prod(spec.unram for spec in specs)
     if ell is None:
@@ -165,14 +163,13 @@ def cmd_gauss(args):
         raise Unsupported("the quadratic coefficient must be a unit", field="c")
     orders = _parse_orders(args.orders) if args.orders else [max(1, q - 1)]
     coeff = _coeff_for({}, p, orders, args.ell)
-    value = gamma_psi(coeff, field, c)
-    z = root_sum({e: -k for e, k in gamma_counts(field, c).items()}, p)
+    counts = gamma_counts(field, c)
     body = {
         "p": p,
         "q": q,
         "c": [int(v) for v in c.coeffs],
-        "value": value.value,
-        "complex": _complex(z),
+        "value": gamma_from_counts(coeff, counts).value,
+        "complex": _complex(root_sum({e: -k for e, k in counts.items()}, p)),
     }
     return body, coeff.ell, q, True
 
@@ -215,7 +212,7 @@ def cmd_eps_local(args):
 def cmd_eps_global(args):
     spec, cfg = _load_spec(args.spec)
     coeff = _coeff_for(cfg, spec.base.p, _spec_orders(spec, [spec.wild]), args.ell, [spec])
-    glob = GlobalComputation(spec, coeff)
+    glob = spec.global_computation(coeff)
     audit = glob.audit()
     body = {
         "value": glob.cs[-1].value,
@@ -327,7 +324,7 @@ def _build_parser():
     g.add_argument("--p", type=int, required=True)
     g.add_argument("--q", type=int, required=True)
     g.add_argument("--c", required=True, help="quadratic coefficient (comma list of ints)")
-    g.add_argument("--orders", default=None, help="extra character orders, comma list")
+    g.add_argument("--orders", default=None, help="character orders, comma list (default: q - 1)")
 
     el = sub.add_parser("eps-local", parents=[common], help="one local factor")
     el.add_argument("--char", default=None, help="character JSON (default: bundled quadratic)")
@@ -383,7 +380,16 @@ def main(argv=None):
     saved_cap = _epsilon.TATE_CAP
     started = time.perf_counter()
     report = {"command": args.command, "seed": args.seed}
+    json_out = args.json_out
     try:
+        # a bad path is refused before the command runs; appending keeps an
+        # input given as the path intact until the report replaces it
+        if json_out:
+            try:
+                open(json_out, "a", encoding="utf-8").close()
+            except OSError as err:
+                json_out = None
+                raise Unsupported("cannot write %s: %s" % (args.json_out, err.strerror), field="json-out")
         if args.cap is not None:
             _need(args.cap >= 1, "cap", "a positive integer")
             _epsilon.TATE_CAP = args.cap
@@ -411,7 +417,7 @@ def main(argv=None):
         # the caps this run used, before the override is undone
         report["caps"] = _caps()
         _epsilon.TATE_CAP = saved_cap
-    _emit(report, args.json_out)
+    _emit(report, json_out)
     sys.stderr.write("wall %.3fs\n" % (time.perf_counter() - started))
     return code
 

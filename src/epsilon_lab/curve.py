@@ -29,7 +29,8 @@ coefficient field: the coefficient prime only prices it, and the conductors
 do not depend on it.  So is a 1-form of the product formula: its divisor
 and its expansions, to the conductors eps reads, are read once per spec and
 form, and each coefficient prime prices the local factors from them.  The
-Euler product runs in one place, GlobalComputation.
+Euler product runs in one place, GlobalComputation, and a spec holds one per
+coefficient field, so every check under that field reads one determinant.
 The functional equation of the middle extension fixes the top half of the
 determinant from the bottom half, so the walk counts closed points to about
 half the degree, and the audit one degree further.
@@ -99,7 +100,7 @@ class SheafSpec:
     g must sit inside the punctures, so the data is lisse on the rest.
     """
 
-    __slots__ = ("base", "wild", "kummer", "punctures", "unram", "_closed", "_local", "_forms", "_divisor")
+    __slots__ = ("base", "wild", "kummer", "punctures", "unram", "_closed", "_local", "_forms", "_global", "_divisor")
 
     def __init__(self, base, wild=None, kummer=(), punctures=(), unram=1):
         self.base = base
@@ -131,6 +132,7 @@ class SheafSpec:
         self._closed = {}
         self._local = {}
         self._forms = {}
+        self._global = {}
         self._divisor = self._read_divisor()
 
     def _read_divisor(self):
@@ -200,6 +202,13 @@ class SheafSpec:
             orders[inf] = orders.get(inf, 0) - 2
             hit = self._forms[omega] = (orders, {})
         return hit
+
+    def global_computation(self, coeff):
+        """The one GlobalComputation of the data under coeff, built on first
+        use and held, as gf.log_field holds one LogField per field."""
+        if coeff not in self._global:
+            self._global[coeff] = GlobalComputation(self, coeff)
+        return self._global[coeff]
 
     def infinity_in_domain(self):
         return not any(pt.at_infinity for pt in self.punctures)
@@ -431,9 +440,11 @@ def _functional_equation(mid, dual, d, q, ell):
 
 
 class GlobalComputation:
-    """The determinant of Frobenius for one (spec, coeff), computed once:
-    the conductor profile, the degree d it predicts, and the polynomial
-    prod_x (1 - a_x T^deg x)^-1 over the closed points of the domain.
+    """The determinant of Frobenius for one (spec, coeff), computed once
+    and held by the spec: the conductor profile, the degree d it predicts,
+    and cs, the coefficients of det(1 - T Frob), constant term first, from
+    prod_x (1 - a_x T^deg x)^-1 over the closed points of the domain; cs[d]
+    is the determinant of minus Frobenius, inverted.
 
     Duality halves the counts.  An unramified puncture x is a point where
     the middle extension j_* of the data is lisse, with stalk price a_x, so
@@ -532,23 +543,10 @@ class GlobalComputation:
         }
 
 
-def l_polynomial(spec, coeff):
-    """Coefficients, constant term first, of the determinant of 1 - T Frob
-    on the compactly supported first cohomology of the data."""
-    return GlobalComputation(spec, coeff).cs
-
-
 def verify_gos(spec, coeff):
-    """Degree and consistency audit of the determinant polynomial; see
-    GlobalComputation.audit."""
-    return GlobalComputation(spec, coeff).audit()
-
-
-def global_epsilon(spec, coeff):
-    """Determinant of minus Frobenius on the compactly supported cohomology
-    of the data, inverted; returns (value, degree)."""
-    glob = GlobalComputation(spec, coeff)
-    return glob.cs[-1], glob.degree
+    """Degree and consistency audit of the spec's determinant polynomial
+    under coeff; see GlobalComputation.audit."""
+    return spec.global_computation(coeff).audit()
 
 
 def product_formula_check(spec, coeff, omega, method="auto"):
@@ -612,7 +610,7 @@ def product_formula_check(spec, coeff, omega, method="auto"):
         )
     if not constant:
         # after the local factors: a local refusal costs no point walk
-        glob = GlobalComputation(spec, coeff)
+        glob = spec.global_computation(coeff)
         d = glob.degree
         lhs = glob.cs[d]
     sign_consistent = (coeff.elem(-1) ** d).value == weighted_sign % ell
@@ -653,9 +651,9 @@ def transfer_constants(coeff, variants, point, form):
     for _gspec, lspec in variants:
         ups.append(_local_factor(local_character_at(lspec, coeff, point), form, point, "shriek", "auto", expansions))
     for (gspec, _lspec), up in zip(variants, ups):
-        cs = l_polynomial(gspec, coeff)
-        d = len(cs) - 1
-        down = coeff.elem(-1) ** d * cs[d]
+        glob = gspec.global_computation(coeff)
+        d = glob.degree
+        down = coeff.elem(-1) ** d * glob.cs[d]
         if up.conductor_a_omega != d:
             conductor_ok = False
         degrees.append(d)

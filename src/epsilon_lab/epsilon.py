@@ -89,10 +89,12 @@ def gamma_psi(coeff, field, c):
     residue only; for a complex rendering, coeff.root_sum reads the
     negated gamma_counts at the p-th roots of unity.
     """
-    val = coeff.zero()
-    for e, k in gamma_counts(field, c).items():
-        val = val + coeff.psi(e) * coeff.elem(k)
-    return -val
+    return gamma_from_counts(coeff, gamma_counts(field, c))
+
+
+def gamma_from_counts(coeff, counts):
+    """gamma_psi from its gamma_counts: minus the sum of k psi(e)."""
+    return -sum((coeff.psi(e) * k for e, k in counts.items()), coeff.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +102,15 @@ def gamma_psi(coeff, field, c):
 
 
 def _tate_shape(chi, omega):
+    """(a, v(w), a + v(w)) of a unit sum over the units mod pi**a, a the
+    conductor; refused for an unramified chi or past TATE_CAP terms."""
     if not chi.is_ramified():
         raise ValueError("the unit-sum formula applies to ramified characters")
-    n = chi.swan()
-    a = 1 + n
+    a = 1 + chi.swan()
     v_om = omega.valuation()
-    return n, n + 1, a, v_om, a + v_om
+    if chi.field.q ** a > TATE_CAP:
+        raise CapExceeded("unit sum would exceed %d terms" % TATE_CAP)
+    return a, v_om, a + v_om
 
 
 def eps_tate_slow(chi, omega, c_unit=None):
@@ -115,18 +120,16 @@ def eps_tate_slow(chi, omega, c_unit=None):
     normalizing element; the result must not depend on it.
     """
     field, coeff = chi.field, chi.coeff
-    n, nu, a, v_om, a_om = _tate_shape(chi, omega)
-    if field.q ** nu > TATE_CAP:
-        raise CapExceeded("unit sum would exceed %d terms" % TATE_CAP)
-    margin = a_om + nu + 2
+    a, v_om, a_om = _tate_shape(chi, omega)
+    margin = a_om + a + 2
     c = LaurentSeries.pi_power(field, a_om, margin)
     if c_unit is not None:
         c = c * c_unit
     cinv = c.inverse()
     inv = chi.inverse()
     total = coeff.zero()
-    for key in unit_keys(field, nu):
-        u0 = LaurentSeries.of(field, 0, key, nu)
+    for key in unit_keys(field, a):
+        u0 = LaurentSeries.of(field, 0, key, a)
         x = cinv * u0
         total = total + inv(x) * coeff.psi_trace(residue(x * omega.w))
     value = coeff.elem(-1) ** a * coeff.elem(field.q) ** v_om * total
@@ -165,9 +168,7 @@ def eps_tate(chi, omega):
     field, coeff = chi.field, chi.coeff
     ell = coeff.ell
     q = field.q
-    n, nu, a, v_om, a_om = _tate_shape(chi, omega)
-    if q ** nu > TATE_CAP:
-        raise CapExceeded("unit sum would exceed %d terms" % TATE_CAP)
+    a, v_om, a_om = _tate_shape(chi, omega)
     if q > 1 << 10:
         raise CapExceeded("tables for q=%d exceed 2^10" % q)
     logs = log_field(field)
@@ -176,8 +177,8 @@ def eps_tate(chi, omega):
     inv = chi.inverse()
 
     # residue pairing window: W[j] multiplies the coefficient of pi**j in u0;
-    # W[nu - 1] is the leading coefficient of omega, never zero, never moved
-    W = [log[omega.w.at(a_om - 1 - j)] for j in range(nu)]
+    # W[a - 1] is the leading coefficient of omega, never zero, never moved
+    W = [log[omega.w.at(a_om - 1 - j)] for j in range(a)]
 
     # ginv[k] = g**-k; P(G**k) = ginv[k] * P1 and P(0) = P0
     g = coeff.kummer_chi(inv.tame_e, field.gen()).value
@@ -189,17 +190,17 @@ def eps_tate(chi, omega):
     P1 = sum(ginv[-e % m] * psi_pow[tr[exp[e]]] for e in range(m)) % ell
     P0 = m % ell if g == 1 else 0
 
-    if nu == 1:
+    if a == 1:
         total = ginv[W[0]] * P1
     else:
-        T = _unit_rows(inv, nu, logs, psi_pow)
+        T = _unit_rows(inv, a, logs, psi_pow)
 
         # S[e] = sum over c of T_last(c) P(G**e + c W_last), and S[-1], read
         # through the log -1 of zero, is the same sum at pairing 0.  With
         # c = G**f, G**e + c W_last = G**(e + zech[f + lw - e]), so S[e] is
         # a correlation of T_last against Z[t] = g**-zech[t], zero where
         # 1 + G**t = 0
-        last = nu - 1
+        last = a - 1
         Tlast = T[last - 1]
         lw = W[last]
         t0 = zech.index(-1)

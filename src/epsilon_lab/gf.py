@@ -763,8 +763,6 @@ class LogField:
 
     def __init__(self, field):
         q = field.q
-        if q > FIELD_CAP:
-            raise CapExceeded("field size %d exceeds cap %d" % (q, FIELD_CAP))
         self.field = field
         self.q = q
         self.order = q - 1

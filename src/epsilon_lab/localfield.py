@@ -203,15 +203,13 @@ class LaurentSeries:
         return out
 
     def __eq__(self, other):
-        """Equality on the common window (engines compare normalized data)."""
+        """Equality on the common window (engines compare normalized data);
+        no hash agrees with it, so a series is unhashable."""
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         prec = min(self.prec, other.prec)
         lo = min(self.v if self.coeffs else prec, other.v if other.coeffs else prec)
         return self.field == other.field and all(self.at(k) == other.at(k) for k in range(lo, prec))
-
-    def __hash__(self):
-        return hash((self.field, self.v, self.prec, self.coeffs))
 
     def unit_part(self):
         """u with self = pi**v * u, u a unit."""
@@ -569,51 +567,31 @@ class RationalFunction:
 
 
 def poly_is_irreducible(f):
-    """Trial division over the coefficient field F_q: f of degree d is
-    irreducible iff no monic irreducible of degree 1 .. d // 2 divides it."""
-    d = f.degree()
-    return d >= 1 and all(
-        not (f % g).is_zero() for e in range(1, d // 2 + 1) for g in monic_irreducibles(f.field, e)
-    )
-
-
-_IRRED_CACHE = {}
-
-
-def monic_irreducibles(field, d):
-    """All monic irreducible polynomials of degree d over the field, cached."""
-    key = (field, d)
-    got = _IRRED_CACHE.get(key)
-    if got is not None:
-        return got
-    out = []
-    q = field.q
-    for idx in range(q ** d):
-        # the low coefficients are the base-q digits of idx
-        f = Poly.of(field, _digits(idx, q, d) + [1])
-        if poly_is_irreducible(f):
-            out.append(f)
-    _IRRED_CACHE[key] = tuple(out)
-    return _IRRED_CACHE[key]
+    """f has positive degree and factor_poly leaves it whole."""
+    return f.degree() >= 1 and factor_poly(f)[1] == [(f.monic(), 1)]
 
 
 def factor_poly(f):
     """Factor into monic irreducibles by escalating trial division.
 
+    The monics of degree d are tried in index order once the factors of
+    lower degree are divided out, so one that divides is irreducible.
     Returns (unit, [(irreducible, multiplicity), ...]) with factors sorted
-    by degree.  Fine for the small degrees this library works at.
+    by degree, then index.  Fine for the small degrees this library works at.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     unit = f.leading()
     cur = f.monic()
+    field, q = f.field, f.field.q
     out = []
     d = 1
     while cur.degree() > 0:
         if d > cur.degree() // 2:
             out.append((cur, 1))
             break
-        for cand in monic_irreducibles(f.field, d):
+        for idx in range(q ** d):
+            cand = Poly.of(field, _digits(idx, q, d) + [1])
             k = 0
             while True:
                 quo, rem = cur.divmod(cand)
@@ -623,7 +601,9 @@ def factor_poly(f):
                 k += 1
             if k:
                 out.append((cand, k))
-            if cur.degree() < d:
+            # whatever is left has no factor below degree d: below 2d it
+            # is one irreducible, or 1
+            if cur.degree() < 2 * d:
                 break
         d += 1
     return unit, out

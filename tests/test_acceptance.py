@@ -14,11 +14,11 @@ from epsilon_lab.chars import LocalCharacter
 from epsilon_lab.cli import main as cli_main
 from epsilon_lab.coeff import coeff_setup, root_sum, second_ell
 from epsilon_lab.curve import (
+    GlobalComputation,
     SheafSpec,
     divisor_points,
     induction_power_cover,
     induction_wild_cover,
-    l_polynomial,
     product_formula_check,
     verify_gos,
 )
@@ -41,9 +41,9 @@ from epsilon_lab.localfield import (
     Point,
     Poly,
     RationalFunction,
-    monic_irreducibles,
 )
 from epsilon_lab.twisted import run_twisted_suite
+from polys import monic_irreducibles
 
 F3 = fq_build(3, 1)
 F4 = fq_build(2, 2)
@@ -123,7 +123,7 @@ def test_01_gauss_sum_calibration():
             report = product_formula_check(spec, cf, omega)
             assert report["ok"], (p, cf.ell, report)
             assert report["degree"] == 1
-            cs = l_polynomial(spec, cf)
+            cs = GlobalComputation(spec, cf).cs
             direct = cf.zero()
             for u in map(field.from_index, range(field.q)):
                 if u.is_zero():

@@ -7,6 +7,7 @@ from importlib import resources
 
 import pytest
 
+from epsilon_lab import cli as cli_mod
 from epsilon_lab import epsilon as epsilon_mod
 from epsilon_lab.cli import main
 
@@ -462,3 +463,54 @@ def test_descriptor_shape_error_names_its_input(capsys, tmp_path, field, key):
     (tmp_path / "char.json").write_text(json.dumps({"char": char, "coeff": {"p": 3, "orders": [8]}}))
     code, report = run(capsys, ["eps-local", "--char", str(tmp_path / "char.json")])
     assert code == 3 and not report["ok"] and report["field"] == key
+
+
+def test_gauss_walks_the_log_table_once(capsys, monkeypatch):
+    # one gamma_counts walk serves both the residue and the complex block
+    calls = []
+    plain = epsilon_mod.gamma_counts
+
+    def counted(field, c):
+        calls.append(field.q)
+        return plain(field, c)
+
+    monkeypatch.setattr(epsilon_mod, "gamma_counts", counted)
+    monkeypatch.setattr(cli_mod, "gamma_counts", counted)
+    code, report = run(capsys, ["gauss", "--p", "7", "--q", "49", "--c", "3"])
+    assert code == 0 and report["ok"]
+    assert calls == [49]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gauss", "--p", "3", "--q", "9", "--c", "1", "--orders", "-8"],
+        ["gauss", "--p", "3", "--q", "9", "--c", "1", "--orders", "0"],
+        ["twisted-check", "--orders", "-8", "--trials", "1"],
+    ],
+    ids=["gauss-negative", "gauss-zero", "twisted-negative"],
+)
+def test_non_positive_orders_are_refused(capsys, argv):
+    code, report = run(capsys, argv)
+    assert code == 3 and report["field"] == "orders" and not report["ok"]
+
+
+def test_non_positive_orders_in_the_input_are_refused(capsys, tmp_path):
+    spec = json.loads((DATA / "product_spec.json").read_text())
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"spec": spec, "coeff": {"orders": [0]}}))
+    code, report = run(capsys, ["eps-global", "--spec", str(path)])
+    assert code == 3 and report["field"] == "orders" and not report["ok"]
+
+
+def test_json_out_is_opened_before_the_command_runs(capsys, tmp_path):
+    missing = tmp_path / "no-such-dir" / "report.json"
+    code, report = run(capsys, ["gauss", "--p", "3", "--q", "3", "--c", "1", "--json-out", str(missing)])
+    assert code == 3 and report["field"] == "json-out" and not report["ok"]
+    assert "value" not in report
+    # an input named as the output is read whole, then replaced by the report
+    spec = tmp_path / "spec.json"
+    spec.write_text((DATA / "product_spec.json").read_text())
+    code = main(["eps-global", "--spec", str(spec), "--json-out", str(spec)])
+    assert code == 0
+    assert json.loads(spec.read_text()) == json.loads(capsys.readouterr().out)

@@ -17,10 +17,8 @@ from epsilon_lab.curve import (
     SheafSpec,
     conductor_profile,
     divisor_points,
-    global_epsilon,
     induction_power_cover,
     induction_wild_cover,
-    l_polynomial,
     local_character_at,
     product_formula_check,
     transfer_constants,
@@ -33,8 +31,8 @@ from epsilon_lab.localfield import (
     Poly,
     RationalFunction,
     expand_form_at,
-    monic_irreducibles,
 )
+from polys import monic_irreducibles
 
 F3 = fq_build(3, 1)
 F5 = fq_build(5, 1)
@@ -439,12 +437,12 @@ def test_gm_quadratic_calibration():
     spec = gm_quadratic()
     for coeff in (C73, second_ell(C73)):
         g = coeff.psi(1) - coeff.psi(2)
-        cs = l_polynomial(spec, coeff)
+        glob = GlobalComputation(spec, coeff)
+        cs = glob.cs
         assert len(cs) == 2
         assert cs[0] == coeff.one()
         assert cs[1] == g
-        value, d = global_epsilon(spec, coeff)
-        assert (value, d) == (g, 1)
+        assert (cs[-1], glob.degree) == (g, 1)
         check = product_formula_check(spec, coeff, rat(F3, [1]))
         assert check["ok"]
         assert check["degree"] == 1
@@ -474,7 +472,7 @@ def test_deg2_puncture_product_formula():
     assert chi_pt.tame_e == 4
     chi_inf = local_character_at(spec, C73, Point.infinity(F3))
     assert not chi_inf.is_ramified()
-    cs = l_polynomial(spec, C73)
+    cs = GlobalComputation(spec, C73).cs
     assert cs[1] == C73.elem(-1)
     check = product_formula_check(spec, C73, rat(F3, [1]))
     assert check["ok"]
@@ -488,7 +486,7 @@ def test_unramified_twist_keeps_product_formula():
     twisted = deg2_puncture_spec(unram=2)
     check = product_formula_check(twisted, C73, rat(F3, [1]))
     assert check["ok"]
-    lhs_plain = l_polynomial(plain, C73)[1]
+    lhs_plain = GlobalComputation(plain, C73).cs[1]
     assert check["lhs"] == (C73.elem(2) * lhs_plain).value
 
 
@@ -504,7 +502,7 @@ def test_everywhere_unramified_product_formula():
 def test_unramified_with_punctures_is_refused():
     spec = SheafSpec(F3, punctures=[Point.infinity(F3)])
     with pytest.raises(ValueError):
-        l_polynomial(spec, C73)
+        GlobalComputation(spec, C73)
     with pytest.raises(ValueError):
         product_formula_check(spec, C73, rat(F3, [1]))
 
@@ -973,9 +971,9 @@ def test_wild_route_identity_cover():
     y = rat(F3, [0, 1])
     for k in (0, 1):
         twisted = SheafSpec(F3, wild=rat(F3, [-1], [0, 1]), kummer=[(y, k)], punctures=pts)
-        cs = l_polynomial(twisted, C73)
-        d = len(cs) - 1
-        down = C73.elem(-1) ** d * cs[d]
+        glob = GlobalComputation(twisted, C73)
+        d = glob.degree
+        down = C73.elem(-1) ** d * glob.cs[d]
         sheaf = SheafSpec(F3, kummer=[(y, k)], punctures=pts)
         chi = local_character_at(sheaf, C73, inf)
         form = expand_form_at(rat(F3, [-1], [0, 0, 1]), inf, chi.artin_a("shriek") + 5)
@@ -1050,3 +1048,25 @@ def test_product_formula_over_f2_at_a_degree_two_puncture():
         check = product_formula_check(spec, c, omega)
         assert check["ok"], check
         assert check["degree"] == 4
+
+
+def test_one_global_computation_per_spec_and_prime(monkeypatch):
+    # the spec holds its determinant per coefficient field: the product
+    # formula and the audit under one prime read one, a second prime builds
+    # a second
+    builds = []
+    plain = GlobalComputation.__init__
+
+    def counted(self, spec, coeff):
+        builds.append(coeff.ell)
+        plain(self, spec, coeff)
+
+    monkeypatch.setattr(GlobalComputation, "__init__", counted)
+    spec = gm_quadratic()
+    twin = second_ell(C73)
+    assert product_formula_check(spec, C73, rat(F3, [1]))["ok"]
+    assert verify_gos(spec, C73)["ok"]
+    assert builds == [C73.ell]
+    assert product_formula_check(spec, twin, rat(F3, [1]))["ok"]
+    assert verify_gos(spec, twin)["ok"]
+    assert builds == [C73.ell, twin.ell]

@@ -24,8 +24,8 @@ from epsilon_lab.localfield import (
     RationalFunction,
     expand_at,
     factor_poly,
-    monic_irreducibles,
 )
+from polys import monic_irreducibles
 
 FIELDS = [fq_build(3, 1), fq_build(2, 2), fq_build(3, 2), fq_build(5, 2)]
 

@@ -17,11 +17,11 @@ from epsilon_lab.localfield import (
     expand_at,
     expand_form_at,
     factor_poly,
-    monic_irreducibles,
     poly_is_irreducible,
     residue,
     reversion,
 )
+from polys import monic_irreducibles
 
 F3 = fq_build(3, 1)
 F5 = fq_build(5, 1)
@@ -116,6 +116,16 @@ def test_coeff_window_guard():
     z = LaurentSeries.zero(F3, 2)
     with pytest.raises(PrecisionError):
         z.valuation()
+
+
+def test_equal_series_are_unhashable():
+    # equal on the common window, which a hash of the stored window cannot
+    # respect, so a series has no hash at all
+    a = LaurentSeries.make(F3, 0, [1], 2)
+    b = LaurentSeries.make(F3, 0, [1, 0, 1], 3)
+    assert a == b
+    with pytest.raises(TypeError):
+        {a, b}
 
 
 def test_json_roundtrip():
