@@ -285,6 +285,7 @@ def _pullback(w, f):
 def cmd_twisted_check(args):
     from .twisted import run_twisted_suite  # the only subcommand that needs it
 
+    _need(args.trials >= 0, "trials", "a non-negative integer")
     orders = _parse_orders(args.orders) if args.orders else [8]
     coeff = _coeff_for({}, args.p, orders, args.ell)
     report = run_twisted_suite(coeff, seed=args.seed, min_randomized=args.trials)

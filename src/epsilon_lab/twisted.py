@@ -1,20 +1,21 @@
 """Projective representations of finite groups with unit multipliers.
 
 A multiplier is a unit valued function on pairs of group elements; the
-coboundary d1 takes scalar functions to multipliers, is_cocycle checks the
-cocycle relation on every triple, and a multiplier twists the group
-algebra, whose associativity is equivalent to that relation.
-Representations twisted by a multiplier compose up to that multiplier;
-they induce from subgroups by a block construction with explicit
-multiplier corrections, and the determinant of an induced representation
-splits into the signature of the coset permutation action and a transfer
-of the determinant character, computable independently by a coset walk.
+coboundary d1 takes scalar functions to multipliers, and is_cocycle checks
+the cocycle relation on every triple (the twisted group algebra, whose
+associativity is equivalent to it, lives in the tests).  Representations
+twisted by a multiplier compose up to that multiplier, which is_valid
+checks on every pair and entry a row at a time; they induce from subgroups
+by a block construction with explicit multiplier corrections, and the
+determinant of an induced representation splits into the signature of the
+coset permutation action and a transfer of the determinant character,
+computable independently by a coset walk.  A group keeps the coset
+decompositions taken in the default scan order, so each is made once.
 Every map here is finite and exact over a prime coefficient field.
 """
 
 import itertools
 import random
-from operator import mul
 
 __all__ = [
     "FiniteGroup",
@@ -28,17 +29,16 @@ __all__ = [
     "induce",
     "is_cocycle",
     "run_twisted_suite",
-    "twisted_algebra_mul",
-    "twisted_regular",
     "verlagerung",
 ]
 
 
 class FiniteGroup:
     """Finite group given by its multiplication table on indices 0..n-1,
-    with 0 the identity; the axioms are verified on construction."""
+    with 0 the identity; the axioms are verified on construction.  memo
+    keeps the coset decompositions taken in the default scan order."""
 
-    __slots__ = ("table", "n", "inv")
+    __slots__ = ("table", "n", "inv", "memo")
 
     def __init__(self, table):
         n = len(table)
@@ -62,6 +62,7 @@ class FiniteGroup:
                     inv[g] = h
                     break
         self.inv = tuple(inv)
+        self.memo = {}
         t = self.table
         for a in range(n):
             ta = t[a]
@@ -71,12 +72,6 @@ class FiniteGroup:
                 for c in range(n):
                     if tab[c] != ta[tb[c]]:
                         raise ValueError("table is not associative at (%d,%d,%d)" % (a, b, c))
-
-    def mul(self, a, b):
-        return self.table[a][b]
-
-    def inverse(self, a):
-        return self.inv[a]
 
     def elements(self):
         return range(self.n)
@@ -112,7 +107,8 @@ class FiniteGroup:
         ms = set(members)
         if 0 not in ms:
             return False
-        return all(self.table[a][b] in ms for a in ms for b in ms)
+        t = self.table
+        return all(ms.issuperset(map(t[a].__getitem__, ms)) for a in ms)
 
     @classmethod
     def cyclic(cls, n):
@@ -200,12 +196,10 @@ class Multiplier:
         self.group = group
         self.coeff = coeff
         ell = coeff.ell
-        self.table = tuple(
-            tuple(int(getattr(v, "value", v)) % ell for v in row) for row in table
-        )
+        self.table = tuple(tuple([v % ell for v in row]) for row in table)
         if len(self.table) != group.n or any(len(r) != group.n for r in self.table):
             raise ValueError("multiplier table must cover all pairs")
-        if any(v == 0 for row in self.table for v in row):
+        if any(0 in row for row in self.table):
             raise ValueError("multiplier values must be units")
         if self.table[0][0] != 1:
             raise ValueError("multiplier must take 1 at the identity pair")
@@ -257,40 +251,23 @@ def d1(group, coeff, lam):
         raise ValueError("scalar function must take unit values")
     inv = [pow(v, -1, ell) for v in vals]
     table = [
-        [vals[a] * vals[b] * inv[group.mul(a, b)] % ell for b in range(group.n)]
-        for a in range(group.n)
+        [va * vb * inv[k] % ell for vb, k in zip(vals, row)]
+        for va, row in zip(vals, group.table)
     ]
     return Multiplier(group, coeff, table)
 
 
 def is_cocycle(mult):
     """mu(x,y) mu(xy,z) == mu(x,yz) mu(y,z) on all triples."""
-    group, ell = mult.group, mult.coeff.ell
+    gt, ell = mult.group.table, mult.coeff.ell
     t = mult.table
-    for x in range(group.n):
-        tx = t[x]
-        for y in range(group.n):
-            xy = group.mul(x, y)
-            ty = t[y]
-            txy = t[xy]
-            for z in range(group.n):
-                if tx[y] * txy[z] % ell != tx[group.mul(y, z)] * ty[z] % ell:
+    for tx, gx in zip(t, gt):
+        for y, (ty, gy) in enumerate(zip(t, gt)):
+            a, txy = tx[y], t[gx[y]]
+            for z, yz in enumerate(gy):
+                if a * txy[z] % ell != tx[yz] * ty[z] % ell:
                     return False
     return True
-
-
-def twisted_algebra_mul(mult, a, b):
-    """Product of formal combinations sum a[g] [g] in the algebra twisted
-    by mult, where [x][y] = mu(x,y) [xy]."""
-    group, coeff = mult.group, mult.coeff
-    out = {}
-    for g, cg in a.items():
-        cg = coeff.elem(cg)
-        for h, ch in b.items():
-            k = group.mul(g, h)
-            term = cg * coeff.elem(ch) * coeff.elem(mult.table[g][h])
-            out[k] = out.get(k, coeff.zero()) + term
-    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 class TwistedRep:
@@ -306,8 +283,7 @@ class TwistedRep:
         self.sub = tuple(sorted(set(sub)))
         self.mult = mult
         self.mats = {
-            g: tuple(tuple(int(v) % ell for v in row) for row in m)
-            for g, m in dict(mats).items()
+            g: tuple(tuple([v % ell for v in row]) for row in m) for g, m in dict(mats).items()
         }
         if mult.group is not group:
             raise ValueError("multiplier lives on a different group")
@@ -326,25 +302,31 @@ class TwistedRep:
     def is_valid(self):
         """Exhaustive check of the composition rule on the stored integer
         rows: (rho(g) rho(h))[i][j] == mu(g,h) rho(gh)[i][j] mod ell for
-        every pair g, h of the domain and every entry i, j."""
-        if not self.group.is_subgroup(self.sub):
+        every pair g, h of the domain and every entry i, j.  Row i of every
+        product rho(g) rho(h) is built at once, over all h side by side, as
+        the combination of the rows k of the rho(h) weighted by rho(g)[i][k]."""
+        sub = self.sub
+        if not self.group.is_subgroup(sub):
             return False
         rows, n = self.mats, self.rank
         if rows[0] != tuple(tuple(int(i == j) for j in range(n)) for i in range(n)):
             return False
         ell = self.mult.coeff.ell
-        cols = {g: tuple(zip(*r)) for g, r in rows.items()}
-        for g in self.sub:
-            row_g, mul_g, mu_g = rows[g], self.group.table[g], self.mult.table[g]
-            for h in self.sub:
-                col_h, c = cols[h], mu_g[h]
-                row_gh = rows.get(mul_g[h])
-                if row_gh is None:
+        side = [[v for h in sub for v in rows[h][k]] for k in range(n)]
+        zero = [0] * len(side[0])
+        for g in sub:
+            mul_g, mu_g = self.group.table[g], self.mult.table[g]
+            row_gh = [rows.get(mul_g[h]) for h in sub]
+            if None in row_gh:
+                return False
+            for i, row in enumerate(rows[g]):
+                acc = zero
+                for a, s in zip(row, side):
+                    if a:
+                        acc = [x + a * y for x, y in zip(acc, s)]
+                want = [mu_g[h] * v % ell for h, m in zip(sub, row_gh) for v in m[i]]
+                if [x % ell for x in acc] != want:
                     return False
-                for r, out in zip(row_g, row_gh):
-                    for col, v in zip(col_h, out):
-                        if sum(map(mul, r, col)) % ell != c * v % ell:
-                            return False
         return True
 
     def det_char(self):
@@ -374,7 +356,7 @@ class TwistedRep:
         for h in sub:
             rows = [[0] * len(sub) for _ in range(len(sub))]
             for hp in sub:
-                rows[pos[group.mul(h, hp)]][pos[hp]] = 1
+                rows[pos[group.table[h][hp]]][pos[hp]] = 1
             mats[h] = rows
         return cls(group, sub, Multiplier.trivial(group, coeff), mats)
 
@@ -383,19 +365,6 @@ def char_rep(group, sub, mult, values):
     """Rank-1 twisted representation from a scalar map on the subgroup."""
     mats = {h: [[getattr(values[h], "value", values[h])]] for h in sub}
     return TwistedRep(group, sub, mult, mats)
-
-
-def twisted_regular(group, mult):
-    """Left multiplication on the twisted algebra basis: the matrix of k
-    maps [g] to mu(k,g) [kg].  Satisfies the composition rule exactly when
-    the multiplier is a cocycle, so it is built unchecked."""
-    mats = {}
-    for k in group.elements():
-        rows = [[0] * group.n for _ in range(group.n)]
-        for g in group.elements():
-            rows[group.mul(k, g)][g] = mult.table[k][g]
-        mats[k] = rows
-    return TwistedRep(group, tuple(group.elements()), mult, mats, check=False)
 
 
 def _cosets(group, members, sub, order=None):
@@ -413,14 +382,29 @@ def _cosets(group, members, sub, order=None):
             continue
         c = len(reps)
         reps.append(g)
+        tg = group.table[g]
         for h in sub:
-            gh = group.mul(g, h)
+            gh = tg[h]
             if gh not in member_set:
                 raise ValueError("sub does not keep the members stable")
             coset_of[gh] = c
     if len(coset_of) != len(tuple(members)):
         raise ValueError("cosets do not partition the members")
     return reps, coset_of
+
+
+def _cosets_once(group, members, sub, order=None):
+    """_cosets of the tuple members by sub, decomposed once per (members,
+    sub) and kept in group.memo for the default scan order; an explicit
+    order is decomposed afresh and never stored."""
+    sub = tuple(sorted(set(sub)))
+    if order is not None:
+        return _cosets(group, members, sub, order)
+    key = (members, sub)
+    found = group.memo.get(key)
+    if found is None:
+        found = group.memo[key] = _cosets(group, members, sub)
+    return found
 
 
 def induce(rep, ambient=None, order=None):
@@ -436,21 +420,23 @@ def induce(rep, ambient=None, order=None):
         raise ValueError("ambient must be a subgroup")
     if not set(members).issuperset(sub):
         raise ValueError("domain must sit inside the ambient subgroup")
-    reps, coset_of = _cosets(group, members, sub, order)
+    reps, coset_of = _cosets_once(group, members, sub, order)
     idx = len(reps)
     r = rep.rank
     size = r * idx
     # mu(g_target, h)^{-1} for each (target coset, domain element): every
     # pair meets each source coset once, so it is inverted once here
-    inv = {(c2, h): pow(mult.table[g][h], -1, ell) for c2, g in enumerate(reps) for h in sub}
+    mt, t, ginv = mult.table, group.table, group.inv
+    inv = {(c2, h): pow(mt[g][h], -1, ell) for c2, g in enumerate(reps) for h in sub}
     mats = {}
     for k in members:
+        tk, mk = t[k], mt[k]
         rows = [[0] * size for _ in range(size)]
         for c, gc in enumerate(reps):
-            kg = group.mul(k, gc)
+            kg = tk[gc]
             c2 = coset_of[kg]
-            h = group.mul(group.inverse(reps[c2]), kg)
-            s = mult.table[k][gc] * inv[(c2, h)]
+            h = t[ginv[reps[c2]]][kg]
+            s = mk[gc] * inv[(c2, h)]
             # TwistedRep reduces every entry mod ell
             for i, src in enumerate(rep.mats[h]):
                 rows[c2 * r + i][c * r:(c + 1) * r] = [s * v for v in src]
@@ -479,12 +465,9 @@ def delta_char(group, sub, ambient=None, order=None):
     """Signature of the permutation action on the cosets of the subgroup,
     as a map from the ambient subgroup to {1, -1}."""
     members = tuple(group.elements()) if ambient is None else tuple(sorted(set(ambient)))
-    reps, coset_of = _cosets(group, members, sub, order)
-    out = {}
-    for k in members:
-        perm = [coset_of[group.mul(k, gc)] for gc in reps]
-        out[k] = _perm_sign(perm)
-    return out
+    reps, coset_of = _cosets_once(group, members, sub, order)
+    t = group.table
+    return {k: _perm_sign([coset_of[t[k][gc]] for gc in reps]) for k in members}
 
 
 def verlagerung(rep, ambient=None, order=None, route="formula"):
@@ -510,18 +493,20 @@ def verlagerung(rep, ambient=None, order=None, route="formula"):
         }
     if route != "formula":
         raise ValueError("route must be 'formula' or 'det'")
-    reps, coset_of = _cosets(group, members, sub, order)
+    reps, coset_of = _cosets_once(group, members, sub, order)
     dets = {h: det(rep.mats[h], ell) for h in sub}
     rk = rep.rank
+    mt, t, ginv = mult.table, group.table, group.inv
     out = {}
     for k in members:
+        tk, mk = t[k], mt[k]
         num = den = dprod = 1
         for gc in reps:
-            kg = group.mul(k, gc)
-            c2 = coset_of[kg]
-            h = group.mul(group.inverse(reps[c2]), kg)
-            num = num * mult.table[k][gc] % ell
-            den = den * mult.table[reps[c2]][h] % ell
+            kg = tk[gc]
+            g2 = reps[coset_of[kg]]
+            h = t[ginv[g2]][kg]
+            num = num * mk[gc] % ell
+            den = den * mt[g2][h] % ell
             dprod = dprod * dets[h] % ell
         out[k] = coeff.elem(pow(num, rk, ell) * pow(den, -rk, ell) * dprod)
     return out

@@ -175,6 +175,12 @@ def test_twisted_check(capsys):
     assert counts["randomized"] == 3 and counts["exhaustive_pairs"] >= 80
 
 
+def test_twisted_check_runs_zero_trials(capsys):
+    code, report = run(capsys, ["twisted-check", "--trials", "0", "--seed", "9"])
+    assert code == 0 and report["ok"]
+    assert report["report"]["counts"]["randomized"] == 0
+
+
 def test_cap_flag_exceeded(capsys):
     code, report = run(capsys, ["eps-local", "--method", "tate", "--cap", "2"])
     assert code == 4
@@ -327,8 +333,9 @@ def test_record_that_is_no_object_names_its_input(capsys, tmp_path, key, bad):
         (["gauss", "--p", "3", "--q", "3", "--c", "1", "--orders", "3"], "orders"),
         (["product-check", "--cap", "-1"], "cap"),
         (["product-check", "--cap", "0"], "cap"),
+        (["twisted-check", "--trials", "-1"], "trials"),
     ],
-    ids=["gauss-p", "twisted-p", "orders", "cap-negative", "cap-zero"],
+    ids=["gauss-p", "twisted-p", "orders", "cap-negative", "cap-zero", "trials-negative"],
 )
 def test_refused_option_names_its_input(capsys, argv, field):
     code, report = run(capsys, argv)

@@ -22,8 +22,6 @@ from epsilon_lab.twisted import (
     induce,
     is_cocycle,
     run_twisted_suite,
-    twisted_algebra_mul,
-    twisted_regular,
     verlagerung,
 )
 
@@ -80,6 +78,33 @@ def pauli_rep(coeff):
     return group, mu, TwistedRep(group, (0, 1, 2, 3), mu, mats)
 
 
+def twisted_algebra_mul(mult, a, b):
+    """Product of formal combinations sum a[g] [g] in the algebra twisted
+    by mult, where [x][y] = mu(x,y) [xy]."""
+    group, coeff = mult.group, mult.coeff
+    out = {}
+    for g, cg in a.items():
+        cg = coeff.elem(cg)
+        for h, ch in b.items():
+            term = cg * coeff.elem(ch) * coeff.elem(mult.table[g][h])
+            k = group.table[g][h]
+            out[k] = out.get(k, coeff.zero()) + term
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def twisted_regular(group, mult):
+    """Left multiplication on the twisted algebra basis: the matrix of k
+    maps [g] to mu(k,g) [kg].  Satisfies the composition rule exactly when
+    the multiplier is a cocycle, so it is built unchecked."""
+    mats = {}
+    for k in group.elements():
+        rows = [[0] * group.n for _ in range(group.n)]
+        for g in group.elements():
+            rows[group.table[k][g]][g] = mult.table[k][g]
+        mats[k] = rows
+    return TwistedRep(group, tuple(group.elements()), mult, mats, check=False)
+
+
 def trace(rows):
     return sum(rows[i][i] for i in range(len(rows))) % ELL
 
@@ -113,14 +138,14 @@ def test_rows_are_reduced_and_checked():
 
 def test_group_constructors():
     c6 = FiniteGroup.cyclic(6)
-    assert c6.n == 6 and c6.mul(4, 5) == 3 and c6.inverse(2) == 4
+    assert c6.n == 6 and c6.table[4][5] == 3 and c6.inv[2] == 4
     assert element_order(c6, 1) == 6 and element_order(c6, 3) == 2
 
     d4 = FiniteGroup.dihedral(4)
     assert d4.n == 8
     r, s = 1, 4
     assert element_order(d4, r) == 4 and element_order(d4, s) == 2
-    assert d4.mul(s, r) == d4.mul(d4.inverse(r), s)
+    assert d4.table[s][r] == d4.table[d4.inv[r]][s]
 
     s3 = FiniteGroup.symmetric(3)
     assert s3.n == 6
@@ -131,8 +156,8 @@ def test_group_constructors():
     assert q8.n == 8
     assert sorted(element_order(q8, g) for g in q8.elements()) == [1, 2, 4, 4, 4, 4, 4, 4]
     i, j, k, m1 = 1, 2, 3, 4
-    assert q8.mul(i, j) == k and q8.mul(j, i) == k + 4
-    assert q8.mul(i, i) == m1
+    assert q8.table[i][j] == k and q8.table[j][i] == k + 4
+    assert q8.table[i][i] == m1
 
     v4 = klein()
     assert v4.n == 4 and all(element_order(v4, g) <= 2 for g in v4.elements())
@@ -263,8 +288,8 @@ def test_twisted_regular_valid_iff_cocycle():
         for g in group.elements():
             prod = twisted_algebra_mul(mu, {k: C73.one()}, {g: C73.one()})
             col = [reg.mats[k][i][g] for i in range(group.n)]
-            assert prod == {group.mul(k, g): C73.elem(mu.table[k][g])}
-            assert col[group.mul(k, g)] == mu.table[k][g]
+            assert prod == {group.table[k][g]: C73.elem(mu.table[k][g])}
+            assert col[group.table[k][g]] == mu.table[k][g]
 
 
 def test_induce_whole_group_and_trivial_subgroup():
@@ -415,6 +440,36 @@ def test_representative_independence():
         assert det(base.mats[g], ELL) == det(other.mats[g], ELL)
 
 
+def test_cosets_are_decomposed_once_per_group(monkeypatch):
+    s4 = FiniteGroup.symmetric(4)
+    assert s4.memo == {}
+    subs = s4.subgroups()
+    mid = max((s for s in subs if len(s) == 6), key=sorted)
+    inner = next(s for s in subs if len(s) == 2 and set(s) <= set(mid))
+    whole = tuple(s4.elements())
+    calls = []
+    decompose = twisted._cosets
+
+    def counted(group, members, sub, order=None):
+        calls.append((members, sub, order))
+        return decompose(group, members, sub, order)
+
+    monkeypatch.setattr(twisted, "_cosets", counted)
+    assert check_ver_identities(s4, mid, inner, C73, seed=3)["ok"]
+    default = [(members, sub) for members, sub, order in calls if order is None]
+    # every default-order pair is decomposed once and kept; the one
+    # shuffled order (representative independence) is decomposed apart
+    assert sorted(default) == sorted(set(default))
+    assert set(default) == set(s4.memo) == {(mid, inner), (whole, mid), (whole, inner)}
+    assert len(calls) == len(default) + 1
+    shuffled = list(whole)
+    random.Random(3).shuffle(shuffled)
+    chi = lam_char(s4, inner, unit_cochain(s4, random.Random(4)))
+    verlagerung(chi, order=shuffled)
+    assert len(s4.memo) == 3 and len(calls) == len(default) + 2
+    assert FiniteGroup.symmetric(4).memo == {}
+
+
 def test_char_rep_rejects_wrong_multiplier_power():
     s3 = FiniteGroup.symmetric(3)
     lam = [1, 3, 9, 27, 31, 62]
@@ -451,6 +506,24 @@ def s4_char():
     return lam_char(s4, tuple(s4.elements()), unit_cochain(s4, random.Random(71)))
 
 
+def s3_standard():
+    """The 2-dimensional representation of S_3, which is not monomial:
+    rotation [[0, -1], [1, -1]] at the 3-cycle (1, 2, 0), reflection
+    [[0, 1], [1, 0]] at the transposition (0, 2, 1)."""
+    s3 = FiniteGroup.symmetric(3)
+    gens = {3: [[0, -1], [1, -1]], 1: [[0, 1], [1, 0]]}
+    mats = {0: [[1, 0], [0, 1]]}
+    frontier = [0]
+    while frontier:
+        a = frontier.pop()
+        for g, m in gens.items():
+            b = s3.table[a][g]
+            if b not in mats:
+                mats[b] = [[sum(x * y for x, y in zip(r, c)) for c in zip(*m)] for r in mats[a]]
+                frontier.append(b)
+    return TwistedRep(s3, tuple(s3.elements()), Multiplier.trivial(s3, C73), mats)
+
+
 def s3_regular():
     s3 = FiniteGroup.symmetric(3)
     sub = next(s for s in s3.subgroups() if len(s) == 3)
@@ -463,8 +536,20 @@ def s3_regular():
         (s4_char, 13, 0, 0),
         (lambda: pauli_rep(C73)[2], 2, 0, 1),
         (s3_regular, 3, 1, 0),
+        (s3_standard, 3, 0, 0),
+        (s3_standard, 3, 0, 1),
+        (s3_standard, 3, 1, 0),
+        (s3_standard, 3, 1, 1),
     ],
-    ids=["rank1-char", "pauli-off-diagonal", "regular-s3"],
+    ids=[
+        "rank1-char",
+        "pauli-off-diagonal",
+        "regular-s3",
+        "dense-s3-00",
+        "dense-s3-01",
+        "dense-s3-10",
+        "dense-s3-11",
+    ],
 )
 def test_is_valid_rejects_one_wrong_entry(build, g, i, j):
     rep = build()
