@@ -19,13 +19,16 @@ unit_keys lists the unit residues mod pi**nu as coefficient index tuples;
 the definitional unit sum walks them.  OracleCharacter, the brute-force
 twin of a character (an explicit value table on those residues), lives in
 tests/test_chars.py with the tests that check the engines against it.
-ORACLE_CAP bounds that table, and the CLI reports it among its caps.
+ORACLE_CAP bounds that table, and the CLI reports it among its caps.  The
+product of two characters, the unramified twist and the rewriting of a
+character in another uniformizer serve only the local property checks,
+and live with them in the tests.
 """
 
 from __future__ import annotations
 
 from .gf import Unsupported, _digits, frobenius
-from .localfield import LaurentSeries, PrecisionError, dlog, residue, reversion
+from .localfield import LaurentSeries, PrecisionError, dlog, residue
 
 ORACLE_CAP = 1 << 16
 REDUCE_CAP = 64
@@ -124,48 +127,10 @@ class LocalCharacter:
 
     # -- algebra -------------------------------------------------------------
 
-    def __mul__(self, other):
-        if not isinstance(other, LocalCharacter):
-            return NotImplemented
-        if other.field != self.field or other.coeff is not self.coeff:
-            raise ValueError("characters live on different fields")
-        return LocalCharacter(
-            self.field,
-            self.coeff,
-            self.c_pi * other.c_pi,
-            self.tame_e + other.tame_e,
-            self.wild_h + other.wild_h,
-        )
-
     def inverse(self):
         return LocalCharacter(
             self.field, self.coeff, self.c_pi ** -1, -self.tame_e, -self.wild_h
         )
-
-    def twist_unramified(self, c):
-        """Multiply by the unramified character sending pi to c."""
-        c = self.coeff.elem(c) if isinstance(c, int) else c
-        return LocalCharacter(self.field, self.coeff, self.c_pi * c, self.tame_e, self.wild_h)
-
-    def transport(self, s):
-        """The same character presented in the uniformizer pi' = s(pi).
-
-        s must be a unit times pi with enough precision; the new value at
-        pi' is chi(s), the tame exponent is unchanged and the wild datum is
-        rewritten through the inverse substitution.
-        """
-        if s.valuation() != 1:
-            raise ValueError("a uniformizer has valuation 1")
-        if s.prec < self.swan() + 3:
-            raise PrecisionError("uniformizer series too short to carry the wild datum")
-        t = reversion(s)
-        if self.wild_h.coeffs:
-            # the datum is an exact Laurent polynomial: pad it with known
-            # zeros so composition keeps enough window
-            new_h = self.wild_h.pad(s.prec).compose(t)
-        else:
-            new_h = LaurentSeries.zero(self.field, 1)
-        return LocalCharacter(self.field, self.coeff, self(s), self.tame_e, new_h)
 
     def __eq__(self, other):
         if not isinstance(other, LocalCharacter):
@@ -205,9 +170,11 @@ class LocalCharacter:
             if type(obj[key]) is not int:
                 raise Unsupported("%s must be an integer" % key, field=key)
         wild = obj.get("wild_h") or {"v": 0, "coeffs": []}
+        if not isinstance(wild, dict):
+            raise Unsupported("wild_h must be a JSON object with v and coeffs", field="wild_h")
         if type(wild["v"]) is not int:
             raise Unsupported("wild_h.v must be an integer", field="v")
-        h = LaurentSeries.make(field, wild["v"], [field.json_elem(c) for c in wild["coeffs"]], 1)
+        h = LaurentSeries.make(field, wild["v"], field.json_elems(wild["coeffs"], "coeffs"), 1)
         return cls(field, coeff, coeff.elem(obj["c_pi"]), obj["tame_e"], h)
 
 

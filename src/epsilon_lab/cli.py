@@ -182,8 +182,10 @@ def cmd_eps_local(args):
     charobj = obj.get("char") or {}
     _need(isinstance(charobj, dict), "char", "a JSON object")
     charfield = _field_record(charobj.get("field") or {}, "field")
-    fallback_p = charfield.get("p", 3)
-    fallback_q = fallback_p ** charfield.get("n", 1)
+    fallback_p, fallback_n = charfield.get("p", 3), charfield.get("n", 1)
+    # refused before the size p**n is formed
+    _gf.check_cap(fallback_p, fallback_n)
+    fallback_q = fallback_p ** fallback_n
     coeff = _coeff_for(obj.get("coeff") or {}, fallback_p, [max(1, fallback_q - 1)], args.ell)
     if kind == "punctual":
         eigen = obj.get("eigenvalues")

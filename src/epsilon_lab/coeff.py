@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .gf import FqElem, Unsupported, _is_prime, _prime_factors, trace, dlog
+from .gf import FqElem, Unsupported, _is_prime, _prime_factors, check_cap, trace, dlog
 
 
 class CoeffField:
@@ -188,6 +188,8 @@ def coeff_setup(p, orders, d_max=1):
     ell > max(d_max, p*M); h is the smallest primitive root mod ell.  d_max
     is a plain lower bound on ell; nothing in the library needs it.
     """
+    # trial division would run until killed on a large p
+    check_cap(p, 1)
     if not _is_prime(p):
         raise Unsupported("p must be prime", field="p")
     M = 1

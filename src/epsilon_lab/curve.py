@@ -10,8 +10,10 @@ associated zeta function as an Euler product over closed points, the
 determinant of Frobenius on compact cohomology, the restriction of the
 data to the completed local field at any closed point, and the point by
 point factorization of the global determinant into local factors
-attached to a nonzero rational 1-form.  Small covers of the line supply
-transfer factors for induced data.
+attached to a nonzero rational 1-form.  transfer_constants reads the
+transfer constant of a cover as the ratio of a global determinant, the
+downstairs factor, to a local factor at one upstairs point; the
+induction-check command calls it on the cover its input describes.
 
 A SheafSpec reads the divisor of its data once, when it is built, as one
 row per irreducible factor.  The point walk then evaluates each factor
@@ -39,12 +41,11 @@ half the degree, and the audit one degree further.
 from math import comb
 
 from .chars import LocalCharacter, as_reduce
-from .epsilon import eps_local, gamma_psi
+from .epsilon import eps_local
 from .gf import FIELD_CAP, CapExceeded, Unsupported, dlog, fq_build, int_ops, log_field, norm, residue_field
 from .localfield import (
     LaurentSeries,
     Point,
-    Poly,
     RationalFunction,
     expand_at,
     expand_form_at,
@@ -365,7 +366,10 @@ class SheafSpec:
         if type(kummer) is not list or not all(type(k) is list and len(k) == 2 for k in kummer):
             raise Unsupported("kummer must be a list of [function, exponent] pairs", field="kummer")
         kummer = [(RationalFunction.from_json(base, g, "kummer"), e) for g, e in kummer]
-        punctures = [Point.from_json(base, pt, "punctures") for pt in obj.get("punctures", [])]
+        punctures = obj.get("punctures", [])
+        if type(punctures) is not list:
+            raise Unsupported("punctures must be a list of points", field="punctures")
+        punctures = [Point.from_json(base, pt, "punctures") for pt in punctures]
         return cls(base, wild=wild, kummer=kummer, punctures=punctures, unram=obj.get("unram", 1))
 
 
@@ -664,84 +668,3 @@ def transfer_constants(coeff, variants, point, form):
         "all_equal": all(v == lambdas[0] for v in lambdas),
         "conductor_ok": conductor_ok,
     }
-
-
-def induction_power_cover(coeff, base, e, exponents=None):
-    """Transfer factors of the degree e power map at the origin, with the
-    coordinate differential downstream.
-
-    For each multiplicative exponent k, the downstream factor at the
-    origin is the inverted determinant of Frobenius on the compact
-    cohomology of the upstairs data twisted by the pulled back
-    exponential, and the transfer factor is its ratio against the
-    upstairs local factor at the point over the origin taken with the
-    pulled back form.  The ratio must not depend on k; for e = 1 it is 1,
-    for e = 2 it is the quadratic sum constant at -2 divided by q, and
-    for e = 3 it is 1/q.
-    """
-    q = base.q
-    if e < 1 or e % base.p == 0:
-        raise ValueError("cover degree must be positive and prime to p")
-    if exponents is None:
-        exponents = list(range(q - 1))
-    y = RationalFunction.from_poly(Poly.x(base))
-    pts = [Point.rational(base, 0), Point.infinity(base)]
-    pullback = RationalFunction.from_poly(Poly(base, [0] * e + [-1]))
-    # e y**(e-1) dy is the pullback of dt along t = y**e
-    form = RationalFunction.from_poly(Poly(base, [0] * (e - 1) + [e]))
-    variants = [
-        (
-            SheafSpec(base, wild=pullback, kummer=[(y, k)], punctures=pts),
-            SheafSpec(base, kummer=[(y, k)], punctures=pts),
-        )
-        for k in exponents
-    ]
-    out = {"cover": "power", "e": e, "exponents": list(exponents)}
-    out.update(transfer_constants(coeff, variants, pts[0], form))
-    predicted = None
-    if e == 1:
-        predicted = coeff.one()
-    elif e == 2:
-        predicted = gamma_psi(coeff, base, base.elem(-2)) * coeff.elem(q) ** -1
-    elif e == 3:
-        predicted = coeff.elem(q) ** -1
-    if predicted is not None:
-        out["predicted"] = predicted.value
-        out["matches_prediction"] = all(v == predicted.value for v in out["lambdas"])
-    out["ok"] = out["all_equal"] and out["conductor_ok"] and out.get("matches_prediction", True)
-    return out
-
-
-def induction_wild_cover(coeff, p=3, variants=None):
-    """Transfer factors of the cover y**p - y = t at the point over
-    infinity, with the differential of 1/t downstream.
-
-    Variants are pairs (k, a): multiplicative exponent k on the coordinate
-    and an extra additive datum a*y.  The downstream factor is again read
-    off the global determinant of the upstairs data twisted by the pulled
-    back exponential of 1/t, the upstairs factor is local at infinity with
-    the pulled back form, and the ratio must not depend on the variant.
-    """
-    base = fq_build(p, 1)
-    y = RationalFunction.from_poly(Poly.x(base))
-    cover_poly = Poly(base, [0, -1] + [0] * (p - 2) + [1])
-    twist = RationalFunction(Poly.const(base, base.elem(-1)), cover_poly)
-    # dy / (y**p - y)**2 is the pullback of d(1/t) along t = y**p - y
-    wform = RationalFunction(Poly(base, [1]), cover_poly * cover_poly)
-    pts = [Point.rational(base, b) for b in range(p)] + [Point.infinity(base)]
-    if variants is None:
-        variants = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    pairs = []
-    for k, a in variants:
-        extra = RationalFunction.from_poly(Poly(base, [0, a])) if a % p else None
-        gw = twist if extra is None else twist + extra
-        pairs.append(
-            (
-                SheafSpec(base, wild=gw, kummer=[(y, k)], punctures=pts),
-                SheafSpec(base, wild=extra, kummer=[(y, k)], punctures=pts),
-            )
-        )
-    out = {"cover": "wild", "p": p, "variants": [list(v) for v in variants]}
-    out.update(transfer_constants(coeff, pairs, pts[-1], wform))
-    out["ok"] = out["all_equal"] and out["conductor_ok"]
-    return out

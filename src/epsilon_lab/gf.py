@@ -127,6 +127,19 @@ def _is_prime(n):
     return True
 
 
+def check_cap(p, n):
+    """Refuse F_{p^n} past FIELD_CAP, before p is tested for primality.
+    For p >= 2, p**n is past the cap once n reaches the cap's bit length,
+    so a large n is refused without forming p**n; a p below 2 is left to
+    the primality test."""
+    if p < 2:
+        return
+    if n >= FIELD_CAP.bit_length():
+        raise CapExceeded("field size %d^%d exceeds cap %d" % (p, n, FIELD_CAP))
+    if p ** n > FIELD_CAP:
+        raise CapExceeded("field size %d exceeds cap %d" % (p ** n, FIELD_CAP))
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -159,12 +172,11 @@ class FieldDesc:
     __slots__ = ("p", "n", "modulus", "generator", "rows", "_hash")
 
     def __init__(self, p, n, modulus, generator):
-        if not _is_prime(p):
-            raise Unsupported("p must be prime, got %r" % (p,), field="p")
         if type(n) is not int or n < 1:
             raise Unsupported("n must be a positive integer, got %r" % (n,), field="n")
-        if p ** n > FIELD_CAP:
-            raise CapExceeded("field size %d exceeds cap %d" % (p ** n, FIELD_CAP))
+        check_cap(p, n)
+        if not _is_prime(p):
+            raise Unsupported("p must be prime, got %r" % (p,), field="p")
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != n + 1 or modulus[-1] != 1:
             raise Unsupported("modulus must be monic of degree n", field="modulus")
@@ -196,13 +208,17 @@ class FieldDesc:
             raise ValueError("elements live in different fields")
         return (c if isinstance(c, FqElem) else self.elem(c)).index()
 
-    def json_elem(self, c):
-        """The element a JSON coefficient names: an integer, or a list of
-        integers low degree first.  JSON true is no integer here, though
-        Python takes it for 1."""
-        if type(c) is int or (type(c) is list and all(type(x) is int for x in c)):
-            return self.elem(c)
-        raise Unsupported("a coefficient must be an integer or a list of integers", field="coefficient")
+    def json_elems(self, items, name):
+        """The elements a JSON list of coefficients names, each an integer
+        or a list of integers low degree first; name is the input the list
+        came from, reported when it is no list.  JSON true is no integer
+        here, though Python takes it for 1."""
+        if type(items) is not list:
+            raise Unsupported("%s must be a list of coefficients" % name, field=name)
+        for c in items:
+            if not (type(c) is int or (type(c) is list and all(type(x) is int for x in c))):
+                raise Unsupported("a coefficient must be an integer or a list of integers", field="coefficient")
+        return [self.elem(c) for c in items]
 
     def zero(self):
         return self.elem(0)
@@ -249,6 +265,8 @@ class FieldDesc:
         p, n and the modulus and generator entries are JSON integers, the
         constructor checks their shapes, and the generator has order
         q - 1, so F_p[x]/(modulus) is a field."""
+        if not isinstance(obj, dict):
+            raise Unsupported("a field descriptor must be a JSON object", field="field")
         for key in ("p", "n"):
             if type(obj[key]) is not int:
                 raise Unsupported("%s must be an integer" % key, field=key)
@@ -500,8 +518,7 @@ def fq_build(p, n):
     # 3.0 and True hash like 3: they skip the cache and fail below
     if type(p) is int and (p, n) in _FIELD_CACHE:
         return _FIELD_CACHE[(p, n)]
-    if p ** n > FIELD_CAP:
-        raise CapExceeded("field size %d exceeds cap %d" % (p ** n, FIELD_CAP))
+    check_cap(p, n)
     for k in range(p ** n):
         modulus = _digits(k, p, n) + [1]
         if _is_irreducible(modulus, p):

@@ -190,18 +190,6 @@ class LaurentSeries:
             out.append(acc)
         return LaurentSeries.of(self.field, v, out, v + n)
 
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = LaurentSeries.one(self.field, self.prec)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def __eq__(self, other):
         """Equality on the common window (engines compare normalized data);
         no hash agrees with it, so a series is unhashable."""
@@ -221,21 +209,6 @@ class LaurentSeries:
         out = [mul(c, k % p) for k, c in enumerate(self.coeffs, self.v)]
         return LaurentSeries.of(self.field, self.v - 1, out, self.prec - 1)
 
-    def compose(self, inner):
-        """self(inner) for inner of valuation >= 1; self must need no
-        negative powers unless inner is invertible (it is, v >= 1 means
-        nonzero), computed by Horner to the available precision."""
-        if inner.valuation() < 1:
-            raise ValueError("composition wants an inner series of valuation >= 1")
-        prec = min(self.prec, inner.prec)
-        acc = LaurentSeries.zero(self.field, prec + 1)
-        # Horner from the top of the window
-        for k in range(self.prec - 1, self.v - 1, -1):
-            acc = acc * inner + LaurentSeries.of(self.field, 0, [self.at(k)], prec + 1)
-        if self.v:
-            acc = acc * (inner ** self.v if self.v > 0 else (inner.inverse()) ** (-self.v))
-        return acc
-
     def to_json(self):
         return {
             "field": self.field.to_json(),
@@ -251,7 +224,7 @@ class LaurentSeries:
             # JSON true is no integer here, though Python takes it for 1
             if type(obj[key]) is not int:
                 raise Unsupported("%s must be an integer" % key, field=key)
-        return cls.make(field, obj["v"], [field.json_elem(c) for c in obj["coeffs"]], obj["prec"])
+        return cls.make(field, obj["v"], field.json_elems(obj["coeffs"], "coeffs"), obj["prec"])
 
     def __repr__(self):
         if not self.coeffs:
@@ -296,28 +269,6 @@ def residue(w):
 def dlog(u):
     """The series u'/u, so that dlog u = (u'/u) dpi."""
     return u.derivative() / u
-
-
-def reversion(s):
-    """Inverse of pi' = s(pi) under composition, for v(s) = 1.
-
-    Returns t with s(t(pi')) = pi' to the available precision.
-    """
-    if s.valuation() != 1:
-        raise ValueError("reversion wants valuation exactly 1")
-    field = s.field
-    prec = s.prec
-    a1 = s.coeff(1)
-    t = LaurentSeries.make(field, 1, [a1.inverse()], prec)
-    for k in range(2, prec):
-        r = s.compose(t) - LaurentSeries.pi_power(field, 1, prec)
-        if r.is_zero() or r.valuation() > k:
-            continue
-        gamma = r.coeff(r.valuation())
-        if r.valuation() < k:
-            raise ValueError("reversion drifted, broken invariant")
-        t = t + LaurentSeries.make(field, k, [-(gamma / a1)], prec)
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +512,8 @@ class RationalFunction:
         input it came from, reported when the record is no JSON object."""
         if not isinstance(obj, dict):
             raise Unsupported("a rational function must be a JSON object with num and den", field=name)
-        num = Poly(field, [field.json_elem(c) for c in obj["num"]])
-        den = Poly(field, [field.json_elem(c) for c in obj["den"]])
+        num = Poly(field, field.json_elems(obj["num"], "num"))
+        den = Poly(field, field.json_elems(obj["den"], "den"))
         return cls(num, den)
 
 
@@ -709,7 +660,7 @@ class Point:
             return cls.infinity(base)
         if kind != "finite":
             raise Unsupported("a point's type must be finite or infinity", field="type")
-        return cls(base, Poly(base, [base.json_elem(c) for c in obj["minpoly"]]))
+        return cls(base, Poly(base, base.json_elems(obj["minpoly"], "minpoly")))
 
 
 def _poly_series_at(poly, point, n, emb, alpha):

@@ -294,7 +294,8 @@ class TwistedRep:
         self.rank = len(self.mats[0])
         if self.rank < 1:
             raise ValueError("rank must be positive")
-        if any(len(m) != self.rank or any(len(r) != self.rank for r in m) for m in self.mats.values()):
+        mats = self.mats.values()
+        if {len(m) for m in mats} | {len(r) for m in mats for r in m} != {self.rank}:
             raise ValueError("matrices must be square and share one size")
         if check and not self.is_valid():
             raise ValueError("matrices do not satisfy the twisted composition rule")

@@ -1,0 +1,73 @@
+"""The paper's local properties of epsilon, as checks for the tests.
+
+Change of form, unramified twist, the exact sequence at the closed point
+and multiplicativity over formal sums, with the two operations on
+characters they need: the product and the unramified twist.
+"""
+
+from epsilon_lab.chars import LocalCharacter
+from epsilon_lab.epsilon import EpsilonResult, eps_local, eps_punctual
+from epsilon_lab.localfield import Form
+
+
+def char_product(a, b):
+    """The product of two characters of one field, piece by piece."""
+    if b.field != a.field or b.coeff is not a.coeff:
+        raise ValueError("characters live on different fields")
+    return LocalCharacter(a.field, a.coeff, a.c_pi * b.c_pi, a.tame_e + b.tame_e, a.wild_h + b.wild_h)
+
+
+def twist_unramified(chi, c):
+    """chi times the unramified character sending pi to c."""
+    c = chi.coeff.elem(c) if isinstance(c, int) else c
+    return LocalCharacter(chi.field, chi.coeff, chi.c_pi * c, chi.tame_e, chi.wild_h)
+
+
+def check_change_of_form(chi, omega, alpha, kind="shriek"):
+    """eps(chi, alpha w) == chi(alpha) q**v(alpha) eps(chi, w)."""
+    coeff = chi.coeff
+    scaled = Form(omega.w * alpha)
+    lhs = eps_local(chi, scaled, kind).value
+    rhs = chi(alpha) * coeff.elem(chi.field.q) ** alpha.valuation() * eps_local(chi, omega, kind).value
+    return lhs == rhs
+
+
+def check_unramified_twist(chi, omega, c, kind="shriek"):
+    """eps(chi * unram(c), w) == c**a_omega(chi) eps(chi, w)."""
+    base = eps_local(chi, omega, kind)
+    twisted = eps_local(twist_unramified(chi, c), omega, kind)
+    c = chi.coeff.elem(c) if isinstance(c, int) else c
+    return twisted.value == c ** base.conductor_a_omega * base.value
+
+
+def check_exact_sequence(chi, omega):
+    """For unramified chi the star extension is the shriek extension plus
+    the point stalk: factors multiply, conductors add."""
+    star = eps_local(chi, omega, "star")
+    shriek = eps_local(chi, omega, "shriek")
+    if chi.is_ramified():
+        return star.value == shriek.value and star.conductor_a == shriek.conductor_a
+    stalk = eps_punctual(chi.coeff, [chi.c_pi])
+    ok_value = star.value == shriek.value * stalk.value
+    ok_a = star.conductor_a == shriek.conductor_a + stalk.conductor_a
+    ok_aw = star.conductor_a_omega == shriek.conductor_a_omega + stalk.conductor_a_omega
+    return ok_value and ok_a and ok_aw
+
+
+def eps_virtual(parts):
+    """Multiply factors of a formal sum of local objects.
+
+    parts: iterable of (EpsilonResult, multiplicity); negative multiplicity
+    divides.  Returns an EpsilonResult with summed conductors.
+    """
+    value = None
+    a = 0
+    aw = 0
+    for res, m in parts:
+        piece = res.value ** m
+        value = piece if value is None else value * piece
+        a += m * res.conductor_a
+        aw += m * res.conductor_a_omega
+    if value is None:
+        raise ValueError("empty formal sum")
+    return EpsilonResult(value, a, aw, "virtual")

@@ -17,20 +17,14 @@ from epsilon_lab.curve import (
     GlobalComputation,
     SheafSpec,
     divisor_points,
-    induction_power_cover,
-    induction_wild_cover,
     product_formula_check,
     verify_gos,
 )
 from epsilon_lab.epsilon import (
-    check_change_of_form,
-    check_exact_sequence,
-    check_unramified_twist,
     eps_closed_form,
     eps_local,
     eps_punctual,
     eps_tate,
-    eps_virtual,
     gamma_counts,
     gamma_psi,
 )
@@ -43,6 +37,8 @@ from epsilon_lab.localfield import (
     RationalFunction,
 )
 from epsilon_lab.twisted import run_twisted_suite
+from covers import induction_power_cover, induction_wild_cover
+from local_props import check_change_of_form, check_exact_sequence, check_unramified_twist, eps_virtual
 from polys import monic_irreducibles
 
 F3 = fq_build(3, 1)

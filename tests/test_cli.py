@@ -3,7 +3,11 @@ and byte-stable reports."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -431,6 +435,16 @@ def test_malformed_cover_field_points_at_field(capsys, tmp_path):
         assert code == 3 and report["field"] == ("p" if isinstance(bad, dict) else "field")
 
 
+def _edited(data, path, bad):
+    """The bundled input data with the entry at path set to bad."""
+    obj = json.loads((DATA / data).read_text())
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    return obj
+
+
 @pytest.mark.parametrize(
     "command, data, path, bad, field",
     [
@@ -446,13 +460,8 @@ def test_bad_degree_names_its_input(capsys, tmp_path, command, data, path, bad, 
     # a field degree below 1 failed inside the modulus scan, on the float
     # p ** n or in FieldDesc, and a constant minpoly with a plain
     # ValueError: none of them named its input
-    obj = json.loads((DATA / data).read_text())
-    target = obj
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = bad
     inp = tmp_path / "input.json"
-    inp.write_text(json.dumps(obj))
+    inp.write_text(json.dumps(_edited(data, path, bad)))
     code, report = run(capsys, [command, "--char" if command == "eps-local" else "--spec", str(inp)])
     assert code == 3 and report["field"] == field and not report["ok"]
 
@@ -521,3 +530,59 @@ def test_json_out_is_opened_before_the_command_runs(capsys, tmp_path):
     code = main(["eps-global", "--spec", str(spec), "--json-out", str(spec)])
     assert code == 0
     assert json.loads(spec.read_text()) == json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "command, flag, data, path, bad, field",
+    [
+        ("eps-global", "--spec", "product_spec.json", ("punctures",), 5, "punctures"),
+        ("eps-global", "--spec", "product_spec.json", ("punctures", 0, "minpoly"), 3, "minpoly"),
+        ("eps-global", "--spec", "product_spec.json", ("wild", "num"), 3, "num"),
+        ("product-check", "--omega", "product_omega.json", ("num",), 3, "num"),
+        ("eps-local", "--char", "char_quadratic.json", ("char", "wild_h"), 5, "wild_h"),
+        ("eps-local", "--char", "char_quadratic.json", ("char", "wild_h", "coeffs"), 5, "coeffs"),
+        ("eps-local", "--form", "form_dlog.json", ("field",), 5, "field"),
+        ("eps-local", "--form", "form_dlog.json", ("coeffs",), 3, "coeffs"),
+    ],
+    ids=["spec-punctures", "point-minpoly", "wild-num", "omega-num", "char-wild_h", "wild_h-coeffs", "form-field", "form-coeffs"],
+)
+def test_shape_error_names_its_input(capsys, tmp_path, command, flag, data, path, bad, field):
+    # a number where a list or an object belongs was iterated or indexed
+    # and failed with a bare TypeError that named no input
+    inp = tmp_path / "input.json"
+    inp.write_text(json.dumps(_edited(data, path, bad)))
+    code, report = run(capsys, [command, flag, str(inp)])
+    assert code == 3 and report.get("field") == field and not report["ok"]
+
+
+BIG_P = 2 ** 61 - 1  # a prime: trial division up to its square root never ends
+
+
+@pytest.mark.parametrize(
+    "command, flag, data, path, bad",
+    [
+        ("eps-global", "--spec", "product_spec.json", ("n",), 10 ** 9),
+        ("eps-local", "--char", "char_quadratic.json", ("char", "field", "n"), 10 ** 9),
+        ("eps-local", "--char", "char_quadratic.json", ("char", "field", "p"), BIG_P),
+        ("eps-local", "--char", "char_quadratic.json", ("coeff", "p"), BIG_P),
+        ("eps-local", "--form", "form_dlog.json", ("field", "n"), 10 ** 9),
+        ("eps-local", "--form", "form_dlog.json", ("field", "p"), BIG_P),
+        ("twisted-check", "--p", None, None, BIG_P),
+    ],
+    ids=["spec-n", "char-n", "char-p", "coeff-p", "form-n", "form-p", "twisted-p"],
+)
+def test_past_the_field_cap_is_refused_before_any_arithmetic(tmp_path, command, flag, data, path, bad):
+    # p ** n and trial division up to the square root of p ran until
+    # killed; a child process with a timeout keeps the test bounded
+    arg = str(bad)
+    if data is not None:
+        arg = str(tmp_path / "input.json")
+        Path(arg).write_text(json.dumps(_edited(data, path, bad)))
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "epsilon_lab.cli", command, flag, arg], capture_output=True, text=True, env=env, timeout=5
+    )
+    report = json.loads(done.stdout)
+    assert done.returncode == 4 and not report["ok"]
+    assert "exceeds cap %d" % report["caps"]["field"] in report["error"]

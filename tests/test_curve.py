@@ -17,8 +17,6 @@ from epsilon_lab.curve import (
     SheafSpec,
     conductor_profile,
     divisor_points,
-    induction_power_cover,
-    induction_wild_cover,
     local_character_at,
     product_formula_check,
     transfer_constants,
@@ -32,6 +30,7 @@ from epsilon_lab.localfield import (
     RationalFunction,
     expand_form_at,
 )
+from covers import induction_power_cover, induction_wild_cover
 from polys import monic_irreducibles
 
 F3 = fq_build(3, 1)

@@ -9,21 +9,18 @@ from epsilon_lab.gf import CapExceeded, fq_build, log_field, trace
 from epsilon_lab.chars import LocalCharacter
 from epsilon_lab.epsilon import (
     EpsilonResult,
-    check_change_of_form,
-    check_exact_sequence,
-    check_unramified_twist,
     eps_closed_form,
     eps_local,
     eps_punctual,
     eps_tate,
     eps_tate_slow,
     eps_unramified,
-    eps_virtual,
     gamma_psi,
-    transport_form,
     _unit_rows,
 )
 from epsilon_lab.localfield import Form, LaurentSeries, PrecisionError
+from local_props import check_change_of_form, check_exact_sequence, check_unramified_twist, eps_virtual
+from uniformizer import transport, transport_form
 
 F3 = fq_build(3, 1)
 F4 = fq_build(2, 2)
@@ -317,7 +314,7 @@ def test_epsilon_uniformizer_independent():
         width = chi.swan() + abs(omega.valuation()) + 10
         ucoeffs = [rng.randrange(1, field.q)] + [rng.randrange(field.q) for _ in range(width - 1)]
         s = series(field, 1, [field.from_index(c) for c in ucoeffs], 1 + width)
-        moved_chi = chi.transport(s)
+        moved_chi = transport(chi, s)
         moved_omega = transport_form(omega, s)
         kind = "shriek" if chi.is_ramified() or rng.randrange(2) else "star"
         lhs = eps_local(chi, omega, kind)
