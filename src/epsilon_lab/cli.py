@@ -315,6 +315,11 @@ def _build_parser():
     common.add_argument("--seed", type=int, default=0, help="seed for randomized corpora")
     common.add_argument("--cap", type=int, default=None, help="override the unit-sum cap")
     common.add_argument("--json-out", default=None, help="also write the report to this path")
+    # the engine of each local factor, in eps-local and product-check
+    method_help = (
+        "auto, tate, tate_slow, or closed (ignored if unramified); auto refuses what the walk (tate) "
+        "refuses, then takes the closed form for a wild character with q**swan > 2**7 and the walk otherwise"
+    )
 
     parser = argparse.ArgumentParser(
         prog="epsilon-lab",
@@ -333,7 +338,7 @@ def _build_parser():
     el.add_argument("--char", default=None, help="character JSON (default: bundled quadratic)")
     el.add_argument("--form", default=None, help="local one-form JSON (default: bundled dpi/pi)")
     el.add_argument("--kind", default="j!", help="j!, j*, or punctual")
-    el.add_argument("--method", default="auto", help="auto, tate, tate_slow, or closed (ignored if unramified)")
+    el.add_argument("--method", default="auto", help=method_help)
 
     eg = sub.add_parser("eps-global", parents=[common], help="global determinant of the data")
     eg.add_argument("--spec", required=True, help="sheaf data JSON")
@@ -345,7 +350,7 @@ def _build_parser():
     pc.add_argument(
         "--method",
         default="auto",
-        help="auto, tate, tate_slow, or closed (ignored if unramified); closed refuses any spec with a tame point",
+        help=method_help + "; closed refuses any spec with a tame point",
     )
 
     ic = sub.add_parser("induction-check", parents=[common], help="cover transfer-factor audit")

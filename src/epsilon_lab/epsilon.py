@@ -27,7 +27,8 @@ residue formula by table lookups, with no series evaluated per unit.
 For wild chi a closed product formula avoids the sum entirely: writing h
 for the negated wild datum of chi and dh for its differential, the factor
 is chi(w/h') q**(...) times, at even swan, a quadratic Gauss constant
-gamma_psi.  Acceptance checks compare it against the sum on random data.
+gamma_psi.  Acceptance checks compare it against the sum on random data,
+and eps_local takes it by default once q**swan passes CLOSED_LINE.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ from .chars import unit_keys
 from .localfield import LaurentSeries, residue
 
 TATE_CAP = 1 << 22
+# Auto takes the closed form for a wild character once q**swan, about the
+# number of leaves the walk visits, passes this line; below it the walk is
+# the cheaper engine.
+CLOSED_LINE = 1 << 7
 
 
 class EpsilonResult:
@@ -117,6 +122,16 @@ def _tate_shape(chi, omega):
     return a, v_om, a + v_om
 
 
+def _walk_shape(chi, omega):
+    """_tate_shape, refused also for a residue field past the walk's 2^10
+    table line, before any table is built."""
+    shape = _tate_shape(chi, omega)
+    q = chi.field.q
+    if q > 1 << 10:
+        raise CapExceeded("tables for q=%d exceed 2^10" % q)
+    return shape
+
+
 def eps_tate_slow(chi, omega, c_unit=None):
     """Definitional unit sum, one series evaluation per unit residue.
 
@@ -172,9 +187,7 @@ def eps_tate(chi, omega):
     field, coeff = chi.field, chi.coeff
     ell = coeff.ell
     q = field.q
-    a, v_om, a_om = _tate_shape(chi, omega)
-    if q > 1 << 10:
-        raise CapExceeded("tables for q=%d exceed 2^10" % q)
+    a, v_om, a_om = _walk_shape(chi, omega)
     logs = log_field(field)
     exp, log, zech, tr = logs.exp, logs.log, logs.zech, logs.trace
     m = q - 1
@@ -338,12 +351,20 @@ def eps_closed_form(chi, omega):
 def eps_local(chi, omega, kind="shriek", method="auto"):
     """Factor of a character extended across the point, any method.
 
-    method: auto picks the fast route; tate, tate_slow and closed force a
-    specific engine (closed needs wild ramification).
+    method: auto refuses what the walk refuses (past TATE_CAP terms, or a
+    residue field over 2^10), then takes the closed form when
+    q**swan > CLOSED_LINE and the walk otherwise, so tame characters always
+    walk; tate, tate_slow and closed force a specific engine (closed needs
+    wild ramification).
     """
     if not chi.is_ramified():
         return eps_unramified(chi, omega, kind)
-    if method == "auto" or method == "tate":
+    if method == "auto":
+        _walk_shape(chi, omega)
+        if chi.field.q ** chi.swan() > CLOSED_LINE:
+            return eps_closed_form(chi, omega)
+        return eps_tate(chi, omega)
+    if method == "tate":
         return eps_tate(chi, omega)
     if method == "tate_slow":
         return eps_tate_slow(chi, omega)

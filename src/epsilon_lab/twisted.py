@@ -173,6 +173,8 @@ def det(rows, ell):
             out = -out
         pv = rows[col][col] % ell
         out = out * pv % ell
+        if col == n - 1:
+            break
         inv = pow(pv, -1, ell)
         for r in range(col + 1, n):
             f = rows[r][col]

@@ -2,7 +2,9 @@
 
 Change of form, unramified twist, the exact sequence at the closed point
 and multiplicativity over formal sums, with the two operations on
-characters they need: the product and the unramified twist.
+characters they need: the product and the unramified twist.  Each check
+takes the engine of eps_local, so that both the walk and auto's choice
+keep it.
 """
 
 from epsilon_lab.chars import LocalCharacter
@@ -23,28 +25,28 @@ def twist_unramified(chi, c):
     return LocalCharacter(chi.field, chi.coeff, chi.c_pi * c, chi.tame_e, chi.wild_h)
 
 
-def check_change_of_form(chi, omega, alpha, kind="shriek"):
+def check_change_of_form(chi, omega, alpha, kind="shriek", method="auto"):
     """eps(chi, alpha w) == chi(alpha) q**v(alpha) eps(chi, w)."""
     coeff = chi.coeff
     scaled = Form(omega.w * alpha)
-    lhs = eps_local(chi, scaled, kind).value
-    rhs = chi(alpha) * coeff.elem(chi.field.q) ** alpha.valuation() * eps_local(chi, omega, kind).value
+    lhs = eps_local(chi, scaled, kind, method).value
+    rhs = chi(alpha) * coeff.elem(chi.field.q) ** alpha.valuation() * eps_local(chi, omega, kind, method).value
     return lhs == rhs
 
 
-def check_unramified_twist(chi, omega, c, kind="shriek"):
+def check_unramified_twist(chi, omega, c, kind="shriek", method="auto"):
     """eps(chi * unram(c), w) == c**a_omega(chi) eps(chi, w)."""
-    base = eps_local(chi, omega, kind)
-    twisted = eps_local(twist_unramified(chi, c), omega, kind)
+    base = eps_local(chi, omega, kind, method)
+    twisted = eps_local(twist_unramified(chi, c), omega, kind, method)
     c = chi.coeff.elem(c) if isinstance(c, int) else c
     return twisted.value == c ** base.conductor_a_omega * base.value
 
 
-def check_exact_sequence(chi, omega):
+def check_exact_sequence(chi, omega, method="auto"):
     """For unramified chi the star extension is the shriek extension plus
     the point stalk: factors multiply, conductors add."""
-    star = eps_local(chi, omega, "star")
-    shriek = eps_local(chi, omega, "shriek")
+    star = eps_local(chi, omega, "star", method)
+    shriek = eps_local(chi, omega, "shriek", method)
     if chi.is_ramified():
         return star.value == shriek.value and star.conductor_a == shriek.conductor_a
     stalk = eps_punctual(chi.coeff, [chi.c_pi])

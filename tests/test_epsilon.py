@@ -8,6 +8,7 @@ from epsilon_lab.coeff import coeff_setup, root_sum
 from epsilon_lab.gf import CapExceeded, fq_build, log_field, trace
 from epsilon_lab.chars import LocalCharacter
 from epsilon_lab.epsilon import (
+    TATE_CAP,
     EpsilonResult,
     eps_closed_form,
     eps_local,
@@ -214,7 +215,8 @@ def test_virtual_sum():
 # identities
 
 
-def test_change_of_form_identity():
+@pytest.mark.parametrize("method", ["auto", "tate"])
+def test_change_of_form_identity(method):
     rng = random.Random(55)
     for field, coeff in FIELDS:
         for _ in range(4):
@@ -225,10 +227,11 @@ def test_change_of_form_identity():
             acoeffs = [rng.randrange(1, field.q)] + [rng.randrange(field.q) for _ in range(rel + 4)]
             alpha = series(field, va, [field.from_index(c) for c in acoeffs], va + rel + 5)
             kind = "star" if not chi.is_ramified() and rng.randrange(2) else "shriek"
-            assert check_change_of_form(chi, omega, alpha, kind)
+            assert check_change_of_form(chi, omega, alpha, kind, method)
 
 
-def test_unramified_twist_identity():
+@pytest.mark.parametrize("method", ["auto", "tate"])
+def test_unramified_twist_identity(method):
     rng = random.Random(77)
     for field, coeff in FIELDS:
         for _ in range(4):
@@ -236,17 +239,18 @@ def test_unramified_twist_identity():
             omega = random_form(rng, field, chi.swan() + 3)
             c = coeff.elem(rng.randrange(1, coeff.ell))
             kind = "star" if not chi.is_ramified() and rng.randrange(2) else "shriek"
-            assert check_unramified_twist(chi, omega, c, kind)
+            assert check_unramified_twist(chi, omega, c, kind, method)
 
 
-def test_exact_sequence_multiplicativity():
+@pytest.mark.parametrize("method", ["auto", "tate"])
+def test_exact_sequence_multiplicativity(method):
     rng = random.Random(99)
     for field, coeff in FIELDS:
         unram = LocalCharacter(field, coeff, coeff.elem(rng.randrange(1, coeff.ell)), 0)
         omega = random_form(rng, field, 4)
-        assert check_exact_sequence(unram, omega)
+        assert check_exact_sequence(unram, omega, method)
         ram = random_char(rng, field, coeff, swan=2)
-        assert check_exact_sequence(ram, omega)
+        assert check_exact_sequence(ram, omega, method)
 
 
 def test_dispatch_routes():
@@ -257,6 +261,21 @@ def test_dispatch_routes():
         for m in ("auto", "tate", "tate_slow", "closed")
     }
     assert len(values) == 1
+    # auto walks a tame character and a wild one with q**swan <= 2**7, and
+    # takes the closed form above that, with the walk's value
+    rng = random.Random(130)
+    F27 = fq_build(3, 3)
+    C27 = coeff_setup(3, [26])
+    cases = [(F9, C73, 0, "tate"), (F3, C73, 4, "tate"), (F5, C5, 3, "tate"), (F7, C7, 2, "tate"),
+             (F3, C73, 5, "closed_form"), (F7, C7, 3, "closed_form"), (F27, C27, 2, "closed_form")]
+    for field, coeff, swan, engine in cases:
+        chi = random_char(rng, field, coeff, swan=swan, tame=1)
+        assert chi.swan() == swan and (field.q ** swan > 1 << 7) == (engine == "closed_form")
+        omega = random_form(rng, field, swan + 4)
+        auto = eps_local(chi, omega)
+        walk = eps_local(chi, omega, method="tate")
+        assert auto.method == engine, (field.q, swan)
+        assert (auto.value, auto.conductor_a_omega) == (walk.value, walk.conductor_a_omega)
 
 
 def _window(omega, n):
@@ -303,7 +322,8 @@ def test_unramified_factor_reads_the_valuation_alone(kind):
 # uniformizer independence
 
 
-def test_epsilon_uniformizer_independent():
+@pytest.mark.parametrize("method", ["auto", "tate"])
+def test_epsilon_uniformizer_independent(method):
     rng = random.Random(202)
     done = 0
     while done < 20:
@@ -317,8 +337,8 @@ def test_epsilon_uniformizer_independent():
         moved_chi = transport(chi, s)
         moved_omega = transport_form(omega, s)
         kind = "shriek" if chi.is_ramified() or rng.randrange(2) else "star"
-        lhs = eps_local(chi, omega, kind)
-        rhs = eps_local(moved_chi, moved_omega, kind)
+        lhs = eps_local(chi, omega, kind, method)
+        rhs = eps_local(moved_chi, moved_omega, kind, method)
         assert lhs.value == rhs.value
         assert lhs.conductor_a_omega == rhs.conductor_a_omega
         done += 1
@@ -480,14 +500,11 @@ def test_swan_one_sum_is_one_correlation(monkeypatch, p, n):
             assert got.value == want.value and got.conductor_a_omega == want.conductor_a_omega
 
 
-@pytest.mark.parametrize("p, n", [(2, 11), (3, 7)])
-def test_large_tame_refused_before_any_table(monkeypatch, p, n):
+def _refused_before_any_table(monkeypatch, chi, omega, message):
+    """eps_local refuses chi with message, and builds no table first."""
     from epsilon_lab import gf
     from epsilon_lab.gf import _TABLE_CACHE
 
-    field = fq_build(p, n)
-    coeff = coeff_setup(p, [field.q - 1])
-    chi = LocalCharacter(field, coeff, coeff.one(), 1)
     builds = []
     plain = gf.LogField.__init__
 
@@ -497,9 +514,31 @@ def test_large_tame_refused_before_any_table(monkeypatch, p, n):
 
     monkeypatch.setattr(gf.LogField, "__init__", counting)
     cached = len(_TABLE_CACHE)
-    with pytest.raises(CapExceeded, match=r"tables for q=%d exceed 2\^10" % field.q):
-        eps_local(chi, form(field, 0, [1], 3))
+    with pytest.raises(CapExceeded, match=message):
+        eps_local(chi, omega)
     assert builds == [] and len(_TABLE_CACHE) == cached
+
+
+@pytest.mark.parametrize("p, n", [(2, 11), (3, 7)])
+def test_large_tame_refused_before_any_table(monkeypatch, p, n):
+    field = fq_build(p, n)
+    coeff = coeff_setup(p, [field.q - 1])
+    chi = LocalCharacter(field, coeff, coeff.one(), 1)
+    _refused_before_any_table(monkeypatch, chi, form(field, 0, [1], 3), r"tables for q=%d exceed 2\^10" % field.q)
+
+
+@pytest.mark.parametrize("p, n, message", [
+    (2, 11, r"tables for q=2048 exceed 2\^10"),
+    (3, 7, r"unit sum would exceed %d terms" % TATE_CAP),
+])
+def test_large_wild_refused_before_any_table(monkeypatch, p, n, message):
+    # auto refuses a wild character the walk would refuse, though the
+    # closed form could answer it: q**2 is 2**22 over F_(2^11), at the unit
+    # sum cap, and 3**14 is past it
+    field = fq_build(p, n)
+    coeff = coeff_setup(p, [field.q - 1])
+    chi = LocalCharacter(field, coeff, coeff.one(), 1, series(field, -1, [1], 1))
+    _refused_before_any_table(monkeypatch, chi, form(field, 0, [1, 0, 1], 4), message)
 
 
 @pytest.mark.parametrize("p, n", [(3, 4), (5, 3), (7, 2)])

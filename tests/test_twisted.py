@@ -136,6 +136,44 @@ def test_rows_are_reduced_and_checked():
             TwistedRep(group, (0, 1, 2, 3), mu, mats)
 
 
+def _leibniz(rows, ell):
+    """Determinant mod ell as the signed sum over permutations."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total % ell
+
+
+def test_det_matches_leibniz_expansion():
+    # elimination against the permutation sum on 1x1 to 4x4 integer rows,
+    # entries outside 0..ell - 1 included; a quarter of them, of every size,
+    # made singular: by an entry divisible by ell at 1x1, and above that by
+    # a row that combines other rows
+    rng = random.Random(73)
+    singular = 0
+    for trial in range(400):
+        n = 1 + trial % 4
+        rows = [[rng.randrange(-2 * ELL, 2 * ELL) for _ in range(n)] for _ in range(n)]
+        if trial % 16 < 4:
+            if n == 1:
+                rows = [[ELL * rng.randrange(-2, 3)]]
+            else:
+                t = rng.randrange(n)
+                others = [r for r in range(n) if r != t]
+                i, j = rng.choice(others), rng.choice(others)
+                k, m = rng.randrange(ELL), rng.randrange(ELL)
+                rows[t] = [k * x + m * y for x, y in zip(rows[i], rows[j])]
+        want = _leibniz(rows, ELL)
+        assert det(rows, ELL) == want, rows
+        singular += want == 0
+    assert singular >= 100
+
+
 def test_group_constructors():
     c6 = FiniteGroup.cyclic(6)
     assert c6.n == 6 and c6.table[4][5] == 3 and c6.inv[2] == 4
