@@ -111,6 +111,8 @@ def _coeff_for(cfg, p, orders, ell, specs=()):
         return _prime_to(coeff, unram)
     try:
         coeff = pinned_ell(coeff, ell)
+    except CapExceeded:
+        raise
     except ValueError as err:
         raise Unsupported(str(err), field="ell")
     _need(unram % ell, "ell", "prime to the unramified scaling")

@@ -17,7 +17,11 @@ from __future__ import annotations
 import cmath
 import math
 
-from .gf import FqElem, Unsupported, _is_prime, _prime_factors, check_cap, trace, dlog
+from .gf import FIELD_CAP, CapExceeded, FqElem, Unsupported, _is_prime, _prime_factors, check_cap, trace, dlog
+
+# Trial division decides a prime up to ELL_CAP at once; no coefficient prime
+# the library chooses comes near it.
+ELL_CAP = 1 << 32
 
 
 class CoeffField:
@@ -186,7 +190,9 @@ def coeff_setup(p, orders, d_max=1):
 
     M = lcm(orders), then ell is the smallest prime with ell = 1 mod p*M and
     ell > max(d_max, p*M); h is the smallest primitive root mod ell.  d_max
-    is a plain lower bound on ell; nothing in the library needs it.
+    is a plain lower bound on ell; nothing in the library needs it.  An
+    order past FIELD_CAP - 1 is refused, as no character of a field under
+    the field cap has one.
     """
     # trial division would run until killed on a large p
     check_cap(p, 1)
@@ -196,6 +202,10 @@ def coeff_setup(p, orders, d_max=1):
     for o in orders:
         if o < 1:
             raise Unsupported("orders must be positive", field="orders")
+        if o > FIELD_CAP - 1:
+            raise CapExceeded(
+                "character order %d exceeds %d, the field cap %d less one" % (o, FIELD_CAP - 1, FIELD_CAP)
+            )
         M = M * o // math.gcd(M, o)
     if M % p == 0:
         raise Unsupported("orders must be prime to p", field="orders")
@@ -222,14 +232,20 @@ def pinned_ell(field, ell):
 
 def _admissible_ell(step, bound, limit):
     """The smallest prime ell = 1 mod step with max(bound, step) < ell,
-    or None when it exceeds limit: the one rule for coefficient primes."""
+    or None when it exceeds limit: the one rule for coefficient primes.
+    A prime past ELL_CAP, chosen or pinned (limit), is refused before any
+    primality test."""
     ell = max(bound, step) + 1
     ell += (1 - ell) % step
-    while ell <= limit:
+    while True:
+        # a pinned prime past the cap is refused whether or not it is 1 mod step
+        if min(ell, limit) > ELL_CAP:
+            raise CapExceeded("coefficient prime %d exceeds cap %d" % (min(ell, limit), ELL_CAP))
+        if ell > limit:
+            return None
         if _is_prime(ell):
             return ell
         ell += step
-    return None
 
 
 def _smallest_primitive_root(ell):

@@ -5,13 +5,17 @@ coboundary d1 takes scalar functions to multipliers, and is_cocycle checks
 the cocycle relation on every triple (the twisted group algebra, whose
 associativity is equivalent to it, lives in the tests).  Representations
 twisted by a multiplier compose up to that multiplier, which is_valid
-checks on every pair and entry a row at a time; they induce from subgroups
-by a block construction with explicit multiplier corrections, and the
-determinant of an induced representation splits into the signature of the
-coset permutation action and a transfer of the determinant character,
-computable independently by a coset walk.  A group keeps the coset
-decompositions taken in the default scan order, so each is made once.
-Every map here is finite and exact over a prime coefficient field.
+checks on every pair and entry: at rank 1 on the scalars themselves, at
+higher rank a row at a time.  They induce from subgroups by a block
+construction with explicit multiplier corrections, and the determinant of
+an induced representation splits into the signature of the coset
+permutation action and a transfer of the determinant character, computable
+independently by a coset walk; the determinant route composes each value
+as one integer.  A group keeps one record per (ambient, subgroup) pair
+decomposed in the default scan order, holding the decomposition, its coset
+walk and its signature, so each is made once, and it keeps its is_subgroup
+verdicts.  Every map here is finite and exact over a prime coefficient
+field.
 """
 
 import itertools
@@ -36,7 +40,9 @@ __all__ = [
 class FiniteGroup:
     """Finite group given by its multiplication table on indices 0..n-1,
     with 0 the identity; the axioms are verified on construction.  memo
-    keeps the coset decompositions taken in the default scan order."""
+    maps a member tuple to its is_subgroup verdict, and a pair (members,
+    sub) of member tuples to the record of its coset decomposition in the
+    default scan order (see _pair)."""
 
     __slots__ = ("table", "n", "inv", "memo")
 
@@ -104,11 +110,15 @@ class FiniteGroup:
         return sorted(found, key=lambda s: (len(s), s))
 
     def is_subgroup(self, members):
-        ms = set(members)
-        if 0 not in ms:
-            return False
-        t = self.table
-        return all(ms.issuperset(map(t[a].__getitem__, ms)) for a in ms)
+        key = tuple(members)
+        found = self.memo.get(key)
+        if found is None:
+            ms = set(key)
+            t = self.table
+            found = self.memo[key] = 0 in ms and all(
+                ms.issuperset(map(t[a].__getitem__, ms)) for a in ms
+            )
+        return found
 
     @classmethod
     def cyclic(cls, n):
@@ -198,7 +208,7 @@ class Multiplier:
         self.group = group
         self.coeff = coeff
         ell = coeff.ell
-        self.table = tuple(tuple([v % ell for v in row]) for row in table)
+        self.table = tuple([tuple([v % ell for v in row]) for row in table])
         if len(self.table) != group.n or any(len(r) != group.n for r in self.table):
             raise ValueError("multiplier table must cover all pairs")
         if any(0 in row for row in self.table):
@@ -285,7 +295,7 @@ class TwistedRep:
         self.sub = tuple(sorted(set(sub)))
         self.mult = mult
         self.mats = {
-            g: tuple(tuple([v % ell for v in row]) for row in m) for g, m in dict(mats).items()
+            g: tuple([tuple([v % ell for v in row]) for row in m]) for g, m in dict(mats).items()
         }
         if mult.group is not group:
             raise ValueError("multiplier lives on a different group")
@@ -305,9 +315,11 @@ class TwistedRep:
     def is_valid(self):
         """Exhaustive check of the composition rule on the stored integer
         rows: (rho(g) rho(h))[i][j] == mu(g,h) rho(gh)[i][j] mod ell for
-        every pair g, h of the domain and every entry i, j.  Row i of every
-        product rho(g) rho(h) is built at once, over all h side by side, as
-        the combination of the rows k of the rho(h) weighted by rho(g)[i][k]."""
+        every pair g, h of the domain and every entry i, j.  At rank 1 the
+        products rho(g) rho(h) over all h are one list of scalars.  At
+        higher rank row i of every product is built at once, over all h side
+        by side, as the combination of the rows k of the rho(h) weighted by
+        rho(g)[i][k]."""
         sub = self.sub
         if not self.group.is_subgroup(sub):
             return False
@@ -315,6 +327,15 @@ class TwistedRep:
         if rows[0] != tuple(tuple(int(i == j) for j in range(n)) for i in range(n)):
             return False
         ell = self.mult.coeff.ell
+        if n == 1:
+            # a subgroup domain holds every gh, and there is one scalar per element
+            val = {h: rows[h][0][0] for h in sub}
+            vals = [val[h] for h in sub]
+            for g in sub:
+                mul_g, mu_g, a = self.group.table[g], self.mult.table[g], val[g]
+                if [a * v % ell for v in vals] != [mu_g[h] * val[mul_g[h]] % ell for h in sub]:
+                    return False
+            return True
         side = [[v for h in sub for v in rows[h][k]] for k in range(n)]
         zero = [0] * len(side[0])
         for g in sub:
@@ -396,18 +417,42 @@ def _cosets(group, members, sub, order=None):
     return reps, coset_of
 
 
-def _cosets_once(group, members, sub, order=None):
-    """_cosets of the tuple members by sub, decomposed once per (members,
-    sub) and kept in group.memo for the default scan order; an explicit
-    order is decomposed afresh and never stored."""
+def _pair(group, members, sub, order=None):
+    """The record of the tuple members by sub: a dict whose "cosets" is the
+    decomposition (reps, coset_of) of _cosets, to which the formula route
+    adds the "walk" of _walk and delta_char the "sign" of _signature on
+    first use.  Kept in group.memo per (members, sub) for the default scan
+    order; an explicit order gets a fresh record that is never stored."""
     sub = tuple(sorted(set(sub)))
     if order is not None:
-        return _cosets(group, members, sub, order)
+        return {"cosets": _cosets(group, members, sub, order)}
     key = (members, sub)
     found = group.memo.get(key)
     if found is None:
-        found = group.memo[key] = _cosets(group, members, sub)
+        found = group.memo[key] = {"cosets": _cosets(group, members, sub)}
     return found
+
+
+def _walk(group, members, reps, coset_of):
+    """For each k of members, the triples (g_c, g_target, h), one per coset
+    representative g_c, with k g_c = g_target h and h in the domain."""
+    t, ginv = group.table, group.inv
+    walk = {}
+    for k in members:
+        tk = t[k]
+        triples = []
+        for gc in reps:
+            kg = tk[gc]
+            g2 = reps[coset_of[kg]]
+            triples.append((gc, g2, t[ginv[g2]][kg]))
+        walk[k] = triples
+    return walk
+
+
+def _signature(group, members, reps, coset_of):
+    """Sign of the permutation k induces on the cosets, for each k of members."""
+    t = group.table
+    return {k: _perm_sign([coset_of[t[k][gc]] for gc in reps]) for k in members}
 
 
 def induce(rep, ambient=None, order=None):
@@ -423,7 +468,7 @@ def induce(rep, ambient=None, order=None):
         raise ValueError("ambient must be a subgroup")
     if not set(members).issuperset(sub):
         raise ValueError("domain must sit inside the ambient subgroup")
-    reps, coset_of = _cosets_once(group, members, sub, order)
+    reps, coset_of = _pair(group, members, sub, order)["cosets"]
     idx = len(reps)
     r = rep.rank
     size = r * idx
@@ -466,48 +511,53 @@ def _perm_sign(p):
 
 def delta_char(group, sub, ambient=None, order=None):
     """Signature of the permutation action on the cosets of the subgroup,
-    as a map from the ambient subgroup to {1, -1}."""
+    as a map from the ambient subgroup to {1, -1}: a fresh dict, so the
+    record it is read from cannot be changed through it."""
     members = tuple(group.elements()) if ambient is None else tuple(sorted(set(ambient)))
-    reps, coset_of = _cosets_once(group, members, sub, order)
-    t = group.table
-    return {k: _perm_sign([coset_of[t[k][gc]] for gc in reps]) for k in members}
+    record = _pair(group, members, sub, order)
+    sign = record.get("sign")
+    if sign is None:
+        sign = record["sign"] = _signature(group, members, *record["cosets"])
+    return dict(sign)
 
 
 def verlagerung(rep, ambient=None, order=None, route="formula"):
     """Transfer of the determinant of a twisted subgroup representation to
     the ambient subgroup, as a map to units.
 
-    The formula route walks the cosets of the domain: the value at k is
+    The formula route reads the coset walk of the domain: the value at k is
     the product over cosets of mu(k, g_c)^rank mu(g_target, h_c)^{-rank}
-    det rho(h_c).  The det route forms the induced representation, takes
-    determinants, and strips the rank-th power of the coset signature.
-    Both routes agree; they are kept separate so each can audit the other.
+    det rho(h_c), where a rank-1 det rho(h) is its one entry.  The det
+    route forms the induced representation, takes determinants, and
+    strips the rank-th power of the coset signature, a sign, so the value
+    is det * delta^rank.  Both routes agree; they are kept separate so
+    each can audit the other, and share only the coset decomposition.
     """
     group, sub, mult = rep.group, rep.sub, rep.mult
     coeff = mult.coeff
     ell = coeff.ell
+    rk = rep.rank
     members = tuple(group.elements()) if ambient is None else tuple(sorted(set(ambient)))
     if route == "det":
         ind = induce(rep, members, order)
         delta = delta_char(group, sub, members, order)
-        return {
-            k: coeff.elem(det(ind.mats[k], ell)) * coeff.elem(delta[k]) ** (-rep.rank)
-            for k in members
-        }
+        return {k: coeff.elem(det(ind.mats[k], ell) * delta[k] ** rk) for k in members}
     if route != "formula":
         raise ValueError("route must be 'formula' or 'det'")
-    reps, coset_of = _cosets_once(group, members, sub, order)
-    dets = {h: det(rep.mats[h], ell) for h in sub}
-    rk = rep.rank
-    mt, t, ginv = mult.table, group.table, group.inv
+    record = _pair(group, members, sub, order)
+    walk = record.get("walk")
+    if walk is None:
+        walk = record["walk"] = _walk(group, members, *record["cosets"])
+    if rk == 1:
+        dets = {h: rep.mats[h][0][0] for h in sub}
+    else:
+        dets = {h: det(rep.mats[h], ell) for h in sub}
+    mt = mult.table
     out = {}
     for k in members:
-        tk, mk = t[k], mt[k]
+        mk = mt[k]
         num = den = dprod = 1
-        for gc in reps:
-            kg = tk[gc]
-            g2 = reps[coset_of[kg]]
-            h = t[ginv[g2]][kg]
+        for gc, g2, h in walk[k]:
             num = num * mk[gc] % ell
             den = den * mt[g2][h] % ell
             dprod = dprod * dets[h] % ell

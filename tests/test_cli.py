@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from epsilon_lab import cli as cli_mod
+from epsilon_lab import coeff as coeff_mod
 from epsilon_lab import epsilon as epsilon_mod
 from epsilon_lab.cli import main
 
@@ -586,3 +587,29 @@ def test_past_the_field_cap_is_refused_before_any_arithmetic(tmp_path, command, 
     report = json.loads(done.stdout)
     assert done.returncode == 4 and not report["ok"]
     assert "exceeds cap %d" % report["caps"]["field"] in report["error"]
+
+
+GAUSS = ["gauss", "--p", "3", "--q", "3", "--c", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (GAUSS + ["--ell", str(BIG_P)], coeff_mod.ELL_CAP),
+        (GAUSS + ["--orders", str(10 ** 21 + 1)], coeff_mod.FIELD_CAP - 1),
+        (["twisted-check", "--ell", str(BIG_P)], coeff_mod.ELL_CAP),
+        (["twisted-check", "--orders", str(10 ** 21 + 1)], coeff_mod.FIELD_CAP - 1),
+    ],
+    ids=["gauss-ell", "gauss-orders", "twisted-ell", "twisted-orders"],
+)
+def test_coefficient_prime_past_its_cap_is_refused_before_any_primality_test(argv, limit):
+    # a pinned prime of 2^61 - 1, or a character order whose smallest
+    # admissible prime is that large, was trial-divided until killed
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "epsilon_lab.cli"] + argv, capture_output=True, text=True, env=env, timeout=5
+    )
+    report = json.loads(done.stdout)
+    assert done.returncode == 4 and not report["ok"]
+    assert str(limit) in report["error"]

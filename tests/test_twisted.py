@@ -485,26 +485,67 @@ def test_cosets_are_decomposed_once_per_group(monkeypatch):
     mid = max((s for s in subs if len(s) == 6), key=sorted)
     inner = next(s for s in subs if len(s) == 2 and set(s) <= set(mid))
     whole = tuple(s4.elements())
-    calls = []
-    decompose = twisted._cosets
+    pairs = {(mid, inner), (whole, mid), (whole, inner)}
+    calls = {"_cosets": [], "_walk": [], "_signature": []}
 
-    def counted(group, members, sub, order=None):
-        calls.append((members, sub, order))
-        return decompose(group, members, sub, order)
+    def counting(name):
+        real = getattr(twisted, name)
 
-    monkeypatch.setattr(twisted, "_cosets", counted)
+        def counted(group, members, *rest):
+            calls[name].append((members,) + rest)
+            return real(group, members, *rest)
+
+        monkeypatch.setattr(twisted, name, counted)
+
+    for name in calls:
+        counting(name)
+
+    def kept(name):
+        """The pairs whose memo record a _walk or _signature call read, one
+        entry per call; a record of an explicit order is in no memo."""
+        return [
+            key
+            for _members, _reps, coset_of in calls[name]
+            for key in pairs
+            if s4.memo[key]["cosets"][1] is coset_of
+        ]
+
     assert check_ver_identities(s4, mid, inner, C73, seed=3)["ok"]
-    default = [(members, sub) for members, sub, order in calls if order is None]
-    # every default-order pair is decomposed once and kept; the one
-    # shuffled order (representative independence) is decomposed apart
+    default = [(members, sub) for members, sub, *order in calls["_cosets"] if not order]
+    # every default-order pair is decomposed, walked and signed once and
+    # kept; the one shuffled order (representative independence) is
+    # decomposed and walked apart, and needs no signature
     assert sorted(default) == sorted(set(default))
-    assert set(default) == set(s4.memo) == {(mid, inner), (whole, mid), (whole, inner)}
-    assert len(calls) == len(default) + 1
+    assert set(default) == pairs
+    assert len(calls["_cosets"]) == len(default) + 1
+    assert sorted(kept("_walk")) == sorted(pairs) and len(calls["_walk"]) == len(pairs) + 1
+    assert sorted(kept("_signature")) == sorted(pairs) and len(calls["_signature"]) == len(pairs)
+    # the memo holds one record per pair and one is_subgroup verdict per member tuple
+    assert {key for key in s4.memo if isinstance(key[0], tuple)} == pairs
+    assert {key: v for key, v in s4.memo.items() if not isinstance(key[0], tuple)} == {
+        mid: True,
+        inner: True,
+        whole: True,
+    }
+    assert all(set(s4.memo[key]) == {"cosets", "walk", "sign"} for key in pairs)
+    before = dict(s4.memo)
+
     shuffled = list(whole)
     random.Random(3).shuffle(shuffled)
     chi = lam_char(s4, inner, unit_cochain(s4, random.Random(4)))
     verlagerung(chi, order=shuffled)
-    assert len(s4.memo) == 3 and len(calls) == len(default) + 2
+    assert delta_char(s4, inner, order=shuffled) == delta_char(s4, inner)
+    assert s4.memo == before
+    assert len(calls["_cosets"]) == len(default) + 3
+    assert len(calls["_walk"]) == len(pairs) + 2 and len(calls["_signature"]) == len(pairs) + 1
+
+    # a signature handed out is the caller's own: changing it leaves the memo as it was
+    signs = delta_char(s4, inner)
+    expected = dict(signs)
+    signs[next(iter(signs))] *= -1
+    signs.clear()
+    assert delta_char(s4, inner) == expected
+    assert len(calls["_signature"]) == len(pairs) + 1
     assert FiniteGroup.symmetric(4).memo == {}
 
 
@@ -593,3 +634,56 @@ def test_is_valid_rejects_one_wrong_entry(build, g, i, j):
     rep = build()
     assert rep.is_valid()
     assert not corrupted(rep, g, i, j).is_valid()
+
+
+def test_rank_one_check_matches_the_general_path():
+    """At rank 1 is_valid compares scalars; its verdict on each seeded
+    case equals the row-at-a-time verdict on diag(v, v) under the same
+    multiplier, for valid characters and for corrupted ones: one value
+    scaled, the multiplier squared or moved at one pair, and a domain that
+    is no subgroup."""
+    rng = random.Random(83)
+
+    def verdicts(group, dom, mult, vals):
+        one = TwistedRep(group, dom, mult, {h: [[vals[h]]] for h in dom}, check=False)
+        two = TwistedRep(group, dom, mult, {h: [[vals[h], 0], [0, vals[h]]] for h in dom}, check=False)
+        assert one.rank == 1 and two.rank == 2
+        return one.is_valid(), two.is_valid()
+
+    seen = set()
+    for group in (g for g in twisted._zoo() if g.n <= 12):
+        lam = unit_cochain(group, rng)
+        mu = d1(group, C73, lam)
+        for sub in group.subgroups():
+            vals = {h: lam[h] for h in sub}
+            assert verdicts(group, sub, mu, vals) == (True, True)
+            seen.add(True)
+
+            g = sub[rng.randrange(len(sub))]
+            scaled = dict(vals)
+            scaled[g] = vals[g] * rng.randrange(2, ELL) % ELL
+            one, two = verdicts(group, sub, mu, scaled)
+            assert one == two
+            seen.add(one)
+
+            one, two = verdicts(group, sub, mu ** 2, vals)
+            assert one == two
+            seen.add(one)
+
+            # one multiplier value moved, at any pair but the identity pair
+            if len(sub) > 1:
+                g, h = 0, 0
+                while g == h == 0:
+                    g, h = sub[rng.randrange(len(sub))], sub[rng.randrange(len(sub))]
+                table = [list(row) for row in mu.table]
+                table[g][h] = table[g][h] * rng.randrange(2, ELL) % ELL
+                one, two = verdicts(group, sub, Multiplier(group, C73, table), vals)
+                assert one == two
+                seen.add(one)
+
+            outside = [x for x in group.elements() if x not in sub]
+            if outside:
+                dom = tuple(sorted(sub + (outside[rng.randrange(len(outside))],)))
+                if group.closure(dom) != dom:
+                    assert verdicts(group, dom, mu, {h: lam[h] for h in dom}) == (False, False)
+    assert seen == {True, False}
