@@ -19,9 +19,13 @@ import math
 
 from .gf import FIELD_CAP, CapExceeded, FqElem, Unsupported, _is_prime, _prime_factors, check_cap, trace, dlog
 
-# Trial division decides a prime up to ELL_CAP at once; no coefficient prime
-# the library chooses comes near it.
-ELL_CAP = 1 << 32
+# coeff_setup refuses a character order past FIELD_CAP - 1, and p is below
+# FIELD_CAP, so one in-cap character has a step p*M below FIELD_CAP**2 (2^48).
+# ELL_CAP leaves 2^12 multiples of that step for the smallest prime 1 mod it
+# (for the 20000 largest primes p below FIELD_CAP, order p - 1 needs at most
+# 155).  A coefficient prime past it, chosen or pinned, would cost trial
+# division past 2^30 and is refused instead.
+ELL_CAP = FIELD_CAP * FIELD_CAP << 12
 
 
 class CoeffField:

@@ -40,9 +40,10 @@ __all__ = [
 class FiniteGroup:
     """Finite group given by its multiplication table on indices 0..n-1,
     with 0 the identity; the axioms are verified on construction.  memo
-    maps a member tuple to its is_subgroup verdict, and a pair (members,
-    sub) of member tuples to the record of its coset decomposition in the
-    default scan order (see _pair)."""
+    holds two maps: "subgroup" takes a sorted member tuple to its
+    is_subgroup verdict, and "pair" takes a pair (members, sub) of member
+    tuples to the record of its coset decomposition in the default scan
+    order (see _pair)."""
 
     __slots__ = ("table", "n", "inv", "memo")
 
@@ -68,7 +69,7 @@ class FiniteGroup:
                     inv[g] = h
                     break
         self.inv = tuple(inv)
-        self.memo = {}
+        self.memo = {"pair": {}, "subgroup": {}}
         t = self.table
         for a in range(n):
             ta = t[a]
@@ -110,12 +111,13 @@ class FiniteGroup:
         return sorted(found, key=lambda s: (len(s), s))
 
     def is_subgroup(self, members):
-        key = tuple(members)
-        found = self.memo.get(key)
+        ms = set(members)
+        key = tuple(sorted(ms))
+        verdicts = self.memo["subgroup"]
+        found = verdicts.get(key)
         if found is None:
-            ms = set(key)
             t = self.table
-            found = self.memo[key] = 0 in ms and all(
+            found = verdicts[key] = 0 in ms and all(
                 ms.issuperset(map(t[a].__getitem__, ms)) for a in ms
             )
         return found
@@ -421,15 +423,17 @@ def _pair(group, members, sub, order=None):
     """The record of the tuple members by sub: a dict whose "cosets" is the
     decomposition (reps, coset_of) of _cosets, to which the formula route
     adds the "walk" of _walk and delta_char the "sign" of _signature on
-    first use.  Kept in group.memo per (members, sub) for the default scan
-    order; an explicit order gets a fresh record that is never stored."""
+    first use.  Kept in group.memo["pair"] per (members, sub) for the
+    default scan order; an explicit order gets a fresh record that is never
+    stored."""
     sub = tuple(sorted(set(sub)))
     if order is not None:
         return {"cosets": _cosets(group, members, sub, order)}
+    records = group.memo["pair"]
     key = (members, sub)
-    found = group.memo.get(key)
+    found = records.get(key)
     if found is None:
-        found = group.memo[key] = {"cosets": _cosets(group, members, sub)}
+        found = records[key] = {"cosets": _cosets(group, members, sub)}
     return found
 
 

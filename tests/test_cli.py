@@ -613,3 +613,12 @@ def test_coefficient_prime_past_its_cap_is_refused_before_any_primality_test(arg
     report = json.loads(done.stdout)
     assert done.returncode == 4 and not report["ok"]
     assert str(limit) in report["error"]
+
+
+def test_coefficient_prime_of_an_in_cap_field_is_not_refused(capsys):
+    # the default order q - 1 over F_65537 puts the smallest admissible
+    # prime past 2^32; one in-cap character's prime stays under ELL_CAP
+    code, report = run(capsys, ["gauss", "--p", "65537", "--q", "65537", "--c", "1"])
+    assert code == 0 and report["ok"]
+    assert 1 << 32 < report["ell"] < coeff_mod.ELL_CAP
+    assert abs(report["complex"]["abs"] ** 2 - 65537) < 1e-3

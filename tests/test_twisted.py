@@ -480,7 +480,7 @@ def test_representative_independence():
 
 def test_cosets_are_decomposed_once_per_group(monkeypatch):
     s4 = FiniteGroup.symmetric(4)
-    assert s4.memo == {}
+    assert s4.memo == {"pair": {}, "subgroup": {}}
     subs = s4.subgroups()
     mid = max((s for s in subs if len(s) == 6), key=sorted)
     inner = next(s for s in subs if len(s) == 2 and set(s) <= set(mid))
@@ -507,7 +507,7 @@ def test_cosets_are_decomposed_once_per_group(monkeypatch):
             key
             for _members, _reps, coset_of in calls[name]
             for key in pairs
-            if s4.memo[key]["cosets"][1] is coset_of
+            if s4.memo["pair"][key]["cosets"][1] is coset_of
         ]
 
     assert check_ver_identities(s4, mid, inner, C73, seed=3)["ok"]
@@ -520,15 +520,16 @@ def test_cosets_are_decomposed_once_per_group(monkeypatch):
     assert len(calls["_cosets"]) == len(default) + 1
     assert sorted(kept("_walk")) == sorted(pairs) and len(calls["_walk"]) == len(pairs) + 1
     assert sorted(kept("_signature")) == sorted(pairs) and len(calls["_signature"]) == len(pairs)
-    # the memo holds one record per pair and one is_subgroup verdict per member tuple
-    assert {key for key in s4.memo if isinstance(key[0], tuple)} == pairs
-    assert {key: v for key, v in s4.memo.items() if not isinstance(key[0], tuple)} == {
-        mid: True,
-        inner: True,
-        whole: True,
-    }
-    assert all(set(s4.memo[key]) == {"cosets", "walk", "sign"} for key in pairs)
-    before = dict(s4.memo)
+    # the memo holds one record per pair and one is_subgroup verdict per
+    # member set, each map under its own key
+    assert set(s4.memo) == {"pair", "subgroup"}
+    assert set(s4.memo["pair"]) == pairs
+    assert s4.memo["subgroup"] == {mid: True, inner: True, whole: True}
+    assert all(set(s4.memo["pair"][key]) == {"cosets", "walk", "sign"} for key in pairs)
+    # one member set given in another order, or with a repeat, reuses its verdict
+    assert s4.is_subgroup(tuple(reversed(mid)) + (0,))
+    assert s4.memo["subgroup"] == {mid: True, inner: True, whole: True}
+    before = {name: dict(kept) for name, kept in s4.memo.items()}
 
     shuffled = list(whole)
     random.Random(3).shuffle(shuffled)
@@ -546,7 +547,7 @@ def test_cosets_are_decomposed_once_per_group(monkeypatch):
     signs.clear()
     assert delta_char(s4, inner) == expected
     assert len(calls["_signature"]) == len(pairs) + 1
-    assert FiniteGroup.symmetric(4).memo == {}
+    assert FiniteGroup.symmetric(4).memo == {"pair": {}, "subgroup": {}}
 
 
 def test_char_rep_rejects_wrong_multiplier_power():
