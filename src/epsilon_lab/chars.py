@@ -28,7 +28,7 @@ and live with them in the tests.
 from __future__ import annotations
 
 from .gf import Unsupported, _digits, frobenius
-from .localfield import LaurentSeries, PrecisionError, dlog, residue
+from .localfield import LaurentSeries, PrecisionError, dlog, residue, series_bound
 
 ORACLE_CAP = 1 << 16
 REDUCE_CAP = 64
@@ -172,9 +172,8 @@ class LocalCharacter:
         wild = obj.get("wild_h") or {"v": 0, "coeffs": []}
         if not isinstance(wild, dict):
             raise Unsupported("wild_h must be a JSON object with v and coeffs", field="wild_h")
-        if type(wild["v"]) is not int:
-            raise Unsupported("wild_h.v must be an integer", field="v")
-        h = LaurentSeries.make(field, wild["v"], field.json_elems(wild["coeffs"], "coeffs"), 1)
+        v = series_bound(wild, "v", "wild_h.v")
+        h = LaurentSeries.make(field, v, field.json_elems(wild["coeffs"], "coeffs"), 1)
         return cls(field, coeff, coeff.elem(obj["c_pi"]), obj["tame_e"], h)
 
 

@@ -181,7 +181,7 @@ def cmd_eps_local(args):
     kind = _KINDS.get(args.kind)
     if kind is None:
         raise Unsupported("kind must be one of %s" % sorted(_KINDS), field="kind")
-    charobj = obj.get("char") or {}
+    charobj = obj.get("char", {})
     _need(isinstance(charobj, dict), "char", "a JSON object")
     charfield = _field_record(charobj.get("field") or {}, "field")
     fallback_p, fallback_n = charfield.get("p", 3), charfield.get("n", 1)

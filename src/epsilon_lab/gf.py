@@ -140,6 +140,16 @@ def check_cap(p, n):
         raise CapExceeded("field size %d exceeds cap %d" % (p ** n, FIELD_CAP))
 
 
+def _check_size(p, n):
+    """Refuse an n that is no positive integer, then F_{p^n} past the cap,
+    then a p that is not prime: before any field is scanned or built."""
+    if type(n) is not int or n < 1:
+        raise Unsupported("n must be a positive integer, got %r" % (n,), field="n")
+    check_cap(p, n)
+    if not _is_prime(p):
+        raise Unsupported("p must be prime, got %r" % (p,), field="p")
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -172,11 +182,7 @@ class FieldDesc:
     __slots__ = ("p", "n", "modulus", "generator", "rows", "_hash")
 
     def __init__(self, p, n, modulus, generator):
-        if type(n) is not int or n < 1:
-            raise Unsupported("n must be a positive integer, got %r" % (n,), field="n")
-        check_cap(p, n)
-        if not _is_prime(p):
-            raise Unsupported("p must be prime, got %r" % (p,), field="p")
+        _check_size(p, n)
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != n + 1 or modulus[-1] != 1:
             raise Unsupported("modulus must be monic of degree n", field="modulus")
@@ -513,12 +519,10 @@ def fq_build(p, n):
     division finds irreducible; the generator is the first element of full
     order in the scan of integer encodings 1, 2, ...
     """
-    if type(n) is not int or n < 1:
-        raise Unsupported("n must be a positive integer, got %r" % (n,), field="n")
     # 3.0 and True hash like 3: they skip the cache and fail below
-    if type(p) is int and (p, n) in _FIELD_CACHE:
+    if type(p) is int and type(n) is int and (p, n) in _FIELD_CACHE:
         return _FIELD_CACHE[(p, n)]
-    check_cap(p, n)
+    _check_size(p, n)
     for k in range(p ** n):
         modulus = _digits(k, p, n) + [1]
         if _is_irreducible(modulus, p):

@@ -33,8 +33,26 @@ from __future__ import annotations
 from .gf import FieldDesc, FqElem, Unsupported, _digits, first_root, int_ops, residue_field
 
 
+# A series read from JSON has its v and prec within SERIES_CAP of 0.  The
+# window and the long divisions over it stay small, and no swan the unit
+# sum can reach under its cap comes near the bound.
+SERIES_CAP = 1 << 10
+
+
 class PrecisionError(ValueError):
     """A coefficient outside the known window was requested."""
+
+
+def series_bound(obj, key, name):
+    """obj[key], a series' v or prec read from JSON, as an int within
+    SERIES_CAP of 0; else Unsupported naming key."""
+    value = obj[key]
+    # JSON true is no integer here, though Python takes it for 1
+    if type(value) is not int:
+        raise Unsupported("%s must be an integer" % name, field=key)
+    if abs(value) > SERIES_CAP:
+        raise Unsupported("%s must lie within %d of 0, got %d" % (name, SERIES_CAP, value), field=key)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +238,8 @@ class LaurentSeries:
     @classmethod
     def from_json(cls, obj):
         field = FieldDesc.from_json(obj["field"])
-        for key in ("v", "prec"):
-            # JSON true is no integer here, though Python takes it for 1
-            if type(obj[key]) is not int:
-                raise Unsupported("%s must be an integer" % key, field=key)
-        return cls.make(field, obj["v"], field.json_elems(obj["coeffs"], "coeffs"), obj["prec"])
+        v, prec = series_bound(obj, "v", "v"), series_bound(obj, "prec", "prec")
+        return cls.make(field, v, field.json_elems(obj["coeffs"], "coeffs"), prec)
 
     def __repr__(self):
         if not self.coeffs:

@@ -574,9 +574,8 @@ def check_ver_identities(group, mid, sub, coeff, seed=0):
 
     Checks, with a seeded random unit scalar twist: agreement of the two
     transfer routes at both stages, transfer through the chain equals the
-    one-step transfer, the corresponding signature composition, transfer
-    multiplicativity on products of scalar characters, and independence of
-    the choice of coset representatives.
+    one-step transfer, the corresponding signature composition, and
+    independence of the choice of coset representatives.
     """
     rng = random.Random(seed)
     mid = tuple(sorted(set(mid)))
@@ -614,25 +613,11 @@ def check_ver_identities(group, mid, sub, coeff, seed=0):
         for g in group.elements()
     )
 
-    lam2 = [1] + [rng.randrange(1, coeff.ell) for _ in range(group.n - 1)]
-    mu2 = d1(group, coeff, lam2)
-    chi2 = char_rep(group, sub, mu2, {h: lam2[h] for h in sub})
-    both = char_rep(
-        group,
-        sub,
-        mu * mu2,
-        {h: lam[h] * lam2[h] % coeff.ell for h in sub},
-    )
-    v2 = verlagerung(chi2, route="formula")
-    v12 = verlagerung(both, route="formula")
-    multiplicative = all(v12[g] == direct[g] * v2[g] for g in group.elements())
-
     report = {
         "routes_agree_inner": routes_sub == routes_sub_det,
         "routes_agree_outer": direct == direct_det,
         "composition": via_mid == direct,
         "delta_composition": delta_comp,
-        "multiplicative": multiplicative,
         "representative_independent": direct_other == direct,
         "indices": (index_top, index_mid),
     }
@@ -655,8 +640,8 @@ def run_twisted_suite(coeff, seed=0, min_randomized=100):
 
     Each case checks both transfer routes against each other, the
     determinant-character collapse of the transfer, the chain and
-    signature compositions, multiplicativity, and representative
-    independence; cocycle coboundary facts are asserted along the way.
+    signature compositions, and representative independence; cocycle
+    coboundary facts are asserted along the way.
     """
     rng = random.Random(seed)
     failures = []
@@ -672,9 +657,8 @@ def run_twisted_suite(coeff, seed=0, min_randomized=100):
         base = TwistedRep.regular(group, sub, coeff)
         rep = base.twist(lam)
         lhs = verlagerung(rep, route="det")
-        mid = verlagerung(rep, route="formula")
         rhs = verlagerung(rep.det_char(), route="formula")
-        if not (lhs == rhs and mid == rhs):
+        if lhs != rhs:
             failures.append("determinant collapse failed: %s" % tag)
         counts["det_collapse"] += 1
 

@@ -15,6 +15,7 @@ from epsilon_lab import cli as cli_mod
 from epsilon_lab import coeff as coeff_mod
 from epsilon_lab import epsilon as epsilon_mod
 from epsilon_lab.cli import main
+from epsilon_lab.localfield import SERIES_CAP
 
 DATA = resources.files("epsilon_lab").joinpath("data")
 
@@ -454,13 +455,15 @@ def _edited(data, path, bad):
         ("eps-local", "char_quadratic.json", ("char", "field", "n"), 0, "n"),
         ("eps-global", "product_spec.json", ("punctures", 0, "minpoly"), [1], "minpoly"),
         ("eps-global", "product_spec.json", ("punctures", 0, "minpoly"), [], "minpoly"),
+        ("eps-global", "product_spec.json", ("p",), 0, "p"),
+        ("eps-global", "product_spec.json", ("p",), -3, "p"),
     ],
-    ids=["spec-n-zero", "spec-n-negative", "char-n-zero", "minpoly-constant", "minpoly-empty"],
+    ids=["spec-n-zero", "spec-n-negative", "char-n-zero", "minpoly-constant", "minpoly-empty", "spec-p-zero", "spec-p-negative"],
 )
 def test_bad_degree_names_its_input(capsys, tmp_path, command, data, path, bad, field):
     # a field degree below 1 failed inside the modulus scan, on the float
-    # p ** n or in FieldDesc, and a constant minpoly with a plain
-    # ValueError: none of them named its input
+    # p ** n or in FieldDesc, a p below 2 in the same scan, and a constant
+    # minpoly with a plain ValueError: none of them named its input
     inp = tmp_path / "input.json"
     inp.write_text(json.dumps(_edited(data, path, bad)))
     code, report = run(capsys, [command, "--char" if command == "eps-local" else "--spec", str(inp)])
@@ -544,12 +547,19 @@ def test_json_out_is_opened_before_the_command_runs(capsys, tmp_path):
         ("eps-local", "--char", "char_quadratic.json", ("char", "wild_h", "coeffs"), 5, "coeffs"),
         ("eps-local", "--form", "form_dlog.json", ("field",), 5, "field"),
         ("eps-local", "--form", "form_dlog.json", ("coeffs",), 3, "coeffs"),
+        ("eps-local", "--char", "char_quadratic.json", ("char",), 0, "char"),
+        ("eps-local", "--char", "char_quadratic.json", ("char",), False, "char"),
+        ("eps-local", "--char", "char_quadratic.json", ("char",), "", "char"),
     ],
-    ids=["spec-punctures", "point-minpoly", "wild-num", "omega-num", "char-wild_h", "wild_h-coeffs", "form-field", "form-coeffs"],
+    ids=[
+        "spec-punctures", "point-minpoly", "wild-num", "omega-num", "char-wild_h", "wild_h-coeffs", "form-field",
+        "form-coeffs", "char-zero", "char-false", "char-empty-string",
+    ],
 )
 def test_shape_error_names_its_input(capsys, tmp_path, command, flag, data, path, bad, field):
     # a number where a list or an object belongs was iterated or indexed
-    # and failed with a bare TypeError that named no input
+    # and failed with a bare TypeError that named no input; a falsy char
+    # was first read as a missing one
     inp = tmp_path / "input.json"
     inp.write_text(json.dumps(_edited(data, path, bad)))
     code, report = run(capsys, [command, flag, str(inp)])
@@ -622,3 +632,29 @@ def test_coefficient_prime_of_an_in_cap_field_is_not_refused(capsys):
     assert code == 0 and report["ok"]
     assert 1 << 32 < report["ell"] < coeff_mod.ELL_CAP
     assert abs(report["complex"]["abs"] ** 2 - 65537) < 1e-3
+
+
+@pytest.mark.parametrize(
+    "flag, data, path, bad, field",
+    [
+        ("--form", "form_dlog.json", ("v",), -(10 ** 30), "v"),
+        ("--form", "form_dlog.json", ("prec",), 10 ** 30, "prec"),
+        ("--form", "form_dlog.json", ("v",), -SERIES_CAP - 1, "v"),
+        ("--char", "char_quadratic.json", ("char", "wild_h"), {"v": -(10 ** 30), "coeffs": [[1]]}, "v"),
+    ],
+    ids=["form-v-huge", "form-prec-huge", "form-v-past-the-bound", "wild_h-v-huge"],
+)
+def test_series_window_past_its_bound_is_refused(capsys, tmp_path, flag, data, path, bad, field):
+    # the zero padding of a window with v = -10**30 raised OverflowError
+    inp = tmp_path / "input.json"
+    inp.write_text(json.dumps(_edited(data, path, bad)))
+    code, report = run(capsys, ["eps-local", flag, str(inp)])
+    assert code == 3 and report["field"] == field and not report["ok"]
+    assert str(SERIES_CAP) in report["error"]
+
+
+def test_series_window_at_its_bound_is_read(capsys, tmp_path):
+    inp = tmp_path / "form.json"
+    inp.write_text(json.dumps(_edited("form_dlog.json", ("v",), -SERIES_CAP)))
+    code, report = run(capsys, ["eps-local", "--form", str(inp)])
+    assert code == 0 and report["ok"]

@@ -4,6 +4,7 @@ the global determinant, and transfer factors of small covers."""
 
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -714,6 +715,50 @@ def test_product_formula_bites_below_the_degree(monkeypatch):
     _drop_one_point(monkeypatch, 5)
     check = product_formula_check(baseline_spec(11), coeff, omega)
     assert check["degree"] == 11 and not check["ok"]
+
+
+BUNDLED = resources.files("epsilon_lab").joinpath("data")
+F9_SPEC = Path(__file__).parent / "data" / "f9_spec.json"
+
+
+def _product_check_input(path):
+    """The spec at path, the bundled form on its base, and the coefficient
+    field of its residue fields."""
+    spec = SheafSpec.from_json(json.loads(path.read_text()))
+    omega = RationalFunction.from_json(spec.base, json.loads((BUNDLED / "product_omega.json").read_text()))
+    q = spec.base.q
+    orders = sorted({q - 1} | {q ** pt.degree() - 1 for pt in spec.punctures})
+    return spec, omega, coeff_setup(spec.base.p, orders)
+
+
+def test_product_check_report_keys():
+    spec, omega, coeff = _product_check_input(BUNDLED / "product_spec.json")
+    report = product_formula_check(spec, coeff, omega)
+    assert set(report) == {"mode", "ok", "degree", "lhs", "rhs", "per_point", "ell"}
+
+
+@pytest.mark.parametrize("path", [BUNDLED / "product_spec.json", F9_SPEC], ids=["bundled", "f9"])
+def test_product_formula_bites_on_one_doubled_local_factor(monkeypatch, path):
+    # the local-side counterpart of test_product_formula_bites_below_the_degree:
+    # the first unit-sum factor of each run is doubled, every other
+    # factor and the determinant are left alone
+    spec, omega, first = _product_check_input(path)
+    coeffs = (first, second_ell(first))
+    assert all(product_formula_check(spec, coeff, omega)["ok"] for coeff in coeffs)
+    walk = epsilon_mod.eps_tate
+    for coeff in coeffs:
+        calls = []
+
+        def doubled(chi, form):
+            res = walk(chi, form)
+            calls.append(res)
+            if len(calls) == 1:
+                res.value = res.value + res.value
+            return res
+
+        monkeypatch.setattr(epsilon_mod, "eps_tate", doubled)
+        check = product_formula_check(spec, coeff, omega)
+        assert calls and not check["ok"] and check["lhs"] != check["rhs"]
 
 
 def test_verify_gos_exponential_and_quadratic():

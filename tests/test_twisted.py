@@ -411,6 +411,31 @@ def test_verlagerung_routes_agree():
         assert verlagerung(chi, route="formula") == verlagerung(chi, route="det")
 
 
+def test_transfer_is_multiplicative_on_the_det_route():
+    # the suite checks the transfer's routes against each other; this is
+    # the one check that the transfer is a homomorphism on characters
+    rng = random.Random(37)
+    s4, d6 = FiniteGroup.symmetric(4), FiniteGroup.dihedral(6)
+    s4_subs, d6_subs = s4.subgroups(), d6.subgroups()
+    cases = [
+        (s4, None, next(s for s in s4_subs if len(s) == 4)),
+        (s4, next(s for s in s4_subs if len(s) == 12), next(s for s in s4_subs if len(s) == 3)),
+        (d6, None, next(s for s in d6_subs if len(s) == 2)),
+        (d6, next(s for s in d6_subs if len(s) == 6), next(s for s in d6_subs if len(s) == 3)),
+    ]
+    for group, ambient, sub in cases:
+        assert ambient is None or set(sub) <= set(ambient)
+        lam, lam2 = unit_cochain(group, rng), unit_cochain(group, rng)
+        both = [a * b % ELL for a, b in zip(lam, lam2)]
+        ver = [
+            verlagerung(lam_char(group, sub, x), ambient=ambient, route="det")
+            for x in (lam, lam2, both)
+        ]
+        assert set(ver[2]) == set(ambient or group.elements())
+        for k in ver[2]:
+            assert ver[2][k] == ver[0][k] * ver[1][k]
+
+
 def test_verlagerung_cyclic_is_power_map():
     rng = random.Random(31)
     group = FiniteGroup.cyclic(12)
