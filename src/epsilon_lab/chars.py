@@ -13,7 +13,12 @@ wild_h is kept in a canonical reduced form: rewriting a pi**(-p*k) term
 with coefficient a into a pi**(-k) term with coefficient a**(1/p) never
 changes the character, and repeating until no exponent is divisible by p
 makes the representative unique.  The Swan conductor is then the pole
-order of the reduced datum.
+order of the reduced datum, and negating the datum, as the inverse
+character does, keeps it reduced.
+
+A character is evaluated on packed ints: the pairing Res(h dlog u) is the
+sum of h_k (dlog u)_(-1-k) over the poles k of h, and its trace is read
+through int_ops, on the field's tables up to TABLE_LINE.
 
 unit_keys lists the unit residues mod pi**nu as coefficient index tuples;
 the definitional unit sum walks them.  OracleCharacter, the brute-force
@@ -27,8 +32,8 @@ and live with them in the tests.
 
 from __future__ import annotations
 
-from .gf import Unsupported, _digits, frobenius
-from .localfield import LaurentSeries, PrecisionError, dlog, residue, series_bound
+from .gf import Unsupported, _digits, frobenius, int_ops
+from .localfield import LaurentSeries, PrecisionError, dlog, series_bound
 
 ORACLE_CAP = 1 << 16
 REDUCE_CAP = 64
@@ -118,19 +123,31 @@ class LocalCharacter:
             raise PrecisionError(
                 "character needs %d coefficients, series has %d" % (need, x.prec - v)
             )
-        u = x.unit_part()
+        # the unit part to need coefficients: (dlog u)_j, j < swan, reads no more
+        u = LaurentSeries.of(self.field, 0, x.coeffs, need)
         out = self.c_pi ** v * self.coeff.kummer_chi(self.tame_e, u.coeff(0))
-        if self.wild_h.coeffs:
-            pairing = residue(self.wild_h * dlog(u))
-            out = out * self.coeff.psi_trace(pairing)
+        h = self.wild_h
+        if h.coeffs:
+            ops = int_ops(self.field)
+            fma, d = ops.fma, dlog(u)
+            pairing = 0
+            for k, c in enumerate(h.coeffs, h.v):
+                if c:
+                    pairing = fma(c, d.at(-1 - k), pairing)
+            out = out * self.coeff.psi(ops.trace(pairing))
         return out
 
     # -- algebra -------------------------------------------------------------
 
     def inverse(self):
-        return LocalCharacter(
-            self.field, self.coeff, self.c_pi ** -1, -self.tame_e, -self.wild_h
-        )
+        """chi**-1: negating a reduced wild datum leaves it reduced, so it
+        is not reduced again."""
+        out = LocalCharacter.__new__(LocalCharacter)
+        out.field, out.coeff = self.field, self.coeff
+        out.c_pi = self.c_pi ** -1
+        out.tame_e = -self.tame_e % (self.field.q - 1)
+        out.wild_h = -self.wild_h
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, LocalCharacter):
@@ -169,7 +186,7 @@ class LocalCharacter:
         for key in ("c_pi", "tame_e"):
             if type(obj[key]) is not int:
                 raise Unsupported("%s must be an integer" % key, field=key)
-        wild = obj.get("wild_h") or {"v": 0, "coeffs": []}
+        wild = obj.get("wild_h", {"v": 0, "coeffs": []})
         if not isinstance(wild, dict):
             raise Unsupported("wild_h must be a JSON object with v and coeffs", field="wild_h")
         v = series_bound(wild, "v", "wild_h.v")

@@ -76,7 +76,7 @@ def _load_spec(path):
     optional coefficient settings; returns (spec, settings)."""
     obj = _load(path, "spec")
     if "spec" in obj:
-        return _sheaf(obj["spec"], "spec"), obj.get("coeff") or {}
+        return _sheaf(obj["spec"], "spec"), obj.get("coeff", {})
     return _sheaf(obj, "spec"), {}
 
 
@@ -183,12 +183,12 @@ def cmd_eps_local(args):
         raise Unsupported("kind must be one of %s" % sorted(_KINDS), field="kind")
     charobj = obj.get("char", {})
     _need(isinstance(charobj, dict), "char", "a JSON object")
-    charfield = _field_record(charobj.get("field") or {}, "field")
+    charfield = _field_record(charobj.get("field", {}), "field")
     fallback_p, fallback_n = charfield.get("p", 3), charfield.get("n", 1)
     # refused before the size p**n is formed
     _gf.check_cap(fallback_p, fallback_n)
     fallback_q = fallback_p ** fallback_n
-    coeff = _coeff_for(obj.get("coeff") or {}, fallback_p, [max(1, fallback_q - 1)], args.ell)
+    coeff = _coeff_for(obj.get("coeff", {}), fallback_p, [max(1, fallback_q - 1)], args.ell)
     if kind == "punctual":
         eigen = obj.get("eigenvalues")
         if not eigen:
@@ -266,7 +266,7 @@ def cmd_induction_check(args):
     point = Point.from_json(base, spec_obj["point"])
     pulled = _pullback(omega, cover)
     specs = [spec for pair in pairs for spec in pair]
-    coeff = _coeff_for(spec_obj.get("coeff") or {}, base.p, _spec_orders(first_local, [pulled]), args.ell, specs)
+    coeff = _coeff_for(spec_obj.get("coeff", {}), base.p, _spec_orders(first_local, [pulled]), args.ell, specs)
     body = transfer_constants(coeff, pairs, point, pulled)
     body["point"] = point.to_json()
     ok = body["all_equal"] and body["conductor_ok"]

@@ -42,7 +42,7 @@ from math import comb
 
 from .chars import LocalCharacter, as_reduce
 from .epsilon import eps_local
-from .gf import FIELD_CAP, CapExceeded, Unsupported, dlog, fq_build, int_ops, log_field, norm, residue_field
+from .gf import FIELD_CAP, TABLE_LINE, CapExceeded, Unsupported, dlog, fq_build, int_ops, log_field, norm, residue_field
 from .localfield import (
     LaurentSeries,
     Point,
@@ -160,9 +160,12 @@ class SheafSpec:
         """(residue field, tame exponent, reduced wild datum, Kummer key,
         additive key) of the data at a closed point, read once, with no
         coefficient field.  The Kummer key is the log mod q - 1 of the
-        powered sign-twisted leading symbols normed to the base; the wild
-        datum is the principal part of the additive datum's expansion, and
-        the additive key the absolute trace of its constant term."""
+        powered sign-twisted leading symbols normed to the base, which is
+        their log in the residue field, whose generator has the base
+        generator as its norm: a table read up to TABLE_LINE, and past it
+        the norm, so no table is built there.  The wild datum is the
+        principal part of the additive datum's expansion, and the additive
+        key the absolute trace of its constant term."""
         hit = self._local.get(point)
         if hit is not None:
             return hit
@@ -171,12 +174,16 @@ class SheafSpec:
         base = self.base
         big, emb, _alpha = point.residue_data()
         rel = (big.q - 1) // (base.q - 1)
+        # expand_at builds these tables below the line anyway
+        log = log_field(big).log if self.kummer and big.q <= TABLE_LINE else None
         tame = ke = pe = 0
         for g, e in self.kummer:
             gx = expand_at(g, point, 1)
-            v, lead = gx.v, gx.coeff(gx.v)
+            v, lead = gx.v, gx.at(gx.v)
+            if v % 2:
+                lead = int_ops(big).neg(lead)
             tame -= e * v * rel
-            ke += e * dlog(norm(-lead if v % 2 else lead, emb))
+            ke += e * (log[lead] if log is not None else dlog(norm(big.from_index(lead), emb)))
         wild_h = LaurentSeries.zero(big, 1)
         if self.wild is not None:
             # through the constant term, past the deepest pole there can be

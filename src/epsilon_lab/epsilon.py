@@ -33,7 +33,7 @@ and eps_local takes it by default once q**swan passes CLOSED_LINE.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mul
 
 from .gf import CapExceeded, log_field
 from .chars import unit_keys
@@ -158,16 +158,27 @@ def eps_tate_slow(chi, omega, c_unit=None):
 def _unit_rows(inv, nu, logs, psi_pow):
     """T[i - 1][f] = inv(1 + G**f pi**i), 0 < i < nu, by table reads.  On
     u = 1 + c pi**i the tame part is 1 and Res(h du/u), h the wild datum, is
-    the sum over t <= (nu - 1) / i of i (-1)**(t - 1) h_(-i t) c**t."""
-    exp, log, tr, m = logs.exp, logs.log, logs.trace, logs.order
+    the sum over t <= (nu - 1) / i of i (-1)**(t - 1) h_(-i t) c**t.
+
+    A term a G**(l + t f) reads the traces of G**l, G**(l + t), ..., one
+    strided slice of the traces of G**e laid out nu times over."""
+    log, tr, m = logs.log, logs.trace, logs.order
     h, p = inv.wild_h, inv.field.p
+    # t < nu, so l + t f < nu m for l < m and f < m
+    trexp = [tr[x] for x in logs.exp] * nu
+    # a row adds fewer than nu traces, each below p
+    psi_at = (psi_pow * nu).__getitem__
     T = []
     for i in range(1, nu):
         # log(h_(-i t)) plus the log of the prime field scalar, whose index
         # is its value
         a = [(t, log[h.at(-i * t)], log[i * (-1) ** (t - 1) % p]) for t in range(1, (nu - 1) // i + 1)]
-        a = [(t, (l + s) % m) for t, l, s in a if l >= 0 and s >= 0]
-        T.append([psi_pow[sum(tr[exp[(l + t * f) % m]] for t, l in a) % p] for f in range(m)])
+        acc = [0] * m
+        for t, l, s in a:
+            if l >= 0 and s >= 0:
+                l = (l + s) % m
+                acc = list(map(add, acc, trexp[l : l + t * m : t]))
+        T.append(list(map(psi_at, acc)))
     return T
 
 

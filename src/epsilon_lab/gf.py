@@ -34,7 +34,10 @@ modulus that each FieldDesc computes once.  It is the boundary type (JSON,
 the public API, single coefficients), it carries the seeds (generators,
 embeddings as F_p-combinations of cached root powers, the few products a
 table build needs), traces and Frobenius on single elements, and it is the
-oracle the tables are tested against.
+oracle the tables are tested against.  Character evaluation is no such
+single-element work: it reads the trace of its wild pairing through
+int_ops, and the Kummer key of a spec's local data is a log in the residue
+field, whose generator has the base generator as its norm.
 """
 
 from __future__ import annotations
@@ -175,11 +178,11 @@ class FieldDesc:
 
     modulus is a tuple of n + 1 ints (ascending powers, monic), generator a
     tuple of n ints giving the coefficient vector of a fixed multiplicative
-    generator.  rows are the reduction rows of the modulus (_reduction_rows)
-    and the hash is computed once.
+    generator.  q = p**n, the reduction rows of the modulus (_reduction_rows)
+    and the hash are computed once.
     """
 
-    __slots__ = ("p", "n", "modulus", "generator", "rows", "_hash")
+    __slots__ = ("p", "n", "q", "modulus", "generator", "rows", "_hash")
 
     def __init__(self, p, n, modulus, generator):
         _check_size(p, n)
@@ -188,16 +191,13 @@ class FieldDesc:
             raise Unsupported("modulus must be monic of degree n", field="modulus")
         self.p = p
         self.n = n
+        self.q = p ** n
         self.modulus = modulus
         self.generator = tuple(c % p for c in generator)
         if len(self.generator) != n:
             raise Unsupported("generator must have n coefficients", field="generator")
         self.rows = _reduction_rows(modulus, p)
         self._hash = hash((p, n, modulus, self.generator))
-
-    @property
-    def q(self):
-        return self.p ** self.n
 
     def elem(self, coeffs):
         if isinstance(coeffs, int):

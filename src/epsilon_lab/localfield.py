@@ -86,9 +86,12 @@ class LaurentSeries:
     def of(cls, field, v, coeffs, prec=None):
         """The series from packed indices, known to prec (default: as far
         as coeffs reach), leading zeros trimmed and the window padded with
-        known zeros."""
+        known zeros; a window that ends at or before v holds no
+        coefficient, so the series is zero to prec."""
         if prec is None:
             prec = v + len(coeffs)
+        if prec <= v:
+            return cls.zero(field, prec)
         coeffs = coeffs[: prec - v]
         lo = next((i for i, c in enumerate(coeffs) if c), None)
         if lo is None:
@@ -217,10 +220,6 @@ class LaurentSeries:
         lo = min(self.v if self.coeffs else prec, other.v if other.coeffs else prec)
         return self.field == other.field and all(self.at(k) == other.at(k) for k in range(lo, prec))
 
-    def unit_part(self):
-        """u with self = pi**v * u, u a unit."""
-        return self.shift(-self.valuation())
-
     def derivative(self):
         p, mul = self.field.p, int_ops(self.field).mul
         # k mod p is the packed index of the prime field element k
@@ -237,8 +236,12 @@ class LaurentSeries:
 
     @classmethod
     def from_json(cls, obj):
+        """The series a JSON record names; a window that ends before v
+        is refused, naming prec."""
         field = FieldDesc.from_json(obj["field"])
         v, prec = series_bound(obj, "v", "v"), series_bound(obj, "prec", "prec")
+        if prec < v:
+            raise Unsupported("prec must be at least v, got prec %d below v %d" % (prec, v), field="prec")
         return cls.make(field, v, field.json_elems(obj["coeffs"], "coeffs"), prec)
 
     def __repr__(self):

@@ -151,6 +151,53 @@ def test_eval_precision_guard():
         chi(series(F5, 0, [1, 1], 2))
 
 
+TABLE_FREE_FIELDS = [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (7, 2)]
+
+
+@pytest.mark.parametrize("p, n", TABLE_FREE_FIELDS)
+def test_eval_reads_the_same_values_without_tables(monkeypatch, p, n):
+    # the pairing and its trace go through int_ops: on the field's tables
+    # by default, through FqElem with the table-free IntOps
+    from epsilon_lab import chars, gf, localfield
+
+    field = fq_build(p, n)
+    coeff = coeff_setup(p, [field.q - 1])
+    rng = random.Random("table free %d %d" % (p, n))
+    cases = []
+    for _ in range(12):
+        chi = random_char(rng, field, coeff, max_swan=5)
+        cases.append((chi, random_nonzero_series(rng, field)))
+    want = [chi(x) for chi, x in cases]
+    assert any(chi.swan() for chi, _x in cases)
+    monkeypatch.setattr(chars, "int_ops", gf.IntOps)
+    monkeypatch.setattr(localfield, "int_ops", gf.IntOps)
+    assert [chi(x) for chi, x in cases] == want
+
+
+def test_inverse_keeps_the_reduced_datum():
+    rng = random.Random(33)
+    for field in (F3, F9, F5, F4):
+        coeff = COEFF_FOR[field.q]
+        p = field.p
+        for k in range(12):
+            chi = random_char(rng, field, coeff)
+            if k % 2:
+                # a datum given with poles at multiples of p, reduced on the way in
+                n = p * rng.randrange(1, 3) + rng.randrange(0, 2)
+                coeffs = [field.from_index(rng.randrange(1, field.q))]
+                coeffs += [field.from_index(rng.randrange(field.q)) for _ in range(n - 1)]
+                chi = LocalCharacter(field, coeff, chi.c_pi, chi.tame_e, LaurentSeries.make(field, -n, coeffs, 1))
+            inv = chi.inverse()
+            want = LocalCharacter(field, coeff, chi.c_pi ** -1, -chi.tame_e, -chi.wild_h)
+            assert inv == want
+            assert (inv.wild_h.v, inv.wild_h.prec, inv.wild_h.coeffs) == (
+                want.wild_h.v, want.wild_h.prec, want.wild_h.coeffs,
+            )
+            assert inv.swan() == chi.swan()
+            x = random_nonzero_series(rng, field, width=chi.swan() + 3)
+            assert chi(x) * inv(x) == coeff.one()
+
+
 def test_character_algebra():
     rng = random.Random(9)
     for field in (F3, F5, F9):
@@ -244,7 +291,7 @@ class OracleCharacter:
         v = x.valuation()
         if x.prec - v < self.nu:
             raise PrecisionError("oracle needs %d coefficients" % self.nu)
-        u = x.unit_part()
+        u = x.shift(-v)
         key = tuple(u.coeff(i).index() for i in range(self.nu))
         return self.c_pi ** v * self.table[key]
 

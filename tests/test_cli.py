@@ -550,10 +550,11 @@ def test_json_out_is_opened_before_the_command_runs(capsys, tmp_path):
         ("eps-local", "--char", "char_quadratic.json", ("char",), 0, "char"),
         ("eps-local", "--char", "char_quadratic.json", ("char",), False, "char"),
         ("eps-local", "--char", "char_quadratic.json", ("char",), "", "char"),
+        ("eps-local", "--form", "form_dlog.json", ("prec",), -2, "prec"),
     ],
     ids=[
         "spec-punctures", "point-minpoly", "wild-num", "omega-num", "char-wild_h", "wild_h-coeffs", "form-field",
-        "form-coeffs", "char-zero", "char-false", "char-empty-string",
+        "form-coeffs", "char-zero", "char-false", "char-empty-string", "form-prec-below-v",
     ],
 )
 def test_shape_error_names_its_input(capsys, tmp_path, command, flag, data, path, bad, field):
@@ -562,6 +563,32 @@ def test_shape_error_names_its_input(capsys, tmp_path, command, flag, data, path
     # was first read as a missing one
     inp = tmp_path / "input.json"
     inp.write_text(json.dumps(_edited(data, path, bad)))
+    code, report = run(capsys, [command, flag, str(inp)])
+    assert code == 3 and report.get("field") == field and not report["ok"]
+
+
+@pytest.mark.parametrize("bad", [0, False, "", [], None], ids=["zero", "false", "empty-string", "empty-list", "null"])
+@pytest.mark.parametrize(
+    "command, flag, data, path, field",
+    [
+        ("eps-local", "--char", "char_quadratic.json", ("coeff",), "coeff"),
+        ("eps-local", "--char", "char_quadratic.json", ("char", "wild_h"), "wild_h"),
+        ("eps-local", "--char", "char_quadratic.json", ("char", "field"), "field"),
+        ("product-check", "--spec", None, ("coeff",), "coeff"),
+        ("induction-check", "--spec", "induction_spec.json", ("coeff",), "coeff"),
+    ],
+    ids=["char-coeff", "wild_h", "char-field", "spec-wrapper-coeff", "induction-coeff"],
+)
+def test_falsy_record_is_refused_not_read_as_missing(capsys, tmp_path, command, flag, data, path, field, bad):
+    # a falsy record was read as a missing one and took the default: a
+    # "coeff": 0 ran under the default coefficient field, a "wild_h": 0
+    # made the character tame
+    if data is None:
+        obj = {"spec": json.loads((DATA / "product_spec.json").read_text()), "coeff": bad}
+    else:
+        obj = _edited(data, path, bad)
+    inp = tmp_path / "input.json"
+    inp.write_text(json.dumps(obj))
     code, report = run(capsys, [command, flag, str(inp)])
     assert code == 3 and report.get("field") == field and not report["ok"]
 

@@ -3,6 +3,7 @@ evaluation, determinant polynomials, the point by point factorization of
 the global determinant, and transfer factors of small covers."""
 
 import json
+import random
 from importlib import resources
 from pathlib import Path
 
@@ -24,11 +25,12 @@ from epsilon_lab.curve import (
     verify_gos,
 )
 from epsilon_lab.epsilon import eps_local, gamma_psi
-from epsilon_lab.gf import CapExceeded, Unsupported, fq_build, log_field, residue_field
+from epsilon_lab.gf import CapExceeded, Unsupported, dlog, fq_build, log_field, norm, residue_field
 from epsilon_lab.localfield import (
     Point,
     Poly,
     RationalFunction,
+    expand_at,
     expand_form_at,
 )
 from covers import induction_power_cover, induction_wild_cover
@@ -719,6 +721,8 @@ def test_product_formula_bites_below_the_degree(monkeypatch):
 
 BUNDLED = resources.files("epsilon_lab").joinpath("data")
 F9_SPEC = Path(__file__).parent / "data" / "f9_spec.json"
+INFINITY_SPEC = Path(__file__).parent / "data" / "infinity_spec.json"
+FORM_OMEGA = Path(__file__).parent / "data" / "form_omega.json"
 
 
 def _product_check_input(path):
@@ -846,6 +850,67 @@ def test_form_is_read_once_per_spec(monkeypatch):
     points = [Point.rational(F3, 0), Point.infinity(F3), Point(F3, Poly(F3, [1, 0, 1]))]
     assert len(expansions) == len(set(expansions)) == 3
     assert {pt for pt, _n in expansions} == set(points)
+
+
+def _kummer_key_by_norm(spec, point):
+    """The Kummer key of local_data by its definition: the log in the base
+    of the norm of each powered sign-twisted leading symbol."""
+    _big, emb, _alpha = point.residue_data()
+    key = 0
+    for g, e in spec.kummer:
+        gx = expand_at(g, point, 1)
+        lead = gx.coeff(gx.v)
+        key += e * dlog(norm(-lead if gx.v % 2 else lead, emb))
+    return key % (spec.base.q - 1)
+
+
+def _golden_specs_and_points():
+    """Each golden spec with its punctures and the zeros and poles of its
+    data and of the golden forms."""
+    induction = json.loads((BUNDLED / "induction_spec.json").read_text())
+    records = [json.loads(path.read_text()) for path in (BUNDLED / "product_spec.json", F9_SPEC, INFINITY_SPEC)]
+    records += [v[side] for v in induction["variants"] for side in ("global", "local")]
+    forms = [json.loads(path.read_text()) for path in (BUNDLED / "product_omega.json", FORM_OMEGA)]
+    for record in records:
+        spec = SheafSpec.from_json(record)
+        funcs = [g for g, _e in spec.kummer] + [spec.wild] * (spec.wild is not None)
+        funcs += [RationalFunction.from_json(spec.base, w) for w in forms]
+        points = list(spec.punctures)
+        for r in funcs:
+            points += [pt for pt, _m in divisor_points(r) if pt not in points]
+        yield spec, points
+
+
+def _seeded_specs_and_points():
+    """Specs whose Kummer data vanish at seeded points of degree 2 and 3,
+    with those points and a few lisse ones of the same degrees."""
+    rng = random.Random("kummer keys")
+    for base in (F3, F4, F5):
+        degree_points = {d: list(monic_irreducibles(base, d)) for d in (2, 3)}
+        zeros = [rng.choice(degree_points[d]) for d in (2, 3)]
+        kummer = [
+            (RationalFunction(zeros[0], Poly(base, [1])), rng.randrange(1, 5)),
+            (RationalFunction(Poly(base, [base.from_index(rng.randrange(1, base.q))]), zeros[1]), rng.randrange(1, 5)),
+        ]
+        punctures = [Point(base, f) for f in zeros] + [Point.infinity(base)]
+        spec = SheafSpec(base, kummer=kummer, punctures=punctures)
+        lisse = [Point(base, f) for d in (2, 3) for f in rng.sample(degree_points[d], 3) if f not in zeros]
+        yield spec, punctures + lisse
+
+
+@pytest.mark.parametrize("line", ["tables", "norm"])
+def test_kummer_key_is_the_log_of_the_norm(monkeypatch, line):
+    # the residue field's generator has the base generator as its norm, so
+    # the key read off the residue field's log table is the log of the
+    # norm; with the table line at 1 every key takes the norm route
+    if line == "norm":
+        monkeypatch.setattr(curve_mod, "TABLE_LINE", 1)
+    degrees = set()
+    for spec, points in [*_golden_specs_and_points(), *_seeded_specs_and_points()]:
+        for pt in points:
+            assert spec.local_data(pt)[3] == _kummer_key_by_norm(spec, pt), (spec.base, pt)
+            degrees.add(pt.degree())
+    assert degrees >= {1, 2, 3}
 
 
 def test_local_character_matches_pointwise_trace_off_the_punctures():

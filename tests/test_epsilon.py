@@ -449,6 +449,33 @@ def test_unit_rows_match_character_calls(p, n):
     assert constant_levels > 0 or p == 7  # at p = 7 the largest swan here is 6
 
 
+def _rows_by_generator(inv, nu, logs, psi_pow):
+    """_unit_rows entry by entry: the residue formula summed by a generator
+    for each level i and each f."""
+    exp, log, tr, m = logs.exp, logs.log, logs.trace, logs.order
+    h, p = inv.wild_h, inv.field.p
+    T = []
+    for i in range(1, nu):
+        a = [(t, log[h.at(-i * t)], log[i * (-1) ** (t - 1) % p]) for t in range(1, (nu - 1) // i + 1)]
+        a = [(t, (l + s) % m) for t, l, s in a if l >= 0 and s >= 0]
+        T.append([psi_pow[sum(tr[exp[(l + t * f) % m]] for t, l in a) % p] for f in range(m)])
+    return T
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 3), (2, 5), (3, 1), (3, 3), (5, 2), (7, 1), (11, 1), (13, 2)])
+def test_unit_rows_match_the_residue_formula(p, n):
+    # the strided slices against the per-entry sum, swans to 11 and up to
+    # the walk's 2^10 table line
+    field = fq_build(p, n)
+    coeff = coeff_setup(p, [field.q - 1])
+    logs = log_field(field)
+    psi_pow = [coeff.psi(t).value for t in range(p)]
+    rng = random.Random("slices %d %d" % (p, n))
+    for swan in [s for s in range(1, 12) if s % p][:6]:
+        inv = random_char(rng, field, coeff, swan=swan).inverse()
+        assert _unit_rows(inv, swan + 1, logs, psi_pow) == _rows_by_generator(inv, swan + 1, logs, psi_pow), swan
+
+
 def test_eps_tate_makes_no_character_calls(monkeypatch):
     # the rows come from the tables: no series is evaluated per unit
     rng = random.Random(15)

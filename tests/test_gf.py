@@ -55,6 +55,13 @@ def test_trace_norm_examples():
     assert n == fq_build(3, 1).elem(2)
 
 
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 10), (3, 2), (5, 3), (7, 2), (2, 17)])
+def test_q_is_set_once(p, n):
+    field = fq_build(p, n)
+    assert field.q == p ** n
+    assert FieldDesc.from_json(field.to_json()).q == p ** n
+
+
 def test_cap_enforced():
     with pytest.raises(CapExceeded):
         fq_build(2, 30)

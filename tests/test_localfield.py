@@ -48,6 +48,20 @@ def test_make_trims_and_pads():
     assert s.coeffs == (1, 2, 0, 0)
 
 
+def test_a_window_ending_before_v_holds_no_coefficient():
+    # of once sliced the coefficients from the end and kept some past prec
+    for prec in (3, 5):
+        s = LaurentSeries.of(F3, 5, [1, 0, 0, 0], prec)
+        assert s.is_zero() and s.v == s.prec == prec
+        assert s == LaurentSeries.zero(F3, prec)
+    record = LaurentSeries.make(F3, 0, [1, 2], 2).to_json()
+    with pytest.raises(gf.Unsupported) as err:
+        LaurentSeries.from_json(dict(record, v=5, prec=3))
+    assert err.value.field == "prec"
+    # a window that ends at v is the zero series to that precision
+    assert LaurentSeries.from_json(dict(record, v=3, prec=3)) == LaurentSeries.zero(F3, 3)
+
+
 def test_simple_product():
     one_plus = LaurentSeries.make(F3, 0, [1, 1], 5)
     one_minus = LaurentSeries.make(F3, 0, [1, 2], 5)
