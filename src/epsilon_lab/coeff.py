@@ -169,9 +169,6 @@ class CoeffElem:
             return NotImplemented
         return self.value == other.value
 
-    def __hash__(self):
-        return hash((id(self.field), self.value))
-
     def is_zero(self):
         return self.value == 0
 

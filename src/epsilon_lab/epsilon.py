@@ -337,9 +337,10 @@ def eps_closed_form(chi, omega):
         raise ValueError("closed form needs a wild character")
     field, coeff = chi.field, chi.coeff
     w = omega.w
-    # h is exact: padded with known zeros, h' has w's window, so w / h'
-    # does too and chi reads it as far as w is known
-    H = (-chi.wild_h).pad(chi.wild_h.v + w.prec - w.v)
+    # chi reads n + 1 coefficients of w / h': h is exact, so padded with
+    # known zeros to n + 1 coefficients h' is known that far, and the
+    # division stops there; a w known less far is refused by chi
+    H = (-chi.wild_h).pad(chi.wild_h.v + n + 1)
     ratio = w / H.derivative()
     value = chi(ratio)
     vr = ratio.valuation()

@@ -390,9 +390,6 @@ class FqElem:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
     def is_zero(self):
         return not any(self.coeffs)
 

@@ -77,19 +77,17 @@ class LaurentSeries:
         self.coeffs = coeffs
 
     @classmethod
-    def make(cls, field, v, coeffs, prec=None):
+    def make(cls, field, v, coeffs, prec):
         """The series from coefficients given as elements, ints naming
         elements of the prime field, or coefficient lists."""
         return cls.of(field, v, [field.index_of(c) for c in coeffs], prec)
 
     @classmethod
-    def of(cls, field, v, coeffs, prec=None):
-        """The series from packed indices, known to prec (default: as far
-        as coeffs reach), leading zeros trimmed and the window padded with
-        known zeros; a window that ends at or before v holds no
-        coefficient, so the series is zero to prec."""
-        if prec is None:
-            prec = v + len(coeffs)
+    def of(cls, field, v, coeffs, prec):
+        """The series from packed indices, known to prec, leading zeros
+        trimmed and the window padded with known zeros; a window that ends
+        at or before v holds no coefficient, so the series is zero to
+        prec."""
         if prec <= v:
             return cls.zero(field, prec)
         coeffs = coeffs[: prec - v]
@@ -310,10 +308,6 @@ class Poly:
         out = cls.__new__(cls)
         out.field, out.coeffs = field, _trimmed(list(coeffs))
         return out
-
-    @classmethod
-    def x(cls, field):
-        return cls.of(field, [0, 1])
 
     @classmethod
     def const(cls, field, c):

@@ -10,12 +10,11 @@ higher rank a row at a time.  They induce from subgroups by a block
 construction with explicit multiplier corrections, and the determinant of
 an induced representation splits into the signature of the coset
 permutation action and a transfer of the determinant character, computable
-independently by a coset walk; the determinant route composes each value
-as one integer.  A group keeps one record per (ambient, subgroup) pair
-decomposed in the default scan order, holding the decomposition, its coset
-walk and its signature, so each is made once, and it keeps its is_subgroup
-verdicts.  Every map here is finite and exact over a prime coefficient
-field.
+independently by a coset walk.  Every value is an int mod ell, the prime
+of the coefficient field.  A group keeps one record per (ambient,
+subgroup) pair, holding the decomposition in ascending scan order, its
+coset walk and its signature, all made together on first use, and it
+keeps its is_subgroup verdicts.  Every map here is finite and exact.
 """
 
 import itertools
@@ -42,8 +41,7 @@ class FiniteGroup:
     with 0 the identity; the axioms are verified on construction.  memo
     holds two maps: "subgroup" takes a sorted member tuple to its
     is_subgroup verdict, and "pair" takes a pair (members, sub) of member
-    tuples to the record of its coset decomposition in the default scan
-    order (see _pair)."""
+    tuples to its coset record (reps, coset_of, walk, sign) (see _pair)."""
 
     __slots__ = ("table", "n", "inv", "memo")
 
@@ -258,7 +256,7 @@ def d1(group, coeff, lam):
 
     lam is indexed by group element and must take 1 at the identity."""
     ell = coeff.ell
-    vals = [int(getattr(lam[g], "value", lam[g])) % ell for g in range(group.n)]
+    vals = [lam[g] % ell for g in range(group.n)]
     if vals[0] != 1:
         raise ValueError("scalar function must take 1 at the identity")
     if any(v == 0 for v in vals):
@@ -365,12 +363,9 @@ class TwistedRep:
     def twist(self, lam):
         """Scale by a unit scalar function; shifts the multiplier by its
         coboundary."""
-        coeff = self.mult.coeff
-        mats = {}
-        for h, m in self.mats.items():
-            c = coeff.elem(lam[h]).value
-            mats[h] = [[c * v for v in row] for row in m]
-        return TwistedRep(self.group, self.sub, self.mult * d1(self.group, coeff, lam), mats)
+        # TwistedRep reduces every entry mod ell
+        mats = {h: [[lam[h] * v for v in row] for row in m] for h, m in self.mats.items()}
+        return TwistedRep(self.group, self.sub, self.mult * d1(self.group, self.mult.coeff, lam), mats)
 
     @classmethod
     def regular(cls, group, sub, coeff):
@@ -389,7 +384,7 @@ class TwistedRep:
 
 def char_rep(group, sub, mult, values):
     """Rank-1 twisted representation from a scalar map on the subgroup."""
-    mats = {h: [[getattr(values[h], "value", values[h])]] for h in sub}
+    mats = {h: [[values[h]]] for h in sub}
     return TwistedRep(group, sub, mult, mats)
 
 
@@ -419,21 +414,24 @@ def _cosets(group, members, sub, order=None):
     return reps, coset_of
 
 
-def _pair(group, members, sub, order=None):
-    """The record of the tuple members by sub: a dict whose "cosets" is the
-    decomposition (reps, coset_of) of _cosets, to which the formula route
-    adds the "walk" of _walk and delta_char the "sign" of _signature on
-    first use.  Kept in group.memo["pair"] per (members, sub) for the
-    default scan order; an explicit order gets a fresh record that is never
-    stored."""
+def _pair(group, members, sub):
+    """The record (reps, coset_of, walk, sign) of the tuple members by sub:
+    the decomposition of _cosets in ascending scan order, the walk of _walk
+    that the formula route reads, and the signature of _signature that the
+    det route and delta_char read.  Built in full on first use and kept in
+    group.memo["pair"] per (members, sub)."""
     sub = tuple(sorted(set(sub)))
-    if order is not None:
-        return {"cosets": _cosets(group, members, sub, order)}
     records = group.memo["pair"]
     key = (members, sub)
     found = records.get(key)
     if found is None:
-        found = records[key] = {"cosets": _cosets(group, members, sub)}
+        reps, coset_of = _cosets(group, members, sub)
+        found = records[key] = (
+            reps,
+            coset_of,
+            _walk(group, members, reps, coset_of),
+            _signature(group, members, reps, coset_of),
+        )
     return found
 
 
@@ -459,7 +457,7 @@ def _signature(group, members, reps, coset_of):
     return {k: _perm_sign([coset_of[t[k][gc]] for gc in reps]) for k in members}
 
 
-def induce(rep, ambient=None, order=None):
+def induce(rep, ambient=None):
     """Induced twisted representation on the ambient subgroup (default the
     full group): one block row and column per coset of the domain, the
     block at (target coset, source coset) of k carrying
@@ -472,7 +470,7 @@ def induce(rep, ambient=None, order=None):
         raise ValueError("ambient must be a subgroup")
     if not set(members).issuperset(sub):
         raise ValueError("domain must sit inside the ambient subgroup")
-    reps, coset_of = _pair(group, members, sub, order)["cosets"]
+    reps, coset_of = _pair(group, members, sub)[:2]
     idx = len(reps)
     r = rep.rank
     size = r * idx
@@ -513,60 +511,58 @@ def _perm_sign(p):
     return sign
 
 
-def delta_char(group, sub, ambient=None, order=None):
+def delta_char(group, sub, ambient=None):
     """Signature of the permutation action on the cosets of the subgroup,
     as a map from the ambient subgroup to {1, -1}: a fresh dict, so the
     record it is read from cannot be changed through it."""
     members = tuple(group.elements()) if ambient is None else tuple(sorted(set(ambient)))
-    record = _pair(group, members, sub, order)
-    sign = record.get("sign")
-    if sign is None:
-        sign = record["sign"] = _signature(group, members, *record["cosets"])
-    return dict(sign)
+    return dict(_pair(group, members, sub)[3])
 
 
-def verlagerung(rep, ambient=None, order=None, route="formula"):
-    """Transfer of the determinant of a twisted subgroup representation to
-    the ambient subgroup, as a map to units.
-
-    The formula route reads the coset walk of the domain: the value at k is
-    the product over cosets of mu(k, g_c)^rank mu(g_target, h_c)^{-rank}
-    det rho(h_c), where a rank-1 det rho(h) is its one entry.  The det
-    route forms the induced representation, takes determinants, and
-    strips the rank-th power of the coset signature, a sign, so the value
-    is det * delta^rank.  Both routes agree; they are kept separate so
-    each can audit the other, and share only the coset decomposition.
-    """
-    group, sub, mult = rep.group, rep.sub, rep.mult
-    coeff = mult.coeff
-    ell = coeff.ell
-    rk = rep.rank
-    members = tuple(group.elements()) if ambient is None else tuple(sorted(set(ambient)))
-    if route == "det":
-        ind = induce(rep, members, order)
-        delta = delta_char(group, sub, members, order)
-        return {k: coeff.elem(det(ind.mats[k], ell) * delta[k] ** rk) for k in members}
-    if route != "formula":
-        raise ValueError("route must be 'formula' or 'det'")
-    record = _pair(group, members, sub, order)
-    walk = record.get("walk")
-    if walk is None:
-        walk = record["walk"] = _walk(group, members, *record["cosets"])
+def _transfer(rep, walk):
+    """The formula route on a coset walk {k: triples} (see _walk): the
+    value at k is the product over cosets of mu(k, g_c)^rank
+    mu(g_target, h_c)^{-rank} det rho(h_c), where a rank-1 det rho(h) is
+    its one entry."""
+    mult, rk = rep.mult, rep.rank
+    ell = mult.coeff.ell
     if rk == 1:
-        dets = {h: rep.mats[h][0][0] for h in sub}
+        dets = {h: rep.mats[h][0][0] for h in rep.sub}
     else:
-        dets = {h: det(rep.mats[h], ell) for h in sub}
+        dets = {h: det(rep.mats[h], ell) for h in rep.sub}
     mt = mult.table
     out = {}
-    for k in members:
+    for k, triples in walk.items():
         mk = mt[k]
         num = den = dprod = 1
-        for gc, g2, h in walk[k]:
+        for gc, g2, h in triples:
             num = num * mk[gc] % ell
             den = den * mt[g2][h] % ell
             dprod = dprod * dets[h] % ell
-        out[k] = coeff.elem(pow(num, rk, ell) * pow(den, -rk, ell) * dprod)
+        out[k] = pow(num, rk, ell) * pow(den, -rk, ell) * dprod % ell
     return out
+
+
+def verlagerung(rep, ambient=None, route="formula"):
+    """Transfer of the determinant of a twisted subgroup representation to
+    the ambient subgroup, as a map to ints mod ell.
+
+    The formula route reads the coset walk of the domain (see _transfer).
+    The det route forms the induced representation, takes determinants,
+    and strips the rank-th power of the coset signature, a sign, so the
+    value is det * delta^rank.  Both routes agree; they are kept separate
+    so each can audit the other, and share only the coset decomposition.
+    """
+    group, sub = rep.group, rep.sub
+    members = tuple(group.elements()) if ambient is None else tuple(sorted(set(ambient)))
+    if route == "det":
+        ell, rk = rep.mult.coeff.ell, rep.rank
+        ind = induce(rep, members)
+        sign = _pair(group, members, sub)[3]
+        return {k: det(ind.mats[k], ell) * sign[k] ** rk % ell for k in members}
+    if route != "formula":
+        raise ValueError("route must be 'formula' or 'det'")
+    return _transfer(rep, _pair(group, members, sub)[2])
 
 
 def check_ver_identities(group, mid, sub, coeff, seed=0):
@@ -584,7 +580,8 @@ def check_ver_identities(group, mid, sub, coeff, seed=0):
         raise ValueError("chain members must be subgroups")
     if not set(mid).issuperset(sub):
         raise ValueError("chain must be nested")
-    lam = [1] + [rng.randrange(1, coeff.ell) for _ in range(group.n - 1)]
+    ell = coeff.ell
+    lam = [1] + [rng.randrange(1, ell) for _ in range(group.n - 1)]
     mu = d1(group, coeff, lam)
     chi = char_rep(group, sub, mu, {h: lam[h] for h in sub})
     index_mid = len(mid) // len(sub)
@@ -597,19 +594,21 @@ def check_ver_identities(group, mid, sub, coeff, seed=0):
     direct = verlagerung(chi, route="formula")
     direct_det = verlagerung(chi, route="det")
 
-    shuffled = list(group.elements())
+    # the formula route on representatives taken in a shuffled scan order
+    whole = tuple(group.elements())
+    shuffled = list(whole)
     rng.shuffle(shuffled)
-    direct_other = verlagerung(chi, order=shuffled, route="formula")
+    direct_other = _transfer(chi, _walk(group, whole, *_cosets(group, whole, sub, shuffled)))
 
     d_sub = delta_char(group, sub)
     d_mid = delta_char(group, mid)
     d_inner = delta_char(group, sub, ambient=mid)
     inner_rep = char_rep(
-        group, mid, Multiplier.trivial(group, coeff), {h: d_inner[h] % coeff.ell for h in mid}
+        group, mid, Multiplier.trivial(group, coeff), {h: d_inner[h] % ell for h in mid}
     )
     moved = verlagerung(inner_rep, route="formula")
     delta_comp = all(
-        coeff.elem(d_sub[g]) == coeff.elem(d_mid[g]) ** index_mid * moved[g]
+        d_sub[g] % ell == d_mid[g] ** index_mid * moved[g] % ell
         for g in group.elements()
     )
 

@@ -12,6 +12,8 @@ from epsilon_lab.epsilon import gamma_psi
 from epsilon_lab.gf import fq_build
 from epsilon_lab.localfield import Point, Poly, RationalFunction
 
+import polys
+
 
 def induction_power_cover(coeff, base, e, exponents=None):
     """Transfer factors of the degree e power map at the origin, with the
@@ -31,7 +33,7 @@ def induction_power_cover(coeff, base, e, exponents=None):
         raise ValueError("cover degree must be positive and prime to p")
     if exponents is None:
         exponents = list(range(q - 1))
-    y = RationalFunction.from_poly(Poly.x(base))
+    y = RationalFunction.from_poly(polys.x(base))
     pts = [Point.rational(base, 0), Point.infinity(base)]
     pullback = RationalFunction.from_poly(Poly(base, [0] * e + [-1]))
     # e y**(e-1) dy is the pullback of dt along t = y**e
@@ -70,7 +72,7 @@ def induction_wild_cover(coeff, p=3, variants=None):
     the pulled back form, and the ratio must not depend on the variant.
     """
     base = fq_build(p, 1)
-    y = RationalFunction.from_poly(Poly.x(base))
+    y = RationalFunction.from_poly(polys.x(base))
     cover_poly = Poly(base, [0, -1] + [0] * (p - 2) + [1])
     twist = RationalFunction(Poly.const(base, base.elem(-1)), cover_poly)
     # dy / (y**p - y)**2 is the pullback of d(1/t) along t = y**p - y

@@ -6,6 +6,11 @@ from epsilon_lab.gf import _digits
 from epsilon_lab.localfield import Poly, poly_is_irreducible
 
 
+def x(field):
+    """The polynomial x over field."""
+    return Poly.of(field, [0, 1])
+
+
 @lru_cache(maxsize=None)
 def monic_irreducibles(field, d):
     """The monic irreducibles of degree d over field, in index order (the

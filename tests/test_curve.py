@@ -34,6 +34,7 @@ from epsilon_lab.localfield import (
     expand_form_at,
 )
 from covers import induction_power_cover, induction_wild_cover
+import polys
 from polys import monic_irreducibles
 
 F3 = fq_build(3, 1)
@@ -96,7 +97,7 @@ def test_divisor_points():
 def test_divisor_points_trust_factor_poly(monkeypatch):
     # (t^2 + 1)(t^3 - t + 1) / t: every factor comes out of factor_poly
     # irreducible, so no point is tested again
-    t = Poly.x(F3)
+    t = polys.x(F3)
     quad, cubic = t * t + 1, t * t * t - t + 1
     r = RationalFunction(quad * cubic, t)
     expected = divisor_points(r)

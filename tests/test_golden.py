@@ -35,6 +35,8 @@ CASES = {
     "twisted_check": ["twisted-check", "--trials", "3", "--seed", "9"],
     # the default 100 randomized trials, as the benchmark's twisted-suite runs them
     "twisted_check_default": ["twisted-check", "--seed", "1"],
+    # a second coefficient field: p 5 and order 4 give ell 41
+    "twisted_check_ell41": ["twisted-check", "--p", "5", "--orders", "4", "--trials", "20", "--seed", "7"],
 }
 
 

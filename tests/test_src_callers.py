@@ -1,10 +1,13 @@
 """The library keeps what its callers run.
 
-Every top-level function and every non-dunder method in src/epsilon_lab is
-referenced by name somewhere in src outside its own body.  Code that only
-the tests run lives under tests/.  The one exception is an entry point
-whose callers live outside src: a name that README.md shows in its code,
-or that the benchmark's worker (perfbench/worker.py) uses.
+Every top-level function in src/epsilon_lab is referenced by name
+somewhere in src outside its own body, and every non-dunder method is read
+as an attribute, `.name`, there: a bare name that happens to match a
+method calls no method.  Code that only the tests run lives under tests/.
+The one exception is an entry point whose callers live outside src: a
+function that README.md names in its code or the benchmark's worker
+(perfbench/worker.py) uses, or a method that README's code reads after a
+`.` or the worker reads as an attribute.
 """
 
 import ast
@@ -39,13 +42,17 @@ def _definitions(tree):
 
 
 def _entry_points():
-    """The identifiers in README.md's code spans and blocks, and the names
-    perfbench/worker.py uses."""
+    """The functions and the methods called from outside src: for
+    functions, the identifiers in README.md's code spans and blocks and the
+    names perfbench/worker.py uses; for methods, the identifiers after a
+    `.` in README's code and the attributes the worker reads."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    code = re.findall(r"```.*?```|`[^`]+`", readme, re.S)
-    names = set(re.findall(r"[A-Za-z_]\w*", "\n".join(code)))
-    worker = ast.parse((ROOT / "perfbench" / "worker.py").read_text(encoding="utf-8"))
-    return names | {name for name, _node in _used_names(worker)}
+    code = "\n".join(re.findall(r"```.*?```|`[^`]+`", readme, re.S))
+    worker = list(_used_names(ast.parse((ROOT / "perfbench" / "worker.py").read_text(encoding="utf-8"))))
+    functions = set(re.findall(r"[A-Za-z_]\w*", code)) | {name for name, _node in worker}
+    methods = set(re.findall(r"\.\s*([A-Za-z_]\w*)", code))
+    methods |= {name for name, node in worker if isinstance(node, ast.Attribute)}
+    return functions, methods
 
 
 def test_every_function_in_src_has_a_caller_in_src():
@@ -54,12 +61,18 @@ def test_every_function_in_src_has_a_caller_in_src():
     for tree in trees.values():
         for name, node in _used_names(tree):
             uses[name].append(node)
-    entry = _entry_points()
+    functions, methods = _entry_points()
     orphans = []
     for module, tree in trees.items():
         for qualname, node in _definitions(tree):
+            method = "." in qualname
+            if node.name in (methods if method else functions):
+                continue
             own = set(map(id, ast.walk(node)))
-            if node.name in entry or any(id(use) not in own for use in uses[node.name]):
+            if any(
+                id(use) not in own and (isinstance(use, ast.Attribute) or not method)
+                for use in uses[node.name]
+            ):
                 continue
             orphans.append("%s: %s" % (module, qualname))
     assert not orphans, "defined in src, called only from outside it: %s" % ", ".join(orphans)

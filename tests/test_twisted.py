@@ -433,7 +433,7 @@ def test_transfer_is_multiplicative_on_the_det_route():
         ]
         assert set(ver[2]) == set(ambient or group.elements())
         for k in ver[2]:
-            assert ver[2][k] == ver[0][k] * ver[1][k]
+            assert ver[2][k] == ver[0][k] * ver[1][k] % ELL
 
 
 def test_verlagerung_cyclic_is_power_map():
@@ -442,8 +442,8 @@ def test_verlagerung_cyclic_is_power_map():
     for d in (2, 3, 4, 6):
         sub = group.closure([d])
         index = group.n // len(sub)
-        z = C73.elem(rng.randrange(2, ELL)) ** ((ELL - 1) // len(sub))
-        values = {h: z ** (h // d) for h in sub}
+        z = pow(rng.randrange(2, ELL), (ELL - 1) // len(sub), ELL)
+        values = {h: pow(z, h // d, ELL) for h in sub}
         chi = char_rep(group, sub, Multiplier.trivial(group, C73), values)
         ver = verlagerung(chi)
         for g in group.elements():
@@ -486,7 +486,7 @@ def test_ver_identities_on_named_chains():
     assert report["ok"], report
 
 
-def test_representative_independence():
+def test_representative_independence(monkeypatch):
     rng = random.Random(59)
     d6 = FiniteGroup.dihedral(6)
     sub = next(s for s in d6.subgroups() if len(s) == 4)
@@ -494,10 +494,21 @@ def test_representative_independence():
     chi = lam_char(d6, sub, lam)
     shuffled = list(d6.elements())
     rng.shuffle(shuffled)
-    assert verlagerung(chi) == verlagerung(chi, order=shuffled)
-    assert delta_char(d6, sub) == delta_char(d6, sub, order=shuffled)
-    base = induce(chi)
-    other = induce(chi, order=shuffled)
+    ver, ver_det = verlagerung(chi), verlagerung(chi, route="det")
+    delta, base = delta_char(d6, sub), induce(chi)
+    kept = twisted._pair(d6, tuple(d6.elements()), sub)
+
+    def shuffled_pair(group, members, sub):
+        """The record of the pair with representatives first come along shuffled."""
+        reps, coset_of = twisted._cosets(group, members, sub, shuffled)
+        walk = twisted._walk(group, members, reps, coset_of)
+        return reps, coset_of, walk, twisted._signature(group, members, reps, coset_of)
+
+    monkeypatch.setattr(twisted, "_pair", shuffled_pair)
+    assert twisted._pair(d6, tuple(d6.elements()), sub)[0] != kept[0]
+    assert verlagerung(chi) == ver and verlagerung(chi, route="det") == ver_det
+    assert delta_char(d6, sub) == delta
+    other = induce(chi)
     for g in d6.elements():
         assert trace(base.mats[g]) == trace(other.mats[g])
         assert det(base.mats[g], ELL) == det(other.mats[g], ELL)
@@ -517,53 +528,51 @@ def test_cosets_are_decomposed_once_per_group(monkeypatch):
         real = getattr(twisted, name)
 
         def counted(group, members, *rest):
-            calls[name].append((members,) + rest)
-            return real(group, members, *rest)
+            out = real(group, members, *rest)
+            calls[name].append(((members,) + rest, out))
+            return out
 
         monkeypatch.setattr(twisted, name, counted)
 
     for name in calls:
         counting(name)
+    records = s4.memo["pair"]
 
-    def kept(name):
-        """The pairs whose memo record a _walk or _signature call read, one
-        entry per call; a record of an explicit order is in no memo."""
-        return [
-            key
-            for _members, _reps, coset_of in calls[name]
-            for key in pairs
-            if s4.memo["pair"][key]["cosets"][1] is coset_of
-        ]
+    def holders(outs, part):
+        """The pairs whose memo record holds one of outs as its part, one
+        entry per out that some record holds."""
+        return sorted(key for out in outs for key in pairs if records[key][part] is out)
 
     assert check_ver_identities(s4, mid, inner, C73, seed=3)["ok"]
-    default = [(members, sub) for members, sub, *order in calls["_cosets"] if not order]
-    # every default-order pair is decomposed, walked and signed once and
-    # kept; the one shuffled order (representative independence) is
-    # decomposed and walked apart, and needs no signature
+    default = [args for args, _out in calls["_cosets"] if len(args) == 2]
+    # every default-order pair is decomposed, walked and signed once, and
+    # its record keeps all three; the one shuffled order (representative
+    # independence) is decomposed and walked apart, needs no signature, and
+    # is kept in no record
     assert sorted(default) == sorted(set(default))
     assert set(default) == pairs
     assert len(calls["_cosets"]) == len(default) + 1
-    assert sorted(kept("_walk")) == sorted(pairs) and len(calls["_walk"]) == len(pairs) + 1
-    assert sorted(kept("_signature")) == sorted(pairs) and len(calls["_signature"]) == len(pairs)
+    assert len(calls["_walk"]) == len(pairs) + 1 and len(calls["_signature"]) == len(pairs)
+    assert holders([out[1] for _args, out in calls["_cosets"]], 1) == sorted(pairs)
+    assert holders([out for _args, out in calls["_walk"]], 2) == sorted(pairs)
+    assert holders([out for _args, out in calls["_signature"]], 3) == sorted(pairs)
     # the memo holds one record per pair and one is_subgroup verdict per
     # member set, each map under its own key
     assert set(s4.memo) == {"pair", "subgroup"}
-    assert set(s4.memo["pair"]) == pairs
+    assert set(records) == pairs
     assert s4.memo["subgroup"] == {mid: True, inner: True, whole: True}
-    assert all(set(s4.memo["pair"][key]) == {"cosets", "walk", "sign"} for key in pairs)
+    assert all(len(records[key]) == 4 for key in pairs)
     # one member set given in another order, or with a repeat, reuses its verdict
     assert s4.is_subgroup(tuple(reversed(mid)) + (0,))
     assert s4.memo["subgroup"] == {mid: True, inner: True, whole: True}
     before = {name: dict(kept) for name, kept in s4.memo.items()}
 
-    shuffled = list(whole)
-    random.Random(3).shuffle(shuffled)
-    chi = lam_char(s4, inner, unit_cochain(s4, random.Random(4)))
-    verlagerung(chi, order=shuffled)
-    assert delta_char(s4, inner, order=shuffled) == delta_char(s4, inner)
-    assert s4.memo == before
-    assert len(calls["_cosets"]) == len(default) + 3
-    assert len(calls["_walk"]) == len(pairs) + 2 and len(calls["_signature"]) == len(pairs) + 1
+    # a second audit on the chain reads the kept records; only its shuffled
+    # order is decomposed and walked again
+    assert check_ver_identities(s4, mid, inner, C73, seed=4)["ok"]
+    assert s4.memo == before and all(records[key] is before["pair"][key] for key in pairs)
+    assert len(calls["_cosets"]) == len(default) + 2
+    assert len(calls["_walk"]) == len(pairs) + 2 and len(calls["_signature"]) == len(pairs)
 
     # a signature handed out is the caller's own: changing it leaves the memo as it was
     signs = delta_char(s4, inner)
@@ -571,7 +580,7 @@ def test_cosets_are_decomposed_once_per_group(monkeypatch):
     signs[next(iter(signs))] *= -1
     signs.clear()
     assert delta_char(s4, inner) == expected
-    assert len(calls["_signature"]) == len(pairs) + 1
+    assert len(calls["_signature"]) == len(pairs)
     assert FiniteGroup.symmetric(4).memo == {"pair": {}, "subgroup": {}}
 
 
