@@ -167,17 +167,6 @@ class LocalCharacter:
             self.swan(),
         )
 
-    def to_json(self):
-        return {
-            "field": self.field.to_json(),
-            "c_pi": self.c_pi.value,
-            "tame_e": self.tame_e,
-            "wild_h": {
-                "v": self.wild_h.v if self.wild_h.coeffs else 0,
-                "coeffs": [self.field.digits(c) for c in self.wild_h.coeffs],
-            },
-        }
-
     @classmethod
     def from_json(cls, coeff, obj):
         from .gf import FieldDesc

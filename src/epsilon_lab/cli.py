@@ -126,10 +126,6 @@ def _prime_to(coeff, unram):
     return coeff
 
 
-def _complex(z):
-    return {"re": round(z.real, 10) + 0.0, "im": round(z.imag, 10) + 0.0, "abs": round(abs(z), 10)}
-
-
 def _spec_orders(spec, extra_functions):
     """Character orders forced by the residue fields in play: one q**d - 1
     per puncture degree and per divisor point of each listed function."""
@@ -166,12 +162,13 @@ def cmd_gauss(args):
     orders = _parse_orders(args.orders) if args.orders else [max(1, q - 1)]
     coeff = _coeff_for({}, p, orders, args.ell)
     counts = gamma_counts(field, c)
+    z = root_sum({e: -k for e, k in counts.items()}, p)
     body = {
         "p": p,
         "q": q,
         "c": [int(v) for v in c.coeffs],
         "value": gamma_from_counts(coeff, counts).value,
-        "complex": _complex(root_sum({e: -k for e, k in counts.items()}, p)),
+        "complex": {"re": round(z.real, 10) + 0.0, "im": round(z.imag, 10) + 0.0, "abs": round(abs(z), 10)},
     }
     return body, coeff.ell, q, True
 
@@ -208,8 +205,6 @@ def cmd_eps_local(args):
         "method": res.method,
         "kind": kind,
     }
-    e = coeff.root_exponent(res.value.value)
-    body["complex"] = None if e is None else _complex(root_sum({e: 1}, coeff.p * coeff.M))
     return body, coeff.ell, 1, True
 
 

@@ -8,8 +8,7 @@ Verdicts never rest on a single ell; engines re-run with a second one.
 
 Values are exact residues and a field keeps no side table.  For display
 only, root_sum reads an integer combination of roots of unity as a complex
-number, and root_exponent finds the e with zeta_pM**e equal to a residue, if
-there is one; any other residue has no rendering.
+number.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ ELL_CAP = FIELD_CAP * FIELD_CAP << 12
 class CoeffField:
     """F_ell together with the pinned roots zeta_p and zeta_M."""
 
-    __slots__ = ("ell", "p", "M", "h", "zeta_p", "zeta_M", "zeta_pM")
+    __slots__ = ("ell", "p", "M", "h", "zeta_p", "zeta_M")
 
     def __init__(self, ell, p, M):
         self.ell = ell
@@ -40,9 +39,6 @@ class CoeffField:
         self.h = h = _smallest_primitive_root(ell)
         self.zeta_p = pow(h, (ell - 1) // p, ell)
         self.zeta_M = pow(h, (ell - 1) // M, ell)
-        # p and M are coprime (M is a lcm of numbers q - 1 with q a p power),
-        # so zeta_p * zeta_M has exact order p*M
-        self.zeta_pM = (self.zeta_p * self.zeta_M) % ell
 
     def elem(self, v):
         if isinstance(v, CoeffElem):
@@ -81,20 +77,6 @@ class CoeffField:
             return self.one()
         z = pow(self.zeta_M, self.M // m, self.ell)
         return self.elem(pow(z, (e * dlog(x)) % m, self.ell))
-
-    def root_exponent(self, value):
-        """The e in [0, p*M) with zeta_pM**e == value, or None.
-
-        e is found by a scan, up to p*M steps; display only."""
-        n = self.p * self.M
-        value %= self.ell
-        if pow(value, n, self.ell) != 1:
-            return None
-        # the n-th roots of unity are exactly the powers of zeta_pM
-        e, z = 0, 1
-        while z != value:
-            e, z = e + 1, z * self.zeta_pM % self.ell
-        return e
 
     def __repr__(self):
         return "CoeffField(ell=%d, p=%d, M=%d)" % (self.ell, self.p, self.M)

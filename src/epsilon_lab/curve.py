@@ -354,17 +354,6 @@ class SheafSpec:
             val = val * coeff.kummer_chi(e, norm(g.evaluate(x, emb), emb))
         return val
 
-    def to_json(self):
-        out = {
-            "p": self.base.p,
-            "n": self.base.n,
-            "wild": self.wild.to_json() if self.wild is not None else None,
-            "kummer": [[g.to_json(), e] for g, e in self.kummer],
-            "punctures": [pt.to_json() for pt in self.punctures],
-            "unram": self.unram,
-        }
-        return out
-
     @classmethod
     def from_json(cls, obj):
         base = fq_build(obj["p"], obj["n"])

@@ -15,8 +15,8 @@ Taylor shifts, padded with known zeros, and one division leaves exactly n.
 Series and polynomials hold packed indices (0 the zero, 1 the one), and
 their kernels (division, Taylor shifts, series products and quotients,
 the root scan) compute with gf.int_ops: on the field's tables up to 2**16
-elements, through FqElem above.  Building one, its valuation and to_json
-need no table.  Elements are the boundary: make and Poly take them, coeff
+elements, through FqElem above.  Building one and its valuation need no
+table.  Elements are the boundary: make and Poly take them, coeff
 and leading return them, and Poly.evaluate computes with them.
 
 Conventions:
@@ -107,10 +107,6 @@ class LaurentSeries:
     @classmethod
     def pi_power(cls, field, k, prec):
         return cls.of(field, k, [1], prec)
-
-    def is_zero(self):
-        """Zero as far as the window can tell."""
-        return not self.coeffs
 
     def valuation(self):
         if not self.coeffs:
@@ -223,14 +219,6 @@ class LaurentSeries:
         # k mod p is the packed index of the prime field element k
         out = [mul(c, k % p) for k, c in enumerate(self.coeffs, self.v)]
         return LaurentSeries.of(self.field, self.v - 1, out, self.prec - 1)
-
-    def to_json(self):
-        return {
-            "field": self.field.to_json(),
-            "v": self.v if self.coeffs else self.prec,
-            "prec": self.prec,
-            "coeffs": [self.field.digits(c) for c in self.coeffs],
-        }
 
     @classmethod
     def from_json(cls, obj):
@@ -514,9 +502,6 @@ class RationalFunction:
 
     def __repr__(self):
         return "RationalFunction(%r / %r)" % (self.num, self.den)
-
-    def to_json(self):
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
 
     @classmethod
     def from_json(cls, field, obj, name="function"):

@@ -418,13 +418,18 @@ def _pair(group, members, sub):
     """The record (reps, coset_of, walk, sign) of the tuple members by sub:
     the decomposition of _cosets in ascending scan order, the walk of _walk
     that the formula route reads, and the signature of _signature that the
-    det route and delta_char read.  Built in full on first use and kept in
+    det route and delta_char read.  Built in full on first use, after
+    checking that members is a subgroup holding sub, and kept in
     group.memo["pair"] per (members, sub)."""
     sub = tuple(sorted(set(sub)))
     records = group.memo["pair"]
     key = (members, sub)
     found = records.get(key)
     if found is None:
+        if not group.is_subgroup(members):
+            raise ValueError("ambient must be a subgroup")
+        if not set(members).issuperset(sub):
+            raise ValueError("domain must sit inside the ambient subgroup")
         reps, coset_of = _cosets(group, members, sub)
         found = records[key] = (
             reps,
@@ -466,10 +471,6 @@ def induce(rep, ambient=None):
     group, sub, mult = rep.group, rep.sub, rep.mult
     ell = mult.coeff.ell
     members = tuple(group.elements()) if ambient is None else tuple(sorted(set(ambient)))
-    if not group.is_subgroup(members):
-        raise ValueError("ambient must be a subgroup")
-    if not set(members).issuperset(sub):
-        raise ValueError("domain must sit inside the ambient subgroup")
     reps, coset_of = _pair(group, members, sub)[:2]
     idx = len(reps)
     r = rep.rank

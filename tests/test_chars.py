@@ -376,9 +376,19 @@ def test_transport_preserves_values():
 
 
 def test_json_roundtrip():
-    rng = random.Random(53)
-    for field in (F3, F9):
-        coeff = COEFF_FOR[field.q]
-        chi = random_char(rng, field, coeff)
-        back = LocalCharacter.from_json(coeff, chi.to_json())
-        assert back == chi
+    cases = [
+        (
+            C3,
+            {"field": F3.to_json(), "c_pi": 2, "tame_e": 1, "wild_h": {"v": -2, "coeffs": [[1], [2]]}},
+            LocalCharacter(F3, C3, 2, 1, series(F3, -2, [1, 2], 1)),
+        ),
+        (
+            C9,
+            {"field": F9.to_json(), "c_pi": 5, "tame_e": 3, "wild_h": {"v": -2, "coeffs": [[1, 2], [0, 1]]}},
+            LocalCharacter(F9, C9, 5, 3, series(F9, -2, [F9.elem((1, 2)), F9.elem((0, 1))], 1)),
+        ),
+        # no wild_h: the character is tame
+        (C3, {"field": F3.to_json(), "c_pi": 1, "tame_e": 0}, LocalCharacter(F3, C3, 1, 0)),
+    ]
+    for coeff, record, chi in cases:
+        assert LocalCharacter.from_json(coeff, record) == chi

@@ -26,6 +26,17 @@ def run(capsys, argv):
     return code, json.loads(captured.out)
 
 
+def run_child(argv, timeout):
+    """The CLI in a child process, killed after timeout seconds: the
+    finished process and its report."""
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "epsilon_lab.cli"] + argv, capture_output=True, text=True, env=env, timeout=timeout
+    )
+    return done, json.loads(done.stdout)
+
+
 def test_gauss_basic(capsys):
     code, report = run(capsys, ["gauss", "--p", "3", "--q", "3", "--c", "1"])
     assert code == 0 and report["ok"]
@@ -616,12 +627,7 @@ def test_past_the_field_cap_is_refused_before_any_arithmetic(tmp_path, command, 
     if data is not None:
         arg = str(tmp_path / "input.json")
         Path(arg).write_text(json.dumps(_edited(data, path, bad)))
-    src = str(Path(cli_mod.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "epsilon_lab.cli", command, flag, arg], capture_output=True, text=True, env=env, timeout=5
-    )
-    report = json.loads(done.stdout)
+    done, report = run_child([command, flag, arg], timeout=5)
     assert done.returncode == 4 and not report["ok"]
     assert "exceeds cap %d" % report["caps"]["field"] in report["error"]
 
@@ -642,12 +648,7 @@ GAUSS = ["gauss", "--p", "3", "--q", "3", "--c", "1"]
 def test_coefficient_prime_past_its_cap_is_refused_before_any_primality_test(argv, limit):
     # a pinned prime of 2^61 - 1, or a character order whose smallest
     # admissible prime is that large, was trial-divided until killed
-    src = str(Path(cli_mod.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "epsilon_lab.cli"] + argv, capture_output=True, text=True, env=env, timeout=5
-    )
-    report = json.loads(done.stdout)
+    done, report = run_child(argv, timeout=5)
     assert done.returncode == 4 and not report["ok"]
     assert str(limit) in report["error"]
 
@@ -659,6 +660,17 @@ def test_coefficient_prime_of_an_in_cap_field_is_not_refused(capsys):
     assert code == 0 and report["ok"]
     assert 1 << 32 < report["ell"] < coeff_mod.ELL_CAP
     assert abs(report["complex"]["abs"] ** 2 - 65537) < 1e-3
+
+
+def test_punctual_factor_under_a_large_coefficient_prime_answers_at_once(tmp_path):
+    # ell = 51514444789 and p*M = 12,878,611,197: the report may take no
+    # step per root of unity of order p*M
+    eigen = 44255210297
+    path = tmp_path / "char.json"
+    path.write_text(json.dumps({"coeff": {"p": 3, "orders": [65521, 65519]}, "eigenvalues": [eigen]}))
+    done, report = run_child(["eps-local", "--kind", "punctual", "--char", str(path)], timeout=20)
+    assert done.returncode == 0 and report["ok"] and "complex" not in report
+    assert report["ell"] == 51514444789 and report["value"] * eigen % report["ell"] == 1
 
 
 @pytest.mark.parametrize(

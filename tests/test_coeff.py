@@ -1,34 +1,32 @@
-"""Coefficient field selection, character values, root-of-unity display."""
+"""Coefficient field selection, character values, root-sum display."""
 
 import cmath
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epsilon_lab import coeff as coeff_mod
-from epsilon_lab.coeff import CoeffField, coeff_setup, pinned_ell, root_sum, second_ell
-from epsilon_lab.epsilon import gamma_psi
+from epsilon_lab.coeff import coeff_setup, pinned_ell, root_sum, second_ell
 from epsilon_lab.gf import fq_build, trace
+
+
+def zeta_pM(field):
+    """The pinned root of order p*M: p and M are coprime (M is a lcm of
+    numbers q - 1 with q a p power), so zeta_p * zeta_M has that order."""
+    return field.zeta_p * field.zeta_M % field.ell
 
 
 def zeta(field, m):
     """A fixed primitive m-th root of unity, for m dividing p*M."""
     if m <= 0 or (field.p * field.M) % m != 0:
         raise ValueError("order %d is not tracked by this field" % m)
-    return field.elem(pow(field.zeta_pM, (field.p * field.M) // m, field.ell))
+    return field.elem(pow(zeta_pM(field), (field.p * field.M) // m, field.ell))
 
 
 def symbolic_value(counts, order, field):
     """The residue of a root sum under the field's pinned root zeta_pM."""
     if field.p * field.M != order:
         raise ValueError("symbolic order does not match the field")
-    return field.elem(sum(c * pow(field.zeta_pM, e, field.ell) for e, c in counts.items()))
-
-
-def render(field, v):
-    """The complex rendering the CLI prints for a residue, or None."""
-    e = field.root_exponent(v.value)
-    return None if e is None else root_sum({e: 1}, field.p * field.M)
+    return field.elem(sum(c * pow(zeta_pM(field), e, field.ell) for e, c in counts.items()))
 
 
 def test_setup_examples():
@@ -127,21 +125,6 @@ def test_symbolic_roundtrip():
     want = 2 * z - z ** 5
     got = root_sum(s, 24)
     assert abs(got - want) < 1e-12
-    # pinned roots of unity render
-    assert abs(render(c, zeta(c, 24)) - z) < 1e-12
-    assert abs(render(c, c.one()) - 1) < 1e-12
-
-
-def test_complex_embed_refuses_untracked():
-    c = coeff_setup(3, [8], 4)
-    # a random residue that is no pinned root of unity
-    probe = None
-    for v in range(2, c.ell):
-        if c.root_exponent(v) is None:
-            probe = c.elem(v)
-            break
-    assert probe is not None
-    assert render(c, probe) is None
 
 
 @given(st.integers(0, 72), st.integers(0, 72))
@@ -153,45 +136,6 @@ def test_elem_ring_ops(a, b):
     assert (x * y).value == (a * b) % 73
     if b % 73:
         assert ((x / y) * y) == x
-
-
-def test_field_setup_builds_no_symbolic_sums(monkeypatch):
-    built = []
-    original = CoeffField.root_exponent
-
-    def counting(self, value):
-        built.append(value)
-        return original(self, value)
-
-    monkeypatch.setattr(coeff_mod.CoeffField, "root_exponent", counting)
-    f = coeff_setup(5, [4, 24, 124])
-    second_ell(f)
-    assert built == []
-
-
-@pytest.mark.parametrize("p, orders", [(3, [8]), (5, [4])])
-def test_symbolic_for_renders_exactly_the_pinned_roots(p, orders):
-    f = coeff_setup(p, orders)
-    n = p * f.M
-    exponent = {pow(f.zeta_pM, e, f.ell): e for e in range(n)}
-    assert len(exponent) == n
-    for v in range(f.ell):
-        e = f.root_exponent(v)
-        if v in exponent:
-            assert e == exponent[v]
-        else:
-            assert e is None
-
-
-def test_rendering_does_not_depend_on_call_history():
-    f5 = fq_build(5, 1)
-    target = coeff_setup(5, [4])
-    assert target.ell == 41
-    values = [gamma_psi(coeff_setup(5, [4]), f5, c).value for c in range(1, 5)]
-    before = [target.root_exponent(v) for v in values]
-    for c in range(1, 5):
-        gamma_psi(target, f5, c)
-    assert [target.root_exponent(v) for v in values] == before
 
 
 @pytest.mark.parametrize("p, orders", [(3, [8]), (2, [3, 7])])

@@ -17,7 +17,7 @@ CASES = {
     "gauss_f9": ["gauss", "--p", "3", "--q", "9", "--c", "1,1"],
     "gauss_f49": ["gauss", "--p", "7", "--q", "49", "--c", "3"],
     "eps_local": ["eps-local"],
-    # a punctual factor that is no pinned root of unity prints "complex": null
+    # a punctual factor: the inverse of its eigenvalues' product, conductor minus the rank
     "eps_local_punctual": ["eps-local", "--kind", "punctual", "--char", str(GOLDEN / "punctual_char.json")],
     "eps_global": ["eps-global", "--spec", str(DATA / "product_spec.json")],
     "product_check": ["product-check", "--second-ell"],

@@ -205,7 +205,7 @@ def window(s):
 def test_series_product_and_quotient_match_the_reference(data):
     field = data.draw(st.sampled_from(FIELDS))
     a, b = series(data, field), series(data, field)
-    if a.is_zero() or b.is_zero():
+    if not a.coeffs or not b.coeffs:
         return
     prod = a * b
     prec = min(a.v + b.prec, b.v + a.prec)

@@ -54,9 +54,9 @@ def test_a_window_ending_before_v_holds_no_coefficient():
     # of once sliced the coefficients from the end and kept some past prec
     for prec in (3, 5):
         s = LaurentSeries.of(F3, 5, [1, 0, 0, 0], prec)
-        assert s.is_zero() and s.v == s.prec == prec
+        assert not s.coeffs and s.v == s.prec == prec
         assert s == LaurentSeries.zero(F3, prec)
-    record = LaurentSeries.make(F3, 0, [1, 2], 2).to_json()
+    record = {"field": F3.to_json(), "v": 0, "prec": 2, "coeffs": [[1], [2]]}
     with pytest.raises(gf.Unsupported) as err:
         LaurentSeries.from_json(dict(record, v=5, prec=3))
     assert err.value.field == "prec"
@@ -105,7 +105,7 @@ def test_division_window_and_roundtrip():
             inv = b.inverse()
             assert (inv.v, inv.prec) == (-b.v, b.prec - 2 * b.v)
             zero = LaurentSeries.zero(field, a.prec) / b
-            assert zero.is_zero() and zero.prec == a.prec - b.v
+            assert not zero.coeffs and zero.prec == a.prec - b.v
 
 
 def test_division_by_zero_to_precision_raises():
@@ -149,7 +149,7 @@ def test_elements_equal_to_ints_are_unhashable(field):
 
 def test_json_roundtrip():
     s = LaurentSeries.make(F9, -1, [F9.elem((1, 2)), F9.one()], 4)
-    back = LaurentSeries.from_json(s.to_json())
+    back = LaurentSeries.from_json({"field": F9.to_json(), "v": -1, "prec": 4, "coeffs": [[1, 2], [1]]})
     assert back == s and back.v == s.v and back.prec == s.prec
 
 

@@ -8,6 +8,10 @@ The one exception is an entry point whose callers live outside src: a
 function that README.md names in its code or the benchmark's worker
 (perfbench/worker.py) uses, or a method that README's code reads after a
 `.` or the worker reads as an attribute.
+
+Methods are matched by name only, whatever class the read belongs to, so
+a method with no caller survives this test while a same-named method of
+another class is called, named in README's code or read by the worker.
 """
 
 import ast

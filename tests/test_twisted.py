@@ -584,6 +584,29 @@ def test_cosets_are_decomposed_once_per_group(monkeypatch):
     assert FiniteGroup.symmetric(4).memo == {"pair": {}, "subgroup": {}}
 
 
+@pytest.mark.parametrize(
+    "ambient, message",
+    [((0, 1, 2, 3), "ambient must be a subgroup"), ((0, 3, 4), "domain must sit inside the ambient subgroup")],
+    ids=["not-a-subgroup", "misses-the-domain"],
+)
+def test_every_transfer_entry_point_refuses_a_bad_ambient(ambient, message):
+    # in S_3, (0, 1, 2, 3) is no subgroup, and the rotations (0, 3, 4) miss
+    # the transposition 1 of the domain (0, 1): both transfer routes, the
+    # coset signature and induction refuse alike, and no record is kept
+    s3 = FiniteGroup.symmetric(3)
+    chi = lam_char(s3, (0, 1), [1, 3, 9, 27, 31, 62])
+    entry_points = [
+        lambda: verlagerung(chi, ambient=ambient, route="formula"),
+        lambda: verlagerung(chi, ambient=ambient, route="det"),
+        lambda: delta_char(s3, (0, 1), ambient=ambient),
+        lambda: induce(chi, ambient=ambient),
+    ]
+    for call in entry_points:
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert s3.memo["pair"] == {}
+
+
 def test_char_rep_rejects_wrong_multiplier_power():
     s3 = FiniteGroup.symmetric(3)
     lam = [1, 3, 9, 27, 31, 62]

@@ -43,7 +43,7 @@ def reversion(s):
     t = LaurentSeries.make(field, 1, [a1.inverse()], prec)
     for k in range(2, prec):
         r = compose(s, t) - LaurentSeries.pi_power(field, 1, prec)
-        if r.is_zero() or r.valuation() > k:
+        if not r.coeffs or r.valuation() > k:
             continue
         gamma = r.coeff(r.valuation())
         if r.valuation() < k:
