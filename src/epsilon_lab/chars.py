@@ -11,10 +11,10 @@ uniformizer pi:
 
 wild_h is kept in a canonical reduced form: rewriting a pi**(-p*k) term
 with coefficient a into a pi**(-k) term with coefficient a**(1/p) never
-changes the character, and repeating until no exponent is divisible by p
-makes the representative unique.  The Swan conductor is then the pole
-order of the reduced datum, and negating the datum, as the inverse
-character does, keeps it reduced.
+changes the character, and moving each term in one additive pass until
+its exponent is prime to p makes the representative unique.  The Swan
+conductor is then the pole order of the reduced datum, and negating the
+datum, as the inverse character does, keeps it reduced.
 
 A character is evaluated on packed ints: the pairing Res(h dlog u) is the
 sum of h_k (dlog u)_(-1-k) over the poles k of h, and its trace is read
@@ -23,11 +23,10 @@ through int_ops, on the field's tables up to TABLE_LINE.
 unit_keys lists the unit residues mod pi**nu as coefficient index tuples;
 the definitional unit sum walks them.  OracleCharacter, the brute-force
 twin of a character (an explicit value table on those residues), lives in
-tests/test_chars.py with the tests that check the engines against it.
-ORACLE_CAP bounds that table, and the CLI reports it among its caps.  The
-product of two characters, the unramified twist and the rewriting of a
-character in another uniformizer serve only the local property checks,
-and live with them in the tests.
+tests/test_chars.py with the tests that check the engines against it,
+together with the cap on its table.  The product of two characters, the
+unramified twist and the rewriting of a character in another uniformizer
+serve only the local property checks, and live with them in the tests.
 """
 
 from __future__ import annotations
@@ -35,40 +34,32 @@ from __future__ import annotations
 from .gf import Unsupported, _digits, frobenius, int_ops
 from .localfield import LaurentSeries, PrecisionError, dlog, series_bound
 
-ORACLE_CAP = 1 << 16
-REDUCE_CAP = 64
-
 
 def as_reduce(h):
     """Canonical representative of an additive wild datum.
 
-    Drops exponents >= 0 (they never pair with a unit), then removes every
-    negative exponent divisible by p via a**(1/p) rewrites from the deepest
-    pole upward.  The window of h must reach 0 so all negative terms are
-    known.  Raises after REDUCE_CAP rewrites.
+    Drops exponents >= 0 (they never pair with a unit) and moves each term
+    a pi**(-p**e m), p not dividing m, to a**(1/p**e) pi**(-m), adding the
+    terms that land together.  The window of h must reach 0 so all
+    negative terms are known.
     """
     field = h.field
-    p = field.p
     if h.prec < 0:
         raise PrecisionError("wild datum window must reach exponent 0")
-    terms = {-k: c for k, c in enumerate(h.coeffs, h.v) if k < 0 and c}
-    steps = 0
-    while True:
-        divisible = [m for m in terms if m % p == 0]
-        if not divisible:
-            break
-        m = max(divisible)
-        steps += 1
-        if steps > REDUCE_CAP:
-            raise ValueError("additive reduction exceeded %d rewrites" % REDUCE_CAP)
-        a = field.from_index(terms.pop(m))
-        k = m // p
-        # Frobenius on one element, so FqElem: no table for the field
-        got = (field.from_index(terms.get(k, 0)) + frobenius(a, field.n - 1)).index()
-        if got:
-            terms[k] = got
-        else:
-            terms.pop(k, None)
+    terms = {}
+    for k, c in enumerate(h.coeffs, h.v):
+        if k >= 0 or not c:
+            continue
+        m, e = -k, 0
+        while m % field.p == 0:
+            m, e = m // field.p, e + 1
+        if e:
+            # Frobenius on one element, so FqElem: no table for the field
+            c = frobenius(field.from_index(c), -e % field.n).index()
+        if m in terms:
+            c = (field.from_index(terms[m]) + field.from_index(c)).index()
+        terms[m] = c
+    terms = {m: c for m, c in terms.items() if c}
     if not terms:
         return LaurentSeries.zero(field, 1)
     n = max(terms)

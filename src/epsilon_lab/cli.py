@@ -17,7 +17,6 @@ import sys
 import time
 from importlib import resources
 
-from . import chars as _chars
 from . import epsilon as _epsilon
 from . import gf as _gf
 from .chars import LocalCharacter
@@ -30,7 +29,7 @@ from .curve import (
 )
 from .epsilon import eps_local, eps_punctual, gamma_counts, gamma_from_counts
 from .gf import CapExceeded, Unsupported, fq_build
-from .localfield import Form, Point, Poly, RationalFunction
+from .localfield import Form, LaurentSeries, Point, Poly, RationalFunction
 
 _KINDS = {"j!": "shriek", "j*": "star", "shriek": "shriek", "star": "star", "punctual": "punctual"}
 
@@ -194,7 +193,8 @@ def cmd_eps_local(args):
         res = eps_punctual(coeff, [coeff.elem(v) for v in eigen])
     else:
         chi = LocalCharacter.from_json(coeff, obj["char"])
-        form = Form.from_json(_load(args.form if args.form is not None else _bundled("form_dlog.json"), "form"))
+        path = args.form if args.form is not None else _bundled("form_dlog.json")
+        form = Form(LaurentSeries.from_json(_load(path, "form")))
         if form.w.field != chi.field:
             raise Unsupported("form and character live over different residue fields", field="form")
         res = eps_local(chi, form, kind, method=args.method)
@@ -363,15 +363,6 @@ def _build_parser():
     return parser
 
 
-def _caps():
-    return {
-        "field": _gf.FIELD_CAP,
-        "unit_sum": _epsilon.TATE_CAP,
-        "oracle": _chars.ORACLE_CAP,
-        "reduce": _chars.REDUCE_CAP,
-    }
-
-
 def _emit(report, json_out):
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
@@ -420,7 +411,7 @@ def main(argv=None):
         code = 3
     finally:
         # the caps this run used, before the override is undone
-        report["caps"] = _caps()
+        report["caps"] = {"field": _gf.FIELD_CAP, "unit_sum": _epsilon.TATE_CAP}
         _epsilon.TATE_CAP = saved_cap
     _emit(report, json_out)
     sys.stderr.write("wall %.3fs\n" % (time.perf_counter() - started))

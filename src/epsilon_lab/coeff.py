@@ -16,14 +16,15 @@ from __future__ import annotations
 import cmath
 import math
 
-from .gf import FIELD_CAP, CapExceeded, FqElem, Unsupported, _is_prime, _prime_factors, check_cap, trace, dlog
+from .gf import FIELD_CAP, CapExceeded, FqElem, Unsupported, _check_size, _is_prime, _prime_factors, trace, dlog
 
 # coeff_setup refuses a character order past FIELD_CAP - 1, and p is below
 # FIELD_CAP, so one in-cap character has a step p*M below FIELD_CAP**2 (2^48).
 # ELL_CAP leaves 2^12 multiples of that step for the smallest prime 1 mod it
 # (for the 20000 largest primes p below FIELD_CAP, order p - 1 needs at most
-# 155).  A coefficient prime past it, chosen or pinned, would cost trial
-# division past 2^30 and is refused instead.
+# 155).  A coefficient prime past it, chosen or pinned, is refused: no
+# in-cap character needs one, and the primitive root's factoring of ell - 1
+# is trial division, up to 2^30 steps at the cap.
 ELL_CAP = FIELD_CAP * FIELD_CAP << 12
 
 
@@ -177,10 +178,7 @@ def coeff_setup(p, orders, d_max=1):
     order past FIELD_CAP - 1 is refused, as no character of a field under
     the field cap has one.
     """
-    # trial division would run until killed on a large p
-    check_cap(p, 1)
-    if not _is_prime(p):
-        raise Unsupported("p must be prime", field="p")
+    _check_size(p, 1)
     M = 1
     for o in orders:
         if o < 1:

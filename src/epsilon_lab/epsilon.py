@@ -1,7 +1,9 @@
 """Local epsilon factors of rank one objects on the formal disc.
 
 The value reported everywhere is the factor evaluated at geometric
-Frobenius, an invertible element of F_ell.  Two flavours of object:
+Frobenius, an invertible element of F_ell; every engine returns it in an
+EpsilonResult, a plain record with the two conductors and the engine's
+name.  Two flavours of object:
 
 * a character chi of F_q((pi)) extended across the closed point by zero
   ("shriek") or by invariants ("star"),
@@ -33,6 +35,7 @@ and eps_local takes it by default once q**swan passes CLOSED_LINE.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import add, mul
 
 from .gf import CapExceeded, log_field
@@ -46,24 +49,7 @@ TATE_CAP = 1 << 22
 CLOSED_LINE = 1 << 7
 
 
-class EpsilonResult:
-    """Value at Frobenius plus conductor bookkeeping."""
-
-    __slots__ = ("value", "conductor_a", "conductor_a_omega", "method")
-
-    def __init__(self, value, conductor_a, conductor_a_omega, method):
-        self.value = value
-        self.conductor_a = conductor_a
-        self.conductor_a_omega = conductor_a_omega
-        self.method = method
-
-    def __repr__(self):
-        return "EpsilonResult(value=%d, a=%d, a_omega=%d, method=%s)" % (
-            self.value.value,
-            self.conductor_a,
-            self.conductor_a_omega,
-            self.method,
-        )
+EpsilonResult = namedtuple("EpsilonResult", "value conductor_a conductor_a_omega method")
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +102,7 @@ def _tate_shape(chi, omega):
     if not chi.is_ramified():
         raise ValueError("the unit-sum formula applies to ramified characters")
     a = 1 + chi.swan()
-    v_om = omega.valuation()
+    v_om = omega.w.valuation()
     if chi.field.q ** a > TATE_CAP:
         raise CapExceeded("unit sum would exceed %d terms" % TATE_CAP)
     return a, v_om, a + v_om
@@ -299,7 +285,7 @@ def eps_unramified(chi, omega, kind):
     if chi.is_ramified():
         raise ValueError("character is ramified")
     coeff = chi.coeff
-    v_om = omega.valuation()
+    v_om = omega.w.valuation()
     q = chi.field.q
     if kind == "star":
         value = (chi.c_pi * coeff.elem(q)) ** v_om
@@ -353,7 +339,7 @@ def eps_closed_form(chi, omega):
         h0 = H.coeff(-n)
         value = value * q ** (vr - half - 1) * gamma_psi(coeff, field, h0 * (-n % field.p))
     a = 1 + n
-    return EpsilonResult(value, a, a + omega.valuation(), "closed_form")
+    return EpsilonResult(value, a, a + omega.w.valuation(), "closed_form")
 
 
 # ---------------------------------------------------------------------------

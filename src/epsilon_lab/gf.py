@@ -121,11 +121,25 @@ def _prime_factors(n):
     return out
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n):
-    if n < 2:
-        return False
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d == 0:
+    """Trial division by the primes below 40, then strong probable prime
+    tests to each of them as base: exact below 3.3 * 10**24, far past any
+    prime the caps let through."""
+    if n < 41 or any(n % b == 0 for b in _SMALL_PRIMES):
+        return n in _SMALL_PRIMES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    for b in _SMALL_PRIMES:
+        x = pow(b, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
     return True
 

@@ -3,8 +3,8 @@
 A LaurentSeries knows its field, its valuation window and its precision:
 coefficients are exact for exponents in [v, prec) and unknown beyond.  A
 1-form w dpi is handled through its series w: residue and dlog take and
-return series, and Form only holds the w of the form a local factor is
-taken against.  RationalFunction and Point model functions on the
+return series, and Form is a plain record of the w of the form a local
+factor is taken against (its valuation is w.valuation()).  RationalFunction and Point model functions on the
 projective line and their expansions at closed points, including the point
 at infinity and points of higher degree (expansion happens over the residue
 field at a distinguished root of the point's minimal polynomial).
@@ -29,6 +29,8 @@ Conventions:
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 from .gf import FieldDesc, FqElem, Unsupported, _digits, first_root, int_ops, residue_field
 
@@ -237,27 +239,8 @@ class LaurentSeries:
         return " + ".join(bits) + " + O(pi^%d)" % self.prec
 
 
-class Form:
-    """A 1-form w * dpi: the holder of the series w that a local factor
-    reads."""
-
-    __slots__ = ("w",)
-
-    def __init__(self, w):
-        self.w = w
-
-    def valuation(self):
-        return self.w.valuation()
-
-    def __eq__(self, other):
-        return isinstance(other, Form) and self.w == other.w
-
-    def __repr__(self):
-        return "(%r) dpi" % (self.w,)
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(LaurentSeries.from_json(obj))
+# A 1-form w * dpi: the holder of the series w that a local factor reads.
+Form = namedtuple("Form", "w")
 
 
 def residue(w):

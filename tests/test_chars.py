@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from epsilon_lab.coeff import coeff_setup
 from epsilon_lab.gf import CapExceeded, fq_build
-from epsilon_lab.chars import ORACLE_CAP, LocalCharacter, as_reduce, unit_keys
+from epsilon_lab.chars import LocalCharacter, as_reduce, unit_keys
 from epsilon_lab.localfield import LaurentSeries, PrecisionError, dlog, residue
 from local_props import char_product, twist_unramified
 from uniformizer import compose, reversion, transport
@@ -19,11 +19,13 @@ F3 = fq_build(3, 1)
 F9 = fq_build(3, 2)
 F5 = fq_build(5, 1)
 F4 = fq_build(2, 2)
+F2 = fq_build(2, 1)
 
 C3 = coeff_setup(3, [2])
 C9 = coeff_setup(3, [8])
 C5 = coeff_setup(5, [4])
 C4 = coeff_setup(2, [3])
+C2 = coeff_setup(2, [1])
 
 COEFF_FOR = {3: C3, 9: C9, 5: C5, 4: C4}
 
@@ -87,18 +89,35 @@ def test_reduce_kills_coboundaries():
 
 
 def test_reduce_exhaustive_against_raw_pairing():
-    """Every wild datum with poles to order 4 over F_3 evaluates identically
-    before and after reduction, on every unit mod pi**5."""
-    field = F3
-    coeff = C3
-    units = []
-    for key in unit_keys(field, 5):
-        units.append(series(field, 0, [field.from_index(i) for i in key], 5))
-    for a in itertools.product(range(3), repeat=4):
-        h = LaurentSeries.make(field, -4, [field.elem(c) for c in reversed(a)], 1)
-        red = as_reduce(h)
-        for u in units:
-            assert raw_wild_value(coeff, h, u) == raw_wild_value(coeff, red, u)
+    """Every wild datum with poles to order 4 over F_3, and to order 6 over
+    F_2, evaluates identically before and after reduction, on every unit
+    mod pi**(poles + 1)."""
+    for field, coeff, poles in ((F3, C3, 4), (F2, C2, 6)):
+        units = []
+        for key in unit_keys(field, poles + 1):
+            units.append(series(field, 0, [field.from_index(i) for i in key], poles + 1))
+        for a in itertools.product(range(field.q), repeat=poles):
+            h = LaurentSeries.make(field, -poles, [field.from_index(c) for c in reversed(a)], 1)
+            red = as_reduce(h)
+            for u in units:
+                assert raw_wild_value(coeff, h, u) == raw_wild_value(coeff, red, u)
+
+
+def test_reduce_is_canonical_and_additive_to_deep_poles():
+    rng = random.Random(37)
+    for field in (F2, F3, F4, F5, F9):
+        p = field.p
+        for _ in range(8):
+            data = []
+            for _ in range(2):
+                n = rng.randrange(1, 301)
+                coeffs = [rng.randrange(field.q) if rng.randrange(3) else 0 for _ in range(n)]
+                data.append(LaurentSeries.of(field, -n, coeffs, 1))
+            h1, h2 = data
+            red = as_reduce(h1)
+            assert all(c == 0 or k % p for k, c in enumerate(red.coeffs, red.v))
+            assert as_reduce(red) == red
+            assert as_reduce(h1 + h2) == red + as_reduce(h2)
 
 
 def test_reduce_hand_example():
@@ -228,6 +247,10 @@ def test_conductor_exponents():
 
 # ---------------------------------------------------------------------------
 # oracle tables
+
+
+# the oracle's table has at most this many entries
+ORACLE_CAP = 1 << 16
 
 
 class OracleCharacter:

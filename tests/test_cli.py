@@ -15,6 +15,7 @@ from epsilon_lab import cli as cli_mod
 from epsilon_lab import coeff as coeff_mod
 from epsilon_lab import epsilon as epsilon_mod
 from epsilon_lab.cli import main
+from epsilon_lab.gf import fq_build
 from epsilon_lab.localfield import SERIES_CAP
 
 DATA = resources.files("epsilon_lab").joinpath("data")
@@ -85,6 +86,24 @@ def test_eps_local_punctual(capsys, tmp_path):
         path.write_text(json.dumps({"coeff": {"p": 3, "orders": [8]}, "eigenvalues": eigen}))
         code, report = run(capsys, ["eps-local", "--char", str(path), "--kind", "punctual"])
         assert code == 3 and report["error"] and not report["ok"]
+
+
+def test_deep_wild_datum_is_reduced_not_refused(capsys, tmp_path):
+    # 200 poles over F_4, reduced to swan 199: the walk's cap refuses it
+    # under auto, and the closed form answers
+    field = fq_build(2, 2).to_json()
+    wild = {"v": -200, "coeffs": [[0, 1]] * 200}
+    char = tmp_path / "char.json"
+    record = {"field": field, "c_pi": 1, "tame_e": 0, "wild_h": wild}
+    char.write_text(json.dumps({"char": record, "coeff": {"p": 2, "orders": [3]}}))
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"field": field, "v": 0, "prec": 250, "coeffs": [[1]] + [[0]] * 249}))
+    argv = ["eps-local", "--char", str(char), "--form", str(form)]
+    code, report = run(capsys, argv)
+    assert code == 4 and "unit sum would exceed" in report["error"]
+    code, report = run(capsys, argv + ["--method", "closed"])
+    assert code == 0 and report["ok"]
+    assert report["a"] == report["a_omega"] == 200 and report["method"] == "closed_form"
 
 
 def test_eps_local_bad_kind(capsys):

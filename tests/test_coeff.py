@@ -35,6 +35,9 @@ def test_setup_examples():
     assert f.zeta_p == 8
     f2 = coeff_setup(2, [1], 4)
     assert f2.ell == 5
+    # orders near the cap: ell is about 2^50, its primality a few modular powers
+    f3 = coeff_setup(3, [16777213, 16777207])
+    assert f3.ell == 1688848652304547 and f3.h == 2
 
 
 def test_roots_have_exact_order():

@@ -758,7 +758,7 @@ def test_product_formula_bites_on_one_doubled_local_factor(monkeypatch, path):
             res = walk(chi, form)
             calls.append(res)
             if len(calls) == 1:
-                res.value = res.value + res.value
+                res = res._replace(value=res.value + res.value)
             return res
 
         monkeypatch.setattr(epsilon_mod, "eps_tate", doubled)

@@ -331,7 +331,7 @@ def test_epsilon_uniformizer_independent(method):
         chi = random_char(rng, field, coeff)
         rel = chi.swan() + 5
         omega = random_form(rng, field, rel)
-        width = chi.swan() + abs(omega.valuation()) + 10
+        width = chi.swan() + abs(omega.w.valuation()) + 10
         ucoeffs = [rng.randrange(1, field.q)] + [rng.randrange(field.q) for _ in range(width - 1)]
         s = series(field, 1, [field.from_index(c) for c in ucoeffs], 1 + width)
         moved_chi = transport(chi, s)
@@ -519,7 +519,7 @@ def test_swan_one_sum_is_one_correlation(monkeypatch, p, n):
             if second is not None:
                 fix = field.elem(second) - omega.w.coeff(v + 1)
                 omega = Form(omega.w + LaurentSeries.pi_power(field, v + 1, v + 4) * fix)
-                assert omega.w.coeff(v + 1) == field.elem(second) and omega.valuation() == v
+                assert omega.w.coeff(v + 1) == field.elem(second) and omega.w.valuation() == v
             del products[:]
             got = eps_tate(chi, omega)
             assert len(products) == field.q - 1

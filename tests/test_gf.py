@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from epsilon_lab.gf import (
     CapExceeded,
+    _is_prime,
     FieldDesc,
     LogField,
     Unsupported,
@@ -65,6 +66,43 @@ def test_q_is_set_once(p, n):
 def test_cap_enforced():
     with pytest.raises(CapExceeded):
         fq_build(2, 30)
+
+
+def test_is_prime_agrees_with_a_sieve():
+    n = 200000
+    sieve = bytearray([1]) * n
+    sieve[0] = sieve[1] = 0
+    for d in range(2, 448):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, n, d)))
+    assert [m for m in range(n) if _is_prime(m)] == [m for m in range(n) if sieve[m]]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        # the least strong pseudoprimes to the prime bases 2, 3, 5, ... in turn, up to 23
+        2047,
+        1373653,
+        25326001,
+        3215031751,
+        2152302898747,
+        3474749660383,
+        341550071728321,
+        3825123056546413051,
+        # Carmichael numbers
+        561,
+        41041,
+        825265,
+    ],
+)
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not _is_prime(n)
+
+
+def test_is_prime_on_large_primes():
+    assert _is_prime(2 ** 61 - 1) and _is_prime(2 ** 55 - 55) and _is_prime(1688848652304547)
+    assert not _is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
 
 
 def test_fq_build_keeps_each_descriptor_and_its_refusals():
