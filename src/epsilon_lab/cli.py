@@ -3,11 +3,10 @@
 Subcommands compute quadratic Gauss constants, local epsilon factors,
 global Frobenius determinants, the product-formula audit, cover transfer
 audits, and the projective-representation identity suite.  Reports are
-deterministic for a fixed input and seed: the timing block counts logical
-work units rather than wall clock, so identical runs serialize to
-identical bytes (wall time goes to stderr).  Exit
-codes: 0 pass, 2 a checked identity failed, 3 unsupported or malformed
-input, 4 an enumeration cap was exceeded.
+deterministic for a fixed input and seed, so identical runs serialize to
+identical bytes (wall time goes to stderr).  Exit codes: 0 pass, 2 a
+checked identity failed, 3 unsupported or malformed input, a bad command
+line included, 4 an enumeration cap was exceeded.
 """
 
 import argparse
@@ -169,7 +168,7 @@ def cmd_gauss(args):
         "value": gamma_from_counts(coeff, counts).value,
         "complex": {"re": round(z.real, 10) + 0.0, "im": round(z.imag, 10) + 0.0, "abs": round(abs(z), 10)},
     }
-    return body, coeff.ell, q, True
+    return body, coeff.ell, True
 
 
 def cmd_eps_local(args):
@@ -205,7 +204,7 @@ def cmd_eps_local(args):
         "method": res.method,
         "kind": kind,
     }
-    return body, coeff.ell, 1, True
+    return body, coeff.ell, True
 
 
 def cmd_eps_global(args):
@@ -219,7 +218,7 @@ def cmd_eps_global(args):
         "l_polynomial": [c.value for c in glob.cs],
         "audit": audit,
     }
-    return body, coeff.ell, glob.degree + 2, audit["ok"]
+    return body, coeff.ell, audit["ok"]
 
 
 def cmd_product_check(args):
@@ -232,15 +231,11 @@ def cmd_product_check(args):
     report = product_formula_check(spec, coeff, omega, method=args.method)
     body = {"report": report}
     ok = report["ok"]
-    # constant data has no determinant degree
-    d = report["degree"] or 0
-    work = len(report["per_point"]) + d + 1
     if args.second_ell:
         twin = product_formula_check(spec, _prime_to(second_ell(coeff), spec.unram), omega, method=args.method)
         body["second"] = twin
         ok = ok and twin["ok"]
-        work *= 2
-    return body, coeff.ell, work, ok
+    return body, coeff.ell, ok
 
 
 def cmd_induction_check(args):
@@ -265,7 +260,7 @@ def cmd_induction_check(args):
     body = transfer_constants(coeff, pairs, point, pulled)
     body["point"] = point.to_json()
     ok = body["all_equal"] and body["conductor_ok"]
-    return body, coeff.ell, 2 * len(pairs), ok
+    return body, coeff.ell, ok
 
 
 def _pullback(w, f):
@@ -288,8 +283,7 @@ def cmd_twisted_check(args):
     orders = _parse_orders(args.orders) if args.orders else [8]
     coeff = _coeff_for({}, args.p, orders, args.ell)
     report = run_twisted_suite(coeff, seed=args.seed, min_randomized=args.trials)
-    work = sum(report["counts"].values())
-    return {"report": report}, coeff.ell, work, report["ok"]
+    return {"report": report, "seed": args.seed}, coeff.ell, report["ok"]
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +303,6 @@ _COMMANDS = {
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--ell", type=int, default=None, help="pin the coefficient prime")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized corpora")
-    common.add_argument("--cap", type=int, default=None, help="override the unit-sum cap")
     common.add_argument("--json-out", default=None, help="also write the report to this path")
     # the engine of each local factor, in eps-local and product-check
     method_help = (
@@ -359,8 +351,17 @@ def _build_parser():
     tc.add_argument("--p", type=int, default=3)
     tc.add_argument("--orders", default=None)
     tc.add_argument("--trials", type=int, default=100, help="randomized cases above order 12")
+    tc.add_argument("--seed", type=int, default=0, help="seed of the randomized cases")
 
+    for each in (parser, *sub.choices.values()):
+        each.error = _refuse
     return parser
+
+
+def _refuse(message):
+    """A bad command line is malformed input: exit 3 with a report, not
+    argparse's usage line and exit 2, which means a failed identity."""
+    raise Unsupported(message)
 
 
 def _emit(report, json_out):
@@ -372,12 +373,13 @@ def _emit(report, json_out):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
-    saved_cap = _epsilon.TATE_CAP
     started = time.perf_counter()
-    report = {"command": args.command, "seed": args.seed}
-    json_out = args.json_out
+    report = {}
+    json_out = None
     try:
+        args = _build_parser().parse_args(argv)
+        report["command"] = args.command
+        json_out = args.json_out
         # a bad path is refused before the command runs; appending keeps an
         # input given as the path intact until the report replaces it
         if json_out:
@@ -386,14 +388,10 @@ def main(argv=None):
             except OSError as err:
                 json_out = None
                 raise Unsupported("cannot write %s: %s" % (args.json_out, err.strerror), field="json-out")
-        if args.cap is not None:
-            _need(args.cap >= 1, "cap", "a positive integer")
-            _epsilon.TATE_CAP = args.cap
-        body, ell, work, ok = _COMMANDS[args.command](args)
+        body, ell, ok = _COMMANDS[args.command](args)
         report.update(body)
         report["ell"] = ell
         report["ok"] = ok
-        report["timings"] = {"unit": "evaluations", "total": work}
         code = 0 if ok else 2
     except CapExceeded as err:
         report.update({"ok": False, "error": str(err)})
@@ -409,10 +407,7 @@ def main(argv=None):
     except (ValueError, TypeError, ZeroDivisionError, OSError) as err:
         report.update({"ok": False, "error": str(err)})
         code = 3
-    finally:
-        # the caps this run used, before the override is undone
-        report["caps"] = {"field": _gf.FIELD_CAP, "unit_sum": _epsilon.TATE_CAP}
-        _epsilon.TATE_CAP = saved_cap
+    report["caps"] = {"field": _gf.FIELD_CAP, "unit_sum": _epsilon.TATE_CAP}
     _emit(report, json_out)
     sys.stderr.write("wall %.3fs\n" % (time.perf_counter() - started))
     return code

@@ -108,6 +108,13 @@ def _is_irreducible(f, p):
 
 
 def _prime_factors(n):
+    """The distinct primes of n, ascending, by trial division.  What is left
+    past FIELD_CAP is tested for primality whenever it shrinks, and the
+    division stops once it is prime.  Below the cap the division takes at
+    most 2^12 steps, and the test would slow _full_order, which factors
+    q - 1 once per generator candidate."""
+    if n > FIELD_CAP and _is_prime(n):
+        return [n]
     out = []
     d = 2
     while d * d <= n:
@@ -115,6 +122,8 @@ def _prime_factors(n):
             out.append(d)
             while n % d == 0:
                 n //= d
+            if n > FIELD_CAP and _is_prime(n):
+                break
         d += 1
     if n > 1:
         out.append(n)

@@ -1,10 +1,12 @@
 """Coefficient field selection, character values, root-sum display."""
 
 import cmath
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epsilon_lab import coeff as coeff_mod
 from epsilon_lab.coeff import coeff_setup, pinned_ell, root_sum, second_ell
 from epsilon_lab.gf import fq_build, trace
 
@@ -38,6 +40,46 @@ def test_setup_examples():
     # orders near the cap: ell is about 2^50, its primality a few modular powers
     f3 = coeff_setup(3, [16777213, 16777207])
     assert f3.ell == 1688848652304547 and f3.h == 2
+
+
+def _trial_factors(n, limit=None):
+    """The distinct primes of n by plain trial division; past limit, if
+    given, the division is refused."""
+    out, d = [], 2
+    while d * d <= n:
+        if limit is not None and d > limit:
+            raise AssertionError("trial division of %d past %d" % (n, limit))
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] * (n > 1)
+
+
+def _oracle_h(ell):
+    """The smallest primitive root mod ell, from the whole of ell - 1."""
+    fac = _trial_factors(ell - 1)
+    return next(h for h in range(2, ell) if all(pow(h, (ell - 1) // r, ell) != 1 for r in fac))
+
+
+def test_primitive_root_factors_only_the_cofactor_of_ell_minus_one(monkeypatch):
+    # ell - 1 = 8 * 3 * 16777199 * 16777213: the orders' primes are known,
+    # so no division reaches the square root of their product
+    monkeypatch.setattr(coeff_mod, "_prime_factors", lambda n: _trial_factors(n, 1 << 13))
+    f = coeff_setup(3, [16777213, 16777199])
+    assert f.ell == 6755391387993289 and f.h == 11
+
+
+def test_primitive_root_matches_trial_division_on_a_seeded_sweep():
+    rng = random.Random(7)
+    for _ in range(60):
+        p = rng.choice([2, 3, 5, 7, 11, 13])
+        orders = [o for o in (rng.randrange(1, 5000) for _ in range(rng.randrange(1, 3))) if o % p] or [1]
+        f = coeff_setup(p, orders)
+        g = second_ell(f)
+        for field in (f, g, pinned_ell(f, g.ell)):
+            assert field.h == _oracle_h(field.ell), (p, orders, field.ell)
 
 
 def test_roots_have_exact_order():
