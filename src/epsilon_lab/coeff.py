@@ -22,26 +22,23 @@ from .gf import FIELD_CAP, CapExceeded, FqElem, Unsupported, _check_size, _is_pr
 # FIELD_CAP, so one in-cap character has a step p*M below FIELD_CAP**2 (2^48).
 # ELL_CAP leaves 2^12 multiples of that step for the smallest prime 1 mod it
 # (for the 20000 largest primes p below FIELD_CAP, order p - 1 needs at most
-# 155).  A coefficient prime past it, chosen or pinned, is refused: no
-# in-cap character needs one.  It also bounds the primitive root's
-# factoring of ell - 1: the primes of p*M are known and stripped first, and
-# only the cofactor is trial-divided, which for a pinned prime whose
-# cofactor is two primes near 2^28 still takes 2^28 steps.
+# 155).  It bounds that scan: a coefficient prime past it, chosen or
+# pinned, is refused, as no in-cap character needs one.  It bounds no
+# factoring, since _prime_factors splits any ell - 1 by Pollard's rho.
 ELL_CAP = FIELD_CAP * FIELD_CAP << 12
 
 
 class CoeffField:
-    """F_ell together with the pinned roots zeta_p and zeta_M; primes are
-    the distinct primes of p*M, which divides ell - 1."""
+    """F_ell together with the pinned roots zeta_p and zeta_M, powers of
+    h, the smallest primitive root mod ell; p*M divides ell - 1."""
 
-    __slots__ = ("ell", "p", "M", "primes", "h", "zeta_p", "zeta_M")
+    __slots__ = ("ell", "p", "M", "h", "zeta_p", "zeta_M")
 
-    def __init__(self, ell, p, M, primes):
+    def __init__(self, ell, p, M):
         self.ell = ell
         self.p = p
         self.M = M
-        self.primes = primes
-        self.h = h = _smallest_primitive_root(ell, primes)
+        self.h = h = _smallest_primitive_root(ell)
         self.zeta_p = pow(h, (ell - 1) // p, ell)
         self.zeta_M = pow(h, (ell - 1) // M, ell)
 
@@ -184,7 +181,6 @@ def coeff_setup(p, orders, d_max=1):
     """
     _check_size(p, 1)
     M = 1
-    primes = {p}
     for o in orders:
         if o < 1:
             raise Unsupported("orders must be positive", field="orders")
@@ -193,16 +189,15 @@ def coeff_setup(p, orders, d_max=1):
                 "character order %d exceeds %d, the field cap %d less one" % (o, FIELD_CAP - 1, FIELD_CAP)
             )
         M = M * o // math.gcd(M, o)
-        primes.update(_prime_factors(o))
     if M % p == 0:
         raise Unsupported("orders must be prime to p", field="orders")
-    return CoeffField(_admissible_ell(p * M, d_max, math.inf), p, M, tuple(sorted(primes)))
+    return CoeffField(_admissible_ell(p * M, d_max, math.inf), p, M)
 
 
 def second_ell(field, d_max=1):
     """The next admissible field after the given one; d_max is a plain lower bound on ell."""
     step = field.p * field.M
-    return CoeffField(_admissible_ell(step, max(field.ell, d_max), math.inf), field.p, field.M, field.primes)
+    return CoeffField(_admissible_ell(step, max(field.ell, d_max), math.inf), field.p, field.M)
 
 
 def pinned_ell(field, ell):
@@ -214,7 +209,7 @@ def pinned_ell(field, ell):
         raise ValueError(
             "ell=%d is not admissible (needs a prime > %d with ell = 1 mod %d)" % (ell, step, step)
         )
-    return CoeffField(ell, field.p, field.M, field.primes)
+    return CoeffField(ell, field.p, field.M)
 
 
 def _admissible_ell(step, bound, limit):
@@ -235,14 +230,10 @@ def _admissible_ell(step, bound, limit):
         ell += step
 
 
-def _smallest_primitive_root(ell, primes):
-    """The least generator of F_ell^*; primes are known primes of ell - 1,
-    so only the cofactor left after them is trial-divided."""
-    cofactor = ell - 1
-    for r in primes:
-        while cofactor % r == 0:
-            cofactor //= r
-    fac = list(primes) + _prime_factors(cofactor)
+def _smallest_primitive_root(ell):
+    """The least generator of F_ell^*: the least h with h**((ell - 1) / r)
+    != 1 for every prime r of ell - 1, all of them from _prime_factors."""
+    fac = _prime_factors(ell - 1)
     for h in range(2, ell):
         if all(pow(h, (ell - 1) // r, ell) != 1 for r in fac):
             return h

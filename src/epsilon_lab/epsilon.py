@@ -141,17 +141,17 @@ def eps_tate_slow(chi, omega, c_unit=None):
     return EpsilonResult(value, a, a_om, "tate_slow")
 
 
-def _unit_rows(inv, nu, logs, psi_pow):
+def _unit_rows(inv, nu, logs, psi_pow, trexp):
     """T[i - 1][f] = inv(1 + G**f pi**i), 0 < i < nu, by table reads.  On
     u = 1 + c pi**i the tame part is 1 and Res(h du/u), h the wild datum, is
     the sum over t <= (nu - 1) / i of i (-1)**(t - 1) h_(-i t) c**t.
 
     A term a G**(l + t f) reads the traces of G**l, G**(l + t), ..., one
-    strided slice of the traces of G**e laid out nu times over."""
-    log, tr, m = logs.log, logs.trace, logs.order
+    strided slice of trexp, the traces of G**e, laid out nu times over."""
+    log, m = logs.log, logs.order
     h, p = inv.wild_h, inv.field.p
     # t < nu, so l + t f < nu m for l < m and f < m
-    trexp = [tr[x] for x in logs.exp] * nu
+    trexp = trexp * nu
     # a row adds fewer than nu traces, each below p
     psi_at = (psi_pow * nu).__getitem__
     T = []
@@ -201,13 +201,14 @@ def eps_tate(chi, omega):
     for k in range(1, m):
         ginv[k] = ginv[k - 1] * step % ell
     psi_pow = [coeff.psi(t).value for t in range(field.p)]
-    P1 = sum(ginv[-e % m] * psi_pow[tr[exp[e]]] for e in range(m)) % ell
+    trexp = [tr[x] for x in exp]
+    P1 = sum(ginv[-e % m] * psi_pow[t] for e, t in enumerate(trexp)) % ell
     P0 = m % ell if g == 1 else 0
 
     if a == 1:
         total = ginv[W[0]] * P1
     else:
-        T = _unit_rows(inv, a, logs, psi_pow)
+        T = _unit_rows(inv, a, logs, psi_pow, trexp)
 
         # S[e] = sum over c of T_last(c) P(G**e + c W_last), and S[-1], read
         # through the log -1 of zero, is the same sum at pairing 0.  With

@@ -108,26 +108,32 @@ def _is_irreducible(f, p):
 
 
 def _prime_factors(n):
-    """The distinct primes of n, ascending, by trial division.  What is left
-    past FIELD_CAP is tested for primality whenever it shrinks, and the
-    division stops once it is prime.  Below the cap the division takes at
-    most 2^12 steps, and the test would slow _full_order, which factors
-    q - 1 once per generator candidate."""
-    if n > FIELD_CAP and _is_prime(n):
-        return [n]
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-            if n > FIELD_CAP and _is_prime(n):
-                break
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    """The distinct primes of n >= 1, ascending: the primes below 40 by
+    trial division, then Pollard's rho (x -> x * x + c from x = 2, with
+    Floyd's cycle test) splits what is left until _is_prime accepts each
+    part.  Rho finds a prime r of a composite in about sqrt(r) steps, so
+    any n below 2^60 factors in tens of milliseconds at most."""
+    out = [r for r in _SMALL_PRIMES if n % r == 0]
+    for r in out:
+        while n % r == 0:
+            n //= r
+    parts, large = [n] * (n > 1), set()
+    while parts:
+        m = parts.pop()
+        if _is_prime(m):
+            large.add(m)
+            continue
+        d, c = m, 0
+        while d == m:  # the cycles modulo every prime of m closed at once: next c
+            c += 1
+            x, y, d = 2, 2, 1
+            while d == 1:
+                x = (x * x + c) % m
+                y = (y * y + c) % m
+                y = (y * y + c) % m
+                d = math.gcd(x - y, m)
+        parts += [d, m // d]
+    return out + sorted(large)
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

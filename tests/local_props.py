@@ -1,7 +1,7 @@
 """The paper's local properties of epsilon, as checks for the tests.
 
-Change of form, unramified twist, the exact sequence at the closed point
-and multiplicativity over formal sums, with the two operations on
+Change of form, unramified twist, the exact sequence at the closed point,
+local duality and multiplicativity over formal sums, with the two operations on
 characters they need: the product and the unramified twist.  Each check
 takes the engine of eps_local, so that both the walk and auto's choice
 keep it.
@@ -54,6 +54,29 @@ def check_exact_sequence(chi, omega, method="auto"):
     ok_a = star.conductor_a == shriek.conductor_a + stalk.conductor_a
     ok_aw = star.conductor_a_omega == shriek.conductor_a_omega + stalk.conductor_a_omega
     return ok_value and ok_a and ok_aw
+
+
+def check_local_duality(chi, omega, method="auto"):
+    """eps(chi, w) eps(chi**-1, -w) == q**(a + 2 v(w)) for ramified chi of
+    conductor a, the local functional equation of Tate's thesis.
+
+    In this code's normalisation, with c = pi**(a + v(w)),
+    eps(chi, w) = (-1)**a q**v(w) G(chi, w), where
+    G(chi, w) = sum over units u mod pi**a of chi**-1(x) psi(Res(x w)),
+    x = u / c; chi**-1 also has conductor a.  Put y = x t in
+    G(chi, w) G(chi**-1, -w) = sum over x, y of chi(y / x) psi(Res((x - y) w)):
+    it is the sum over units t mod pi**a of chi(t) S(t), where S(t) sums
+    psi(Res(u z)), z = (1 - t) w / c of valuation v(1 - t) - a, over the
+    units u mod pi**a.  As a sum over O mod pi**a less one over pi O mod
+    pi**a, each of a character trivial just when z pi**k has valuation at
+    least 0, S(t) = q**a [t = 1] - q**(a - 1) [t in U^(a-1)].  chi is
+    nontrivial on U^(a-1), its conductor being a, so the second part sums
+    to 0, G G = q**a, and the signs (-1)**a cancel.
+    """
+    q = chi.coeff.elem(chi.field.q)
+    res = eps_local(chi, omega, "shriek", method)
+    dual = eps_local(chi.inverse(), Form(-omega.w), "shriek", method)
+    return res.value * dual.value == q ** (res.conductor_a + 2 * omega.w.valuation())
 
 
 def eps_virtual(parts):

@@ -456,10 +456,16 @@ def test_every_option_is_read_by_its_command():
     assert not unread, "options no command reads: %s" % ", ".join(unread)
 
 
-def test_pinned_prime_whose_cofactor_is_one_large_prime_answers():
-    # ell - 1 = 6 * P with P a prime near 2^56: once 2 and 3 are stripped,
-    # what is left is prime and nothing is trial-divided
-    ell = 432345564227568679
+@pytest.mark.parametrize(
+    "ell",
+    [
+        # ell - 1 = 6 * P with P a prime near 2^56
+        pytest.param(432345564227568679, id="6P"),
+        # ell - 1 = 6 * 268435459 * 268436167, two primes near 2^28
+        pytest.param(432346714205073919, id="6PQ"),
+    ],
+)
+def test_pinned_prime_with_large_primes_in_ell_minus_one_answers(ell):
     done, report = run_child(["gauss", "--p", "3", "--q", "3", "--c", "1", "--ell", str(ell)], timeout=20)
     assert done.returncode == 0 and report["ok"] and report["ell"] == ell
 

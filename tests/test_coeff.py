@@ -6,9 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epsilon_lab import coeff as coeff_mod
 from epsilon_lab.coeff import coeff_setup, pinned_ell, root_sum, second_ell
-from epsilon_lab.gf import fq_build, trace
+from epsilon_lab.gf import _is_prime, _prime_factors, fq_build, trace
 
 
 def zeta_pM(field):
@@ -42,13 +41,10 @@ def test_setup_examples():
     assert f3.ell == 1688848652304547 and f3.h == 2
 
 
-def _trial_factors(n, limit=None):
-    """The distinct primes of n by plain trial division; past limit, if
-    given, the division is refused."""
+def _trial_factors(n):
+    """The distinct primes of n by plain trial division."""
     out, d = [], 2
     while d * d <= n:
-        if limit is not None and d > limit:
-            raise AssertionError("trial division of %d past %d" % (n, limit))
         if n % d == 0:
             out.append(d)
             while n % d == 0:
@@ -57,18 +53,56 @@ def _trial_factors(n, limit=None):
     return out + [n] * (n > 1)
 
 
-def _oracle_h(ell):
-    """The smallest primitive root mod ell, from the whole of ell - 1."""
-    fac = _trial_factors(ell - 1)
+def _oracle_h(ell, fac=None):
+    """The smallest primitive root mod ell, from fac, the primes of ell - 1,
+    trial-divided when not given."""
+    fac = fac or _trial_factors(ell - 1)
     return next(h for h in range(2, ell) if all(pow(h, (ell - 1) // r, ell) != 1 for r in fac))
 
 
-def test_primitive_root_factors_only_the_cofactor_of_ell_minus_one(monkeypatch):
-    # ell - 1 = 8 * 3 * 16777199 * 16777213: the orders' primes are known,
-    # so no division reaches the square root of their product
-    monkeypatch.setattr(coeff_mod, "_prime_factors", lambda n: _trial_factors(n, 1 << 13))
-    f = coeff_setup(3, [16777213, 16777199])
-    assert f.ell == 6755391387993289 and f.h == 11
+# primes near 2^30 and 2^28, each checked by trial division below
+P30, Q30 = 1073741827, 1073742851
+P28, Q28 = 268435459, 268436167
+
+
+def test_prime_factors_match_trial_division():
+    assert all(_trial_factors(r) == [r] for r in (P30, Q30, P28, Q28))
+    known = {
+        1: [],
+        41 ** 2: [41],
+        41 ** 3: [41],
+        1000003 ** 2: [1000003],
+        561: [3, 11, 17],
+        41041: [7, 11, 13, 41],
+        2 ** 59 * 3: [2, 3],
+        2 ** 61 - 1: [2 ** 61 - 1],
+        (2 ** 31 - 1) ** 2: [2 ** 31 - 1],
+        2 * P30 * Q30: [2, P30, Q30],
+        6 * P28 * Q28: [2, 3, P28, Q28],
+    }
+    for n, primes in known.items():
+        assert _prime_factors(n) == primes, n
+    rng = random.Random(36)
+    # products of two primes above 40 leave rho a composite to split
+    for n in [rng.randrange(1, 1 << 32) for _ in range(300)] + [
+        rng.randrange(41, 1 << 15) * rng.randrange(41, 1 << 15) for _ in range(300)
+    ]:
+        assert _prime_factors(n) == _trial_factors(n), n
+
+
+def _pinned_6pq(rng, count):
+    """(ell, [2, 3, P, Q]) with ell = 6 P Q + 1 prime and P < Q primes near
+    2^28, found by _is_prime and checked by trial division; the first is
+    432346714205073919."""
+    out, P, Q = [], P28, Q28
+    while len(out) < count:
+        ell = 6 * P * Q + 1
+        if _is_prime(ell):
+            assert _trial_factors(P) == [P] and _trial_factors(Q) == [Q]
+            out.append((ell, [2, 3, P, Q]))
+        P = next(r for r in range(rng.randrange(1 << 28, (1 << 28) + (1 << 20)), 1 << 29) if _is_prime(r))
+        Q = next(r for r in range(P + 1, 1 << 29) if _is_prime(r))
+    return out
 
 
 def test_primitive_root_matches_trial_division_on_a_seeded_sweep():
@@ -80,6 +114,15 @@ def test_primitive_root_matches_trial_division_on_a_seeded_sweep():
         g = second_ell(f)
         for field in (f, g, pinned_ell(f, g.ell)):
             assert field.h == _oracle_h(field.ell), (p, orders, field.ell)
+    # ell - 1 = 24 * 16777199 * 16777213, orders near the cap
+    f = coeff_setup(3, [16777213, 16777199])
+    assert f.ell == 6755391387993289 and f.h == _oracle_h(f.ell, [2, 3, 16777199, 16777213]) == 11
+    # pinned primes whose ell - 1 has two primes near 2^28 past 2 and 3
+    base = coeff_setup(3, [2])
+    pinned = _pinned_6pq(rng, 6)
+    assert pinned[0][0] == 432346714205073919
+    for ell, fac in pinned:
+        assert pinned_ell(base, ell).h == _oracle_h(ell, fac), ell
 
 
 def test_roots_have_exact_order():

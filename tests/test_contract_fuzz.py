@@ -1,0 +1,124 @@
+"""A standing fuzz of the command-line contract, run through cli.main in
+process: the bundled inputs and the golden specs with one or two JSON nodes
+replaced or deleted, and pinned coefficient primes, among them primes
+6 P Q + 1 with P and Q near 2^28.  Whatever the input, the exit code is 0,
+2, 3 or 4, stdout is one JSON object with ok and caps, and no run outlasts
+an alarm: no traceback and no hang."""
+
+import contextlib
+import io
+import json
+import signal
+import tempfile
+from importlib import resources
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from epsilon_lab.cli import main
+
+DATA = resources.files("epsilon_lab").joinpath("data")
+GOLDEN = Path(__file__).parent / "data"
+SECONDS = 10
+
+# each input with the command line that reads it, the path appended
+INPUTS = [
+    (DATA / "char_quadratic.json", ["eps-local", "--char"]),
+    (DATA / "form_dlog.json", ["eps-local", "--form"]),
+    (GOLDEN / "punctual_char.json", ["eps-local", "--kind", "punctual", "--char"]),
+    (DATA / "product_spec.json", ["product-check", "--second-ell", "--spec"]),
+    (DATA / "product_omega.json", ["product-check", "--omega"]),
+    (GOLDEN / "form_omega.json", ["product-check", "--omega"]),
+    (GOLDEN / "infinity_spec.json", ["eps-global", "--spec"]),
+    (GOLDEN / "f9_spec.json", ["product-check", "--spec"]),
+    (DATA / "induction_cover.json", ["induction-check", "--cover"]),
+    (DATA / "induction_spec.json", ["induction-check", "--spec"]),
+    (DATA / "induction_omega.json", ["induction-check", "--omega"]),
+]
+
+# small integers keep a mutated field or degree small enough to answer at
+# once; the rest are wrong types, empty containers and values past every cap
+VALUES = st.one_of(
+    st.integers(-2, 4),
+    st.sampled_from([None, True, 1.5, "", "x", [], {}, [[]], [0], 10 ** 30, -(10 ** 30)]),
+)
+
+# ell - 1 = 6 P Q with P < Q primes near 2^28, admissible under gauss's
+# step 6: a slow case for the factoring of ell - 1
+PINNED_6PQ = [432346714205073919, 432835068056343727, 432598950725875267, 435280070328892963]
+
+ELL_COMMANDS = [
+    ["gauss", "--p", "3", "--q", "3", "--c", "1"],
+    ["eps-local"],
+    ["eps-local", "--kind", "punctual", "--char", str(GOLDEN / "punctual_char.json")],
+]
+
+
+class Hang(BaseException):
+    """A run outlasted the alarm; not an Exception, so main cannot catch it."""
+
+
+def _hang(signum, frame):
+    raise Hang()
+
+
+def _paths(node, path=()):
+    """The path to every node under node, node itself first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_inputs(draw):
+    """(command line, document): an input with one or two nodes below its
+    root replaced or deleted."""
+    path, argv = draw(st.sampled_from(INPUTS))
+    doc = json.loads(path.read_text())
+    for _ in range(draw(st.integers(1, 2))):
+        where = draw(st.sampled_from(list(_paths(doc))[1:] or [None]))
+        if where is None:
+            break
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = draw(VALUES)
+    return argv, doc
+
+
+def _check_contract(argv):
+    out = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _hang)
+    signal.alarm(SECONDS)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    except Hang:
+        raise AssertionError("no answer within %d s: %s" % (SECONDS, argv)) from None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    report = json.loads(out.getvalue())
+    assert code in (0, 2, 3, 4), (code, argv)
+    assert isinstance(report, dict) and "caps" in report, argv
+    assert report["ok"] is (code == 0), (code, argv)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(mutated_inputs())
+def test_mutated_inputs_keep_the_contract(case):
+    argv, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(doc))
+        _check_contract(argv + [str(path)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(st.sampled_from(ELL_COMMANDS), st.one_of(st.sampled_from(PINNED_6PQ), st.integers(-5, 1 << 62)))
+def test_pinned_primes_keep_the_contract(argv, ell):
+    _check_contract(argv + ["--ell", str(ell)])

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from epsilon_lab.coeff import coeff_setup, root_sum
+from epsilon_lab.coeff import coeff_setup, root_sum, second_ell
 from epsilon_lab.gf import CapExceeded, fq_build, log_field, trace
 from epsilon_lab.chars import LocalCharacter
 from epsilon_lab.epsilon import (
@@ -20,7 +20,13 @@ from epsilon_lab.epsilon import (
     _unit_rows,
 )
 from epsilon_lab.localfield import Form, LaurentSeries, PrecisionError
-from local_props import check_change_of_form, check_exact_sequence, check_unramified_twist, eps_virtual
+from local_props import (
+    check_change_of_form,
+    check_exact_sequence,
+    check_local_duality,
+    check_unramified_twist,
+    eps_virtual,
+)
 from uniformizer import transport, transport_form
 
 F3 = fq_build(3, 1)
@@ -253,6 +259,26 @@ def test_exact_sequence_multiplicativity(method):
         assert check_exact_sequence(ram, omega, method)
 
 
+@pytest.mark.parametrize("method", ["tate", "tate_slow", "closed"])
+def test_local_duality(method):
+    # ramified characters, wild only for the closed form, each field under
+    # two coefficient primes, v(omega) from -3 to 3
+    rng = random.Random("duality " + method)
+    cases = 0
+    for field, coeff in FIELDS:
+        for c in (coeff, second_ell(coeff)):
+            for _ in range(8):
+                chi = random_char(rng, field, c, swan=rng.randrange(method == "closed", 4))
+                if not chi.swan() and (method == "closed" or not chi.is_ramified()):
+                    continue
+                if field.q ** (chi.swan() + 1) > 3000:
+                    continue
+                omega = random_form(rng, field, chi.swan() + 3, vmin=-3, vmax=3)
+                assert check_local_duality(chi, omega, method), (field.q, c.ell, chi.swan(), omega.w.valuation())
+                cases += 1
+    assert cases >= 40
+
+
 def test_dispatch_routes():
     chi = LocalCharacter(F3, C73, C73.one(), 1, series(F3, -1, [1], 1))
     omega = form(F3, 0, [1, 1, 2, 1], 5)
@@ -435,7 +461,7 @@ def test_unit_rows_match_character_calls(p, n):
         inv = random_char(rng, field, coeff, swan=swan).inverse()
         assert inv.swan() == swan
         nu = swan + 1
-        rows = _unit_rows(inv, nu, logs, psi_pow)
+        rows = _unit_rows(inv, nu, logs, psi_pow, [logs.trace[x] for x in logs.exp])
         assert len(rows) == swan
         for i, row in enumerate(rows, 1):
             want = [
@@ -470,10 +496,11 @@ def test_unit_rows_match_the_residue_formula(p, n):
     coeff = coeff_setup(p, [field.q - 1])
     logs = log_field(field)
     psi_pow = [coeff.psi(t).value for t in range(p)]
+    trexp = [logs.trace[x] for x in logs.exp]
     rng = random.Random("slices %d %d" % (p, n))
     for swan in [s for s in range(1, 12) if s % p][:6]:
         inv = random_char(rng, field, coeff, swan=swan).inverse()
-        assert _unit_rows(inv, swan + 1, logs, psi_pow) == _rows_by_generator(inv, swan + 1, logs, psi_pow), swan
+        assert _unit_rows(inv, swan + 1, logs, psi_pow, trexp) == _rows_by_generator(inv, swan + 1, logs, psi_pow), swan
 
 
 def test_eps_tate_makes_no_character_calls(monkeypatch):
