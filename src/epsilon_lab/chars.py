@@ -72,6 +72,8 @@ class LocalCharacter:
     __slots__ = ("field", "coeff", "c_pi", "tame_e", "wild_h")
 
     def __init__(self, field, coeff, c_pi, tame_e, wild_h=None):
+        if coeff.p != field.p:
+            raise Unsupported("coefficient field has the wrong residue characteristic", field="p")
         self.field = field
         self.coeff = coeff
         self.c_pi = c_pi if not isinstance(c_pi, int) else coeff.elem(c_pi)

@@ -30,7 +30,7 @@ from .epsilon import eps_local, eps_punctual, gamma_counts, gamma_from_counts
 from .gf import CapExceeded, Unsupported, fq_build
 from .localfield import Form, LaurentSeries, Point, Poly, RationalFunction
 
-_KINDS = {"j!": "shriek", "j*": "star", "shriek": "shriek", "star": "star", "punctual": "punctual"}
+_KINDS = {"j!": "shriek", "j*": "star", "punctual": "punctual"}
 
 
 def _bundled(name):
@@ -44,8 +44,6 @@ def _need(ok, field, what):
 
 def _load(path, field):
     """The JSON object in a file; field names the input in errors."""
-    if path is None:
-        raise Unsupported("missing input file")
     if hasattr(path, "read_text"):
         text = path.read_text(encoding="utf-8")
     else:

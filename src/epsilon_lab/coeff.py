@@ -63,7 +63,7 @@ class CoeffField:
         """psi of the absolute trace of x down to F_p."""
         if not isinstance(x, FqElem):
             raise ValueError("psi_trace wants a field element")
-        return self.psi(trace(x).as_int())
+        return self.psi(trace(x))
 
     def kummer_chi(self, e, x):
         """Multiplicative character of x's field: x -> zeta_{q-1}**(e dlog x).

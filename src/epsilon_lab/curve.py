@@ -245,7 +245,7 @@ class SheafSpec:
         logs = log_field(big)
         order = logs.order
         red = q - 1
-        log, exp, zech, tr_table = logs.log, logs.exp, logs.zech, logs.trace
+        log, zech, tr_table = logs.log, logs.zech, logs.trace
 
         def lead_log(r):
             # the denominator is monic
@@ -264,7 +264,7 @@ class SheafSpec:
         counts = {}
         if e == 1 and self.infinity_in_domain():
             flat = not no_wild and self.wild.num.degree() == self.wild.den.degree()
-            counts[(tr_table[exp[lw0]] if flat else 0, lk0 % red)] = 1
+            counts[(tr_table[lw0] if flat else 0, lk0 % red)] = 1
         for lx in reps:
             lk, lw, wild_zero = lk0, lw0, no_wild
             for cs, k, w, punct in rows:
@@ -285,7 +285,7 @@ class SheafSpec:
                 else:
                     wild_zero = True
             else:
-                key = (0 if wild_zero else tr_table[exp[lw % order]], lk % red)
+                key = (0 if wild_zero else tr_table[lw % order], lk % red)
                 counts[key] = counts.get(key, 0) + 1
         self._closed[e] = counts
         return counts

@@ -67,11 +67,11 @@ def gamma_counts(field, c):
     if c.is_zero():
         raise ValueError("the quadratic constant needs a nonzero scale")
     logs = log_field(field)
-    exp, tr, m = logs.exp, logs.trace, logs.order
+    tr, m = logs.trace, logs.order
     base = logs.log[(c * field.elem(pow(2, -1, p))).index()]
     counts = {}
     for lt in logs.log:
-        e = tr[exp[(base + 2 * lt) % m]] if lt >= 0 else 0
+        e = tr[(base + 2 * lt) % m] if lt >= 0 else 0
         counts[e] = counts.get(e, 0) + 1
     return counts
 
@@ -141,17 +141,17 @@ def eps_tate_slow(chi, omega, c_unit=None):
     return EpsilonResult(value, a, a_om, "tate_slow")
 
 
-def _unit_rows(inv, nu, logs, psi_pow, trexp):
+def _unit_rows(inv, nu, logs, psi_pow):
     """T[i - 1][f] = inv(1 + G**f pi**i), 0 < i < nu, by table reads.  On
     u = 1 + c pi**i the tame part is 1 and Res(h du/u), h the wild datum, is
     the sum over t <= (nu - 1) / i of i (-1)**(t - 1) h_(-i t) c**t.
 
     A term a G**(l + t f) reads the traces of G**l, G**(l + t), ..., one
-    strided slice of trexp, the traces of G**e, laid out nu times over."""
+    strided slice of the trace table laid out nu times over."""
     log, m = logs.log, logs.order
     h, p = inv.wild_h, inv.field.p
     # t < nu, so l + t f < nu m for l < m and f < m
-    trexp = trexp * nu
+    tr = logs.trace * nu
     # a row adds fewer than nu traces, each below p
     psi_at = (psi_pow * nu).__getitem__
     T = []
@@ -163,7 +163,7 @@ def _unit_rows(inv, nu, logs, psi_pow, trexp):
         for t, l, s in a:
             if l >= 0 and s >= 0:
                 l = (l + s) % m
-                acc = list(map(add, acc, trexp[l : l + t * m : t]))
+                acc = list(map(add, acc, tr[l : l + t * m : t]))
         T.append(list(map(psi_at, acc)))
     return T
 
@@ -186,7 +186,7 @@ def eps_tate(chi, omega):
     q = field.q
     a, v_om, a_om = _walk_shape(chi, omega)
     logs = log_field(field)
-    exp, log, zech, tr = logs.exp, logs.log, logs.zech, logs.trace
+    log, zech = logs.log, logs.zech
     m = q - 1
     inv = chi.inverse()
 
@@ -201,14 +201,13 @@ def eps_tate(chi, omega):
     for k in range(1, m):
         ginv[k] = ginv[k - 1] * step % ell
     psi_pow = [coeff.psi(t).value for t in range(field.p)]
-    trexp = [tr[x] for x in exp]
-    P1 = sum(ginv[-e % m] * psi_pow[t] for e, t in enumerate(trexp)) % ell
+    P1 = sum(ginv[-e % m] * psi_pow[t] for e, t in enumerate(logs.trace)) % ell
     P0 = m % ell if g == 1 else 0
 
     if a == 1:
         total = ginv[W[0]] * P1
     else:
-        T = _unit_rows(inv, a, logs, psi_pow, trexp)
+        T = _unit_rows(inv, a, logs, psi_pow)
 
         # S[e] = sum over c of T_last(c) P(G**e + c W_last), and S[-1], read
         # through the log -1 of zero, is the same sum at pairing 0.  With

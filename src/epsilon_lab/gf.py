@@ -16,12 +16,14 @@ The deterministic recipe:
 
 There is one arithmetic table engine, LogField: exp, log, Zech and
 trace-to-F_p tables on the packed integer encoding (the coefficients as
-base-p digits), its exp table filled by walking multiplication by x on
-packed ints.  Each field has one LogField, built on first use and
-cached by log_field(field); nothing else builds or holds tables.  Inner
-loops (the point walk, the unit sum, the quadratic Gauss constant) read
-these tables directly, elements as logs to the generator, and dlog is a
-lookup in the log table, so its only limit is the field cap.
+base-p digits), exp, Zech and trace indexed by log to the generator.  The
+exp table is filled by walking multiplication by x on packed ints, the
+trace table from the basis traces read off the reduction rows.  Each field
+has one LogField, built on first use and cached by log_field(field);
+nothing else builds or holds tables.  Inner loops (the point walk, the
+unit sum, the quadratic Gauss constant) read these tables directly,
+elements as logs to the generator, and dlog is a lookup in the log table,
+so its only limit is the field cap.
 
 The polynomials and Laurent series of the local side hold packed indices
 too and compute through int_ops(field), ints in and out: the IntOps that
@@ -34,16 +36,18 @@ modulus that each FieldDesc computes once.  It is the boundary type (JSON,
 the public API, single coefficients), it carries the seeds (generators,
 embeddings as F_p-combinations of cached root powers, the few products a
 table build needs), traces and Frobenius on single elements, and it is the
-oracle the tables are tested against.  Character evaluation is no such
-single-element work: it reads the trace of its wild pairing through
-int_ops, and the Kummer key of a spec's local data is a log in the residue
-field, whose generator has the base generator as its norm.
+oracle the tables are tested against.  Its trace(x) is the one Frobenius
+fold, read by the audits (the definitional unit sum, the pointwise trace)
+and by IntOps above the line, never by a table build.  Character
+evaluation is no such single-element work: it reads the trace of its wild
+pairing through int_ops, and the Kummer key of a spec's local data is a
+log in the residue field, whose generator has the base generator as its
+norm.
 """
 
 from __future__ import annotations
 
 import math
-from operator import add, mul
 
 FIELD_CAP = 1 << 24
 TABLE_LINE = 1 << 16
@@ -429,12 +433,6 @@ class FqElem:
             k = k * self.field.p + c
         return k
 
-    def as_int(self):
-        """The value of a prime-field element as an int in [0, p)."""
-        if any(c for c in self.coeffs[1:]):
-            raise ValueError("element is not in the prime field")
-        return self.coeffs[0]
-
     def __repr__(self):
         return "FqElem(%r, %r)" % (self.field, list(self.coeffs))
 
@@ -569,36 +567,23 @@ def frobenius(x, i=1):
     return x ** (x.field.p ** i)
 
 
-def _fold(x, emb, op):
-    """op folded over the Frobenius orbit of x down to the subfield given
-    by emb, or to F_p when emb is None; an element of that subfield."""
-    step, m = 1, x.field.n
-    if emb is not None:
-        if x.field != emb.big:
-            raise ValueError("element not in the big field")
-        step, m = emb.small.n, emb.big.n // emb.small.n
+def trace(x):
+    """Absolute trace of x to F_p, an int in [0, p): the sum of the
+    Frobenius orbit of x.  The tables hold their own traces
+    (_trace_table); this fold is the route that audits them."""
     acc = cur = x
-    for _ in range(m - 1):
-        cur = frobenius(cur, step)
-        acc = op(acc, cur)
-    if emb is not None:
-        return emb.section(acc)
+    for _ in range(x.field.n - 1):
+        cur = frobenius(cur)
+        acc = acc + cur
     if any(acc.coeffs[1:]):
-        raise ValueError("trace/norm landed outside the subfield, broken tower")
-    return fq_build(x.field.p, 1).elem(acc.coeffs[0])
+        raise ValueError("trace landed outside the prime field, broken field")
+    return acc.coeffs[0]
 
 
-def trace(x, emb=None):
-    """Trace to the subfield given by emb, or to F_p when emb is None.
-
-    Returns an FqElem of the small field (of the prime field for None).
-    """
-    return _fold(x, emb, add)
-
-
-def norm(x, emb=None):
-    """Norm to the subfield given by emb, or to F_p when emb is None."""
-    return _fold(x, emb, mul)
+def norm(x, emb):
+    """Norm to the subfield given by emb: x**((Q - 1) / (q - 1)), Q and q
+    the sizes of emb's big and small fields, read back in the small one."""
+    return emb.section(x ** ((emb.big.q - 1) // (emb.small.q - 1)))
 
 
 def dlog(x):
@@ -778,30 +763,34 @@ def _exp_table(field):
     return exp
 
 
-def _trace_table(field):
-    """tr[k] = absolute trace of the element with index k, as an int in
-    [0, p): the trace is F_p-linear, so the n traces of the basis vectors
-    fill the whole table."""
-    p = field.p
+def _trace_table(field, exp):
+    """tr[e] = absolute trace of G**e, an int in [0, p), from exp.
+
+    Tr(x**i) is the trace of multiplication by x**i, whose column k is
+    x**(i + k): n for i = 0, and for i >= 1 the sum of the diagonal
+    entries rows[i + k - n][k], k >= n - i, of the reduction rows.  The
+    trace is F_p-linear, so these n basis traces fill a table by packed
+    index in place, digit by digit, which is then read out in log order."""
+    p, n, rows = field.p, field.n, field.rows
     tr = [0] * field.q
-    step = 1
-    for _ in range(field.n):
-        tb = trace(field.from_index(step)).as_int()
+    # the prime field: Tr(d) = n d
+    tr[:p] = [d * n % p for d in range(p)]
+    step = p
+    for i in range(1, n):
+        tb = sum(rows[i + k - n][k] for k in range(n - i, n)) % p
         for d in range(1, p):
-            off = d * step
-            val = (d * tb) % p
-            for r in range(step):
-                tr[off + r] = (tr[r] + val) % p
+            val = d * tb % p
+            tr[d * step : (d + 1) * step] = [(t + val) % p for t in tr[:step]]
         step *= p
-    return tr
+    return list(map(tr.__getitem__, exp))
 
 
 class LogField:
     """The arithmetic tables of F_{p^n}, packed integer element encoding.
 
     exp[e] is the index encoding of G**e, log is its inverse permutation,
-    zech[e] = log(1 + G**e) with -1 standing for log(0), and trace[k] is
-    the absolute trace of the element with index k, an int in [0, p).
+    zech[e] = log(1 + G**e) with -1 standing for log(0), and trace[e] is
+    the absolute trace of G**e, an int in [0, p).
     On logs a product is a sum mod order and a + b is
     a + zech[(b - a) % order], so an inner loop runs on ints alone, and
     ops is the IntOps on them that int_ops returns."""
@@ -815,6 +804,8 @@ class LogField:
         self.order = q - 1
         p = field.p
         exp = _exp_table(field)
+        # before log and zech, so its index-ordered draft never adds to the peak
+        self.trace = _trace_table(field, exp)
         log = [-1] * q
         for e, idx in enumerate(exp):
             if log[idx] != -1:
@@ -824,7 +815,6 @@ class LogField:
         self.zech = [log[idx - idx % p + (idx + 1) % p] for idx in exp]
         self.exp = exp
         self.log = log
-        self.trace = _trace_table(field)
         self.ops = _table_ops(self)
 
 
@@ -842,7 +832,7 @@ def log_field(field):
 def _table_ops(logs):
     """The IntOps on the tables of logs, kept by that LogField: a product
     is a sum of logs, a sum a Zech lookup."""
-    exp, log, zech, m = logs.exp, logs.log, logs.zech, logs.order
+    exp, log, zech, tr, m = logs.exp, logs.log, logs.zech, logs.trace, logs.order
 
     def mul(a, b):
         return exp[(log[a] + log[b]) % m] if a and b else 0
@@ -863,8 +853,11 @@ def _table_ops(logs):
         z = zech[(t - lc) % m]
         return exp[(lc + z) % m] if z >= 0 else 0
 
+    def trace(a):
+        return tr[log[a]] if a else 0
+
     ops = IntOps.__new__(IntOps)
-    ops.mul, ops.inv, ops.fma, ops.trace = mul, inv, fma, logs.trace.__getitem__
+    ops.mul, ops.inv, ops.fma, ops.trace = mul, inv, fma, trace
     # a + b = a * 1 + b, and -1 is the prime field element p - 1
     minus = logs.field.p - 1
     ops.add = lambda a, b: fma(a, 1, b)
@@ -888,7 +881,7 @@ class IntOps:
         self.fma = lambda a, b, c: (elem(a) * elem(b) + elem(c)).index()
         self.add = lambda a, b: (elem(a) + elem(b)).index()
         self.neg = lambda a: (-elem(a)).index()
-        self.trace = lambda a: trace(elem(a)).as_int()
+        self.trace = lambda a: trace(elem(a))
 
 
 def int_ops(field):

@@ -113,6 +113,25 @@ def test_deep_wild_datum_is_reduced_not_refused(capsys, tmp_path):
 def test_eps_local_bad_kind(capsys):
     code, report = run(capsys, ["eps-local", "--kind", "bogus"])
     assert code == 3 and report["field"] == "kind"
+    # the long spellings are no kind of the CLI
+    for kind in ("shriek", "star"):
+        code, report = run(capsys, ["eps-local", "--kind", kind])
+        assert code == 3 and report["field"] == "kind"
+
+
+@pytest.mark.parametrize("method", ["auto", "tate_slow", "closed"])
+def test_eps_local_refuses_a_coefficient_field_of_another_characteristic(capsys, tmp_path, method):
+    # zeta_5**t is no additive character of F_3: refused as product-check
+    # refuses such a spec, not priced
+    field = {"p": 3, "n": 1, "modulus": [0, 1], "generator": [2]}
+    char = {"field": field, "c_pi": 1, "tame_e": 1, "wild_h": {"v": -1, "coeffs": [[1]]}}
+    path = tmp_path / "char.json"
+    path.write_text(json.dumps({"coeff": {"p": 5, "orders": [2]}, "char": char}))
+    code, report = run(capsys, ["eps-local", "--char", str(path), "--method", method])
+    assert code == 3 and report["field"] == "p" and not report["ok"]
+    path.write_text(json.dumps({"coeff": {"p": 3, "orders": [2]}, "char": char}))
+    code, report = run(capsys, ["eps-local", "--char", str(path), "--method", method])
+    assert code == 0 and report["ell"] == 7 and report["value"] == 1
 
 
 def test_eps_global_on_bundled_spec(capsys):

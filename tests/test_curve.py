@@ -290,7 +290,7 @@ def brute_histogram(spec, m):
             else:
                 wild_zero = True
         else:
-            key = (0 if wild_zero else logs.trace[logs.exp[lw % logs.order]], lk % red)
+            key = (0 if wild_zero else logs.trace[lw % logs.order], lk % red)
             hist[key] = hist.get(key, 0) + 1
     if spec.infinity_in_domain():
         _big, _tame, _wild, ke, pe = spec.local_data(Point.infinity(spec.base))

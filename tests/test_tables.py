@@ -20,7 +20,8 @@ def _oracle_fields():
     # x is not primitive in F_9 (x^2 = -1), so the walk by x needs cosets
     assert f9.elem([0, 1]) ** 4 == f9.one()
     big, _emb = residue_field(fq_build(3, 1), 4)
-    return [fq_build(2, 1), fq_build(7, 1), f9, fq_build(2, 6), fq_build(5, 3), big]
+    over_f4, _emb = residue_field(fq_build(2, 2), 3)
+    return [fq_build(2, 1), fq_build(7, 1), f9, fq_build(2, 6), fq_build(5, 3), big, over_f4]
 
 
 @pytest.mark.parametrize("field", _oracle_fields(), ids=repr)
@@ -35,8 +36,21 @@ def test_log_field_tables_match_elem_arithmetic(field):
         assert lf.zech[e] == (-1 if succ.is_zero() else lf.log[succ.index()])
         cur = cur * g
     assert cur == field.one() and lf.log[0] == -1
-    for k in range(field.q):
-        assert lf.trace[k] == trace(field.from_index(k)).as_int()
+    assert len(lf.trace) == field.q - 1
+    for e in range(field.q - 1):
+        assert lf.trace[e] == trace(field.from_index(lf.exp[e]))
+
+
+@pytest.mark.parametrize("field", _oracle_fields() + [fq_build(3, 7)], ids=repr)
+def test_table_build_folds_no_frobenius_orbit(monkeypatch, field):
+    # the trace table comes from the reduction rows, not from the fold
+    # that audits it
+    def refuse(*args):
+        raise AssertionError("a table build folded a Frobenius orbit")
+
+    monkeypatch.setattr(gf, "trace", refuse)
+    monkeypatch.setattr(gf, "frobenius", refuse)
+    LogField(field)
 
 
 @pytest.mark.parametrize(
@@ -65,9 +79,14 @@ def test_table_build_makes_few_elem_products(monkeypatch, p, n):
         calls.append(1)
         return plain(self, other)
 
+    # only _exp_table's coset leaders, one per coset of the powers of x
+    order = f.q - 1
+    for r in gf._prime_factors(order):
+        while order % r == 0 and f.elem([0, 1]) ** (order // r) == f.one():
+            order //= r
     monkeypatch.setattr(gf.FqElem, "__mul__", counting)
     LogField(f)
-    assert len(calls) < f.q // 20
+    assert len(calls) == (f.q - 1) // order
 
 
 _COUNT_BUILDS = textwrap.dedent(
