@@ -21,6 +21,8 @@ def _oracle_fields():
     assert f9.elem([0, 1]) ** 4 == f9.one()
     big, _emb = residue_field(fq_build(3, 1), 4)
     over_f4, _emb = residue_field(fq_build(2, 2), 3)
+    # F_64 again, as a tower over F_4: its own id keeps fq_build(2, 6)'s
+    over_f4 = pytest.param(over_f4, id="FieldDesc(p=2, n=6) over F_4")
     return [fq_build(2, 1), fq_build(7, 1), f9, fq_build(2, 6), fq_build(5, 3), big, over_f4]
 
 
