@@ -305,7 +305,7 @@ def _build_parser():
     # the engine of each local factor, in eps-local and product-check
     method_help = (
         "auto, tate, tate_slow, or closed (ignored if unramified); auto refuses what the walk (tate) "
-        "refuses, then takes the closed form for a wild character with q**swan > 2**7 and the walk otherwise"
+        "refuses, then takes the closed form for a wild character and the walk for a tame one"
     )
 
     parser = argparse.ArgumentParser(

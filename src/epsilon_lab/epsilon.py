@@ -29,24 +29,22 @@ residue formula by table lookups, with no series evaluated per unit.
 For wild chi a closed product formula avoids the sum entirely: writing h
 for the negated wild datum of chi and dh for its differential, the factor
 is chi(w/h') q**(...) times, at even swan, a quadratic Gauss constant
-gamma_psi.  Acceptance checks compare it against the sum on random data,
-and eps_local takes it by default once q**swan passes CLOSED_LINE.
+gamma_psi.  eps_closed_form computes it in one pass on packed indices, with
+no series built and no character call.  Acceptance checks compare it
+against the sum on random data, and eps_local takes it by default for
+every wild character; tame characters take the walk.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from operator import add, mul
 
-from .gf import CapExceeded, log_field
+from .gf import CapExceeded, int_ops, log_field
 from .chars import unit_keys
-from .localfield import LaurentSeries, residue
+from .localfield import LaurentSeries, PrecisionError, quotient, residue
 
 TATE_CAP = 1 << 22
-# Auto takes the closed form for a wild character once q**swan, about the
-# number of leaves the walk visits, passes this line; below it the walk is
-# the cheaper engine.
-CLOSED_LINE = 1 << 7
 
 
 EpsilonResult = namedtuple("EpsilonResult", "value conductor_a conductor_a_omega method")
@@ -58,7 +56,12 @@ EpsilonResult = namedtuple("EpsilonResult", "value conductor_a conductor_a_omega
 
 def gamma_counts(field, c):
     """How often each trace value e in F_p is Tr(c t**2 / 2), t over F_q,
-    keyed in the order the values first occur with t in index order."""
+    keyed in the order the values first occur with t in index order.
+
+    With b = log(c / 2), t = G**l gives Tr(G**(b + 2 l)): as l runs over
+    the q - 1 logs, b + 2 l meets each log of b's parity twice (q - 1 is
+    even), so the counts are one strided slice of the trace table doubled,
+    plus t = 0, which comes first."""
     p = field.p
     if p == 2:
         raise ValueError("the quadratic constant needs odd characteristic")
@@ -68,12 +71,18 @@ def gamma_counts(field, c):
         raise ValueError("the quadratic constant needs a nonzero scale")
     logs = log_field(field)
     tr, m = logs.trace, logs.order
-    base = logs.log[(c * field.elem(pow(2, -1, p))).index()]
-    counts = {}
-    for lt in logs.log:
-        e = tr[(base + 2 * lt) % m] if lt >= 0 else 0
-        counts[e] = counts.get(e, 0) + 1
-    return counts
+    # log(c / 2): p is odd, so the prime field element 2 has packed index 2
+    base = (logs.log[c.index()] - logs.log[2]) % m
+    counts = Counter(tr[base % 2 :: 2])
+    # the key order: t = 0 first, then t in index order until every value
+    # has occurred
+    order = dict.fromkeys([0])
+    size = len(counts.keys() | {0})
+    for lt in logs.log[1:]:
+        if len(order) == size:
+            break
+        order.setdefault(tr[(base + 2 * lt) % m])
+    return {e: 2 * counts[e] + (e == 0) for e in order}
 
 
 def gamma_psi(coeff, field, c):
@@ -89,7 +98,8 @@ def gamma_psi(coeff, field, c):
 
 def gamma_from_counts(coeff, counts):
     """gamma_psi from its gamma_counts: minus the sum of k psi(e)."""
-    return -sum((coeff.psi(e) * k for e, k in counts.items()), coeff.zero())
+    ell, z = coeff.ell, coeff.zeta_p
+    return coeff.elem(-sum(k * pow(z, e, ell) for e, k in counts.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -313,33 +323,48 @@ def eps_punctual(coeff, eigenvalues):
 def eps_closed_form(chi, omega):
     """Product formula for wild chi, no unit sum.
 
-    With h the negated wild datum (pole order n >= 1) and n' the round-up
-    half of n, the factor is chi(w/h') q**(v(w/h') - n') for odd n, and for
-    even n an extra quadratic Gauss constant at the leading coefficient of h
-    appears (p is odd then: reduced data in characteristic 2 has odd n).
+    With h the negated wild datum (pole order n >= 1), the factor is
+    chi(w/h') q**(v(w/h') - n // 2 - 1), times at even n a quadratic Gauss
+    constant at the leading coefficient of h' (p is odd then: reduced data
+    in characteristic 2 has odd n).
+
+    One pass on packed indices, no series built: chi reads n + 1
+    coefficients of the unit u = w / h' pi**-v and n of dlog u, both by
+    long division, and pairs the latter with the datum as
+    LocalCharacter.__call__ does.
     """
     n = chi.swan()
     if n == 0:
         raise ValueError("closed form needs a wild character")
     field, coeff = chi.field, chi.coeff
+    ell, p = coeff.ell, field.p
+    ops = int_ops(field)
+    mul, fma = ops.mul, ops.fma
     w = omega.w
-    # chi reads n + 1 coefficients of w / h': h is exact, so padded with
-    # known zeros to n + 1 coefficients h' is known that far, and the
-    # division stops there; a w known less far is refused by chi
-    H = (-chi.wild_h).pad(chi.wild_h.v + n + 1)
-    ratio = w / H.derivative()
-    value = chi(ratio)
-    vr = ratio.valuation()
-    q = coeff.elem(field.q)
-    if n % 2:
-        half = (n + 1) // 2
-        value = value * q ** (vr - half)
-    else:
-        half = n // 2
-        h0 = H.coeff(-n)
-        value = value * q ** (vr - half - 1) * gamma_psi(coeff, field, h0 * (-n % field.p))
+    # the refusals chi makes of w / h', whose window is w's moved by n + 1
+    if not w.coeffs:
+        raise PrecisionError("series is zero to precision %d, valuation unknown" % (w.prec + n + 1))
+    if len(w.coeffs) <= n:
+        raise PrecisionError("character needs %d coefficients, series has %d" % (n + 1, len(w.coeffs)))
+    # h = -datum is exact, so h', the sum of (n - j) datum_j pi**(j - n - 1),
+    # is known to n + 1 coefficients, the last a known zero
+    datum = chi.wild_h.coeffs[:n]
+    dh = [mul(c, (n - j) % p) for j, c in enumerate(datum)] + [0]
+    u = quotient(ops, w.coeffs, dh, n + 1)
+    dlog = quotient(ops, [mul(c, k % p) for k, c in enumerate(u[1:], 1)], u, n)
+    # datum_j sits at pi**(j - n), so it pairs with (dlog u)_(n - 1 - j)
+    pairing = 0
+    for j, c in enumerate(datum):
+        if c:
+            pairing = fma(c, dlog[n - 1 - j], pairing)
+    vr = w.v + n + 1
+    value = pow(chi.c_pi.value, vr, ell) * pow(field.q, vr - n // 2 - 1, ell)
+    value = value * coeff.kummer_chi(chi.tame_e, field.from_index(u[0])).value
+    value = value * pow(coeff.zeta_p, ops.trace(pairing), ell)
+    if n % 2 == 0:
+        value = value * gamma_psi(coeff, field, field.from_index(dh[0])).value
     a = 1 + n
-    return EpsilonResult(value, a, a + omega.w.valuation(), "closed_form")
+    return EpsilonResult(coeff.elem(value), a, a + w.v, "closed_form")
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +375,15 @@ def eps_local(chi, omega, kind="shriek", method="auto"):
     """Factor of a character extended across the point, any method.
 
     method: auto refuses what the walk refuses (past TATE_CAP terms, or a
-    residue field over 2^10), then takes the closed form when
-    q**swan > CLOSED_LINE and the walk otherwise, so tame characters always
-    walk; tate, tate_slow and closed force a specific engine (closed needs
-    wild ramification).
+    residue field over 2^10), then takes the closed form for a wild
+    character and the walk for a tame one; tate, tate_slow and closed
+    force a specific engine (closed needs wild ramification).
     """
     if not chi.is_ramified():
         return eps_unramified(chi, omega, kind)
     if method == "auto":
         _walk_shape(chi, omega)
-        if chi.field.q ** chi.swan() > CLOSED_LINE:
+        if chi.swan():
             return eps_closed_form(chi, omega)
         return eps_tate(chi, omega)
     if method == "tate":

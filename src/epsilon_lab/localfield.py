@@ -131,11 +131,6 @@ class LaurentSeries:
         """Multiply by pi**k."""
         return LaurentSeries(self.field, self.v + k, self.prec + k, self.coeffs)
 
-    def pad(self, prec):
-        """The same exact Laurent polynomial, its window taken to prec with
-        known zeros."""
-        return LaurentSeries.of(self.field, self.v, self.coeffs, prec)
-
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
@@ -179,10 +174,9 @@ class LaurentSeries:
         return LaurentSeries.one(self.field, self.prec - self.v) / self
 
     def __truediv__(self, other):
-        """Long division, one pass: with a = self, b = other shifted to
-        valuation 0, out[k] = (a[k] - sum_j b[j] out[k - j]) / b[0] over the
-        nonzero b[j], j >= 1.  The window is the one of self times the
-        inverse of other: prec - v is the shorter of the two known lengths."""
+        """Long division, one pass (quotient), of self by other shifted to
+        valuation 0.  The window is the one of self times the inverse of
+        other: prec - v is the shorter of the two known lengths."""
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         den = other.coeffs
@@ -190,22 +184,9 @@ class LaurentSeries:
             raise ZeroDivisionError("division by a series that is zero to precision")
         if not self.coeffs:
             return LaurentSeries.zero(self.field, self.prec - other.v)
-        ops = int_ops(self.field)
-        mul, fma = ops.mul, ops.fma
         v = self.v - other.v
         n = min(len(self.coeffs), len(den))
-        lead = ops.inv(den[0])
-        minus = ops.neg(lead)
-        terms = [(j, mul(b, minus)) for j, b in enumerate(den[1:n], 1) if b]
-        out = []
-        for k, a in enumerate(self.coeffs[:n]):
-            acc = mul(a, lead)
-            for j, b in terms:
-                if j > k:
-                    break
-                acc = fma(b, out[k - j], acc)
-            out.append(acc)
-        return LaurentSeries.of(self.field, v, out, v + n)
+        return LaurentSeries.of(self.field, v, quotient(int_ops(self.field), self.coeffs, den, n), v + n)
 
     def __eq__(self, other):
         """Equality on the common window (engines compare normalized data);
@@ -241,6 +222,26 @@ class LaurentSeries:
 
 # A 1-form w * dpi: the holder of the series w that a local factor reads.
 Form = namedtuple("Form", "w")
+
+
+def quotient(ops, num, den, n):
+    """The first n coefficients of num / den, index sequences low first
+    with den[0] nonzero, computed with ops: one pass of long division,
+    out[k] = (num[k] - sum_j den[j] out[k - j]) / den[0] over the nonzero
+    den[j], j >= 1.  Both hold at least n coefficients."""
+    mul, fma = ops.mul, ops.fma
+    lead = ops.inv(den[0])
+    minus = ops.neg(lead)
+    terms = [(j, mul(b, minus)) for j, b in enumerate(den[1:n], 1) if b]
+    out = []
+    for k, a in enumerate(num[:n]):
+        acc = mul(a, lead)
+        for j, b in terms:
+            if j > k:
+                break
+            acc = fma(b, out[k - j], acc)
+        out.append(acc)
+    return out
 
 
 def residue(w):

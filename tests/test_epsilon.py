@@ -153,23 +153,39 @@ def test_cap_guard():
 
 
 def test_closed_form_matches_sum():
+    # every swan a reduced datum can have with q**(swan + 1) <= 3**8, with
+    # and without a tame part
     rng = random.Random(33)
-    cases = [(F3, C73, 1), (F3, C73, 2), (F3, C73, 4), (F5, C5, 1), (F5, C5, 2),
-             (F9, C73, 1), (F9, C73, 2), (F4, C4, 1), (F4, C4, 3), (F7, C7, 2)]
-    for field, coeff, n in cases:
-        for _ in range(2):
-            chi = random_char(rng, field, coeff, swan=n)
-            omega = random_form(rng, field, n + 4)
-            closed = eps_closed_form(chi, omega)
-            sum_route = eps_tate(chi, omega)
-            assert closed.value == sum_route.value, (field.q, n)
-            assert closed.conductor_a_omega == sum_route.conductor_a_omega
+    fields = [(fq_build(2, 1), C4), (F3, C73), (F4, C4), (F5, C5), (F7, C7), (F9, C73),
+              (fq_build(2, 3), coeff_setup(2, [7])), (fq_build(2, 4), coeff_setup(2, [15])),
+              (fq_build(5, 2), coeff_setup(5, [24])), (fq_build(3, 3), coeff_setup(3, [26]))]
+    for field, coeff in fields:
+        q = field.q
+        for n in range(1, 12):
+            if n % field.p == 0 or q ** (n + 1) > 3 ** 8:
+                continue
+            for tame in {0, rng.randrange(1, q - 1) if q > 2 else 0}:
+                chi = random_char(rng, field, coeff, swan=n, tame=tame)
+                assert chi.swan() == n
+                omega = random_form(rng, field, n + 4)
+                closed = eps_closed_form(chi, omega)
+                sum_route = eps_tate(chi, omega)
+                assert closed.value == sum_route.value, (q, n, tame)
+                assert closed.conductor_a_omega == sum_route.conductor_a_omega
 
 
 def test_closed_form_guards():
     tame = LocalCharacter(F3, C73, C73.one(), 1)
     with pytest.raises(ValueError):
         eps_closed_form(tame, form(F3, 0, [1], 4))
+    # chi reads w / h' to swan + 1 coefficients past its valuation: a form
+    # known to swan coefficients, or zero to precision, is refused with the
+    # messages of LocalCharacter.__call__ and LaurentSeries.valuation
+    chi = LocalCharacter(F5, C5, C5.one(), 1, series(F5, -2, [1, 3], 1))
+    with pytest.raises(PrecisionError, match="^character needs 3 coefficients, series has 2$"):
+        eps_closed_form(chi, form(F5, 1, [2, 4], 3))
+    with pytest.raises(PrecisionError, match="^series is zero to precision 7, valuation unknown$"):
+        eps_closed_form(chi, Form(LaurentSeries.zero(F5, 4)))
 
 
 def test_char_two_wild_reduces_to_odd_swan():
@@ -287,21 +303,23 @@ def test_dispatch_routes():
         for m in ("auto", "tate", "tate_slow", "closed")
     }
     assert len(values) == 1
-    # auto walks a tame character and a wild one with q**swan <= 2**7, and
-    # takes the closed form above that, with the walk's value
+    # auto takes the closed form for every wild character and walks a tame
+    # one, with the value of the walk and of the definitional sum
     rng = random.Random(130)
     F27 = fq_build(3, 3)
     C27 = coeff_setup(3, [26])
-    cases = [(F9, C73, 0, "tate"), (F3, C73, 4, "tate"), (F5, C5, 3, "tate"), (F7, C7, 2, "tate"),
-             (F3, C73, 5, "closed_form"), (F7, C7, 3, "closed_form"), (F27, C27, 2, "closed_form")]
-    for field, coeff, swan, engine in cases:
+    cases = [(F3, C73, 0), (F9, C73, 0), (F7, C7, 0), (F3, C73, 1), (F27, C27, 1), (F4, C4, 1),
+             (F3, C73, 2), (F7, C7, 2), (F9, C73, 2), (F4, C4, 3), (F5, C5, 3), (F3, C73, 4), (F3, C73, 5)]
+    for field, coeff, swan in cases:
         chi = random_char(rng, field, coeff, swan=swan, tame=1)
-        assert chi.swan() == swan and (field.q ** swan > 1 << 7) == (engine == "closed_form")
+        assert chi.swan() == swan
         omega = random_form(rng, field, swan + 4)
         auto = eps_local(chi, omega)
         walk = eps_local(chi, omega, method="tate")
-        assert auto.method == engine, (field.q, swan)
-        assert (auto.value, auto.conductor_a_omega) == (walk.value, walk.conductor_a_omega)
+        slow = eps_local(chi, omega, method="tate_slow")
+        assert auto.method == ("closed_form" if swan else "tate"), (field.q, swan)
+        for other in (walk, slow):
+            assert (auto.value, auto.conductor_a_omega) == (other.value, other.conductor_a_omega)
 
 
 def _window(omega, n):

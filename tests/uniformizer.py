@@ -10,6 +10,12 @@ from epsilon_lab.chars import LocalCharacter
 from epsilon_lab.localfield import Form, LaurentSeries, PrecisionError
 
 
+def pad(s, prec):
+    """The same exact Laurent polynomial, its window taken to prec with
+    known zeros."""
+    return LaurentSeries.of(s.field, s.v, s.coeffs, prec)
+
+
 def compose(f, inner):
     """f(inner) for inner of valuation >= 1, computed by Horner to the
     available precision; f may have negative powers, since inner is then
@@ -67,7 +73,7 @@ def transport(chi, s):
     if chi.wild_h.coeffs:
         # the datum is an exact Laurent polynomial: pad it with known
         # zeros so composition keeps enough window
-        new_h = compose(chi.wild_h.pad(s.prec), t)
+        new_h = compose(pad(chi.wild_h, s.prec), t)
     else:
         new_h = LaurentSeries.zero(chi.field, 1)
     return LocalCharacter(chi.field, chi.coeff, chi(s), chi.tame_e, new_h)
@@ -78,5 +84,5 @@ def transport_form(omega, s):
     then w(pi) dpi becomes w(t(pi')) t'(pi') dpi'."""
     t = reversion(s)
     w = omega.w
-    padded = w.pad(max(w.prec, s.prec)) if w.coeffs else w
+    padded = pad(w, max(w.prec, s.prec)) if w.coeffs else w
     return Form(compose(padded, t) * t.derivative())
