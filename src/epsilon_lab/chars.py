@@ -142,16 +142,6 @@ class LocalCharacter:
         out.wild_h = -self.wild_h
         return out
 
-    def __eq__(self, other):
-        if not isinstance(other, LocalCharacter):
-            return NotImplemented
-        return (
-            self.field == other.field
-            and self.c_pi == other.c_pi
-            and self.tame_e == other.tame_e
-            and self.wild_h == other.wild_h
-        )
-
     def __repr__(self):
         return "LocalCharacter(q=%d, c_pi=%d, tame_e=%d, swan=%d)" % (
             self.field.q,

@@ -150,9 +150,11 @@ def cmd_gauss(args):
         raise Unsupported("q=%d is not a power of p=%d" % (q, p), field="q")
     field = fq_build(p, n)
     try:
-        c = field.elem([int(v) for v in args.c.split(",")])
+        coeffs = [int(v) for v in args.c.split(",")]
     except ValueError:
         raise Unsupported("c must be a comma list of integers", field="c")
+    _need(len(coeffs) <= n, "c", "a list of at most %d integers" % n)
+    c = field.elem(coeffs)
     if c.is_zero():
         raise Unsupported("the quadratic coefficient must be a unit", field="c")
     orders = _parse_orders(args.orders) if args.orders else [max(1, q - 1)]

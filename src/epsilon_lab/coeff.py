@@ -118,26 +118,6 @@ class CoeffElem:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return CoeffElem(self.field, -self.value)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CoeffElem(self.field, self.value - other.value)
-
-    def inverse(self):
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return CoeffElem(self.field, pow(self.value, -1, self.field.ell))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
     def __pow__(self, e):
         if self.value == 0:
             if e < 0:

@@ -341,9 +341,9 @@ def eps_closed_form(chi, omega):
     ops = int_ops(field)
     mul, fma = ops.mul, ops.fma
     w = omega.w
-    # the refusals chi makes of w / h', whose window is w's moved by n + 1
-    if not w.coeffs:
-        raise PrecisionError("series is zero to precision %d, valuation unknown" % (w.prec + n + 1))
+    # a zero w is refused as every engine refuses it, then a w too short
+    # for chi(w / h'), whose window is w's moved by n + 1
+    vr = w.valuation() + n + 1
     if len(w.coeffs) <= n:
         raise PrecisionError("character needs %d coefficients, series has %d" % (n + 1, len(w.coeffs)))
     # h = -datum is exact, so h', the sum of (n - j) datum_j pi**(j - n - 1),
@@ -357,7 +357,6 @@ def eps_closed_form(chi, omega):
     for j, c in enumerate(datum):
         if c:
             pairing = fma(c, dlog[n - 1 - j], pairing)
-    vr = w.v + n + 1
     value = pow(chi.c_pi.value, vr, ell) * pow(field.q, vr - n // 2 - 1, ell)
     value = value * coeff.kummer_chi(chi.tame_e, field.from_index(u[0])).value
     value = value * pow(coeff.zeta_p, ops.trace(pairing), ell)

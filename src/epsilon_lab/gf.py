@@ -352,18 +352,6 @@ class FqElem:
         p = self.field.p
         return FqElem(self.field, tuple((-a) % p for a in self.coeffs))
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:

@@ -242,11 +242,6 @@ class Multiplier:
             [[pow(v, m, ell) for v in row] for row in self.table],
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, Multiplier):
-            return NotImplemented
-        return self.group is other.group and self.coeff is other.coeff and self.table == other.table
-
     def __repr__(self):
         return "Multiplier(order=%d, mod %d)" % (self.group.n, self.coeff.ell)
 

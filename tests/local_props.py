@@ -10,13 +10,14 @@ keep it.
 from epsilon_lab.chars import LocalCharacter
 from epsilon_lab.epsilon import EpsilonResult, eps_local, eps_punctual
 from epsilon_lab.localfield import Form
+from uniformizer import add
 
 
 def char_product(a, b):
     """The product of two characters of one field, piece by piece."""
     if b.field != a.field or b.coeff is not a.coeff:
         raise ValueError("characters live on different fields")
-    return LocalCharacter(a.field, a.coeff, a.c_pi * b.c_pi, a.tame_e + b.tame_e, a.wild_h + b.wild_h)
+    return LocalCharacter(a.field, a.coeff, a.c_pi * b.c_pi, a.tame_e + b.tame_e, add(a.wild_h, b.wild_h))
 
 
 def twist_unramified(chi, c):

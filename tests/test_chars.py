@@ -13,7 +13,7 @@ from epsilon_lab.gf import CapExceeded, fq_build
 from epsilon_lab.chars import LocalCharacter, as_reduce, unit_keys
 from epsilon_lab.localfield import LaurentSeries, PrecisionError, dlog, residue
 from local_props import char_product, twist_unramified
-from uniformizer import compose, reversion, transport
+from uniformizer import add, compose, reversion, same, sub, transport
 
 F3 = fq_build(3, 1)
 F9 = fq_build(3, 2)
@@ -32,6 +32,11 @@ COEFF_FOR = {3: C3, 9: C9, 5: C5, 4: C4}
 
 def series(field, v, coeffs, prec=None):
     return LaurentSeries.make(field, v, [field.elem(c) if isinstance(c, int) else c for c in coeffs], prec)
+
+
+def same_char(a, b):
+    """Whether two characters agree piece by piece, the datum on its window."""
+    return (a.field, a.c_pi, a.tame_e) == (b.field, b.c_pi, b.tame_e) and same(a.wild_h, b.wild_h)
 
 
 def random_char(rng, field, coeff, max_swan=3):
@@ -73,7 +78,7 @@ def test_reduce_canonical_support():
                 k = red.v + i
                 if c:
                     assert k < 0 and (-k) % field.p != 0
-            assert as_reduce(red) == red
+            assert same(as_reduce(red), red)
 
 
 def test_reduce_kills_coboundaries():
@@ -84,7 +89,7 @@ def test_reduce_kills_coboundaries():
             n = rng.randrange(1, 4)
             coeffs = [field.from_index(rng.randrange(field.q)) for _ in range(n)]
             g = LaurentSeries.make(field, -n, coeffs, p * n + 2)
-            delta = reduce(mul, [g] * p) - g
+            delta = sub(reduce(mul, [g] * p), g)
             assert not as_reduce(delta).coeffs
 
 
@@ -116,14 +121,14 @@ def test_reduce_is_canonical_and_additive_to_deep_poles():
             h1, h2 = data
             red = as_reduce(h1)
             assert all(c == 0 or k % p for k, c in enumerate(red.coeffs, red.v))
-            assert as_reduce(red) == red
-            assert as_reduce(h1 + h2) == red + as_reduce(h2)
+            assert same(as_reduce(red), red)
+            assert same(as_reduce(add(h1, h2)), add(red, as_reduce(h2)))
 
 
 def test_reduce_hand_example():
     # pi**-3 pairs like pi**-1 over F_3 since 1**(1/3) = 1
     h = series(F3, -3, [1, 0, 0], 1)
-    assert as_reduce(h) == series(F3, -1, [1], 1)
+    assert same(as_reduce(h), series(F3, -1, [1], 1))
 
 
 def test_reduce_needs_window():
@@ -139,9 +144,9 @@ def test_reduce_needs_window():
 def test_tame_hand_values():
     chi = LocalCharacter(F3, C3, C3.elem(5), 1)
     # 2 generates the units of F_3, the quadratic character sends it to -1
-    assert chi.coeff.kummer_chi(chi.tame_e, F3.elem(2)) == -C3.one()
+    assert chi.coeff.kummer_chi(chi.tame_e, F3.elem(2)) == C3.elem(-1)
     assert chi(series(F3, 1, [1, 0], 3)) == C3.elem(5)
-    assert chi(series(F3, 1, [2, 0], 3)) == -C3.elem(5)
+    assert chi(series(F3, 1, [2, 0], 3)) == C3.elem(-5)
 
 
 def test_wild_hand_value():
@@ -208,7 +213,7 @@ def test_inverse_keeps_the_reduced_datum():
                 chi = LocalCharacter(field, coeff, chi.c_pi, chi.tame_e, LaurentSeries.make(field, -n, coeffs, 1))
             inv = chi.inverse()
             want = LocalCharacter(field, coeff, chi.c_pi ** -1, -chi.tame_e, -chi.wild_h)
-            assert inv == want
+            assert same_char(inv, want)
             assert (inv.wild_h.v, inv.wild_h.prec, inv.wild_h.coeffs) == (
                 want.wild_h.v, want.wild_h.prec, want.wild_h.coeffs,
             )
@@ -414,4 +419,4 @@ def test_json_roundtrip():
         (C3, {"field": F3.to_json(), "c_pi": 1, "tame_e": 0}, LocalCharacter(F3, C3, 1, 0)),
     ]
     for coeff, record, chi in cases:
-        assert LocalCharacter.from_json(coeff, record) == chi
+        assert same_char(LocalCharacter.from_json(coeff, record), chi)

@@ -62,6 +62,9 @@ def test_gauss_rejects_non_power(capsys):
     assert code == 3 and report["field"] == "q"
     code, report = run(capsys, ["gauss", "--p", "3", "--q", "3", "--c", "0"])
     assert code == 3 and report["field"] == "c"
+    # a list of integers longer than the degree is refused as too long
+    code, report = run(capsys, ["gauss", "--p", "3", "--q", "9", "--c", "2,0,1"])
+    assert (code, report["field"], report["error"]) == (3, "c", "c must be a list of at most 2 integers")
     # no power of p below 2 ever reaches q
     for p in ("0", "1", "-1"):
         code, report = run(capsys, ["gauss", "--p", p, "--q", "9", "--c", "1"])

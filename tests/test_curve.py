@@ -439,7 +439,7 @@ def test_trace_at_rejects_punctured_points():
 def test_gm_quadratic_calibration():
     spec = gm_quadratic()
     for coeff in (C73, second_ell(C73)):
-        g = coeff.psi(1) - coeff.psi(2)
+        g = coeff.elem(coeff.psi(1).value - coeff.psi(2).value)
         glob = GlobalComputation(spec, coeff)
         cs = glob.cs
         assert len(cs) == 2
@@ -533,8 +533,7 @@ def newton_l_polynomial(spec, coeff, d):
         acc = coeff.zero()
         sign = 1
         for i in range(1, m + 1):
-            term = es[m - i] * psums[i]
-            acc = acc + term if sign > 0 else acc - term
+            acc = acc + es[m - i] * psums[i] * sign
             sign = -sign
         es.append(acc * coeff.elem(m) ** -1)
     return [es[m] if m % 2 == 0 else coeff.elem(-1) * es[m] for m in range(d + 1)]

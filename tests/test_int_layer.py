@@ -27,6 +27,7 @@ from epsilon_lab.localfield import (
 )
 import polys
 from polys import monic_irreducibles
+from uniformizer import same
 
 FIELDS = [fq_build(3, 1), fq_build(2, 2), fq_build(3, 2), fq_build(5, 2)]
 
@@ -64,7 +65,7 @@ def ref_divmod(a, b):
         c = rem[k + len(b) - 1] * inv
         quo[k] = c
         for i, y in enumerate(b):
-            rem[i + k] = rem[i + k] - c * y
+            rem[i + k] = rem[i + k] + (-(c * y))
     return trim(quo), trim(rem[: len(b) - 1])
 
 
@@ -78,7 +79,7 @@ def ref_quotient(a, b, n):
     for k in range(n):
         acc = a[k]
         for j in range(1, k + 1):
-            acc = acc - b[j] * out[k - j]
+            acc = acc + (-(b[j] * out[k - j]))
         out.append(acc / b[0])
     return out
 
@@ -244,7 +245,8 @@ def test_tabled_field_kernels_make_no_element_product(monkeypatch):
 
     monkeypatch.setattr(gf.FqElem, "__mul__", counted)
     monkeypatch.setattr(gf.FqElem, "__rmul__", counted)
-    assert run() == warm
+    factors, expansions = run()
+    assert factors == warm[0] and all(map(same, expansions, warm[1]))
     assert not calls
 
 

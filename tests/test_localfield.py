@@ -23,7 +23,7 @@ from epsilon_lab.localfield import (
 )
 import polys
 from polys import monic_irreducibles
-from uniformizer import compose, reversion
+from uniformizer import add, compose, reversion, same
 
 F3 = fq_build(3, 1)
 F5 = fq_build(5, 1)
@@ -55,26 +55,26 @@ def test_a_window_ending_before_v_holds_no_coefficient():
     for prec in (3, 5):
         s = LaurentSeries.of(F3, 5, [1, 0, 0, 0], prec)
         assert not s.coeffs and s.v == s.prec == prec
-        assert s == LaurentSeries.zero(F3, prec)
+        assert same(s, LaurentSeries.zero(F3, prec))
     record = {"field": F3.to_json(), "v": 0, "prec": 2, "coeffs": [[1], [2]]}
     with pytest.raises(gf.Unsupported) as err:
         LaurentSeries.from_json(dict(record, v=5, prec=3))
     assert err.value.field == "prec"
     # a window that ends at v is the zero series to that precision
-    assert LaurentSeries.from_json(dict(record, v=3, prec=3)) == LaurentSeries.zero(F3, 3)
+    assert same(LaurentSeries.from_json(dict(record, v=3, prec=3)), LaurentSeries.zero(F3, 3))
 
 
 def test_simple_product():
     one_plus = LaurentSeries.make(F3, 0, [1, 1], 5)
     one_minus = LaurentSeries.make(F3, 0, [1, 2], 5)
     prod = one_plus * one_minus
-    assert prod == LaurentSeries.make(F3, 0, [1, 0, 2], 5)
+    assert same(prod, LaurentSeries.make(F3, 0, [1, 0, 2], 5))
 
 
 def test_precision_rules():
     a = LaurentSeries.make(F3, 1, [1, 1], 6)
     b = LaurentSeries.make(F3, -1, [2], 2)
-    assert (a + b).prec == 2
+    assert add(a, b).prec == 2
     assert (a * b).prec == min(1 + 2, -1 + 6)
 
 
@@ -101,7 +101,7 @@ def test_division_window_and_roundtrip():
             got = a / b
             assert (got.v, got.prec) == (a.v - b.v, min(a.v + b.prec - 2 * b.v, a.prec - b.v))
             back = got * b
-            assert back == a and back.prec - back.v >= min(a.prec - a.v, b.prec - b.v)
+            assert same(back, a) and back.prec - back.v >= min(a.prec - a.v, b.prec - b.v)
             inv = b.inverse()
             assert (inv.v, inv.prec) == (-b.v, b.prec - 2 * b.v)
             zero = LaurentSeries.zero(field, a.prec) / b
@@ -132,7 +132,7 @@ def test_equal_series_are_unhashable():
     # respect, so a series has no hash at all
     a = LaurentSeries.make(F3, 0, [1], 2)
     b = LaurentSeries.make(F3, 0, [1, 0, 1], 3)
-    assert a == b
+    assert same(a, b)
     with pytest.raises(TypeError):
         {a, b}
 
@@ -150,7 +150,7 @@ def test_elements_equal_to_ints_are_unhashable(field):
 def test_json_roundtrip():
     s = LaurentSeries.make(F9, -1, [F9.elem((1, 2)), F9.one()], 4)
     back = LaurentSeries.from_json({"field": F9.to_json(), "v": -1, "prec": 4, "coeffs": [[1, 2], [1]]})
-    assert back == s and back.v == s.v and back.prec == s.prec
+    assert same(back, s) and back.v == s.v and back.prec == s.prec
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +182,7 @@ def test_derivative_leibniz(fi, seed):
     rng = random.Random(seed)
     f = random_series(rng, field)
     g = random_series(rng, field)
-    assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
+    assert same((f * g).derivative(), add(f.derivative() * g, f * g.derivative()))
 
 
 def test_dlog_multiplicative():
@@ -191,8 +191,8 @@ def test_dlog_multiplicative():
         u = random_series(rng, field, unit=True)
         w = random_series(rng, field, unit=True)
         lhs = dlog(u * w)
-        rhs = dlog(u) + dlog(w)
-        assert lhs == rhs
+        rhs = add(dlog(u), dlog(w))
+        assert same(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +290,7 @@ def norm_tame(u, e=1, emb=None):
 def test_kummer_norm_of_uniformizer_is_minus_pi():
     u = LaurentSeries.make(F3, 1, [1], 5)
     n = norm_tame(u, e=2)
-    assert n == LaurentSeries.make(F3, 1, [-1], 3)
+    assert same(n, LaurentSeries.make(F3, 1, [-1], 3))
 
 
 def test_kummer_norm_of_constant():
@@ -307,7 +307,7 @@ def test_kummer_norm_multiplicative():
         b = random_series(rng, field, width=8)
         lhs = norm_tame(a * b, e=e)
         rhs = norm_tame(a, e=e) * norm_tame(b, e=e)
-        assert lhs == rhs
+        assert same(lhs, rhs)
 
 
 def test_kummer_norm_wild_refused():
@@ -328,7 +328,7 @@ def test_unramified_norm():
     assert n.field == F3
     assert n.coeff(0) == norm(c, emb)
     pi = LaurentSeries.make(F9, 1, [1], 5)
-    assert norm_tame(pi, emb=emb) == LaurentSeries.make(F3, 2, [1], 6)
+    assert same(norm_tame(pi, emb=emb), LaurentSeries.make(F3, 2, [1], 6))
 
 
 def test_unramified_norm_multiplicative():
@@ -338,7 +338,7 @@ def test_unramified_norm_multiplicative():
     rng = random.Random(23)
     a = random_series(rng, F9, width=6)
     b = random_series(rng, F9, width=6)
-    assert norm_tame(a * b, emb=emb) == norm_tame(a, emb=emb) * norm_tame(b, emb=emb)
+    assert same(norm_tame(a * b, emb=emb), norm_tame(a, emb=emb) * norm_tame(b, emb=emb))
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +498,7 @@ def test_rational_evaluate():
     x = polys.x(F5)
     r = RationalFunction(x * x + 1, x - 1)
     a = F5.elem(2)
-    assert r.evaluate(a) == (a * a + F5.one()) / (a - F5.one())
+    assert r.evaluate(a) == (a * a + F5.one()) / (a + (-F5.one()))
     with pytest.raises(ZeroDivisionError):
         r.evaluate(F5.one())
 
@@ -515,7 +515,7 @@ def test_rational_derivative_matches_series():
         pt = Point.rational(F3, 0)
         lhs = expand_at(r.derivative(), pt, 4)
         rhs = expand_at(r, pt, 5).derivative()
-        assert lhs == rhs
+        assert same(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +526,7 @@ def test_expand_geometric_series():
     x = polys.x(F3)
     r = RationalFunction(Poly(F3, [1]), Poly(F3, [1]) - x)
     s = expand_at(r, Point.rational(F3, 0), 5)
-    assert s == LaurentSeries.make(F3, 0, [1, 1, 1, 1, 1], 5)
+    assert same(s, LaurentSeries.make(F3, 0, [1, 1, 1, 1, 1], 5))
 
 
 def test_expand_at_infinity():
@@ -589,7 +589,7 @@ def test_expansions_hold_exactly_n_coefficients(n):
     for pt in pts:
         s = expand_at(r, pt, n)
         assert len(s.coeffs) == s.prec - s.v == n
-        assert s == expand_at(r, pt, n + 3)
+        assert same(s, expand_at(r, pt, n + 3))
         w = expand_form_at(r, pt, n).w
         assert len(w.coeffs) == w.prec - w.v == n
         assert w.v == s.v - (2 if pt.at_infinity else 0)

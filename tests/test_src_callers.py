@@ -1,82 +1,218 @@
 """The library keeps what its callers run.
 
-Every top-level function in src/epsilon_lab is referenced by name
-somewhere in src outside its own body, and every non-dunder method is read
-as an attribute, `.name`, there: a bare name that happens to match a
-method calls no method.  Code that only the tests run lives under tests/.
-The one exception is an entry point whose callers live outside src: a
-function that README.md names in its code or the benchmark's worker
+The product is driven in one fresh interpreter under sys.setprofile: every
+golden CLI case (product-check also under the two unit-sum methods),
+README's Python blocks, and the few extra inputs in _EXTRA_ARGV and
+_drive that reach the remaining paths.  Each call into src/epsilon_lab is
+recorded as an edge from the nearest src frame below it; frames outside
+src, argparse's included, are transparent, so argparse calling `_refuse`
+counts as a call from `main`.  Every top-level function and every method
+of a top-level class, dunders included, must be reachable along those
+edges from a root: a module body, the console entry point `cli.main`, a
+function that README.md names in its code or that the benchmark's worker
 (perfbench/worker.py) uses, or a method that README's code reads after a
-`.` or the worker reads as an attribute.
+`.` or the worker reads as an attribute.  `__repr__` is exempt: pytest
+and debugging read it.
 
-Methods are matched by name only, whatever class the read belongs to, so
-a method with no caller survives this test while a same-named method of
-another class is called, named in README's code or read by the worker.
+The interpreter is fresh because the tests' process holds the field
+tables and descriptors that earlier tests built, so their builders would
+go unrecorded, and so that a call made while src imports is recorded
+too.  Code objects are mapped to definitions by file and line, not by
+co_qualname, which Python 3.10 lacks.  Reachability, not "has a caller",
+is what counts, so a chain that only the tests enter fails whole.  Code
+that only the tests run lives under tests/.
+
+Run this file directly to print the recorded edges as JSON.
 """
 
 import ast
+import contextlib
+import io
+import json
+import os
 import re
-from collections import defaultdict
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "epsilon_lab"
+EXEMPT = {"__repr__"}
 
-
-def _used_names(tree):
-    """Each name an ast.Name or ast.Attribute node of tree refers to."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id, node
-        elif isinstance(node, ast.Attribute):
-            yield node.attr, node
+# argv past the golden cases: a bad command line, a pinned prime, a
+# constant-mode spec (no punctures, a constant wild datum) and a form with
+# a common factor; {name} is a file _drive writes first
+_EXTRA_ARGV = [
+    ["gauss"],
+    ["gauss", "--p", "3", "--q", "3", "--c", "1", "--ell", "73"],
+    ["product-check", "--spec", "{constant_spec}"],
+    ["product-check", "--omega", "{common_factor}"],
+]
+_FILES = {
+    "constant_spec": {"p": 3, "n": 1, "wild": {"num": [[1]], "den": [[1]]}},
+    # (t + 1) / (t (t + 1)) = 1 / t
+    "common_factor": {"num": [[1], [1]], "den": [[0], [1], [1]]},
+}
 
 
 def _definitions(tree):
-    """(qualified name, node) of each top-level function and each
-    non-dunder method of a top-level class."""
+    """(qualified name, node) of each top-level function and each method
+    of a top-level class."""
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, funcs):
             yield node.name, node
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, funcs) and not (item.name.startswith("__") and item.name.endswith("__")):
+                if isinstance(item, funcs):
                     yield "%s.%s" % (node.name, item.name), item
 
 
-def _entry_points():
-    """The functions and the methods called from outside src: for
-    functions, the identifiers in README.md's code spans and blocks and the
-    names perfbench/worker.py uses; for methods, the identifiers after a
-    `.` in README's code and the attributes the worker reads."""
+def _units():
+    """{source path: [unit of each line]}: the "module: qualname" of the
+    definition a line lies in, or "module: <module>" outside any."""
+    owners = {}
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = ["%s: <module>" % path.name] * (text.count("\n") + 2)
+        for qualname, node in _definitions(ast.parse(text)):
+            # a decorated def's code starts at its first decorator
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            lines[first : node.end_lineno + 1] = ["%s: %s" % (path.name, qualname)] * (node.end_lineno + 1 - first)
+        owners[str(path)] = lines
+    return owners
+
+
+def _recorder(edges):
+    """A profile function adding (caller unit, callee unit) to edges."""
+    owners = _units()
+    by_file = {}
+    by_code = {}
+
+    def unit(code):
+        got = by_code.get(code, by_code)
+        if got is by_code:
+            name = code.co_filename
+            if name not in by_file:
+                by_file[name] = owners.get(os.path.realpath(name))
+            lines = by_file[name]
+            got = by_code[code] = lines[code.co_firstlineno] if lines else None
+        return got
+
+    def hook(frame, event, _arg):
+        if event != "call":
+            return
+        callee = unit(frame.f_code)
+        if callee is None:
+            return
+        frame = frame.f_back
+        while frame is not None:
+            caller = unit(frame.f_code)
+            if caller is not None:
+                edges.add((caller, callee))
+                return
+            frame = frame.f_back
+
+    return hook
+
+
+def _readme_blocks():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"```python\n(.*?)```", readme, re.S)
+
+
+def _drive(tmp):
+    """Run the product on every input the guard covers."""
+    from epsilon_lab.cli import main
+    from golden_cases import CASES
+
+    files = {}
+    for name, obj in _FILES.items():
+        files[name] = os.path.join(tmp, name + ".json")
+        with open(files[name], "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+    argvs = list(CASES.values())
+    argvs += [argv + ["--method", m] for argv in CASES.values() if argv[0] == "product-check" for m in ("tate", "tate_slow")]
+    argvs += [[arg.format(**files) for arg in argv] for argv in _EXTRA_ARGV]
+    for argv in argvs:
+        main(argv)
+    # the blocks share one session
+    ns = {}
+    for block in _readme_blocks():
+        exec(block, ns)
+    # README's spec again, with a form equal to its omega but another
+    # object: the spec's form cache compares the two
+    omega = ns["RationalFunction"].from_poly(ns["Poly"](ns["F3"], [1]))
+    ns["product_formula_check"](ns["spec"], ns["coeff_setup"](3, [2]), omega)
+
+
+def _edges():
+    """The edges of one profiled drive, in this interpreter."""
+    edges = set()
+    sys.setprofile(_recorder(edges))
+    try:
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            _drive(tmp)
+    finally:
+        sys.setprofile(None)
+    import epsilon_lab
+
+    assert Path(epsilon_lab.__file__).resolve().parent == SRC, "drove %s, not this checkout" % epsilon_lab.__file__
+    return edges
+
+
+def _used_names(tree):
+    """(name, is an attribute) of each ast.Name and ast.Attribute of tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, False
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, True
+
+
+def _roots(units):
+    """The units called from outside src: module bodies, cli.main, and the
+    functions and methods README's code or the worker names."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     code = "\n".join(re.findall(r"```.*?```|`[^`]+`", readme, re.S))
     worker = list(_used_names(ast.parse((ROOT / "perfbench" / "worker.py").read_text(encoding="utf-8"))))
-    functions = set(re.findall(r"[A-Za-z_]\w*", code)) | {name for name, _node in worker}
-    methods = set(re.findall(r"\.\s*([A-Za-z_]\w*)", code))
-    methods |= {name for name, node in worker if isinstance(node, ast.Attribute)}
-    return functions, methods
+    functions = set(re.findall(r"[A-Za-z_]\w*", code)) | {name for name, _attr in worker}
+    methods = set(re.findall(r"\.\s*([A-Za-z_]\w*)", code)) | {name for name, attr in worker if attr}
+    roots = {"cli.py: main"}
+    for unit in units:
+        qualname = unit.split(": ", 1)[1]
+        name = qualname.rpartition(".")[2]
+        if qualname == "<module>" or name in (methods if "." in qualname else functions):
+            roots.add(unit)
+    return roots
+
+
+def _unreached(edges):
+    """Each definition in src that no root reaches, in file order."""
+    units = [unit for lines in _units().values() for unit in dict.fromkeys(lines)]
+    callees = {}
+    for caller, callee in edges:
+        callees.setdefault(caller, set()).add(callee)
+    reached = set()
+    todo = list(_roots(units))
+    while todo:
+        unit = todo.pop()
+        if unit not in reached:
+            reached.add(unit)
+            todo += callees.get(unit, ())
+    return [u for u in units if u not in reached and u.split(": ", 1)[1].rpartition(".")[2] not in EXEMPT]
 
 
 def test_every_function_in_src_has_a_caller_in_src():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
-    uses = defaultdict(list)
-    for tree in trees.values():
-        for name, node in _used_names(tree):
-            uses[name].append(node)
-    functions, methods = _entry_points()
-    orphans = []
-    for module, tree in trees.items():
-        for qualname, node in _definitions(tree):
-            method = "." in qualname
-            if node.name in (methods if method else functions):
-                continue
-            own = set(map(id, ast.walk(node)))
-            if any(
-                id(use) not in own and (isinstance(use, ast.Attribute) or not method)
-                for use in uses[node.name]
-            ):
-                continue
-            orphans.append("%s: %s" % (module, qualname))
-    assert not orphans, "defined in src, called only from outside it: %s" % ", ".join(orphans)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), str(Path(__file__).parent)]))
+    run = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    orphans = _unreached({tuple(edge) for edge in json.loads(run.stdout)})
+    assert not orphans, "defined in src, run only from outside it: %s" % ", ".join(orphans)
+
+
+if __name__ == "__main__":
+    json.dump(sorted(_edges()), sys.stdout)

@@ -3,10 +3,13 @@
 The library reads every local object in one fixed uniformizer pi.  These
 helpers substitute series into series and rewrite a character and a
 1-form in a new uniformizer pi' = s(pi), so that the tests can check that
-a local factor does not depend on that choice.
+a local factor does not depend on that choice.  Beside them sit the sum,
+difference and comparison of series that the tests use and the library
+does not define.
 """
 
 from epsilon_lab.chars import LocalCharacter
+from epsilon_lab.gf import int_ops
 from epsilon_lab.localfield import Form, LaurentSeries, PrecisionError
 
 
@@ -14,6 +17,31 @@ def pad(s, prec):
     """The same exact Laurent polynomial, its window taken to prec with
     known zeros."""
     return LaurentSeries.of(s.field, s.v, s.coeffs, prec)
+
+
+def add(a, b):
+    """a + b, known on the common window."""
+    prec = min(a.prec, b.prec)
+    v = min(a.v if a.coeffs else prec, b.v if b.coeffs else prec)
+    plus = int_ops(a.field).add
+    out = [0] * max(prec - v, 0)
+    for s in (a, b):
+        for k, c in enumerate(s.coeffs[: prec - s.v], s.v - v):
+            if c:
+                out[k] = plus(out[k], c)
+    return LaurentSeries.of(a.field, v, out, prec)
+
+
+def sub(a, b):
+    """a - b, known on the common window."""
+    return add(a, -b)
+
+
+def same(a, b):
+    """Whether a and b, over one field, agree on their common window."""
+    prec = min(a.prec, b.prec)
+    lo = min(a.v if a.coeffs else prec, b.v if b.coeffs else prec)
+    return a.field == b.field and all(a.at(k) == b.at(k) for k in range(lo, prec))
 
 
 def compose(f, inner):
@@ -27,7 +55,7 @@ def compose(f, inner):
     acc = LaurentSeries.zero(field, prec + 1)
     # Horner from the top of the window
     for k in range(f.prec - 1, f.v - 1, -1):
-        acc = acc * inner + LaurentSeries.of(field, 0, [f.at(k)], prec + 1)
+        acc = add(acc * inner, LaurentSeries.of(field, 0, [f.at(k)], prec + 1))
     # then inner**v(f), one factor at a time
     if f.v:
         step = inner if f.v > 0 else inner.inverse()
@@ -48,13 +76,13 @@ def reversion(s):
     a1 = s.coeff(1)
     t = LaurentSeries.make(field, 1, [a1.inverse()], prec)
     for k in range(2, prec):
-        r = compose(s, t) - LaurentSeries.pi_power(field, 1, prec)
+        r = sub(compose(s, t), LaurentSeries.pi_power(field, 1, prec))
         if not r.coeffs or r.valuation() > k:
             continue
         gamma = r.coeff(r.valuation())
         if r.valuation() < k:
             raise ValueError("reversion drifted, broken invariant")
-        t = t + LaurentSeries.make(field, k, [-(gamma / a1)], prec)
+        t = add(t, LaurentSeries.make(field, k, [-(gamma / a1)], prec))
     return t
 
 
