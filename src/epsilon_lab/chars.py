@@ -3,7 +3,7 @@
 A character is stored as three independent pieces relative to the chosen
 uniformizer pi:
 
-* c_pi, its value at pi (an invertible coefficient element),
+* c_pi, its value at pi (an invertible CoeffElem, or an int to wrap),
 * tame_e, the exponent through which units act by the Kummer character of
   the residue field (taken mod q - 1),
 * wild_h, an additive datum h with only negative pi-exponents; a unit u
@@ -106,7 +106,7 @@ class LocalCharacter:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, x):
-        """Value on a nonzero element given as a Laurent series.
+        """Value, an int mod ell, on a nonzero element given as a series.
 
         Needs the series known to swan + 1 coefficients past its valuation.
         """
@@ -118,7 +118,8 @@ class LocalCharacter:
             )
         # the unit part to need coefficients: (dlog u)_j, j < swan, reads no more
         u = LaurentSeries.of(self.field, 0, x.coeffs, need)
-        out = self.c_pi ** v * self.coeff.kummer_chi(self.tame_e, u.coeff(0))
+        coeff = self.coeff
+        out = pow(self.c_pi.value, v, coeff.ell) * coeff.kummer_chi(self.tame_e, u.coeff(0))
         h = self.wild_h
         if h.coeffs:
             ops = int_ops(self.field)
@@ -127,8 +128,8 @@ class LocalCharacter:
             for k, c in enumerate(h.coeffs, h.v):
                 if c:
                     pairing = fma(c, d.at(-1 - k), pairing)
-            out = out * self.coeff.psi(ops.trace(pairing))
-        return out
+            out *= coeff.psi(ops.trace(pairing))
+        return out % coeff.ell
 
     # -- algebra -------------------------------------------------------------
 
@@ -137,7 +138,7 @@ class LocalCharacter:
         is not reduced again."""
         out = LocalCharacter.__new__(LocalCharacter)
         out.field, out.coeff = self.field, self.coeff
-        out.c_pi = self.c_pi ** -1
+        out.c_pi = self.coeff.elem(pow(self.c_pi.value, -1, self.coeff.ell))
         out.tame_e = -self.tame_e % (self.field.q - 1)
         out.wild_h = -self.wild_h
         return out
@@ -163,7 +164,7 @@ class LocalCharacter:
             raise Unsupported("wild_h must be a JSON object with v and coeffs", field="wild_h")
         v = series_bound(wild, "v", "wild_h.v")
         h = LaurentSeries.make(field, v, field.json_elems(wild["coeffs"], "coeffs"), 1)
-        return cls(field, coeff, coeff.elem(obj["c_pi"]), obj["tame_e"], h)
+        return cls(field, coeff, obj["c_pi"], obj["tame_e"], h)
 
 
 def unit_keys(field, nu):

@@ -78,9 +78,11 @@ def _load_spec(path):
 
 def _parse_orders(text):
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
+        orders = [int(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise Unsupported("orders must be a comma list of integers", field="orders")
+        orders = None
+    _need(orders, "orders", "a comma list of integers")
+    return orders
 
 
 def _coeff_for(cfg, p, orders, ell, specs=()):
@@ -157,7 +159,7 @@ def cmd_gauss(args):
     c = field.elem(coeffs)
     if c.is_zero():
         raise Unsupported("the quadratic coefficient must be a unit", field="c")
-    orders = _parse_orders(args.orders) if args.orders else [max(1, q - 1)]
+    orders = [max(1, q - 1)] if args.orders is None else _parse_orders(args.orders)
     coeff = _coeff_for({}, p, orders, args.ell)
     counts = gamma_counts(field, c)
     z = root_sum({e: -k for e, k in counts.items()}, p)
@@ -165,7 +167,7 @@ def cmd_gauss(args):
         "p": p,
         "q": q,
         "c": [int(v) for v in c.coeffs],
-        "value": gamma_from_counts(coeff, counts).value,
+        "value": gamma_from_counts(coeff, counts),
         "complex": {"re": round(z.real, 10) + 0.0, "im": round(z.imag, 10) + 0.0, "abs": round(abs(z), 10)},
     }
     return body, coeff.ell, True
@@ -189,7 +191,7 @@ def cmd_eps_local(args):
         if not eigen:
             raise Unsupported("punctual kind needs eigenvalues", field="eigenvalues")
         _need(isinstance(eigen, list) and all(type(v) is int for v in eigen), "eigenvalues", "a list of integers")
-        res = eps_punctual(coeff, [coeff.elem(v) for v in eigen])
+        res = eps_punctual(coeff, eigen)
     else:
         chi = LocalCharacter.from_json(coeff, obj["char"])
         path = args.form if args.form is not None else _bundled("form_dlog.json")
@@ -213,9 +215,9 @@ def cmd_eps_global(args):
     glob = spec.global_computation(coeff)
     audit = glob.audit()
     body = {
-        "value": glob.cs[-1].value,
+        "value": glob.cs[-1],
         "degree": glob.degree,
-        "l_polynomial": [c.value for c in glob.cs],
+        "l_polynomial": glob.cs,
         "audit": audit,
     }
     return body, coeff.ell, audit["ok"]
@@ -280,7 +282,7 @@ def cmd_twisted_check(args):
     from .twisted import run_twisted_suite  # the only subcommand that needs it
 
     _need(args.trials >= 0, "trials", "a non-negative integer")
-    orders = _parse_orders(args.orders) if args.orders else [8]
+    orders = [8] if args.orders is None else _parse_orders(args.orders)
     coeff = _coeff_for({}, args.p, orders, args.ell)
     report = run_twisted_suite(coeff, seed=args.seed, min_randomized=args.trials)
     return {"report": report, "seed": args.seed}, coeff.ell, report["ok"]
@@ -327,7 +329,7 @@ def _build_parser():
     el.add_argument("--char", default=None, help="character JSON (default: bundled quadratic)")
     el.add_argument("--form", default=None, help="local one-form JSON (default: bundled dpi/pi)")
     el.add_argument("--kind", default="j!", help="j!, j*, or punctual")
-    el.add_argument("--method", default="auto", help=method_help)
+    el.add_argument("--method", default="auto", choices=_epsilon.METHODS, help=method_help)
 
     eg = sub.add_parser("eps-global", parents=[common], help="global determinant of the data")
     eg.add_argument("--spec", required=True, help="sheaf data JSON")
@@ -339,6 +341,7 @@ def _build_parser():
     pc.add_argument(
         "--method",
         default="auto",
+        choices=_epsilon.METHODS,
         help=method_help + "; closed refuses any spec with a tame point",
     )
 
@@ -350,7 +353,7 @@ def _build_parser():
     tc = sub.add_parser("twisted-check", parents=[common], help="projective representation suite")
     tc.add_argument("--p", type=int, default=3)
     tc.add_argument("--orders", default=None)
-    tc.add_argument("--trials", type=int, default=100, help="randomized cases above order 12")
+    tc.add_argument("--trials", type=int, default=100, help="randomized cases above order 12, at most 10^4")
     tc.add_argument("--seed", type=int, default=0, help="seed of the randomized cases")
 
     for each in (parser, *sub.choices.values()):

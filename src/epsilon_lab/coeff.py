@@ -6,9 +6,11 @@ for the wild (additive character) values and zeta_M = h**((ell-1)/M) for the
 tame ones, M being the lcm of every multiplicative order q_x - 1 in play.
 Verdicts never rest on a single ell; engines re-run with a second one.
 
-Values are exact residues and a field keeps no side table.  For display
-only, root_sum reads an integer combination of roots of unity as a complex
-number.
+Inside the library a value is a plain int mod ell, and a field keeps no
+side table.  CoeffElem is the boundary type, as FqElem is gf's: a caller
+hands one in as a character's c_pi and reads one off an EpsilonResult.
+For display only, root_sum reads an integer combination of roots of unity
+as a complex number.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .gf import FIELD_CAP, CapExceeded, FqElem, Unsupported, _check_size, _is_prime, _prime_factors, trace, dlog
+from .gf import FIELD_CAP, CapExceeded, FqElem, Unsupported, _check_size, _is_prime, _prime_factors, dlog
 
 # coeff_setup refuses a character order past FIELD_CAP - 1, and p is below
 # FIELD_CAP, so one in-cap character has a step p*M below FIELD_CAP**2 (2^48).
@@ -43,27 +45,14 @@ class CoeffField:
         self.zeta_M = pow(h, (ell - 1) // M, ell)
 
     def elem(self, v):
-        if isinstance(v, CoeffElem):
-            if v.field is not self:
-                raise ValueError("value from another coefficient field")
-            return v
-        return CoeffElem(self, v % self.ell)
+        return CoeffElem(self, v)
 
     def one(self):
-        return self.elem(1)
-
-    def zero(self):
-        return self.elem(0)
+        return CoeffElem(self, 1)
 
     def psi(self, t):
         """Additive character of F_p: t (an int) -> zeta_p**t."""
-        return self.elem(pow(self.zeta_p, t % self.p, self.ell))
-
-    def psi_trace(self, x):
-        """psi of the absolute trace of x down to F_p."""
-        if not isinstance(x, FqElem):
-            raise ValueError("psi_trace wants a field element")
-        return self.psi(trace(x))
+        return pow(self.zeta_p, t % self.p, self.ell)
 
     def kummer_chi(self, e, x):
         """Multiplicative character of x's field: x -> zeta_{q-1}**(e dlog x).
@@ -76,16 +65,17 @@ class CoeffField:
         if m == 0 or self.M % m != 0:
             raise ValueError("multiplicative order %d is not tracked" % m)
         if e % m == 0:
-            return self.one()
+            return 1
         z = pow(self.zeta_M, self.M // m, self.ell)
-        return self.elem(pow(z, (e * dlog(x)) % m, self.ell))
+        return pow(z, (e * dlog(x)) % m, self.ell)
 
     def __repr__(self):
         return "CoeffField(ell=%d, p=%d, M=%d)" % (self.ell, self.p, self.M)
 
 
 class CoeffElem:
-    """Element of F_ell; thin wrapper so values do not mix across fields."""
+    """Element of F_ell at the boundary (a character's c_pi, an
+    EpsilonResult's value); it keeps a caller's values to their field."""
 
     __slots__ = ("field", "value")
 
@@ -93,44 +83,23 @@ class CoeffElem:
         self.field = field
         self.value = value % field.ell
 
-    def _coerce(self, other):
-        if isinstance(other, CoeffElem):
-            if other.field is not self.field:
-                raise ValueError("values from different coefficient fields")
-            return other
-        if isinstance(other, int):
-            return CoeffElem(self.field, other)
-        return None
-
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, CoeffElem):
             return NotImplemented
+        if other.field is not self.field:
+            raise ValueError("values from different coefficient fields")
         return CoeffElem(self.field, self.value * other.value)
 
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CoeffElem(self.field, self.value + other.value)
-
-    __radd__ = __add__
-
     def __pow__(self, e):
-        if self.value == 0:
-            if e < 0:
-                raise ZeroDivisionError("inverse of zero")
-            return CoeffElem(self.field, 1 if e == 0 else 0)
-        if e < 0:
-            return CoeffElem(self.field, pow(pow(self.value, -1, self.field.ell), -e, self.field.ell))
+        if e < 0 and self.value == 0:
+            raise ZeroDivisionError("inverse of zero")
         return CoeffElem(self.field, pow(self.value, e, self.field.ell))
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, CoeffElem):
             return NotImplemented
+        if other.field is not self.field:
+            raise ValueError("values from different coefficient fields")
         return self.value == other.value
 
     def is_zero(self):

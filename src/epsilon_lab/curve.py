@@ -42,7 +42,7 @@ from math import comb
 
 from .chars import LocalCharacter, as_reduce
 from .epsilon import eps_local
-from .gf import FIELD_CAP, TABLE_LINE, CapExceeded, Unsupported, dlog, fq_build, int_ops, log_field, norm, residue_field
+from .gf import FIELD_CAP, TABLE_LINE, CapExceeded, Unsupported, dlog, fq_build, int_ops, log_field, norm, residue_field, trace
 from .localfield import (
     LaurentSeries,
     Point,
@@ -300,9 +300,9 @@ class SheafSpec:
         c = self.unram % ell
         if c == 0:
             raise ValueError("unramified scaling is not invertible modulo ell")
-        psi_pow = [coeff.psi(t).value for t in range(base.p)]
+        psi_pow = [coeff.psi(t) for t in range(base.p)]
         red = base.q - 1
-        z = coeff.kummer_chi(1, base.gen()).value
+        z = coeff.kummer_chi(1, base.gen())
         zpow = [1] * red
         for k in range(1, red):
             zpow[k] = (zpow[k - 1] * z) % ell
@@ -310,7 +310,7 @@ class SheafSpec:
 
     def trace_sum(self, coeff, m):
         """Sum of the trace function over the degree m rational points of
-        the domain, as an element of the coefficient field.
+        the domain, an int mod ell.
 
         A closed point of degree e | m stands for e rational points, with
         its keys scaled by m/e: on F_{q^e} the trace from F_{q^m} is m/e
@@ -324,34 +324,34 @@ class SheafSpec:
                 r = m // e
                 for (pe, ke), count in self._closed_point_counts(e).items():
                     acc = (acc + e * count * psi_pow[pe * r % p] * zpow[ke * r % red]) % ell
-        return coeff.elem(acc * pow(c, m, ell))
+        return acc * pow(c, m, ell) % ell
 
     def trace_at(self, coeff, m, x):
-        """Trace value at one rational point of the degree m extension,
-        given as an element of that extension or None for infinity.
+        """Trace value, an int mod ell, at one rational point of the degree
+        m extension, given as an element of it or None for infinity.
 
         Pointwise route, independent of the histogram: the additive datum
         is evaluated and traced, each multiplicative datum is evaluated,
         normed down and fed to the character; infinity's keys are read off
         local_data, not off the walk's leading constants."""
-        base = self.base
+        base, ell = self.base, coeff.ell
         big, emb = residue_field(base, m)
+        val = pow(self.unram, m, ell)
         if x is None:
             if not self.infinity_in_domain():
                 raise ValueError("infinity is punctured")
             _big, _tame, _wild, ke, pe = self.local_data(Point.infinity(base))
             z = coeff.kummer_chi(1, base.gen())
-            return coeff.psi(pe * m) * z ** (ke * m) * coeff.elem(self.unram) ** m
+            return val * coeff.psi(pe * m) * pow(z, ke * m, ell) % ell
         if x.field != big:
             raise ValueError("the point must live in the cached degree m extension")
         for pt in self.punctures:
             if not pt.at_infinity and pt.minpoly.evaluate(x, emb).is_zero():
                 raise ValueError("the point is punctured")
-        val = coeff.elem(self.unram) ** m
         if self.wild is not None:
-            val = val * coeff.psi_trace(self.wild.evaluate(x, emb))
+            val = val * coeff.psi(trace(self.wild.evaluate(x, emb))) % ell
         for g, e in self.kummer:
-            val = val * coeff.kummer_chi(e, norm(g.evaluate(x, emb), emb))
+            val = val * coeff.kummer_chi(e, norm(g.evaluate(x, emb), emb)) % ell
         return val
 
     @classmethod
@@ -374,10 +374,9 @@ def local_character_at(spec, coeff, point):
     closed point: the spec's local_data priced in coeff, as trace_sum prices
     histogram keys, times the unramified scaling to the residue degree."""
     big, tame, wild_h, ke, pe = spec.local_data(point)
-    c_pi = coeff.psi(pe)
+    c_pi = coeff.psi(pe) * pow(spec.unram, point.degree(), coeff.ell)
     if spec.kummer:
         c_pi = c_pi * coeff.kummer_chi(ke, spec.base.gen())
-    c_pi = c_pi * coeff.elem(spec.unram) ** point.degree()
     return LocalCharacter(big, coeff, c_pi, tame, wild_h)
 
 
@@ -442,9 +441,9 @@ def _functional_equation(mid, dual, d, q, ell):
 class GlobalComputation:
     """The determinant of Frobenius for one (spec, coeff), computed once
     and held by the spec: the conductor profile, the degree d it predicts,
-    and cs, the coefficients of det(1 - T Frob), constant term first, from
-    prod_x (1 - a_x T^deg x)^-1 over the closed points of the domain; cs[d]
-    is the determinant of minus Frobenius, inverted.
+    and cs, the coefficients of det(1 - T Frob) as ints mod ell, constant
+    term first, from prod_x (1 - a_x T^deg x)^-1 over the closed points of
+    the domain; cs[d] is the determinant of minus Frobenius, inverted.
 
     Duality halves the counts.  An unramified puncture x is a point where
     the middle extension j_* of the data is lisse, with stalk price a_x, so
@@ -509,7 +508,7 @@ class GlobalComputation:
         self.degree = d
         self.counted = k
         self.dual_ok = dual_ok
-        self.cs = [coeff.elem(v) for v in cs]
+        self.cs = cs
 
     def audit(self):
         """Degree and consistency audit of the determinant polynomial.
@@ -527,19 +526,18 @@ class GlobalComputation:
         top = self.counted + 1
         if top % ell == 0:
             top += 1
-        cs = [v.value for v in self.cs] + [0, 0]
+        cs = self.cs + [0, 0]
         ps = [0]
         for m in range(1, top + 1):
             ps.append(-(m * cs[m] + sum(cs[m - i] * ps[i] for i in range(1, m))) % ell)
-        leading = self.cs[d]
-        predicted = coeff.elem(ps[top])
-        observed = coeff.elem(-1) * self.spec.trace_sum(coeff, top)
+        leading = cs[d]
+        consistent = ps[top] == -self.spec.trace_sum(coeff, top) % ell
         return {
             "degree": d,
-            "leading": leading.value,
-            "leading_nonzero": not leading.is_zero(),
-            "power_sum_consistent": predicted == observed,
-            "ok": (not leading.is_zero()) and predicted == observed and self.dual_ok,
+            "leading": leading,
+            "leading_nonzero": leading != 0,
+            "power_sum_consistent": consistent,
+            "ok": leading != 0 and consistent and self.dual_ok,
         }
 
 
@@ -566,7 +564,7 @@ def product_formula_check(spec, coeff, omega, method="auto"):
     """
     if omega.is_zero():
         raise ValueError("the 1-form must be nonzero")
-    base = spec.base
+    base, ell = spec.base, coeff.ell
     q = base.q
     contributing = [(pt, local_character_at(spec, coeff, pt)) for pt in spec.punctures]
     constant = not any(chi.is_ramified() for _pt, chi in contributing)
@@ -574,18 +572,18 @@ def product_formula_check(spec, coeff, omega, method="auto"):
         if spec.punctures:
             raise ValueError("everywhere unramified data needs an empty puncture set here")
         scale = spec.trace_at(coeff, 1, base.zero())
-        lhs = (scale * scale * coeff.elem(q)) ** -1
+        lhs = pow(scale * scale * q, -1, ell)
     punctured = set(spec.punctures)
     orders, expansions = spec.form_data(omega)
     contributing += [(pt, local_character_at(spec, coeff, pt)) for pt, v in orders.items() if v and pt not in punctured]
-    rhs = coeff.elem(q)
+    rhs = q % ell
     per_point = []
     for pt, chi in contributing:
         kind = "shriek" if pt in punctured else "star"
         a = chi.artin_a(kind)
         res = _local_factor(chi, omega, pt, kind, method, expansions)
         sign = -1 if a % 2 else 1
-        rhs = rhs * res.value * sign
+        rhs = rhs * res.value.value * sign % ell
         per_point.append(
             {
                 "point": pt.to_json(),
@@ -606,8 +604,8 @@ def product_formula_check(spec, coeff, omega, method="auto"):
         "mode": "constant" if constant else "determinant",
         "ok": lhs == rhs and (constant or glob.dual_ok),
         "degree": None if constant else d,
-        "lhs": lhs.value,
-        "rhs": rhs.value,
+        "lhs": lhs,
+        "rhs": rhs,
         "per_point": per_point,
         "ell": coeff.ell,
     }
@@ -636,11 +634,11 @@ def transfer_constants(coeff, variants, point, form):
     for (gspec, _lspec), up in zip(variants, ups):
         glob = gspec.global_computation(coeff)
         d = glob.degree
-        down = coeff.elem(-1) ** d * glob.cs[d]
+        down = (-1) ** d * glob.cs[d]
         if up.conductor_a_omega != d:
             conductor_ok = False
         degrees.append(d)
-        lambdas.append((down * up.value ** -1).value)
+        lambdas.append(down * pow(up.value.value, -1, coeff.ell) % coeff.ell)
     return {
         "degrees": degrees,
         "lambdas": lambdas,

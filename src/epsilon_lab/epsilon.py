@@ -1,9 +1,9 @@
 """Local epsilon factors of rank one objects on the formal disc.
 
 The value reported everywhere is the factor evaluated at geometric
-Frobenius, an invertible element of F_ell; every engine returns it in an
-EpsilonResult, a plain record with the two conductors and the engine's
-name.  Two flavours of object:
+Frobenius, an invertible int mod ell that every engine wraps once, as a
+CoeffElem, in an EpsilonResult, a plain record with the two conductors and
+the engine's name.  Two flavours of object:
 
 * a character chi of F_q((pi)) extended across the closed point by zero
   ("shriek") or by invariants ("star"),
@@ -40,11 +40,13 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from operator import add, mul
 
-from .gf import CapExceeded, int_ops, log_field
+from .gf import CapExceeded, int_ops, log_field, trace
 from .chars import unit_keys
 from .localfield import LaurentSeries, PrecisionError, quotient, residue
 
 TATE_CAP = 1 << 22
+# the engines eps_local takes, the CLI's --method choices
+METHODS = ("auto", "tate", "tate_slow", "closed")
 
 
 EpsilonResult = namedtuple("EpsilonResult", "value conductor_a conductor_a_omega method")
@@ -89,17 +91,17 @@ def gamma_psi(coeff, field, c):
     """gamma_psi(c) = -sum over t in F_q of psi(Tr(c t**2 / 2)), p odd.
 
     Satisfies gamma_psi(c) / gamma_psi(1) = quadratic character of c and
-    |gamma_psi| = sqrt(q) under any complex embedding.  The value is a
-    residue only; for a complex rendering, coeff.root_sum reads the
-    negated gamma_counts at the p-th roots of unity.
+    |gamma_psi| = sqrt(q) under any complex embedding.  The value is an int
+    mod ell; for a complex rendering, coeff.root_sum reads the negated
+    gamma_counts at the p-th roots of unity.
     """
     return gamma_from_counts(coeff, gamma_counts(field, c))
 
 
 def gamma_from_counts(coeff, counts):
-    """gamma_psi from its gamma_counts: minus the sum of k psi(e)."""
+    """gamma_psi from its gamma_counts: minus the sum of k psi(e), mod ell."""
     ell, z = coeff.ell, coeff.zeta_p
-    return coeff.elem(-sum(k * pow(z, e, ell) for e, k in counts.items()))
+    return -sum(k * pow(z, e, ell) for e, k in counts.items()) % ell
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +136,7 @@ def eps_tate_slow(chi, omega, c_unit=None):
     c_unit, if given, replaces pi**a_omega by c_unit * pi**a_omega as the
     normalizing element; the result must not depend on it.
     """
-    field, coeff = chi.field, chi.coeff
+    field, coeff, ell = chi.field, chi.coeff, chi.coeff.ell
     a, v_om, a_om = _tate_shape(chi, omega)
     margin = a_om + a + 2
     c = LaurentSeries.pi_power(field, a_om, margin)
@@ -142,13 +144,13 @@ def eps_tate_slow(chi, omega, c_unit=None):
         c = c * c_unit
     cinv = c.inverse()
     inv = chi.inverse()
-    total = coeff.zero()
+    total = 0
     for key in unit_keys(field, a):
         u0 = LaurentSeries.of(field, 0, key, a)
         x = cinv * u0
-        total = total + inv(x) * coeff.psi_trace(residue(x * omega.w))
-    value = coeff.elem(-1) ** a * coeff.elem(field.q) ** v_om * total
-    return EpsilonResult(value, a, a_om, "tate_slow")
+        total = (total + inv(x) * coeff.psi(trace(residue(x * omega.w)))) % ell
+    value = (-1) ** a * pow(field.q, v_om, ell) * total
+    return EpsilonResult(coeff.elem(value), a, a_om, "tate_slow")
 
 
 def _unit_rows(inv, nu, logs, psi_pow):
@@ -205,12 +207,12 @@ def eps_tate(chi, omega):
     W = [log[omega.w.at(a_om - 1 - j)] for j in range(a)]
 
     # ginv[k] = g**-k; P(G**k) = ginv[k] * P1 and P(0) = P0
-    g = coeff.kummer_chi(inv.tame_e, field.gen()).value
+    g = coeff.kummer_chi(inv.tame_e, field.gen())
     step = pow(g, -1, ell)
     ginv = [1] * m
     for k in range(1, m):
         ginv[k] = ginv[k - 1] * step % ell
-    psi_pow = [coeff.psi(t).value for t in range(field.p)]
+    psi_pow = [coeff.psi(t) for t in range(field.p)]
     P1 = sum(ginv[-e % m] * psi_pow[t] for e, t in enumerate(logs.trace)) % ell
     P0 = m % ell if g == 1 else 0
 
@@ -279,9 +281,7 @@ def eps_tate(chi, omega):
             total = 0
             walk(1, W, 1)
 
-    sign = ell - 1 if a % 2 else 1
-    value = (sign * pow(q, v_om, ell) * total) % ell
-    value = (value * pow(chi.c_pi.value, a_om, ell)) % ell
+    value = (-1) ** a * pow(q, v_om, ell) * total * pow(chi.c_pi.value, a_om, ell)
     return EpsilonResult(coeff.elem(value), a, a_om, "tate")
 
 
@@ -291,33 +291,25 @@ def eps_tate(chi, omega):
 
 def eps_unramified(chi, omega, kind):
     """chi unramified: star keeps the full line (a = 0), shriek punches it
-    out (a = 1); both factors are powers of c_pi and q."""
+    out (a = 1); the factor is c_pi**(a + v(w)) q**v(w)."""
     if chi.is_ramified():
         raise ValueError("character is ramified")
-    coeff = chi.coeff
+    ell = chi.coeff.ell
     v_om = omega.w.valuation()
-    q = chi.field.q
-    if kind == "star":
-        value = (chi.c_pi * coeff.elem(q)) ** v_om
-        a = 0
-    elif kind == "shriek":
-        value = chi.c_pi ** (1 + v_om) * coeff.elem(q) ** v_om
-        a = 1
-    else:
-        raise ValueError("kind must be 'shriek' or 'star'")
-    return EpsilonResult(value, a, a + v_om, "unramified")
+    a = 1 if kind == "shriek" else 0
+    value = pow(chi.c_pi.value, a + v_om, ell) * pow(chi.field.q, v_om, ell)
+    return EpsilonResult(chi.coeff.elem(value), a, a + v_om, "unramified")
 
 
 def eps_punctual(coeff, eigenvalues):
     """Object concentrated at the closed point with the given Frobenius
-    eigenvalues: the factor is the inverse of their product and the
-    conductor is minus the rank, blind to the 1-form."""
-    value = coeff.one()
+    eigenvalues, ints: the factor is the inverse of their product mod ell
+    and the conductor is minus the rank, blind to the 1-form."""
+    ell, value = coeff.ell, 1
     for lam in eigenvalues:
-        lam = coeff.elem(lam) if isinstance(lam, int) else lam
-        value = value * lam ** -1
+        value = value * lam % ell
     r = len(eigenvalues)
-    return EpsilonResult(value, -r, -r, "punctual")
+    return EpsilonResult(coeff.elem(pow(value, -1, ell)), -r, -r, "punctual")
 
 
 def eps_closed_form(chi, omega):
@@ -358,10 +350,10 @@ def eps_closed_form(chi, omega):
         if c:
             pairing = fma(c, dlog[n - 1 - j], pairing)
     value = pow(chi.c_pi.value, vr, ell) * pow(field.q, vr - n // 2 - 1, ell)
-    value = value * coeff.kummer_chi(chi.tame_e, field.from_index(u[0])).value
+    value = value * coeff.kummer_chi(chi.tame_e, field.from_index(u[0]))
     value = value * pow(coeff.zeta_p, ops.trace(pairing), ell)
     if n % 2 == 0:
-        value = value * gamma_psi(coeff, field, field.from_index(dh[0])).value
+        value = value * gamma_psi(coeff, field, field.from_index(dh[0]))
     a = 1 + n
     return EpsilonResult(coeff.elem(value), a, a + w.v, "closed_form")
 
@@ -373,11 +365,16 @@ def eps_closed_form(chi, omega):
 def eps_local(chi, omega, kind="shriek", method="auto"):
     """Factor of a character extended across the point, any method.
 
-    method: auto refuses what the walk refuses (past TATE_CAP terms, or a
-    residue field over 2^10), then takes the closed form for a wild
-    character and the walk for a tame one; tate, tate_slow and closed
-    force a specific engine (closed needs wild ramification).
+    kind (shriek or star) and method (one of METHODS) are checked first.
+    auto refuses what the walk refuses (past TATE_CAP terms, or a residue
+    field over 2^10), then takes the closed form for a wild character and
+    the walk for a tame one; tate, tate_slow and closed force a specific
+    engine (closed needs wild ramification).
     """
+    if kind not in ("shriek", "star"):
+        raise ValueError("kind must be 'shriek' or 'star'")
+    if method not in METHODS:
+        raise ValueError("unknown method %r" % (method,))
     if not chi.is_ramified():
         return eps_unramified(chi, omega, kind)
     if method == "auto":
@@ -389,6 +386,4 @@ def eps_local(chi, omega, kind="shriek", method="auto"):
         return eps_tate(chi, omega)
     if method == "tate_slow":
         return eps_tate_slow(chi, omega)
-    if method == "closed":
-        return eps_closed_form(chi, omega)
-    raise ValueError("unknown method %r" % (method,))
+    return eps_closed_form(chi, omega)

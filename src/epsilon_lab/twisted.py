@@ -20,6 +20,8 @@ keeps its is_subgroup verdicts.  Every map here is finite and exact.
 import itertools
 import random
 
+from .gf import CapExceeded
+
 __all__ = [
     "FiniteGroup",
     "Multiplier",
@@ -34,6 +36,9 @@ __all__ = [
     "run_twisted_suite",
     "verlagerung",
 ]
+
+# randomized cases one suite runs at most; each costs about 2 ms
+TRIALS_CAP = 10 ** 4
 
 
 class FiniteGroup:
@@ -636,8 +641,11 @@ def run_twisted_suite(coeff, seed=0, min_randomized=100):
     Each case checks both transfer routes against each other, the
     determinant-character collapse of the transfer, the chain and
     signature compositions, and representative independence; cocycle
-    coboundary facts are asserted along the way.
+    coboundary facts are asserted along the way.  min_randomized past
+    TRIALS_CAP is refused before any group is built.
     """
+    if min_randomized > TRIALS_CAP:
+        raise CapExceeded("%d randomized trials exceed cap %d" % (min_randomized, TRIALS_CAP))
     rng = random.Random(seed)
     failures = []
     counts = {

@@ -49,14 +49,14 @@ def induction_power_cover(coeff, base, e, exponents=None):
     out.update(transfer_constants(coeff, variants, pts[0], form))
     predicted = None
     if e == 1:
-        predicted = coeff.one()
+        predicted = 1
     elif e == 2:
-        predicted = gamma_psi(coeff, base, base.elem(-2)) * coeff.elem(q) ** -1
+        predicted = gamma_psi(coeff, base, base.elem(-2)) * pow(q, -1, coeff.ell) % coeff.ell
     elif e == 3:
-        predicted = coeff.elem(q) ** -1
+        predicted = pow(q, -1, coeff.ell)
     if predicted is not None:
-        out["predicted"] = predicted.value
-        out["matches_prediction"] = all(v == predicted.value for v in out["lambdas"])
+        out["predicted"] = predicted
+        out["matches_prediction"] = all(v == predicted for v in out["lambdas"])
     out["ok"] = out["all_equal"] and out["conductor_ok"] and out.get("matches_prediction", True)
     return out
 

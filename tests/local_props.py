@@ -28,11 +28,11 @@ def twist_unramified(chi, c):
 
 def check_change_of_form(chi, omega, alpha, kind="shriek", method="auto"):
     """eps(chi, alpha w) == chi(alpha) q**v(alpha) eps(chi, w)."""
-    coeff = chi.coeff
+    ell = chi.coeff.ell
     scaled = Form(omega.w * alpha)
-    lhs = eps_local(chi, scaled, kind, method).value
-    rhs = chi(alpha) * coeff.elem(chi.field.q) ** alpha.valuation() * eps_local(chi, omega, kind, method).value
-    return lhs == rhs
+    lhs = eps_local(chi, scaled, kind, method).value.value
+    rhs = chi(alpha) * pow(chi.field.q, alpha.valuation(), ell) * eps_local(chi, omega, kind, method).value.value
+    return lhs == rhs % ell
 
 
 def check_unramified_twist(chi, omega, c, kind="shriek", method="auto"):
@@ -50,7 +50,7 @@ def check_exact_sequence(chi, omega, method="auto"):
     shriek = eps_local(chi, omega, "shriek", method)
     if chi.is_ramified():
         return star.value == shriek.value and star.conductor_a == shriek.conductor_a
-    stalk = eps_punctual(chi.coeff, [chi.c_pi])
+    stalk = eps_punctual(chi.coeff, [chi.c_pi.value])
     ok_value = star.value == shriek.value * stalk.value
     ok_a = star.conductor_a == shriek.conductor_a + stalk.conductor_a
     ok_aw = star.conductor_a_omega == shriek.conductor_a_omega + stalk.conductor_a_omega

@@ -29,7 +29,7 @@ from epsilon_lab.epsilon import (
     gamma_counts,
     gamma_psi,
 )
-from epsilon_lab.gf import fq_build
+from epsilon_lab.gf import fq_build, trace
 from epsilon_lab.localfield import (
     Form,
     LaurentSeries,
@@ -121,12 +121,12 @@ def test_01_gauss_sum_calibration():
             assert report["ok"], (p, cf.ell, report)
             assert report["degree"] == 1
             cs = GlobalComputation(spec, cf).cs
-            direct = cf.zero()
+            direct = 0
             for u in map(field.from_index, range(field.q)):
                 if u.is_zero():
                     continue
-                direct = direct + cf.psi_trace(u) * cf.kummer_chi((q - 1) // 2, u)
-            assert cs[1] == direct, (p, cf.ell)
+                direct += cf.psi(trace(u)) * cf.kummer_chi((q - 1) // 2, u)
+            assert cs[1] == direct % cf.ell, (p, cf.ell)
         assert time.perf_counter() - start < 1.0, p
 
 
@@ -250,7 +250,7 @@ def test_05_direct_sum_multiplicativity():
             m = rng.choice([-2, -1, 1, 2])
             parts.append((eps_local(chi, omega, "star"), m))
             split_parts.append((eps_local(chi, omega, "shriek"), m))
-            split_parts.append((eps_punctual(coeff, [c_pi]), m))
+            split_parts.append((eps_punctual(coeff, [c_pi.value]), m))
         for _ in range(rng.randrange(0, 3)):
             eigs = [rng.randrange(1, coeff.ell) for _ in range(rng.randrange(1, 4))]
             m = rng.choice([-2, -1, 1, 2])
@@ -424,7 +424,7 @@ def test_09_quadratic_gauss_constant_properties():
         for c in map(field.from_index, range(field.q)):
             if c.is_zero():
                 continue
-            assert gamma_psi(coeff, field, c) == coeff.kummer_chi(e, c) * base, (q, c)
+            assert gamma_psi(coeff, field, c) == coeff.kummer_chi(e, c) * base % coeff.ell, (q, c)
             modulus = abs(root_sum({e: -k for e, k in gamma_counts(field, c).items()}, p))
             assert abs(modulus - math.sqrt(q)) < 1e-9, (q, c)
 

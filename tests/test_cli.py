@@ -122,6 +122,24 @@ def test_eps_local_bad_kind(capsys):
         assert code == 3 and report["field"] == "kind"
 
 
+def test_eps_local_refuses_an_unknown_method(capsys, tmp_path):
+    # an unramified character once answered "unramified" under any --method
+    path = tmp_path / "char.json"
+    path.write_text(json.dumps({"char": {"field": fq_build(3, 1).to_json(), "c_pi": 2, "tame_e": 0}}))
+    code, report = run(capsys, ["eps-local", "--char", str(path)])
+    assert code == 0 and report["method"] == "unramified"
+    code, report = run(capsys, ["eps-local", "--char", str(path), "--method", "bogus"])
+    assert code == 3 and not report["ok"] and "bogus" in report["error"]
+
+
+def test_product_check_refuses_an_unknown_method(capsys, tmp_path):
+    # everywhere unramified data reads no engine, and once took any --method
+    path = tmp_path / "constant.json"
+    path.write_text(json.dumps({"p": 3, "n": 1, "unram": 2}))
+    code, report = run(capsys, ["product-check", "--spec", str(path), "--method", "bogus"])
+    assert code == 3 and not report["ok"] and "bogus" in report["error"]
+
+
 @pytest.mark.parametrize("method", ["auto", "tate_slow", "closed"])
 def test_eps_local_refuses_a_coefficient_field_of_another_characteristic(capsys, tmp_path, method):
     # zeta_5**t is no additive character of F_3: refused as product-check
@@ -625,6 +643,18 @@ def test_gauss_walks_the_log_table_once(capsys, monkeypatch):
 )
 def test_non_positive_orders_are_refused(capsys, argv):
     code, report = run(capsys, argv)
+    assert code == 3 and report["field"] == "orders" and not report["ok"]
+
+
+@pytest.mark.parametrize("orders", ["", " ", ","], ids=["empty", "blank", "comma"])
+@pytest.mark.parametrize(
+    "argv",
+    [["gauss", "--p", "3", "--q", "9", "--c", "1"], ["twisted-check", "--trials", "0"]],
+    ids=["gauss", "twisted"],
+)
+def test_orders_that_name_no_integer_are_refused(capsys, argv, orders):
+    # "" once took the default, and " " or "," an empty list of orders
+    code, report = run(capsys, argv + ["--orders", orders])
     assert code == 3 and report["field"] == "orders" and not report["ok"]
 
 

@@ -5,7 +5,8 @@ replaced or deleted, pinned coefficient primes, among them primes
 (--p, --q, --c, --orders) and twisted-check (--p, --orders, --trials,
 --seed) set to drawn values.  Whatever the input, the exit code is 0, 2, 3
 or 4, stdout is one JSON object with ok and caps, and no run outlasts an
-alarm: no traceback and no hang."""
+alarm: no traceback and no hang.  A --trials past twisted.TRIALS_CAP exits
+4 before any group is built."""
 
 import contextlib
 import io
@@ -15,9 +16,11 @@ import tempfile
 from importlib import resources
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from epsilon_lab.cli import main
+from epsilon_lab.twisted import TRIALS_CAP
 
 DATA = resources.files("epsilon_lab").joinpath("data")
 GOLDEN = Path(__file__).parent / "data"
@@ -66,9 +69,13 @@ OPTION_VALUES = st.one_of(
     st.integers(-3, 12).map(str),
     st.sampled_from(MALFORMED + ["1,1", "2,0,1", "3,9", "65521,65519", str(10 ** 30), str(2 ** 61 - 1)]),
 )
-# a huge --trials is valid input that runs that many randomized cases,
-# about 2 ms each, so no count past 12 is drawn
-TRIALS = st.one_of(st.integers(-3, 12).map(str), st.sampled_from(MALFORMED))
+# a --trials within TRIALS_CAP runs that many randomized cases, about 2 ms
+# each, so no count from 13 to the cap is drawn; past it, one is refused
+TRIALS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.integers(TRIALS_CAP + 1, 10 ** 30).map(str),
+    st.sampled_from(MALFORMED),
+)
 
 
 class Hang(BaseException):
@@ -123,6 +130,7 @@ def _check_contract(argv):
     assert code in (0, 2, 3, 4), (code, argv)
     assert isinstance(report, dict) and "caps" in report, argv
     assert report["ok"] is (code == 0), (code, argv)
+    return code, report
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
@@ -162,8 +170,19 @@ def test_gauss_options_keep_the_contract(argv):
 
 
 # fewer: every twisted-check that passes its checks runs the suite's
-# exhaustive part, about 0.2 s
+# exhaustive part, about 0.2 s; a count past the cap is always tried
 @settings(derandomize=True, database=None, deadline=None, max_examples=10)
 @given(option_lines(TWISTED_OPTIONS))
+@example(["twisted-check", "--trials", str(TRIALS_CAP + 1)])
 def test_twisted_check_options_keep_the_contract(argv):
     _check_contract(argv)
+
+
+@pytest.mark.parametrize("trials", [TRIALS_CAP + 1, 10 ** 30])
+def test_trials_past_their_cap_are_refused_before_any_group_is_built(monkeypatch, trials):
+    # a trial costs about 2 ms, and a count past the cap once ran them all
+    from epsilon_lab import twisted
+
+    monkeypatch.setattr(twisted, "_zoo", lambda: pytest.fail("a group was built"))
+    code, report = _check_contract(["twisted-check", "--trials", str(trials)])
+    assert code == 4 and str(TRIALS_CAP) in report["error"]

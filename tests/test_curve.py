@@ -54,15 +54,15 @@ def rat(field, num, den=(1,)):
 
 def pointwise_sum(spec, coeff, m):
     big, _emb = residue_field(spec.base, m)
-    total = coeff.zero()
+    total = 0
     for x in map(big.from_index, range(big.q)):
         try:
-            total = total + spec.trace_at(coeff, m, x)
+            total += spec.trace_at(coeff, m, x)
         except ValueError:
             continue
     if spec.infinity_in_domain():
-        total = total + spec.trace_at(coeff, m, None)
-    return total
+        total += spec.trace_at(coeff, m, None)
+    return total % coeff.ell
 
 
 def gm_quadratic():
@@ -439,17 +439,17 @@ def test_trace_at_rejects_punctured_points():
 def test_gm_quadratic_calibration():
     spec = gm_quadratic()
     for coeff in (C73, second_ell(C73)):
-        g = coeff.elem(coeff.psi(1).value - coeff.psi(2).value)
+        g = (coeff.psi(1) - coeff.psi(2)) % coeff.ell
         glob = GlobalComputation(spec, coeff)
         cs = glob.cs
         assert len(cs) == 2
-        assert cs[0] == coeff.one()
+        assert cs[0] == 1
         assert cs[1] == g
         assert (cs[-1], glob.degree) == (g, 1)
         check = product_formula_check(spec, coeff, rat(F3, [1]))
         assert check["ok"]
         assert check["degree"] == 1
-        assert check["lhs"] == g.value
+        assert check["lhs"] == g
         assert sorted(row["sign"] for row in check["per_point"]) == [-1, 1]
 
 
@@ -476,7 +476,7 @@ def test_deg2_puncture_product_formula():
     chi_inf = local_character_at(spec, C73, Point.infinity(F3))
     assert not chi_inf.is_ramified()
     cs = GlobalComputation(spec, C73).cs
-    assert cs[1] == C73.elem(-1)
+    assert cs[1] == C73.ell - 1
     check = product_formula_check(spec, C73, rat(F3, [1]))
     assert check["ok"]
     assert check["degree"] == 1
@@ -490,7 +490,7 @@ def test_unramified_twist_keeps_product_formula():
     check = product_formula_check(twisted, C73, rat(F3, [1]))
     assert check["ok"]
     lhs_plain = GlobalComputation(plain, C73).cs[1]
-    assert check["lhs"] == (C73.elem(2) * lhs_plain).value
+    assert check["lhs"] == 2 * lhs_plain % C73.ell
 
 
 def test_everywhere_unramified_product_formula():
@@ -523,20 +523,15 @@ def test_small_ell_serves_a_degree_above_it():
 
 def newton_l_polynomial(spec, coeff, d):
     """Newton's identities on the trace sums up to degree d: an independent
-    route to the determinant polynomial.  It divides by m <= d, so the
-    coefficient prime must exceed d."""
-    psums = [coeff.zero()]
+    route to the determinant polynomial, as ints mod ell.  It divides by
+    m <= d, so the coefficient prime must exceed d."""
+    ell = coeff.ell
+    psums = [0] + [-spec.trace_sum(coeff, m) for m in range(1, d + 1)]
+    es = [1]
     for m in range(1, d + 1):
-        psums.append(coeff.elem(-1) * spec.trace_sum(coeff, m))
-    es = [coeff.one()]
-    for m in range(1, d + 1):
-        acc = coeff.zero()
-        sign = 1
-        for i in range(1, m + 1):
-            acc = acc + es[m - i] * psums[i] * sign
-            sign = -sign
-        es.append(acc * coeff.elem(m) ** -1)
-    return [es[m] if m % 2 == 0 else coeff.elem(-1) * es[m] for m in range(d + 1)]
+        acc = sum(es[m - i] * psums[i] * (-1) ** (i - 1) for i in range(1, m + 1))
+        es.append(acc * pow(m, -1, ell) % ell)
+    return [(-1) ** m * es[m] % ell for m in range(d + 1)]
 
 
 @pytest.mark.parametrize(
@@ -590,7 +585,7 @@ def test_frobenius_sparse_data_counts_to_the_degree(k):
     for coeff in (first, second_ell(first)):
         glob = GlobalComputation(spec, coeff)
         assert glob.degree == glob.counted == k - 1
-        assert all(c.is_zero() for c in glob.cs[1 : k - 1])
+        assert not any(glob.cs[1 : k - 1])
         assert glob.dual_ok and glob.audit()["ok"]
         assert glob.cs == newton_l_polynomial(spec, coeff, k - 1)
 
@@ -757,7 +752,7 @@ def test_product_formula_bites_on_one_doubled_local_factor(monkeypatch, path):
             res = walk(chi, form)
             calls.append(res)
             if len(calls) == 1:
-                res = res._replace(value=res.value + res.value)
+                res = res._replace(value=res.value * res.value.field.elem(2))
             return res
 
         monkeypatch.setattr(epsilon_mod, "eps_tate", doubled)
@@ -930,9 +925,9 @@ def test_local_character_matches_pointwise_trace_off_the_punctures():
     for coeff in (C73, second_ell(C73)):
         for pt in points:
             alpha = pt.residue_data()[2]
-            assert local_character_at(spec, coeff, pt).c_pi == spec.trace_at(coeff, pt.degree(), alpha)
+            assert local_character_at(spec, coeff, pt).c_pi.value == spec.trace_at(coeff, pt.degree(), alpha)
         inf = Point.infinity(F3)
-        assert local_character_at(spec, coeff, inf).c_pi == spec.trace_at(coeff, 1, None)
+        assert local_character_at(spec, coeff, inf).c_pi.value == spec.trace_at(coeff, 1, None)
 
 
 class PushforwardSpec:
@@ -995,12 +990,10 @@ class PushforwardSpec:
         """Fiber sum of the upstairs trace function over the point x of the
         degree m extension (None for infinity)."""
         finite, has_inf = self.fiber(m, x)
-        acc = coeff.zero()
-        for y in finite:
-            acc = acc + self.upstairs.trace_at(coeff, m, y)
+        acc = sum(self.upstairs.trace_at(coeff, m, y) for y in finite)
         if has_inf:
-            acc = acc + self.upstairs.trace_at(coeff, m, None)
-        return acc
+            acc += self.upstairs.trace_at(coeff, m, None)
+        return acc % coeff.ell
 
     def trace_sum(self, coeff, m):
         """Sum of the downstream trace over every point of the projective
@@ -1010,8 +1003,8 @@ class PushforwardSpec:
         big, _emb = residue_field(base, m)
         acc = self.downstream_trace(coeff, m, None)
         for x in map(big.from_index, range(big.q)):
-            acc = acc + self.downstream_trace(coeff, m, x)
-        return acc
+            acc += self.downstream_trace(coeff, m, x)
+        return acc % coeff.ell
 
 
 
@@ -1056,8 +1049,8 @@ def test_induction_square_cover_matches_quadratic_constant():
         rep = induction_power_cover(coeff, base, 2)
         assert rep["ok"]
         assert len(rep["lambdas"]) == base.q - 1
-        predicted = gamma_psi(coeff, base, base.elem(-2)) * coeff.elem(base.q) ** -1
-        assert rep["predicted"] == predicted.value
+        predicted = gamma_psi(coeff, base, base.elem(-2)) * pow(base.q, -1, coeff.ell) % coeff.ell
+        assert rep["predicted"] == predicted
 
 
 def test_induction_cube_cover_gives_inverse_q():
@@ -1082,13 +1075,13 @@ def test_wild_route_identity_cover():
         twisted = SheafSpec(F3, wild=rat(F3, [-1], [0, 1]), kummer=[(y, k)], punctures=pts)
         glob = GlobalComputation(twisted, C73)
         d = glob.degree
-        down = C73.elem(-1) ** d * glob.cs[d]
+        down = (-1) ** d * glob.cs[d] % C73.ell
         sheaf = SheafSpec(F3, kummer=[(y, k)], punctures=pts)
         chi = local_character_at(sheaf, C73, inf)
         form = expand_form_at(rat(F3, [-1], [0, 0, 1]), inf, chi.artin_a("shriek") + 5)
         up = eps_local(chi, form, "shriek")
         assert up.conductor_a_omega == d
-        assert down == up.value
+        assert down == up.value.value
 
 
 def test_sheafspec_json_roundtrip():

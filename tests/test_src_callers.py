@@ -11,8 +11,10 @@ of a top-level class, dunders included, must be reachable along those
 edges from a root: a module body, the console entry point `cli.main`, a
 function that README.md names in its code or that the benchmark's worker
 (perfbench/worker.py) uses, or a method that README's code reads after a
-`.` or the worker reads as an attribute.  `__repr__` is exempt: pytest
-and debugging read it.
+`.` or the worker reads as an attribute or applies as an operator (`*`,
+`**`, `==` and `!=`: the worker multiplies and compares the CoeffElems
+that it hands in and reads out).  `__repr__` is exempt: pytest and
+debugging read it.
 
 The interpreter is fresh because the tests' process holds the field
 tables and descriptors that earlier tests built, so their builders would
@@ -164,13 +166,28 @@ def _edges():
     return edges
 
 
+# the methods an operator may call; != falls back on __eq__ where a class
+# defines no __ne__
+_OPERATORS = {
+    ast.Mult: ("__mul__", "__rmul__"),
+    ast.Pow: ("__pow__", "__rpow__"),
+    ast.Eq: ("__eq__",),
+    ast.NotEq: ("__ne__", "__eq__"),
+}
+
+
 def _used_names(tree):
-    """(name, is an attribute) of each ast.Name and ast.Attribute of tree."""
+    """(name, is an attribute) of each ast.Name and ast.Attribute of tree,
+    and the methods behind its operators, as attributes."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, False
         elif isinstance(node, ast.Attribute):
             yield node.attr, True
+        elif isinstance(node, (ast.BinOp, ast.AugAssign, ast.Compare)):
+            for op in node.ops if isinstance(node, ast.Compare) else [node.op]:
+                for name in _OPERATORS.get(type(op), ()):
+                    yield name, True
 
 
 def _roots(units):
