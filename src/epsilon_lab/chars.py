@@ -3,7 +3,7 @@
 A character is stored as three independent pieces relative to the chosen
 uniformizer pi:
 
-* c_pi, its value at pi (an invertible CoeffElem, or an int to wrap),
+* c_pi, its value at pi (an invertible CoeffElem of coeff, or an int to wrap),
 * tame_e, the exponent through which units act by the Kummer character of
   the residue field (taken mod q - 1),
 * wild_h, an additive datum h with only negative pi-exponents; a unit u
@@ -16,9 +16,10 @@ its exponent is prime to p makes the representative unique.  The Swan
 conductor is then the pole order of the reduced datum, and negating the
 datum, as the inverse character does, keeps it reduced.
 
-A character is evaluated on packed ints: the pairing Res(h dlog u) is the
-sum of h_k (dlog u)_(-1-k) over the poles k of h, and its trace is read
-through int_ops, on the field's tables up to TABLE_LINE.
+A character is evaluated on packed ints: the tame part reads the log of
+the unit's leading coefficient, the pairing Res(h dlog u) is the sum of
+h_k (dlog u)_(-1-k) over the poles k of h, and its trace is read through
+int_ops, on the field's tables up to TABLE_LINE.
 
 unit_keys lists the unit residues mod pi**nu as coefficient index tuples;
 the definitional unit sum walks them.  OracleCharacter, the brute-force
@@ -31,7 +32,7 @@ serve only the local property checks, and live with them in the tests.
 
 from __future__ import annotations
 
-from .gf import Unsupported, _digits, frobenius, int_ops
+from .gf import Unsupported, _digits, dlog as field_log, frobenius, int_ops
 from .localfield import LaurentSeries, PrecisionError, dlog, series_bound
 
 
@@ -77,8 +78,8 @@ class LocalCharacter:
         self.field = field
         self.coeff = coeff
         self.c_pi = c_pi if not isinstance(c_pi, int) else coeff.elem(c_pi)
-        if self.c_pi.value % coeff.ell == 0:
-            raise ValueError("character value at pi must be invertible")
+        if self.c_pi.field is not coeff or not self.c_pi.value:
+            raise ValueError("character value at pi must be invertible in the character's coefficient field")
         self.tame_e = tame_e % (field.q - 1)
         if wild_h is None:
             wild_h = LaurentSeries.zero(field, 1)
@@ -116,14 +117,15 @@ class LocalCharacter:
             raise PrecisionError(
                 "character needs %d coefficients, series has %d" % (need, x.prec - v)
             )
-        # the unit part to need coefficients: (dlog u)_j, j < swan, reads no more
-        u = LaurentSeries.of(self.field, 0, x.coeffs, need)
-        coeff = self.coeff
-        out = pow(self.c_pi.value, v, coeff.ell) * coeff.kummer_chi(self.tame_e, u.coeff(0))
+        field, coeff = self.field, self.coeff
+        out = pow(self.c_pi.value, v, coeff.ell)
+        if self.tame_e:
+            out *= coeff.kummer_chi(self.tame_e, field_log(field, x.coeffs[0]), field.q - 1)
         h = self.wild_h
         if h.coeffs:
-            ops = int_ops(self.field)
-            fma, d = ops.fma, dlog(u)
+            ops = int_ops(field)
+            # the unit part to need coefficients: (dlog u)_j, j < swan, reads no more
+            fma, d = ops.fma, dlog(LaurentSeries.of(field, 0, x.coeffs, need))
             pairing = 0
             for k, c in enumerate(h.coeffs, h.v):
                 if c:

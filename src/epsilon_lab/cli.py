@@ -12,6 +12,7 @@ line included, 4 an enumeration cap was exceeded.
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from importlib import resources
@@ -161,8 +162,8 @@ def cmd_gauss(args):
         raise Unsupported("the quadratic coefficient must be a unit", field="c")
     orders = [max(1, q - 1)] if args.orders is None else _parse_orders(args.orders)
     coeff = _coeff_for({}, p, orders, args.ell)
-    counts = gamma_counts(field, c)
-    z = root_sum({e: -k for e, k in counts.items()}, p)
+    counts = gamma_counts(field, c.index())
+    z = root_sum([-k for k in counts], p)
     body = {
         "p": p,
         "q": q,
@@ -363,8 +364,10 @@ def _build_parser():
 
 def _refuse(message):
     """A bad command line is malformed input: exit 3 with a report, not
-    argparse's usage line and exit 2, which means a failed identity."""
-    raise Unsupported(message)
+    argparse's usage line and exit 2, which means a failed identity.  The
+    report's field is the option argparse names first, without dashes."""
+    named = re.match(r"(?:argument|the following arguments are required:) -*([\w-]+)", message)
+    raise Unsupported(message, field=named and named[1])
 
 
 def _emit(report, json_out):
@@ -377,11 +380,12 @@ def _emit(report, json_out):
 
 def main(argv=None):
     started = time.perf_counter()
-    report = {}
     json_out = None
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse reads a subcommand only as the first word
+    report = {"command": argv[0]} if argv and argv[0] in _COMMANDS else {}
     try:
         args = _build_parser().parse_args(argv)
-        report["command"] = args.command
         json_out = args.json_out
         # a bad path is refused before the command runs; appending keeps an
         # input given as the path intact until the report replaces it

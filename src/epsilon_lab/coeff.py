@@ -7,9 +7,10 @@ tame ones, M being the lcm of every multiplicative order q_x - 1 in play.
 Verdicts never rest on a single ell; engines re-run with a second one.
 
 Inside the library a value is a plain int mod ell, and a field keeps no
-side table.  CoeffElem is the boundary type, as FqElem is gf's: a caller
-hands one in as a character's c_pi and reads one off an EpsilonResult.
-For display only, root_sum reads an integer combination of roots of unity
+side table; kummer_chi reads an F_q value as its log, so no field element
+reaches this module.  CoeffElem is the boundary type, as FqElem is gf's: a
+caller hands one in as a character's c_pi and reads one off an
+EpsilonResult.  For display only, root_sum reads an integer combination of roots of unity
 as a complex number.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .gf import FIELD_CAP, CapExceeded, FqElem, Unsupported, _check_size, _is_prime, _prime_factors, dlog
+from .gf import FIELD_CAP, CapExceeded, Unsupported, _check_size, _is_prime, _prime_factors
 
 # coeff_setup refuses a character order past FIELD_CAP - 1, and p is below
 # FIELD_CAP, so one in-cap character has a step p*M below FIELD_CAP**2 (2^48).
@@ -54,20 +55,13 @@ class CoeffField:
         """Additive character of F_p: t (an int) -> zeta_p**t."""
         return pow(self.zeta_p, t % self.p, self.ell)
 
-    def kummer_chi(self, e, x):
-        """Multiplicative character of x's field: x -> zeta_{q-1}**(e dlog x).
-
-        Requires q - 1 | M.  e = (q-1)/2 gives the quadratic character.
-        """
-        if not isinstance(x, FqElem) or x.is_zero():
-            raise ValueError("kummer_chi wants a nonzero field element")
-        m = x.field.q - 1
-        if m == 0 or self.M % m != 0:
+    def kummer_chi(self, e, log, m):
+        """zeta_m**(e log): the multiplicative character of a field with
+        q - 1 = m on the element whose log to the generator is log.
+        Requires m | M; e = m/2 gives the quadratic character."""
+        if m < 1 or self.M % m:
             raise ValueError("multiplicative order %d is not tracked" % m)
-        if e % m == 0:
-            return 1
-        z = pow(self.zeta_M, self.M // m, self.ell)
-        return pow(z, (e * dlog(x)) % m, self.ell)
+        return pow(self.zeta_M, self.M // m * (e * log % m), self.ell)
 
     def __repr__(self):
         return "CoeffField(ell=%d, p=%d, M=%d)" % (self.ell, self.p, self.M)
@@ -110,11 +104,11 @@ class CoeffElem:
 
 
 def root_sum(counts, order):
-    """The sum of c * exp(2 pi i e / order) over counts.items(), in that
-    order, from 0: an integer combination of roots of unity read as a
-    complex number, for display only."""
+    """The sum of counts[e] * exp(2 pi i e / order), e from 0 up: an
+    integer combination of roots of unity read as a complex number, for
+    display only."""
     acc = 0j
-    for e, c in counts.items():
+    for e, c in enumerate(counts):
         acc += c * cmath.exp(2j * cmath.pi * e / order)
     return acc
 

@@ -79,9 +79,9 @@ def divisor_points(r):
         raise ValueError("the zero function has no divisor")
     base = r.field
     counts = {}
-    for f, m in factor_poly(r.num)[1]:
+    for f, m in factor_poly(r.num):
         counts[f] = counts.get(f, 0) + m
-    for f, m in factor_poly(r.den)[1]:
+    for f, m in factor_poly(r.den):
         counts[f] = counts.get(f, 0) - m
     # factor_poly's factors are irreducible already: no second test
     out = [(Point._from_factor(base, f), m) for f, m in counts.items() if m]
@@ -174,8 +174,6 @@ class SheafSpec:
         base = self.base
         big, emb, _alpha = point.residue_data()
         rel = (big.q - 1) // (base.q - 1)
-        # expand_at builds these tables below the line anyway
-        log = log_field(big).log if self.kummer and big.q <= TABLE_LINE else None
         tame = ke = pe = 0
         for g, e in self.kummer:
             gx = expand_at(g, point, 1)
@@ -183,7 +181,8 @@ class SheafSpec:
             if v % 2:
                 lead = int_ops(big).neg(lead)
             tame -= e * v * rel
-            ke += e * (log[lead] if log is not None else dlog(norm(big.from_index(lead), emb)))
+            # expand_at builds big's tables below the line anyway
+            ke += e * (dlog(big, lead) if big.q <= TABLE_LINE else dlog(base, norm(big.from_index(lead), emb).index()))
         wild_h = LaurentSeries.zero(big, 1)
         if self.wild is not None:
             # through the constant term, past the deepest pole there can be
@@ -302,7 +301,7 @@ class SheafSpec:
             raise ValueError("unramified scaling is not invertible modulo ell")
         psi_pow = [coeff.psi(t) for t in range(base.p)]
         red = base.q - 1
-        z = coeff.kummer_chi(1, base.gen())
+        z = coeff.kummer_chi(1, 1, red)
         zpow = [1] * red
         for k in range(1, red):
             zpow[k] = (zpow[k - 1] * z) % ell
@@ -341,8 +340,7 @@ class SheafSpec:
             if not self.infinity_in_domain():
                 raise ValueError("infinity is punctured")
             _big, _tame, _wild, ke, pe = self.local_data(Point.infinity(base))
-            z = coeff.kummer_chi(1, base.gen())
-            return val * coeff.psi(pe * m) * pow(z, ke * m, ell) % ell
+            return val * coeff.psi(pe * m) * coeff.kummer_chi(ke * m, 1, base.q - 1) % ell
         if x.field != big:
             raise ValueError("the point must live in the cached degree m extension")
         for pt in self.punctures:
@@ -351,7 +349,7 @@ class SheafSpec:
         if self.wild is not None:
             val = val * coeff.psi(trace(self.wild.evaluate(x, emb))) % ell
         for g, e in self.kummer:
-            val = val * coeff.kummer_chi(e, norm(g.evaluate(x, emb), emb)) % ell
+            val = val * coeff.kummer_chi(e, dlog(base, norm(g.evaluate(x, emb), emb).index()), base.q - 1) % ell
         return val
 
     @classmethod
@@ -376,7 +374,7 @@ def local_character_at(spec, coeff, point):
     big, tame, wild_h, ke, pe = spec.local_data(point)
     c_pi = coeff.psi(pe) * pow(spec.unram, point.degree(), coeff.ell)
     if spec.kummer:
-        c_pi = c_pi * coeff.kummer_chi(ke, spec.base.gen())
+        c_pi = c_pi * coeff.kummer_chi(ke, 1, spec.base.q - 1)
     return LocalCharacter(big, coeff, c_pi, tame, wild_h)
 
 

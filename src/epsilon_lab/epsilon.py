@@ -32,7 +32,8 @@ is chi(w/h') q**(...) times, at even swan, a quadratic Gauss constant
 gamma_psi.  eps_closed_form computes it in one pass on packed indices, with
 no series built and no character call.  Acceptance checks compare it
 against the sum on random data, and eps_local takes it by default for
-every wild character; tame characters take the walk.
+every wild character; tame characters take the walk.  Every engine but
+the definitional eps_tate_slow holds F_q values as packed indices and logs.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from operator import add, mul
 
-from .gf import CapExceeded, int_ops, log_field, trace
+from .gf import CapExceeded, dlog, int_ops, log_field, trace
 from .chars import unit_keys
 from .localfield import LaurentSeries, PrecisionError, quotient, residue
 
@@ -58,37 +59,27 @@ EpsilonResult = namedtuple("EpsilonResult", "value conductor_a conductor_a_omega
 
 def gamma_counts(field, c):
     """How often each trace value e in F_p is Tr(c t**2 / 2), t over F_q,
-    keyed in the order the values first occur with t in index order.
+    c a nonzero packed index: a list indexed by e.
 
     With b = log(c / 2), t = G**l gives Tr(G**(b + 2 l)): as l runs over
     the q - 1 logs, b + 2 l meets each log of b's parity twice (q - 1 is
     even), so the counts are one strided slice of the trace table doubled,
-    plus t = 0, which comes first."""
+    plus t = 0."""
     p = field.p
     if p == 2:
         raise ValueError("the quadratic constant needs odd characteristic")
-    if isinstance(c, int):
-        c = field.elem(c)
-    if c.is_zero():
+    if not c:
         raise ValueError("the quadratic constant needs a nonzero scale")
     logs = log_field(field)
-    tr, m = logs.trace, logs.order
-    # log(c / 2): p is odd, so the prime field element 2 has packed index 2
-    base = (logs.log[c.index()] - logs.log[2]) % m
-    counts = Counter(tr[base % 2 :: 2])
-    # the key order: t = 0 first, then t in index order until every value
-    # has occurred
-    order = dict.fromkeys([0])
-    size = len(counts.keys() | {0})
-    for lt in logs.log[1:]:
-        if len(order) == size:
-            break
-        order.setdefault(tr[(base + 2 * lt) % m])
-    return {e: 2 * counts[e] + (e == 0) for e in order}
+    # p is odd, so the prime field element 2 has packed index 2, and q - 1
+    # is even, so the parity of log(c / 2) is that of the difference
+    counts = Counter(logs.trace[(logs.log[c] - logs.log[2]) % 2 :: 2])
+    return [2 * counts[e] + (e == 0) for e in range(p)]
 
 
 def gamma_psi(coeff, field, c):
-    """gamma_psi(c) = -sum over t in F_q of psi(Tr(c t**2 / 2)), p odd.
+    """gamma_psi(c) = -sum over t in F_q of psi(Tr(c t**2 / 2)), p odd, c
+    a nonzero packed index.
 
     Satisfies gamma_psi(c) / gamma_psi(1) = quadratic character of c and
     |gamma_psi| = sqrt(q) under any complex embedding.  The value is an int
@@ -99,9 +90,9 @@ def gamma_psi(coeff, field, c):
 
 
 def gamma_from_counts(coeff, counts):
-    """gamma_psi from its gamma_counts: minus the sum of k psi(e), mod ell."""
+    """gamma_psi from its gamma_counts: minus the sum of counts[e] psi(e), mod ell."""
     ell, z = coeff.ell, coeff.zeta_p
-    return -sum(k * pow(z, e, ell) for e, k in counts.items()) % ell
+    return -sum(k * pow(z, e, ell) for e, k in enumerate(counts)) % ell
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +197,14 @@ def eps_tate(chi, omega):
     # W[a - 1] is the leading coefficient of omega, never zero, never moved
     W = [log[omega.w.at(a_om - 1 - j)] for j in range(a)]
 
-    # ginv[k] = g**-k; P(G**k) = ginv[k] * P1 and P(0) = P0
-    g = coeff.kummer_chi(inv.tame_e, field.gen())
-    step = pow(g, -1, ell)
+    # ginv[k] = g**-k, g**-1 = chi(G); P(G**k) = ginv[k] * P1 and P(0) = P0
+    step = coeff.kummer_chi(chi.tame_e, 1, m)
     ginv = [1] * m
     for k in range(1, m):
         ginv[k] = ginv[k - 1] * step % ell
     psi_pow = [coeff.psi(t) for t in range(field.p)]
     P1 = sum(ginv[-e % m] * psi_pow[t] for e, t in enumerate(logs.trace)) % ell
-    P0 = m % ell if g == 1 else 0
+    P0 = m % ell if step == 1 else 0
 
     if a == 1:
         total = ginv[W[0]] * P1
@@ -343,17 +333,18 @@ def eps_closed_form(chi, omega):
     datum = chi.wild_h.coeffs[:n]
     dh = [mul(c, (n - j) % p) for j, c in enumerate(datum)] + [0]
     u = quotient(ops, w.coeffs, dh, n + 1)
-    dlog = quotient(ops, [mul(c, k % p) for k, c in enumerate(u[1:], 1)], u, n)
+    du = quotient(ops, [mul(c, k % p) for k, c in enumerate(u[1:], 1)], u, n)
     # datum_j sits at pi**(j - n), so it pairs with (dlog u)_(n - 1 - j)
     pairing = 0
     for j, c in enumerate(datum):
         if c:
-            pairing = fma(c, dlog[n - 1 - j], pairing)
+            pairing = fma(c, du[n - 1 - j], pairing)
     value = pow(chi.c_pi.value, vr, ell) * pow(field.q, vr - n // 2 - 1, ell)
-    value = value * coeff.kummer_chi(chi.tame_e, field.from_index(u[0]))
+    if chi.tame_e:
+        value = value * coeff.kummer_chi(chi.tame_e, dlog(field, u[0]), field.q - 1)
     value = value * pow(coeff.zeta_p, ops.trace(pairing), ell)
     if n % 2 == 0:
-        value = value * gamma_psi(coeff, field, field.from_index(dh[0]))
+        value = value * gamma_psi(coeff, field, dh[0])
     a = 1 + n
     return EpsilonResult(coeff.elem(value), a, a + w.v, "closed_form")
 

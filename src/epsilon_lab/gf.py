@@ -22,8 +22,8 @@ trace table from the basis traces read off the reduction rows.  Each field
 has one LogField, built on first use and cached by log_field(field);
 nothing else builds or holds tables.  Inner loops (the point walk, the
 unit sum, the quadratic Gauss constant) read these tables directly,
-elements as logs to the generator, and dlog is a lookup in the log table,
-so its only limit is the field cap.
+elements as logs to the generator, and dlog(field, k) is a lookup of the
+packed index k in the log table, so its only limit is the field cap.
 
 The polynomials and Laurent series of the local side hold packed indices
 too and compute through int_ops(field), ints in and out: the IntOps that
@@ -33,10 +33,11 @@ the line, so no table is built past it and no second product is written.
 FqElem multiplies by the schoolbook product of the coefficient vectors,
 its high terms folded back through the reduction rows x**(n + k) mod
 modulus that each FieldDesc computes once.  It is the boundary type (JSON,
-the public API, single coefficients), it carries the seeds (generators,
-embeddings as F_p-combinations of cached root powers, the few products a
-table build needs), traces and Frobenius on single elements, and it is the
-oracle the tables are tested against.  Its trace(x) is the one Frobenius
+the public API, single coefficients; the engines pass packed indices and
+logs), it carries the seeds (generators, embeddings as F_p-combinations
+of cached root powers, the few products a table build needs), traces and
+Frobenius on single elements, and it is the oracle the tables are tested
+against.  Its trace(x) is the one Frobenius
 fold, read by the audits (the definitional unit sum, the pointwise trace)
 and by IntOps above the line, never by a table build.  Character
 evaluation is no such single-element work: it reads the trace of its wild
@@ -574,12 +575,12 @@ def norm(x, emb):
     return emb.section(x ** ((emb.big.q - 1) // (emb.small.q - 1)))
 
 
-def dlog(x):
-    """Discrete log of x to its field's generator: a lookup in the field's
-    one cached LogField, so the only limit is the field cap."""
-    if x.is_zero():
+def dlog(field, k):
+    """Log to the generator of the element with packed index k: a lookup
+    in the field's one cached LogField, so the only limit is the field cap."""
+    if not k:
         raise ValueError("dlog of zero")
-    return log_field(x.field).log[x.index()]
+    return log_field(field).log[k]
 
 
 def first_root(ops, coeffs, step, count):
@@ -643,7 +644,7 @@ def _residue_field(base, d):
     Q = big.q
     # G = big.gen()**k with k the inverse mod q - 1 of the dlog of
     # norm(big.gen()) in the small field, lifted to a unit mod Q - 1
-    k = pow(dlog(norm(big.gen(), emb)), -1, q - 1) if q > 2 else 1
+    k = pow(dlog(base, norm(big.gen(), emb).index()), -1, q - 1) if q > 2 else 1
     while math.gcd(k, Q - 1) != 1:
         k += q - 1
     gen = big.gen() ** k

@@ -17,7 +17,8 @@ their kernels (division, Taylor shifts, series products and quotients,
 the root scan) compute with gf.int_ops: on the field's tables up to 2**16
 elements, through FqElem above.  Building one and its valuation need no
 table.  Elements are the boundary: make and Poly take them, coeff
-and leading return them, and Poly.evaluate computes with them.
+returns them, and Poly.evaluate computes with them.  A point's root is a
+packed index, and an expansion computes on indices alone.
 
 Conventions:
 
@@ -266,11 +267,6 @@ class Poly:
     def is_zero(self):
         return not self.coeffs
 
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.field.from_index(self.coeffs[-1])
-
     def scale(self, c):
         """The polynomial times the element with packed index c."""
         mul = int_ops(self.field).mul
@@ -475,7 +471,7 @@ class RationalFunction:
 
 def poly_is_irreducible(f):
     """f has positive degree and factor_poly leaves it whole."""
-    return f.degree() >= 1 and factor_poly(f)[1] == [(f.monic(), 1)]
+    return f.degree() >= 1 and factor_poly(f) == [(f.monic(), 1)]
 
 
 def factor_poly(f):
@@ -483,12 +479,12 @@ def factor_poly(f):
 
     The monics of degree d are tried in index order once the factors of
     lower degree are divided out, so one that divides is irreducible.
-    Returns (unit, [(irreducible, multiplicity), ...]) with factors sorted
-    by degree, then index.  Fine for the small degrees this library works at.
+    Returns [(irreducible, multiplicity), ...], the factors of f.monic(),
+    sorted by degree, then index.  Fine for the small degrees this library
+    works at.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    unit = f.leading()
     cur = f.monic()
     field, q = f.field, f.field.q
     out = []
@@ -513,7 +509,7 @@ def factor_poly(f):
             if cur.degree() < 2 * d:
                 break
         d += 1
-    return unit, out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +558,8 @@ class Point:
         return 1 if self.at_infinity else self.minpoly.degree()
 
     def residue_data(self):
-        """(residue field, embedding of the base, distinguished root alpha).
+        """(residue field, embedding of the base, distinguished root alpha),
+        alpha a packed index.
 
         alpha is the root g**k of the minimal polynomial with the smallest
         exponent k; for degree 1 it is the rational point itself, and at
@@ -574,13 +571,12 @@ class Point:
             if self.at_infinity:
                 alpha = None
             elif d == 1:
-                alpha = -big.from_index(self.minpoly.coeffs[0])
+                alpha = int_ops(big).neg(self.minpoly.coeffs[0])
             else:
                 coeffs = [emb.embed_index(c) for c in self.minpoly.coeffs]
-                root = first_root(int_ops(big), coeffs, big.gen().index(), big.q - 1)
-                if root is None:
+                alpha = first_root(int_ops(big), coeffs, big.gen().index(), big.q - 1)
+                if alpha is None:
                     raise ValueError("minimal polynomial has no root in its residue field")
-                alpha = big.from_index(root)
             self._expansion = (big, emb, alpha)
         return self._expansion
 
@@ -659,8 +655,7 @@ def expand_at(r, point, n):
     and 1/t at infinity.
     """
     _big, emb, alpha = point.residue_data()
-    a = None if alpha is None else alpha.index()
-    return _poly_series_at(r.num, point, n, emb, a) / _poly_series_at(r.den, point, n, emb, a)
+    return _poly_series_at(r.num, point, n, emb, alpha) / _poly_series_at(r.den, point, n, emb, alpha)
 
 
 def expand_form_at(w, point, n):

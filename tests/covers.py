@@ -51,7 +51,7 @@ def induction_power_cover(coeff, base, e, exponents=None):
     if e == 1:
         predicted = 1
     elif e == 2:
-        predicted = gamma_psi(coeff, base, base.elem(-2)) * pow(q, -1, coeff.ell) % coeff.ell
+        predicted = gamma_psi(coeff, base, base.elem(-2).index()) * pow(q, -1, coeff.ell) % coeff.ell
     elif e == 3:
         predicted = pow(q, -1, coeff.ell)
     if predicted is not None:

@@ -8,6 +8,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epsilon_lab import gf
 from epsilon_lab.coeff import coeff_setup
 from epsilon_lab.gf import CapExceeded, fq_build, trace
 from epsilon_lab.chars import LocalCharacter, as_reduce, unit_keys
@@ -144,9 +145,15 @@ def test_reduce_needs_window():
 def test_tame_hand_values():
     chi = LocalCharacter(F3, C3, C3.elem(5), 1)
     # 2 generates the units of F_3, the quadratic character sends it to -1
-    assert chi.coeff.kummer_chi(chi.tame_e, F3.elem(2)) == C3.ell - 1
+    assert chi.coeff.kummer_chi(chi.tame_e, gf.dlog(F3, F3.elem(2).index()), F3.q - 1) == C3.ell - 1
     assert chi(series(F3, 1, [1, 0], 3)) == 5
     assert chi(series(F3, 1, [2, 0], 3)) == -5 % C3.ell
+
+
+def test_c_pi_of_another_coefficient_field_is_refused():
+    # 40 mod 73 is no value mod 7: the boundary type keeps it to its field
+    with pytest.raises(ValueError):
+        LocalCharacter(F3, coeff_setup(3, [2]), coeff_setup(3, [8]).elem(40), 0)
 
 
 def test_wild_hand_value():

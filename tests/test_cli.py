@@ -466,6 +466,24 @@ def test_refused_command_line_exits_3_with_a_report(capsys, argv):
     assert epsilon_mod.TATE_CAP == 1 << 22
 
 
+@pytest.mark.parametrize(
+    "argv, field, command",
+    [
+        (["eps-local", "--method", "bogus"], "method", "eps-local"),
+        (["gauss", "--p", "x", "--q", "3", "--c", "1"], "p", "gauss"),
+        (["eps-global"], "spec", "eps-global"),
+        (["bogus"], "command", None),
+        # argparse names no option for a word it does not know
+        (["product-check", "--threads", "1"], None, "product-check"),
+    ],
+    ids=["choice", "not-an-int", "required", "unknown-command", "unknown-option"],
+)
+def test_bad_command_line_names_its_option(capsys, argv, field, command):
+    code, report = run(capsys, argv)
+    assert code == 3 and not report["ok"]
+    assert report.get("field") == field and report.get("command") == command
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as stop:
         main(["gauss", "--help"])

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from epsilon_lab.coeff import coeff_setup, root_sum, second_ell
-from epsilon_lab.gf import CapExceeded, fq_build, log_field, trace
+from epsilon_lab.gf import CapExceeded, dlog, fq_build, log_field, trace
 from epsilon_lab.chars import LocalCharacter
 from epsilon_lab.epsilon import (
     TATE_CAP,
@@ -99,7 +99,7 @@ def test_tame_sum_shape():
     chi = LocalCharacter(F3, C73, C73.elem(7), 1)
     dpi = form(F3, 0, [1], 3)
     ell = C73.ell
-    g = sum(pow(C73.kummer_chi(chi.tame_e, chi.field.elem(u)), -1, ell) * C73.psi(u) for u in (1, 2))
+    g = sum(pow(C73.kummer_chi(chi.tame_e, dlog(F3, u), F3.q - 1), -1, ell) * C73.psi(u) for u in (1, 2))
     assert eps_tate(chi, dpi).value.value == -chi.c_pi.value * g % ell
 
 
@@ -416,19 +416,17 @@ def test_epsilon_uniformizer_independent(method):
 
 def test_gamma_ratio_is_quadratic_character():
     for field, coeff in ((F3, C73), (F5, C5), (F7, C7), (F9, C73)):
-        base = gamma_psi(coeff, field, field.one())
+        base = gamma_psi(coeff, field, 1)
         e = (field.q - 1) // 2
-        for c in map(field.from_index, range(field.q)):
-            if c.is_zero():
-                continue
-            assert gamma_psi(coeff, field, c) == coeff.kummer_chi(e, c) * base % coeff.ell
+        for c in range(1, field.q):
+            assert gamma_psi(coeff, field, c) == coeff.kummer_chi(e, dlog(field, c), field.q - 1) * base % coeff.ell
 
 
 def test_gamma_square():
     for field, coeff in ((F3, C73), (F5, C5), (F7, C7)):
-        g = gamma_psi(coeff, field, field.one())
+        g = gamma_psi(coeff, field, 1)
         e = (field.q - 1) // 2
-        quad_minus = coeff.kummer_chi(e, field.elem(-1))
+        quad_minus = coeff.kummer_chi(e, dlog(field, field.elem(-1).index()), field.q - 1)
         assert g * g % coeff.ell == quad_minus * field.q % coeff.ell
 
 
@@ -436,18 +434,16 @@ def test_gamma_modulus_sqrt_q():
     from epsilon_lab.epsilon import gamma_counts
 
     for field in (F3, F5, F9, F7):
-        for c in map(field.from_index, range(field.q)):
-            if c.is_zero():
-                continue
-            z = root_sum({e: -k for e, k in gamma_counts(field, c).items()}, field.p)
+        for c in range(1, field.q):
+            z = root_sum([-k for k in gamma_counts(field, c)], field.p)
             assert abs(abs(z) - field.q ** 0.5) < 1e-9
 
 
 def test_gamma_guards():
     with pytest.raises(ValueError):
-        gamma_psi(C4, F4, F4.one())
+        gamma_psi(C4, F4, 1)
     with pytest.raises(ValueError):
-        gamma_psi(C73, F3, F3.zero())
+        gamma_psi(C73, F3, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -641,9 +637,7 @@ def test_gamma_counts_match_trace_count(p, n):
     field = fq_build(p, n)
     half = field.elem(pow(2, -1, p))
     for c in (field.one(), field.elem(-1), field.gen(), field.from_index(field.q - 2)):
-        want = {}
+        want = [0] * p
         for t in map(field.from_index, range(field.q)):
-            e = trace(c * t * t * half)
-            want[e] = want.get(e, 0) + 1
-        got = gamma_counts(field, c)
-        assert got == want and list(got) == list(want)
+            want[trace(c * t * t * half)] += 1
+        assert gamma_counts(field, c.index()) == want

@@ -164,7 +164,9 @@ def test_dlog_roundtrip():
     for f in fields:
         g = f.gen()
         for e in range(f.q - 1):
-            assert dlog(g ** e) == e
+            assert dlog(f, (g ** e).index()) == e
+        with pytest.raises(ValueError):
+            dlog(f, 0)
 
 
 def test_trace_norm_to_intermediate_field():

@@ -5,8 +5,12 @@ gf.int_ops.  Here each kernel (division with remainder, factoring, the
 expansion at a point, series products and quotients) is checked against a
 schoolbook reference written on FqElem coefficient lists.  Further tests
 pin which engine runs: none of these kernels multiplies FqElems once its
-field has a table, and a field past the table line never gets one.
+field has a table, no warm local engine or product check builds one, and
+a field past the table line never gets a table.
 """
+
+import json
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from epsilon_lab import gf
 from epsilon_lab.chars import LocalCharacter
 from epsilon_lab.coeff import coeff_setup
+from epsilon_lab.curve import SheafSpec, product_formula_check
 from epsilon_lab.epsilon import eps_local
 from epsilon_lab.gf import fq_build
 from epsilon_lab.localfield import (
@@ -103,7 +108,7 @@ def ref_expansion(num, den, point, n):
             # t = 1/pi: f(1/pi) = pi**-deg times the reversed coefficients
             parts.append((-(len(cs) - 1), cs[::-1]))
         else:
-            shifted = ref_shift([emb.embed(c) for c in cs], alpha)
+            shifted = ref_shift([emb.embed(c) for c in cs], big.from_index(alpha))
             v = next(i for i, c in enumerate(shifted) if not c.is_zero())
             parts.append((v, shifted[v:]))
     (va, a), (vb, b) = parts
@@ -145,9 +150,10 @@ def _roots(f):
 def test_factor_poly_matches_the_reference(data):
     field = data.draw(st.sampled_from(FIELDS))
     f = nonzero_poly(data, field, 6)
-    unit, factors = factor_poly(f)
-    # the factors times their multiplicities and the unit give f back
-    prod = [unit]
+    factors = factor_poly(f)
+    # the factors times their multiplicities and the leading coefficient
+    # give f back
+    prod = [field.from_index(f.coeffs[-1])]
     for g, m in factors:
         for _ in range(m):
             prod = ref_mul(prod, elems(field, g.coeffs))
@@ -184,7 +190,7 @@ def test_expand_at_matches_the_reference_taylor_shift(data):
     big, emb, alpha = point.residue_data()
     if not point.at_infinity:
         # the root the int scan found is a root
-        assert point.minpoly.evaluate(alpha, emb).is_zero()
+        assert point.minpoly.evaluate(big.from_index(alpha), emb).is_zero()
     got = expand_at(RationalFunction(num, den), point, n)
     v, want = ref_expansion(num, den, point, n)
     assert (got.v, got.prec) == (v, v + n)
@@ -231,7 +237,7 @@ def test_tabled_field_kernels_make_no_element_product(monkeypatch):
     r = RationalFunction(f, x * x * x + 2 * x + 1)
 
     def run():
-        unit, factors = factor_poly(f)
+        factors = factor_poly(f)
         pts = [Point(field, quad), Point.rational(field, 1), Point.infinity(field)]
         return factors, [expand_at(r, pt, 6) for pt in pts]
 
@@ -248,6 +254,38 @@ def test_tabled_field_kernels_make_no_element_product(monkeypatch):
     factors, expansions = run()
     assert factors == warm[0] and all(map(same, expansions, warm[1]))
     assert not calls
+
+
+def test_warm_engines_build_no_field_element(monkeypatch):
+    # inside the engines an F_q value is a packed index or a log: once the
+    # tables are warm, no local engine and no product check on a freshly
+    # read spec builds an FqElem
+    f9, f7, f3 = fq_build(3, 2), fq_build(7, 1), fq_build(3, 1)
+    c9, c7, c3 = coeff_setup(3, [8]), coeff_setup(7, [6]), coeff_setup(3, [2])
+    # tame exponent 3 and swan 2: the closed form reads a log and a Gauss constant
+    wild = LocalCharacter(f9, c9, 5, 3, LaurentSeries.of(f9, -2, [4, 7], 1))
+    form9 = Form(LaurentSeries.of(f9, -1, [2, 0, 5, 1], 3))
+    cases = [(wild, form9, method) for method in ("auto", "closed", "tate")]
+    cases.append((LocalCharacter(f7, c7, 3, 2), Form(LaurentSeries.of(f7, 0, [3, 1], 2)), "auto"))
+    cases.append((LocalCharacter(f3, c3, 2, 0), Form(LaurentSeries.of(f3, 1, [1], 2)), "auto"))
+    data = resources.files("epsilon_lab").joinpath("data")
+
+    def bundled():
+        spec = SheafSpec.from_json(json.loads((data / "product_spec.json").read_text()))
+        return spec, RationalFunction.from_json(spec.base, json.loads((data / "product_omega.json").read_text()))
+
+    warm = [eps_local(chi, form, "shriek", method) for chi, form, method in cases]
+    spec, omega = bundled()
+    report = product_formula_check(spec, c3, omega)
+    spec, omega = bundled()
+
+    def refused(self, field, coeffs):
+        raise AssertionError("an FqElem was built")
+
+    monkeypatch.setattr(gf.FqElem, "__init__", refused)
+    assert [eps_local(chi, form, "shriek", method) for chi, form, method in cases] == warm
+    assert [res.method for res in warm] == ["closed_form", "closed_form", "tate", "tate", "unramified"]
+    assert product_formula_check(spec, c3, omega) == report and report["ok"]
 
 
 def test_no_table_past_the_line():

@@ -428,7 +428,7 @@ def test_fq_build_modulus_is_first_irreducible_in_scan(p, top):
     factor_poly leaves whole, for every degree the cold CLI ops build."""
     prime = fq_build(p, 1)
     for n in range(1, top + 1):
-        first = next(f for f in _scan(prime, n) if factor_poly(f)[1] == [(f, 1)])
+        first = next(f for f in _scan(prime, n) if factor_poly(f) == [(f, 1)])
         assert fq_build(p, n).modulus == first.coeffs, (p, n)
 
 
@@ -446,8 +446,8 @@ def test_factor_roundtrip():
             for p, m in parts:
                 for _ in range(m):
                     f = f * p
-            unit, factors = factor_poly(f)
-            rebuilt = Poly(field, [unit])
+            factors = factor_poly(f)
+            rebuilt = Poly(field, [field.from_index(f.coeffs[-1])])
             for p, m in factors:
                 assert poly_is_irreducible(p)
                 for _ in range(m):
@@ -469,7 +469,7 @@ def test_factoring_a_monic_product_takes_no_power(monkeypatch):
         return power(self, e)
 
     monkeypatch.setattr(gf.FqElem, "__pow__", counted)
-    _unit, factors = factor_poly(f)
+    factors = factor_poly(f)
     assert sum(m * g.degree() for g, m in factors) == 12
     assert calls == []
 
@@ -482,7 +482,7 @@ def test_rational_reduction():
     x = polys.x(F3)
     r = RationalFunction((x * x - 1) * 2, (x - 1) * 2)
     assert r.num == x + 1 and r.den.degree() == 0
-    assert r.den.leading() == F3.one()
+    assert r.den.field.from_index(r.den.coeffs[-1]) == F3.one()
 
 
 def test_equal_rational_functions_hash_alike():
@@ -602,7 +602,7 @@ def test_degree_two_point_data():
     pt = Point(F3, quad)
     big, emb, alpha = pt.residue_data()
     assert big.q == 9
-    assert quad.evaluate(alpha, emb).is_zero()
+    assert quad.evaluate(big.from_index(alpha), emb).is_zero()
     s = expand_at(RationalFunction.from_poly(quad), pt, 4)
     assert s.valuation() == 1
 
@@ -614,7 +614,7 @@ def test_residue_data_root_has_the_least_log(base, d):
     big, emb = gf.residue_field(base, d)
     exp = gf.log_field(big).exp
     for f in monic_irreducibles(base, d):
-        want = next(x for x in map(big.from_index, exp) if f.evaluate(x, emb).is_zero())
+        want = next(k for k in exp if f.evaluate(big.from_index(k), emb).is_zero())
         assert Point(base, f).residue_data()[2] == want
 
 
