@@ -113,7 +113,7 @@ class SheafSpec:
         self.kummer = []
         for g, e in kummer:
             if type(e) is not int:
-                raise ValueError("character exponents must be integers")
+                raise Unsupported("character exponents must be integers", field="kummer")
             if g.is_zero():
                 raise ValueError("multiplicative datum must be nonzero")
             if g.field != base:
@@ -128,7 +128,7 @@ class SheafSpec:
             pts.append(pt)
         self.punctures = pts
         if type(unram) is not int or unram == 0:
-            raise ValueError("unramified scaling must be a nonzero integer")
+            raise Unsupported("unramified scaling must be a nonzero integer", field="unram")
         self.unram = unram
         self._closed = {}
         self._local = {}

@@ -20,10 +20,11 @@ base-p digits), exp, Zech and trace indexed by log to the generator.  The
 exp table is filled by walking multiplication by x on packed ints, the
 trace table from the basis traces read off the reduction rows.  Each field
 has one LogField, built on first use and cached by log_field(field);
-nothing else builds or holds tables.  Inner loops (the point walk, the
+nothing else holds arithmetic tables.  Inner loops (the point walk, the
 unit sum, the quadratic Gauss constant) read these tables directly,
 elements as logs to the generator, and dlog(field, k) is a lookup of the
-packed index k in the log table, so its only limit is the field cap.
+packed index k in the log table, so its only limit is the field cap.  An
+embedding (TowerEmbedding) is a list of images and its reverse dict.
 
 The polynomials and Laurent series of the local side hold packed indices
 too and compute through int_ops(field), ints in and out: the IntOps that
@@ -34,10 +35,10 @@ FqElem multiplies by the schoolbook product of the coefficient vectors,
 its high terms folded back through the reduction rows x**(n + k) mod
 modulus that each FieldDesc computes once.  It is the boundary type (JSON,
 the public API, single coefficients; the engines pass packed indices and
-logs), it carries the seeds (generators, embeddings as F_p-combinations
-of cached root powers, the few products a table build needs), traces and
-Frobenius on single elements, and it is the oracle the tables are tested
-against.  Its trace(x) is the one Frobenius
+logs), it carries the seeds (generators, the root powers that span an
+embedding's table, the few products a table build needs), traces and
+Frobenius on single elements (as_reduce's among them), and it is the
+oracle the tables are tested against.  Its trace(x) is the one Frobenius
 fold, read by the audits (the definitional unit sum, the pointwise trace)
 and by IntOps above the line, never by a table build.  Character
 evaluation is no such single-element work: it reads the trace of its wild
@@ -97,6 +98,14 @@ def _digits(k, base, n):
         k, d = divmod(k, base)
         out.append(d)
     return out
+
+
+def _pack(digits, base):
+    """The inverse of _digits: the integer with these digits, low first."""
+    k = 0
+    for d in reversed(digits):
+        k = k * base + d
+    return k
 
 
 def _is_irreducible(f, p):
@@ -417,10 +426,7 @@ class FqElem:
 
     def index(self):
         """Integer encoding: base-p digits are the coefficients."""
-        k = 0
-        for c in reversed(self.coeffs):
-            k = k * self.field.p + c
-        return k
+        return _pack(self.coeffs, self.field.p)
 
     def __repr__(self):
         return "FqElem(%r, %r)" % (self.field, list(self.coeffs))
@@ -428,10 +434,12 @@ class FqElem:
 
 class TowerEmbedding:
     """Embedding F_{p^n} -> F_{p^{nm}} determined by a root of the small
-    modulus in the big field.  embed is a ring homomorphism; section inverts
-    it on the image (and raises off the image)."""
+    modulus in the big field, sum c_i x**i -> sum c_i root**i: a ring
+    homomorphism, read off its table of images, which for a proper subfield
+    of a field under the cap has at most 2**12 entries.  section inverts it
+    on the image and raises off it."""
 
-    __slots__ = ("small", "big", "root", "_matrix", "_identity")
+    __slots__ = ("small", "big", "root", "_table")
 
     def __init__(self, small, big, root):
         if small.p != big.p or big.n % small.n != 0:
@@ -439,73 +447,42 @@ class TowerEmbedding:
         self.small = small
         self.big = big
         self.root = root
-        self._matrix = None
-        # from the prime field, or onto itself by the root the modulus
-        # names, the embedding keeps every packed index
-        self._identity = small.n == 1 or (small == big and root == _modulus_root(big))
+        # from the prime field, or onto itself by x (packed index p), the
+        # embedding keeps every packed index: no table, a range
+        identity = small.n == 1 or (small == big and root.index() == big.p)
+        self._table = (range(small.q),) * 2 if identity else None
 
-    def _columns(self):
-        """The coefficient vectors of root**i, i < small.n, built once."""
-        if self._matrix is None:
-            cols = []
-            power = self.big.one()
+    def _images(self):
+        """(images, places), built on first use: images[k] the packed index
+        of the image of packed index k (those below p**(i + 1) are those
+        below p**i plus c root**i, c < p), places the reverse dict."""
+        if self._table is None:
+            p, power, vecs = self.big.p, self.big.one(), [(0,) * self.big.n]
             for _ in range(self.small.n):
-                cols.append(power.coeffs)
+                vecs = [tuple((a + c * b) % p for a, b in zip(v, power.coeffs)) for c in range(p) for v in vecs]
                 power = power * self.root
-            self._matrix = cols
-        return self._matrix
+            images = [_pack(v, p) for v in vecs]
+            self._table = (images, {k: i for i, k in enumerate(images)})
+        return self._table
 
     def embed(self, x):
-        """sum c_i root**i, an F_p-linear combination of the columns."""
+        """The image of x, read off the table."""
         if x.field != self.small:
             raise ValueError("element not in the small field")
-        acc = [0] * self.big.n
-        for c, col in zip(x.coeffs, self._columns()):
-            if c:
-                for k, v in enumerate(col):
-                    acc[k] += c * v
-        p = self.big.p
-        return FqElem(self.big, tuple([v % p for v in acc]))
+        return self.big.from_index(self.embed_index(x.index()))
 
     def embed_index(self, k):
         """embed on packed indices."""
-        if self._identity:
-            return k
-        return self.embed(self.small.from_index(k)).index()
+        return self._images()[0][k]
 
     def section(self, y):
-        """Solve embed(x) = y by Gaussian elimination over F_p."""
+        """The x with embed(x) = y."""
         if y.field != self.big:
             raise ValueError("element not in the big field")
-        p = self.big.p
-        cols = self._columns()
-        rows = self.big.n
-        aug = [[cols[j][i] for j in range(self.small.n)] + [y.coeffs[i]] for i in range(rows)]
-        piv = []
-        r = 0
-        for c in range(self.small.n):
-            sel = next((i for i in range(r, rows) if aug[i][c]), None)
-            if sel is None:
-                continue
-            aug[r], aug[sel] = aug[sel], aug[r]
-            inv = pow(aug[r][c], -1, p)
-            aug[r] = [(v * inv) % p for v in aug[r]]
-            for i in range(rows):
-                if i != r and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [(a - f * b) % p for a, b in zip(aug[i], aug[r])]
-            piv.append(c)
-            r += 1
-        sol = [0] * self.small.n
-        for i, c in enumerate(piv):
-            sol[c] = aug[i][-1]
-        for i in range(r, rows):
-            if aug[i][-1]:
-                raise ValueError("element is not in the embedded subfield")
-        x = self.small.elem(sol)
-        if self.embed(x) != y:
+        places, k = self._images()[1], y.index()
+        if k not in places:
             raise ValueError("element is not in the embedded subfield")
-        return x
+        return self.small.from_index(places[k])
 
 
 def _full_order(x):
@@ -649,20 +626,15 @@ def _residue_field(base, d):
         k += q - 1
     gen = big.gen() ** k
     desc = FieldDesc(big.p, big.n, big.modulus, gen.coeffs)
-    emb = TowerEmbedding(base, desc, FqElem(desc, emb.root.coeffs))
+    # over desc the same modulus and root give the same indices: one table
+    emb.big, emb.root = desc, FqElem(desc, emb.root.coeffs)
     return desc, emb
 
 
-def _modulus_root(field):
-    """The canonical root of field.modulus inside field itself (x, i.e. the
-    second basis vector, or the scalar -c0 in degree 1)."""
-    if field.n == 1:
-        return field.elem(-field.modulus[0])
-    return field.elem([0, 1])
-
-
 def identity_embedding(field):
-    return TowerEmbedding(field, field, _modulus_root(field))
+    """The embedding of field onto itself by the root its modulus names: x,
+    or the scalar -c0 in degree 1."""
+    return TowerEmbedding(field, field, field.elem(-field.modulus[0] if field.n == 1 else [0, 1]))
 
 
 def _x_orbit(field, start):

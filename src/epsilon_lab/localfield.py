@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .gf import FieldDesc, FqElem, Unsupported, _digits, first_root, int_ops, residue_field
+from .gf import FieldDesc, FqElem, Unsupported, _digits, _pack, first_root, int_ops, residue_field
 
 
 # A series read from JSON has its v and prec within SERIES_CAP of 0.  The
@@ -574,7 +574,7 @@ class Point:
                 alpha = int_ops(big).neg(self.minpoly.coeffs[0])
             else:
                 coeffs = [emb.embed_index(c) for c in self.minpoly.coeffs]
-                alpha = first_root(int_ops(big), coeffs, big.gen().index(), big.q - 1)
+                alpha = first_root(int_ops(big), coeffs, _pack(big.generator, big.p), big.q - 1)
                 if alpha is None:
                     raise ValueError("minimal polynomial has no root in its residue field")
             self._expansion = (big, emb, alpha)

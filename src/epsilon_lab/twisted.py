@@ -340,9 +340,7 @@ class TwistedRep:
         zero = [0] * len(side[0])
         for g in sub:
             mul_g, mu_g = self.group.table[g], self.mult.table[g]
-            row_gh = [rows.get(mul_g[h]) for h in sub]
-            if None in row_gh:
-                return False
+            row_gh = [rows[mul_g[h]] for h in sub]
             for i, row in enumerate(rows[g]):
                 acc = zero
                 for a, s in zip(row, side):

@@ -368,17 +368,31 @@ def test_point_type_is_finite_or_infinity(capsys, tmp_path, kind):
 
 
 _T = {"num": [[0], [1]], "den": [[1]]}  # the function t
+# JSON values of every type but integer
+_NO_INTEGER = [None, True, 1.5, "x", [], {}]
 
 
-@pytest.mark.parametrize("kummer", [[[_T]], [[_T, 1, 2]], [5], 5])
+@pytest.mark.parametrize("kummer", [[[_T]], [[_T, 1, 2]], [5], 5] + [[[_T, bad]] for bad in _NO_INTEGER])
 def test_kummer_entry_is_a_pair(capsys, tmp_path, kummer):
-    # an entry that is no [function, exponent] pair failed to unpack
+    # an entry that is no [function, exponent] pair failed to unpack, and
+    # an exponent that is no integer was refused with no field
     spec = json.loads((DATA / "product_spec.json").read_text())
     spec["kummer"] = kummer
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     code, report = run(capsys, ["eps-global", "--spec", str(path)])
     assert code == 3 and report["field"] == "kummer" and not report["ok"]
+
+
+@pytest.mark.parametrize("unram", _NO_INTEGER)
+def test_unram_of_another_type_names_its_input(capsys, tmp_path, unram):
+    # it was refused with no field
+    spec = json.loads((DATA / "product_spec.json").read_text())
+    spec["unram"] = unram
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, report = run(capsys, ["product-check", "--spec", str(path)])
+    assert code == 3 and report["field"] == "unram" and not report["ok"]
 
 
 @pytest.mark.parametrize(

@@ -279,6 +279,20 @@ def test_embed_is_horner_in_the_root_and_section_inverts_it(small, big):
             assert emb.section(emb.embed(x)) == x
 
 
+@pytest.mark.parametrize("small, big", [((3, 1), (3, 2)), ((2, 2), (2, 4)), ((3, 2), (3, 4))])
+def test_section_raises_exactly_off_the_image(small, big):
+    # the image is the subfield: the elements fixed by the q-th power map
+    small, big = fq_build(*small), fq_build(*big)
+    emb = find_embedding(small, big)
+    for k in range(big.q):
+        y = big.from_index(k)
+        if y ** small.q == y:
+            assert emb.embed(emb.section(y)) == y
+        else:
+            with pytest.raises(ValueError, match="not in the embedded subfield"):
+                emb.section(y)
+
+
 def test_mismatched_fields_still_raise():
     f9, f4 = fq_build(3, 2), fq_build(2, 2)
     same = FieldDesc(3, 2, f9.modulus, f9.generator)

@@ -11,6 +11,7 @@ a field past the table line never gets a table.
 
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -286,6 +287,36 @@ def test_warm_engines_build_no_field_element(monkeypatch):
     assert [eps_local(chi, form, "shriek", method) for chi, form, method in cases] == warm
     assert [res.method for res in warm] == ["closed_form", "closed_form", "tate", "tate", "unramified"]
     assert product_formula_check(spec, c3, omega) == report and report["ok"]
+
+
+def test_warm_tower_builds_no_field_element(monkeypatch):
+    # a point of degree 2 crosses the tower F_q in F_(q^2): each coefficient
+    # is a read of the embedding's table of images and the root scan starts
+    # from the generator's digits, so with the tables warm a product check
+    # on a freshly read spec builds no FqElem.  f9_spec.json as it stands
+    # (wild t^3) keeps the single-element Frobenius of as_reduce
+    f9 = json.loads((Path(__file__).parent / "data" / "f9_spec.json").read_text())
+    f9["wild"] = {"num": [[0, 0], [0, 0], [1, 0]], "den": [[1, 0]]}
+    quad = {"num": [1, 0, 1], "den": [1]}
+    f3 = {"p": 3, "n": 1, "wild": {"num": [0, 1], "den": [1]}, "kummer": [[quad, 1]]}
+    f3["punctures"] = [{"type": "finite", "minpoly": [1, 0, 1]}, {"type": "infinity"}]
+    omega = json.loads(resources.files("epsilon_lab").joinpath("data", "product_omega.json").read_text())
+    cases = [(f9, coeff_setup(3, [8, 80])), (f3, coeff_setup(3, [2, 8]))]
+
+    def read(obj, coeff):
+        spec = SheafSpec.from_json(obj)
+        return spec, coeff, RationalFunction.from_json(spec.base, omega)
+
+    reports = [product_formula_check(*read(*case)) for case in cases]
+    fresh = [read(*case) for case in cases]
+
+    def refused(self, field, coeffs):
+        raise AssertionError("an FqElem was built")
+
+    monkeypatch.setattr(gf.FqElem, "__init__", refused)
+    for args, report in zip(fresh, reports):
+        assert max(pt.degree() for pt in args[0].punctures) == 2
+        assert product_formula_check(*args) == report and report["ok"]
 
 
 def test_no_table_past_the_line():

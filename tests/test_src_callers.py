@@ -24,11 +24,17 @@ co_qualname, which Python 3.10 lacks.  Reachability, not "has a caller",
 is what counts, so a chain that only the tests enter fails whole.  Code
 that only the tests run lives under tests/.
 
-Run this file directly to print the recorded edges as JSON.
+Run this file directly, with src on PYTHONPATH, to print the recorded
+edges as JSON; with --lines, the same drive runs under sys.settrace and
+prints each executable line of src that it never runs, as file:line:
+text.  That report is no gate, since refusals of outside input are in it,
+but it shows branches that only the tests run, as the guard shows
+definitions.
 """
 
 import ast
 import contextlib
+import dis
 import io
 import json
 import os
@@ -36,6 +42,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -149,21 +156,72 @@ def _drive(tmp):
     ns["product_formula_check"](ns["spec"], ns["coeff_setup"](3, [2]), omega)
 
 
-def _edges():
-    """The edges of one profiled drive, in this interpreter."""
-    edges = set()
-    sys.setprofile(_recorder(edges))
+def _driven(install, hook):
+    """Run the drive once, in this interpreter, with hook installed by
+    install (sys.setprofile or sys.settrace)."""
+    install(hook)
     try:
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
             io.StringIO()
         ):
             _drive(tmp)
     finally:
-        sys.setprofile(None)
+        install(None)
     import epsilon_lab
 
     assert Path(epsilon_lab.__file__).resolve().parent == SRC, "drove %s, not this checkout" % epsilon_lab.__file__
+
+
+def _edges():
+    """The edges of one profiled drive."""
+    edges = set()
+    _driven(sys.setprofile, _recorder(edges))
     return edges
+
+
+def _executable_lines(path):
+    """The lines of the source file that compile to bytecode, over all of
+    its code objects."""
+    todo = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    lines = set()
+    while todo:
+        code = todo.pop()
+        lines.update(line for _offset, line in dis.findlinestarts(code) if line)
+        todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    return lines
+
+
+def _unrun_lines():
+    """"file:line: text" of each executable src line that one traced drive
+    never runs, in file order.  A frame's first line counts as run when the
+    frame starts, which is when its header's bytecode runs."""
+    paths = {str(path): path for path in sorted(SRC.glob("*.py"))}
+    real = {}  # co_filename: the src path it names, or None
+    ran = set()
+
+    def local(frame, event, _arg):
+        if event == "line":
+            ran.add((real[frame.f_code.co_filename], frame.f_lineno))
+        return local
+
+    def hook(frame, event, _arg):
+        name = frame.f_code.co_filename
+        if name not in real:
+            path = os.path.realpath(name)
+            real[name] = path if path in paths else None
+        if real[name] is None:
+            return None
+        ran.add((real[name], frame.f_code.co_firstlineno))
+        return local
+
+    _driven(sys.settrace, hook)
+    out = []
+    for name, path in paths.items():
+        text = path.read_text(encoding="utf-8").splitlines()
+        for line in sorted(_executable_lines(path)):
+            if (name, line) not in ran:
+                out.append("%s:%d: %s" % (path.relative_to(ROOT), line, text[line - 1].strip()))
+    return out
 
 
 # the methods an operator may call; != falls back on __eq__ where a class
@@ -232,4 +290,7 @@ def test_every_function_in_src_has_a_caller_in_src():
 
 
 if __name__ == "__main__":
-    json.dump(sorted(_edges()), sys.stdout)
+    if sys.argv[1:] == ["--lines"]:
+        print("\n".join(_unrun_lines()))
+    else:
+        json.dump(sorted(_edges()), sys.stdout)
