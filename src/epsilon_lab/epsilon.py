@@ -59,22 +59,25 @@ EpsilonResult = namedtuple("EpsilonResult", "value conductor_a conductor_a_omega
 
 def gamma_counts(field, c):
     """How often each trace value e in F_p is Tr(c t**2 / 2), t over F_q,
-    c a nonzero packed index: a list indexed by e.
+    c a nonzero packed index: a tuple indexed by e.
 
     With b = log(c / 2), t = G**l gives Tr(G**(b + 2 l)): as l runs over
     the q - 1 logs, b + 2 l meets each log of b's parity twice (q - 1 is
     even), so the counts are one strided slice of the trace table doubled,
-    plus t = 0."""
+    plus t = 0.  The two tuples, one per parity, are built on the first
+    call for a field and kept with its tables."""
     p = field.p
     if p == 2:
         raise ValueError("the quadratic constant needs odd characteristic")
     if not c:
         raise ValueError("the quadratic constant needs a nonzero scale")
     logs = log_field(field)
+    if logs.gamma is None:
+        slices = (Counter(logs.trace[b::2]) for b in (0, 1))
+        logs.gamma = tuple(tuple(2 * k[e] + (e == 0) for e in range(p)) for k in slices)
     # p is odd, so the prime field element 2 has packed index 2, and q - 1
     # is even, so the parity of log(c / 2) is that of the difference
-    counts = Counter(logs.trace[(logs.log[c] - logs.log[2]) % 2 :: 2])
-    return [2 * counts[e] + (e == 0) for e in range(p)]
+    return logs.gamma[(logs.log[c] - logs.log[2]) % 2]
 
 
 def gamma_psi(coeff, field, c):

@@ -754,9 +754,10 @@ class LogField:
     the absolute trace of G**e, an int in [0, p).
     On logs a product is a sum mod order and a + b is
     a + zech[(b - a) % order], so an inner loop runs on ints alone, and
-    ops is the IntOps on them that int_ops returns."""
+    ops is the IntOps on them that int_ops returns.  gamma holds the two
+    count tuples of epsilon.gamma_counts once it has built them, else None."""
 
-    __slots__ = ("field", "q", "order", "exp", "log", "zech", "trace", "ops")
+    __slots__ = ("field", "q", "order", "exp", "log", "zech", "trace", "ops", "gamma")
 
     def __init__(self, field):
         q = field.q
@@ -777,6 +778,7 @@ class LogField:
         self.exp = exp
         self.log = log
         self.ops = _table_ops(self)
+        self.gamma = None
 
 
 _TABLE_CACHE = {}

@@ -7,9 +7,10 @@ associativity is equivalent to it, lives in the tests).  Representations
 twisted by a multiplier compose up to that multiplier, which is_valid
 checks on every pair and entry: at rank 1 on the scalars themselves, at
 higher rank a row at a time.  They induce from subgroups by a block
-construction with explicit multiplier corrections, and the determinant of
-an induced representation splits into the signature of the coset
-permutation action and a transfer of the determinant character, computable
+construction with explicit multiplier corrections, each entry reduced as it
+is written and the result handed over unchecked.  The determinant of an
+induced representation splits into the signature of the coset permutation
+action and a transfer of the determinant character, computable
 independently by a coset walk.  Every value is an int mod ell, the prime
 of the coefficient field.  A group keeps one record per (ambient,
 subgroup) pair, holding the decomposition in ascending scan order, its
@@ -65,13 +66,7 @@ class FiniteGroup:
         for g in range(n):
             if len(set(self.table[g])) != n or len({self.table[h][g] for h in range(n)}) != n:
                 raise ValueError("multiplication by %d is not a bijection" % g)
-        inv = [None] * n
-        for g in range(n):
-            for h in range(n):
-                if self.table[g][h] == 0:
-                    inv[g] = h
-                    break
-        self.inv = tuple(inv)
+        self.inv = tuple(row.index(0) for row in self.table)
         self.memo = {"pair": {}, "subgroup": {}}
         t = self.table
         for a in range(n):
@@ -171,34 +166,26 @@ class FiniteGroup:
 
 
 def det(rows, ell):
-    """Determinant mod ell of a square matrix of integer rows, by Gaussian elimination."""
+    """Determinant mod ell of a square matrix of integer rows, by Gaussian elimination;
+    a column whose pivot is its only nonzero entry costs one scan and no inverse."""
     rows = [list(r) for r in rows]
     n = len(rows)
     out = 1
     for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if rows[r][col] % ell:
-                piv = r
-                break
-        if piv is None:
+        below = [r for r in range(col, n) if rows[r][col] % ell]
+        if not below:
             return 0
+        piv = below[0]
         if piv != col:
             rows[col], rows[piv] = rows[piv], rows[col]
             out = -out
-        pv = rows[col][col] % ell
-        out = out * pv % ell
-        if col == n - 1:
-            break
-        inv = pow(pv, -1, ell)
-        for r in range(col + 1, n):
-            f = rows[r][col]
-            if f % ell:
-                f = f * inv % ell
-                rr = rows[r]
-                rc = rows[col]
-                for c in range(col, n):
-                    rr[c] = (rr[c] - f * rc[c]) % ell
+        top = rows[col]
+        out = out * top[col] % ell
+        if len(below) > 1:
+            inv = pow(top[col], -1, ell)
+            for r in below[1:]:
+                f = rows[r][col] * inv % ell
+                rows[r] = [(x - f * y) % ell for x, y in zip(rows[r], top)]
     return out
 
 
@@ -240,12 +227,11 @@ class Multiplier:
         )
 
     def __pow__(self, m):
-        ell = self.coeff.ell
-        return Multiplier(
-            self.group,
-            self.coeff,
-            [[pow(v, m, ell) for v in row] for row in self.table],
-        )
+        """Entrywise m-th power: self at m = 1, else one pow per distinct value."""
+        if m == 1:
+            return self
+        power = {v: pow(v, m, self.coeff.ell) for v in set().union(*self.table)}
+        return Multiplier(self.group, self.coeff, [[power[v] for v in row] for row in self.table])
 
     def __repr__(self):
         return "Multiplier(order=%d, mod %d)" % (self.group.n, self.coeff.ell)
@@ -289,7 +275,7 @@ class TwistedRep:
 
     __slots__ = ("group", "sub", "mult", "mats", "rank")
 
-    def __init__(self, group, sub, mult, mats, check=True):
+    def __init__(self, group, sub, mult, mats):
         ell = mult.coeff.ell
         self.group = group
         self.sub = tuple(sorted(set(sub)))
@@ -309,8 +295,17 @@ class TwistedRep:
         mats = self.mats.values()
         if {len(m) for m in mats} | {len(r) for m in mats for r in m} != {self.rank}:
             raise ValueError("matrices must be square and share one size")
-        if check and not self.is_valid():
+        if not self.is_valid():
             raise ValueError("matrices do not satisfy the twisted composition rule")
+
+    @classmethod
+    def _built(cls, group, sub, mult, mats):
+        """The rep on mats as given, unchecked and uncopied: sub sorted, one
+        tuple of reduced int row tuples per element, all square of one size."""
+        rep = cls.__new__(cls)
+        rep.group, rep.sub, rep.mult, rep.mats = group, sub, mult, mats
+        rep.rank = len(mats[0])
+        return rep
 
     def is_valid(self):
         """Exhaustive check of the composition rule on the stored integer
@@ -465,14 +460,14 @@ def induce(rep, ambient=None):
     full group): one block row and column per coset of the domain, the
     block at (target coset, source coset) of k carrying
     mu(k, g_c) mu(g_target, h)^{-1} rho(h) for h the conjugated element
-    g_target^{-1} k g_c of the domain.  Built unchecked; see is_valid."""
+    g_target^{-1} k g_c of the domain.  Entries are reduced as written and
+    rows are tuples, so the result is handed over as built; see is_valid."""
     group, sub, mult = rep.group, rep.sub, rep.mult
     ell = mult.coeff.ell
     members = tuple(group.elements()) if ambient is None else tuple(sorted(set(ambient)))
     reps, coset_of = _pair(group, members, sub)[:2]
-    idx = len(reps)
     r = rep.rank
-    size = r * idx
+    zeros = (0,) * (r * len(reps))
     # mu(g_target, h)^{-1} for each (target coset, domain element): every
     # pair meets each source coset once, so it is inverted once here
     mt, t, ginv = mult.table, group.table, group.inv
@@ -480,17 +475,17 @@ def induce(rep, ambient=None):
     mats = {}
     for k in members:
         tk, mk = t[k], mt[k]
-        rows = [[0] * size for _ in range(size)]
+        rows = [None] * len(zeros)
         for c, gc in enumerate(reps):
             kg = tk[gc]
             c2 = coset_of[kg]
             h = t[ginv[reps[c2]]][kg]
-            s = mk[gc] * inv[(c2, h)]
-            # TwistedRep reduces every entry mod ell
+            s = mk[gc] * inv[(c2, h)] % ell
+            left, right = zeros[: c * r], zeros[(c + 1) * r :]
             for i, src in enumerate(rep.mats[h]):
-                rows[c2 * r + i][c * r:(c + 1) * r] = [s * v for v in src]
-        mats[k] = rows
-    return TwistedRep(group, members, mult, mats, check=False)
+                rows[c2 * r + i] = left + tuple([s * v % ell for v in src]) + right
+        mats[k] = tuple(rows)
+    return TwistedRep._built(group, members, mult, mats)
 
 
 def _perm_sign(p):

@@ -640,4 +640,30 @@ def test_gamma_counts_match_trace_count(p, n):
         want = [0] * p
         for t in map(field.from_index, range(field.q)):
             want[trace(c * t * t * half)] += 1
-        assert gamma_counts(field, c.index()) == want
+        assert gamma_counts(field, c.index()) == tuple(want)
+
+
+class _Untouchable:
+    def __getitem__(self, key):
+        raise AssertionError("the trace table was read again")
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2)])
+def test_gamma_counts_are_kept_per_field(monkeypatch, p, n):
+    # against the strided slice recounted per call, at every nonzero c; the
+    # result is a tuple, and once the two per-parity tuples exist no call
+    # reads the trace table again
+    from collections import Counter
+
+    from epsilon_lab.epsilon import gamma_counts
+
+    field = fq_build(p, n)
+    logs = log_field(field)
+    for c in range(1, field.q):
+        counts = Counter(logs.trace[(logs.log[c] - logs.log[2]) % 2 :: 2])
+        got = gamma_counts(field, c)
+        assert isinstance(got, tuple)
+        assert got == tuple(2 * counts[e] + (e == 0) for e in range(p))
+    kept = [gamma_counts(field, c) for c in range(1, field.q)]
+    monkeypatch.setattr(logs, "trace", _Untouchable())
+    assert [gamma_counts(field, c) for c in range(1, field.q)] == kept

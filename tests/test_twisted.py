@@ -104,8 +104,8 @@ def twisted_regular(group, mult):
         rows = [[0] * group.n for _ in range(group.n)]
         for g in group.elements():
             rows[group.table[k][g]][g] = mult.table[k][g]
-        mats[k] = rows
-    return TwistedRep(group, tuple(group.elements()), mult, mats, check=False)
+        mats[k] = tuple(map(tuple, rows))
+    return TwistedRep._built(group, tuple(group.elements()), mult, mats)
 
 
 def trace(rows):
@@ -175,6 +175,22 @@ def test_det_matches_leibniz_expansion():
         assert det(rows, ELL) == want, rows
         singular += want == 0
     assert singular >= 100
+    # block-monomial rows up to 6x6, the det route's inputs: one r x r block
+    # per block row and column, entries in 0..ell - 1, a block singular now
+    # and then; the zeros make some columns' pivot their only entry
+    for trial in range(120):
+        r = 1 + trial % 3
+        idx = 1 + trial // 3 % (6 // r)
+        perm = list(range(idx))
+        rng.shuffle(perm)
+        rows = [[0] * (r * idx) for _ in range(r * idx)]
+        for c, c2 in enumerate(perm):
+            block = [[rng.randrange(ELL) for _ in range(r)] for _ in range(r)]
+            if trial % 8 == 0:
+                block[0] = [0] * r
+            for i in range(r):
+                rows[c2 * r + i][c * r:(c + 1) * r] = block[i]
+        assert det(rows, ELL) == _leibniz(rows, ELL), rows
 
 
 def test_group_constructors():
@@ -246,6 +262,15 @@ def test_multiplier_validation():
     triv = Multiplier.trivial(v4, C73)
     assert is_cocycle(triv)
     assert same_mult(triv, triv ** 3) and same_mult(triv * triv, triv)
+
+
+def test_multiplier_power_is_entrywise():
+    s4 = FiniteGroup.symmetric(4)
+    mu = d1(s4, C73, unit_cochain(s4, random.Random(59)))
+    assert mu ** 1 is mu
+    for m in (-1, 0, 1, 2, 5):
+        want = [[pow(v, m, ELL) for v in row] for row in mu.table]
+        assert same_mult(mu ** m, multiplier(s4, C73, lambda g, h: want[g][h]))
 
 
 @settings(max_examples=20, deadline=None)
@@ -346,6 +371,78 @@ def test_induce_whole_group_and_trivial_subgroup():
     assert ind.is_valid()
     reg = twisted_regular(s3, mu3)
     assert all(ind.mats[g] == reg.mats[g] for g in s3.elements())
+
+
+def dense_induce(rep, members):
+    """The induced matrices built entry by entry as lists, the oracle for
+    induce: representatives first come in ascending order, and the block
+    of k at (c2, c) is mu(k, g_c) mu(g_c2, h)^-1 rho(h) where k g_c = g_c2 h."""
+    group, mu, r = rep.group, rep.mult, rep.rank
+    t, inv = group.table, group.inv
+    reps = []
+    for g in sorted(members):
+        if all(t[inv[x]][g] not in rep.sub for x in reps):
+            reps.append(g)
+    size = r * len(reps)
+    out = {}
+    for k in members:
+        rows = [[0] * size for _ in range(size)]
+        for c, gc in enumerate(reps):
+            kg = t[k][gc]
+            c2 = next(i for i, x in enumerate(reps) if t[inv[x]][kg] in rep.sub)
+            h = t[inv[reps[c2]]][kg]
+            s = mu.table[k][gc] * pow(mu.table[reps[c2]][h], -1, ELL)
+            for i in range(r):
+                for j in range(r):
+                    rows[c2 * r + i][c * r + j] = s * rep.mats[h][i][j] % ELL
+        out[k] = rows
+    return out
+
+
+def conjugated(rep, rng):
+    """A rank-2 rep conjugated by a random invertible P: the same
+    multiplier, its matrices dense.  P^-1 is the adjugate over det P."""
+    d = 0
+    while not d:
+        p = [[rng.randrange(ELL) for _ in range(2)] for _ in range(2)]
+        d = det(p, ELL)
+    d = pow(d, -1, ELL)
+    p_inv = [[p[1][1] * d, -p[0][1] * d], [-p[1][0] * d, p[0][0] * d]]
+
+    def mul(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) % ELL for col in zip(*b)] for row in a]
+
+    mats = {h: mul(mul(p, m), p_inv) for h, m in rep.mats.items()}
+    return TwistedRep(rep.group, rep.sub, rep.mult, mats)
+
+
+def test_induce_matches_a_dense_build():
+    # seeded rank-1 characters and rank-2 dense reps (a twisted regular rep
+    # of an order-2 subgroup, conjugated), induced to the whole group and to
+    # a proper intermediate subgroup
+    rng = random.Random(61)
+    seen = set()
+    for group in [g for g in twisted._zoo() if g.n <= 12] + [FiniteGroup.symmetric(4)]:
+        subs = group.subgroups()
+        lam = unit_cochain(group, rng)
+        for sub in subs[:: max(1, len(subs) // 4)]:
+            reps = [lam_char(group, sub, lam)]
+            if len(sub) == 2:
+                reps.append(conjugated(TwistedRep.regular(group, sub, C73).twist(lam), rng))
+            mids = [m for m in subs if set(sub) <= set(m) and len(m) < group.n]
+            for rep in reps:
+                for ambient in [None] + mids[-1:]:
+                    members = tuple(ambient or group.elements())
+                    ind = induce(rep, ambient)
+                    assert set(ind.mats) == set(members)
+                    for m in ind.mats.values():
+                        assert type(m) is tuple and all(type(row) is tuple for row in m)
+                        assert all(0 <= v < ELL for row in m for v in row)
+                    assert {k: [list(row) for row in m] for k, m in ind.mats.items()} == dense_induce(
+                        rep, members
+                    )
+                    seen.add((rep.rank, ambient is None))
+    assert seen == {(1, True), (1, False), (2, True), (2, False)}
 
 
 def test_induce_transitivity_traces_and_dets():
@@ -705,8 +802,8 @@ def test_rank_one_check_matches_the_general_path():
     rng = random.Random(83)
 
     def verdicts(group, dom, mult, vals):
-        one = TwistedRep(group, dom, mult, {h: [[vals[h]]] for h in dom}, check=False)
-        two = TwistedRep(group, dom, mult, {h: [[vals[h], 0], [0, vals[h]]] for h in dom}, check=False)
+        one = TwistedRep._built(group, dom, mult, {h: ((vals[h],),) for h in dom})
+        two = TwistedRep._built(group, dom, mult, {h: ((vals[h], 0), (0, vals[h])) for h in dom})
         assert one.rank == 1 and two.rank == 2
         return one.is_valid(), two.is_valid()
 
