@@ -146,6 +146,8 @@ def _spec_orders(spec, extra_functions):
 def cmd_gauss(args):
     p, q = args.p, args.q
     _need(p >= 2, "p", "a prime")
+    if p == 2:
+        raise Unsupported("the quadratic constant needs odd characteristic", field="p")
     n = 1
     while p ** n < q:
         n += 1

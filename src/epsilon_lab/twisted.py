@@ -2,20 +2,23 @@
 
 A multiplier is a unit valued function on pairs of group elements; the
 coboundary d1 takes scalar functions to multipliers, and is_cocycle checks
-the cocycle relation on every triple (the twisted group algebra, whose
-associativity is equivalent to it, lives in the tests).  Representations
-twisted by a multiplier compose up to that multiplier, which is_valid
-checks on every pair and entry: at rank 1 on the scalars themselves, at
-higher rank a row at a time.  They induce from subgroups by a block
-construction with explicit multiplier corrections, each entry reduced as it
-is written and the result handed over unchecked.  The determinant of an
-induced representation splits into the signature of the coset permutation
-action and a transfer of the determinant character, computable
-independently by a coset walk.  Every value is an int mod ell, the prime
-of the coefficient field.  A group keeps one record per (ambient,
-subgroup) pair, holding the decomposition in ascending scan order, its
-coset walk and its signature, all made together on first use, and it
-keeps its is_subgroup verdicts.  Every map here is finite and exact.
+the cocycle relation on every triple (the twisted group algebra lives in
+the tests).  A representation twisted by a multiplier composes up to it,
+which is_valid checks on every pair and entry.  Induction from a subgroup
+is a block construction with multiplier corrections; the determinant of an
+induced representation is the coset signature times a transfer of the
+determinant character, which a coset walk computes independently.  Every
+value is an int mod ell, the prime of the coefficient field.
+
+TwistedRep(...) and TwistedRep.regular take outside matrices and validate.
+char_rep, twist, det_char and induce reduce each entry as written and
+hand the record over as built: valid when its input is, so is_valid on it
+audits the code that built it, and the suite reports that verdict as a
+failure, never raises it.  A bad ambient or domain is refused in one
+place, _pair: both must be subgroups, one inside the other.  A group
+keeps one record per (ambient, subgroup) pair, its decomposition in
+ascending scan order, coset walk and signature made together on first
+use, and its is_subgroup verdicts.  Every map here is finite and exact.
 """
 
 import itertools
@@ -301,10 +304,11 @@ class TwistedRep:
     @classmethod
     def _built(cls, group, sub, mult, mats):
         """The rep on mats as given, unchecked and uncopied: sub sorted, one
-        tuple of reduced int row tuples per element, all square of one size."""
+        tuple of reduced int row tuples per element, all square of one size.
+        sub need not be a subgroup, nor hold the identity: is_valid says."""
         rep = cls.__new__(cls)
         rep.group, rep.sub, rep.mult, rep.mats = group, sub, mult, mats
-        rep.rank = len(mats[0])
+        rep.rank = len(next(iter(mats.values()), ()))
         return rep
 
     def is_valid(self):
@@ -347,18 +351,18 @@ class TwistedRep:
         return True
 
     def det_char(self):
-        """Rank-1 determinant character; twisted by the rank-th power of
-        the multiplier."""
+        """Rank-1 determinant character, twisted by the rank-th power of
+        the multiplier; handed over as built, so is_valid audits det."""
         ell = self.mult.coeff.ell
-        mats = {h: [[det(m, ell)]] for h, m in self.mats.items()}
-        return TwistedRep(self.group, self.sub, self.mult ** self.rank, mats)
+        mats = {h: ((det(m, ell),),) for h, m in self.mats.items()}
+        return TwistedRep._built(self.group, self.sub, self.mult ** self.rank, mats)
 
     def twist(self, lam):
-        """Scale by a unit scalar function; shifts the multiplier by its
-        coboundary."""
-        # TwistedRep reduces every entry mod ell
-        mats = {h: [[lam[h] * v for v in row] for row in m] for h, m in self.mats.items()}
-        return TwistedRep(self.group, self.sub, self.mult * d1(self.group, self.mult.coeff, lam), mats)
+        """Scale by a unit scalar function, which shifts the multiplier by
+        its coboundary; handed over as built, so is_valid audits d1."""
+        ell = self.mult.coeff.ell
+        mats = {h: tuple([tuple([lam[h] * v % ell for v in row]) for row in m]) for h, m in self.mats.items()}
+        return TwistedRep._built(self.group, self.sub, self.mult * d1(self.group, self.mult.coeff, lam), mats)
 
     @classmethod
     def regular(cls, group, sub, coeff):
@@ -376,34 +380,25 @@ class TwistedRep:
 
 
 def char_rep(group, sub, mult, values):
-    """Rank-1 twisted representation from a scalar map on the subgroup."""
-    mats = {h: [[values[h]]] for h in sub}
-    return TwistedRep(group, sub, mult, mats)
+    """Rank-1 twisted representation from a scalar map on the subgroup,
+    each value reduced mod ell; handed over as built, so a wrong value or
+    multiplier shows in is_valid, not in a raise."""
+    if mult.group is not group:
+        raise ValueError("multiplier lives on a different group")
+    sub, ell = tuple(sorted(set(sub))), mult.coeff.ell
+    return TwistedRep._built(group, sub, mult, {h: ((values[h] % ell,),) for h in sub})
 
 
 def _cosets(group, members, sub, order=None):
-    """Left coset decomposition of the subgroup `members` by `sub`:
-    representatives (first come along the scan order, default ascending)
-    and the map from member to coset position."""
-    scan = list(members) if order is None else list(order)
-    if sorted(scan) != sorted(members):
-        raise ValueError("scan order must enumerate the members")
-    member_set = set(members)
+    """Left coset decomposition of members by sub, a pair that _pair admits:
+    representatives (first come along the scan order, a permutation of
+    members, default ascending) and the map from member to coset position."""
     coset_of = {}
     reps = []
-    for g in scan:
-        if g in coset_of:
-            continue
-        c = len(reps)
-        reps.append(g)
-        tg = group.table[g]
-        for h in sub:
-            gh = tg[h]
-            if gh not in member_set:
-                raise ValueError("sub does not keep the members stable")
-            coset_of[gh] = c
-    if len(coset_of) != len(tuple(members)):
-        raise ValueError("cosets do not partition the members")
+    for g in members if order is None else order:
+        if g not in coset_of:
+            coset_of.update(dict.fromkeys(map(group.table[g].__getitem__, sub), len(reps)))
+            reps.append(g)
     return reps, coset_of
 
 
@@ -411,9 +406,10 @@ def _pair(group, members, sub):
     """The record (reps, coset_of, walk, sign) of the tuple members by sub:
     the decomposition of _cosets in ascending scan order, the walk of _walk
     that the formula route reads, and the signature of _signature that the
-    det route and delta_char read.  Built in full on first use, after
-    checking that members is a subgroup holding sub, and kept in
-    group.memo["pair"] per (members, sub)."""
+    det route and delta_char read.  Built in full on first use and kept in
+    group.memo["pair"] per (members, sub).  This is the one gate on a
+    transfer's arguments: members and sub must be subgroups, sub inside
+    members, else nothing is built or kept."""
     sub = tuple(sorted(set(sub)))
     records = group.memo["pair"]
     key = (members, sub)
@@ -421,6 +417,8 @@ def _pair(group, members, sub):
     if found is None:
         if not group.is_subgroup(members):
             raise ValueError("ambient must be a subgroup")
+        if not group.is_subgroup(sub):
+            raise ValueError("domain must be a subgroup")
         if not set(members).issuperset(sub):
             raise ValueError("domain must sit inside the ambient subgroup")
         reps, coset_of = _cosets(group, members, sub)
@@ -564,25 +562,23 @@ def check_ver_identities(group, mid, sub, coeff, seed=0):
 
     Checks, with a seeded random unit scalar twist: agreement of the two
     transfer routes at both stages, transfer through the chain equals the
-    one-step transfer, the corresponding signature composition, and
-    independence of the choice of coset representatives.
+    one-step transfer, the corresponding signature composition,
+    independence of the choice of coset representatives, and is_valid on
+    its characters chi, stage and inner.  The first transfer refuses a
+    chain that is not one (see _pair).
     """
     rng = random.Random(seed)
     mid = tuple(sorted(set(mid)))
     sub = tuple(sorted(set(sub)))
-    if not (group.is_subgroup(mid) and group.is_subgroup(sub)):
-        raise ValueError("chain members must be subgroups")
-    if not set(mid).issuperset(sub):
-        raise ValueError("chain must be nested")
     ell = coeff.ell
     lam = [1] + [rng.randrange(1, ell) for _ in range(group.n - 1)]
     mu = d1(group, coeff, lam)
-    chi = char_rep(group, sub, mu, {h: lam[h] for h in sub})
-    index_mid = len(mid) // len(sub)
-    index_top = group.n // len(mid)
+    chi = char_rep(group, sub, mu, lam)
 
     routes_sub = verlagerung(chi, ambient=mid, route="formula")
     routes_sub_det = verlagerung(chi, ambient=mid, route="det")
+    index_mid = len(mid) // len(sub)
+    index_top = group.n // len(mid)
     stage = char_rep(group, mid, mu ** index_mid, routes_sub)
     via_mid = verlagerung(stage, route="formula")
     direct = verlagerung(chi, route="formula")
@@ -597,14 +593,9 @@ def check_ver_identities(group, mid, sub, coeff, seed=0):
     d_sub = delta_char(group, sub)
     d_mid = delta_char(group, mid)
     d_inner = delta_char(group, sub, ambient=mid)
-    inner_rep = char_rep(
-        group, mid, Multiplier.trivial(group, coeff), {h: d_inner[h] % ell for h in mid}
-    )
+    inner_rep = char_rep(group, mid, Multiplier.trivial(group, coeff), d_inner)
     moved = verlagerung(inner_rep, route="formula")
-    delta_comp = all(
-        d_sub[g] % ell == d_mid[g] ** index_mid * moved[g] % ell
-        for g in group.elements()
-    )
+    delta_comp = all(d_sub[g] % ell == d_mid[g] ** index_mid * moved[g] % ell for g in group.elements())
 
     report = {
         "routes_agree_inner": routes_sub == routes_sub_det,
@@ -612,6 +603,7 @@ def check_ver_identities(group, mid, sub, coeff, seed=0):
         "composition": via_mid == direct,
         "delta_composition": delta_comp,
         "representative_independent": direct_other == direct,
+        "characters_valid": all([chi.is_valid(), stage.is_valid(), inner_rep.is_valid()]),
         "indices": (index_top, index_mid),
     }
     report["ok"] = all(v for k, v in report.items() if isinstance(v, bool))
@@ -633,9 +625,9 @@ def run_twisted_suite(coeff, seed=0, min_randomized=100):
 
     Each case checks both transfer routes against each other, the
     determinant-character collapse of the transfer, the chain and
-    signature compositions, and representative independence; cocycle
-    coboundary facts are asserted along the way.  min_randomized past
-    TRIALS_CAP is refused before any group is built.
+    signature compositions, representative independence, and is_valid on
+    each character and twist it derives; a broken identity is a failure.
+    min_randomized past TRIALS_CAP is refused before any group is built.
     """
     if min_randomized > TRIALS_CAP:
         raise CapExceeded("%d randomized trials exceed cap %d" % (min_randomized, TRIALS_CAP))
@@ -650,11 +642,10 @@ def run_twisted_suite(coeff, seed=0, min_randomized=100):
     }
 
     def det_collapse_case(group, sub, lam, tag):
-        base = TwistedRep.regular(group, sub, coeff)
-        rep = base.twist(lam)
-        lhs = verlagerung(rep, route="det")
-        rhs = verlagerung(rep.det_char(), route="formula")
-        if lhs != rhs:
+        rep = TwistedRep.regular(group, sub, coeff).twist(lam)
+        dchar = rep.det_char()
+        agree = verlagerung(rep, route="det") == verlagerung(dchar, route="formula")
+        if not (rep.is_valid() and dchar.is_valid() and agree):
             failures.append("determinant collapse failed: %s" % tag)
         counts["det_collapse"] += 1
 
@@ -699,9 +690,9 @@ def run_twisted_suite(coeff, seed=0, min_randomized=100):
         if group.n // len(sub) <= 12:
             lam = [1] + [rng.randrange(1, coeff.ell) for _ in range(group.n - 1)]
             mu = d1(group, coeff, lam)
-            chi = char_rep(group, sub, mu, {h: lam[h] for h in sub})
-            if verlagerung(chi, route="det") != verlagerung(chi, route="formula"):
-                failures.append("randomized routes disagree: order %d" % group.n)
+            chi = char_rep(group, sub, mu, lam)
+            if not chi.is_valid() or verlagerung(chi, route="det") != verlagerung(chi, route="formula"):
+                failures.append("randomized character or routes failed: order %d" % group.n)
         trials += 1
         counts["randomized"] += 1
 

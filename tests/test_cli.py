@@ -69,6 +69,9 @@ def test_gauss_rejects_non_power(capsys):
     for p in ("0", "1", "-1"):
         code, report = run(capsys, ["gauss", "--p", p, "--q", "9", "--c", "1"])
         assert code == 3 and report["field"] == "p"
+    # the constant exists in odd characteristic only, so p = 2 names p
+    code, report = run(capsys, ["gauss", "--p", "2", "--q", "4", "--c", "1"])
+    assert (code, report["field"], report["error"]) == (3, "p", "the quadratic constant needs odd characteristic")
 
 
 def test_eps_local_bundled_quadratic(capsys):
@@ -246,6 +249,16 @@ def test_induction_check_bundled(capsys):
     # at -2 over the field size
     assert report["ell"] == 7 and report["lambdas"] == [4, 4]
     assert report["degrees"] == [2, 2]
+
+
+def test_induction_check_refuses_an_empty_variants_list(capsys, tmp_path):
+    spec = json.loads((DATA / "induction_spec.json").read_text())
+    spec["variants"] = []
+    path = tmp_path / "novariants.json"
+    path.write_text(json.dumps(spec))
+    code, report = run(capsys, ["induction-check", "--spec", str(path)])
+    assert (code, report["field"], report["ok"]) == (3, "variants", False)
+    assert report["error"] == "cover audit needs a nonempty variants list"
 
 
 def test_twisted_check(capsys):

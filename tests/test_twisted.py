@@ -2,13 +2,14 @@
 induction, coset signatures, and the two transfer routes."""
 
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epsilon_lab import twisted
+from epsilon_lab import cli, twisted
 from epsilon_lab.coeff import coeff_setup
 from epsilon_lab.twisted import (
     FiniteGroup,
@@ -706,17 +707,61 @@ def test_every_transfer_entry_point_refuses_a_bad_ambient(ambient, message):
     assert s3.memo["pair"] == {}
 
 
+@pytest.mark.parametrize("domain", [(0, 1, 2), (0, 3), (0, 1, 3), (1, 2)])
+def test_every_transfer_entry_point_refuses_a_domain_that_is_no_subgroup(domain):
+    # in S_3, 1 and 2 are transpositions whose product is a 3-cycle, the
+    # 3-cycle 3 needs its inverse 4, and (1, 2) lacks the identity; char_rep
+    # hands each domain over as given, and the gate refuses it before any
+    # record is kept
+    s3 = FiniteGroup.symmetric(3)
+    chi = lam_char(s3, domain, [1, 3, 9, 27, 31, 62])
+    assert not chi.is_valid()
+    entry_points = [
+        lambda: verlagerung(chi, route="formula"),
+        lambda: verlagerung(chi, route="det"),
+        lambda: delta_char(s3, domain),
+        lambda: induce(chi),
+    ]
+    for call in entry_points:
+        with pytest.raises(ValueError, match="domain must be a subgroup"):
+            call()
+    assert s3.memo["pair"] == {}
+
+
+@pytest.mark.parametrize(
+    "mid, sub, message",
+    [
+        ((0, 1, 2), (0,), "ambient must be a subgroup"),
+        (tuple(range(6)), (), "domain must be a subgroup"),
+        (tuple(range(6)), (0, 3), "domain must be a subgroup"),
+        ((0, 3, 4), (0, 1), "domain must sit inside the ambient subgroup"),
+    ],
+    ids=["mid-no-subgroup", "empty-sub", "sub-no-subgroup", "not-nested"],
+)
+def test_check_ver_identities_refuses_a_bad_chain_at_the_gate(mid, sub, message):
+    s3 = FiniteGroup.symmetric(3)
+    with pytest.raises(ValueError, match=message):
+        check_ver_identities(s3, mid, sub, C73, seed=1)
+    assert s3.memo["pair"] == {}
+
+
 def test_char_rep_rejects_wrong_multiplier_power():
     s3 = FiniteGroup.symmetric(3)
     lam = [1, 3, 9, 27, 31, 62]
     mu = d1(s3, C73, lam)
     chi = lam_char(s3, (0, 1), lam)
     inner = verlagerung(chi, ambient=(0, 1))
-    with pytest.raises(ValueError):
-        char_rep(s3, (0, 1), mu ** 5, {h: lam[h] for h in (0, 1)})
+    assert not char_rep(s3, (0, 1), mu ** 5, {h: lam[h] for h in (0, 1)}).is_valid()
     # the transferred character really is a character for the squared twist
     stage = char_rep(s3, (0, 1), mu ** 1, inner)
     assert stage.is_valid()
+
+
+def test_char_rep_refuses_a_multiplier_of_another_group():
+    # a foreign multiplier is a bad argument, not a character that fails its audit
+    s3, c2 = FiniteGroup.symmetric(3), FiniteGroup.cyclic(2)
+    with pytest.raises(ValueError, match="multiplier lives on a different group"):
+        char_rep(s3, (0, 1), Multiplier.trivial(c2, C73), {0: 1, 1: 1})
 
 
 def test_run_twisted_suite_smoke():
@@ -727,6 +772,60 @@ def test_run_twisted_suite_smoke():
     assert counts["exhaustive_chains"] >= 40
     assert counts["det_collapse"] >= 19
     assert counts["randomized"] == 12
+
+
+def _on_second_value(change):
+    """A mutant maker: the real function with change(value, *args) in
+    place of the second value of the map it returns."""
+
+    def make(real):
+        def mutant(*args):
+            out = real(*args)
+            if len(out) > 1:
+                k = list(out)[1]
+                out[k] = change(out[k], *args)
+            return out
+
+        return mutant
+
+    return make
+
+
+def _double_d1_entry(real):
+    def mutant(group, coeff, lam):
+        mu = real(group, coeff, lam)
+        if group.n <= 2:
+            return mu
+        table = [list(row) for row in mu.table]
+        table[1][2] = 2 * table[1][2] % coeff.ell
+        return Multiplier(group, coeff, table)
+
+    return mutant
+
+
+# one break per derived value the suite audits, each a wrapper of the real function
+MUTANTS = {
+    "_transfer": _on_second_value(lambda v, rep, walk: 2 * v % rep.mult.coeff.ell),
+    "_signature": _on_second_value(lambda v, *args: -v),
+    "det": lambda real: lambda rows, ell: 2 * real(rows, ell) % ell,
+    "_perm_sign": lambda real: lambda p: -real(p) if len(p) == 3 else real(p),
+    "d1": _double_d1_entry,
+}
+
+
+@pytest.mark.parametrize("name", [None] + list(MUTANTS))
+def test_twisted_check_reports_a_broken_route_as_a_failure(capsys, monkeypatch, name):
+    # a broken transfer, signature, determinant or coboundary is a checked
+    # identity that fails (exit 2, with failures), never malformed input
+    if name is not None:
+        monkeypatch.setattr(twisted, name, MUTANTS[name](getattr(twisted, name)))
+    code = cli.main(["twisted-check", "--trials", "3", "--seed", "9"])
+    report = json.loads(capsys.readouterr().out)
+    failures = report["report"]["failures"] if "report" in report else None
+    if name is None:
+        assert (code, failures) == (0, [])
+    else:
+        assert code == 2 and failures, report
 
 
 def corrupted(rep, g, i, j):
