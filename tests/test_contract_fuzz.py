@@ -69,7 +69,7 @@ OPTION_VALUES = st.one_of(
     st.integers(-3, 12).map(str),
     st.sampled_from(MALFORMED + ["1,1", "2,0,1", "3,9", "65521,65519", str(10 ** 30), str(2 ** 61 - 1)]),
 )
-# a --trials within TRIALS_CAP runs that many randomized cases, about 2 ms
+# a --trials within TRIALS_CAP runs that many randomized cases, about 1.2 ms
 # each, so no count from 13 to the cap is drawn; past it, one is refused
 TRIALS = st.one_of(
     st.integers(-3, 12).map(str),
@@ -180,7 +180,7 @@ def test_twisted_check_options_keep_the_contract(argv):
 
 @pytest.mark.parametrize("trials", [TRIALS_CAP + 1, 10 ** 30])
 def test_trials_past_their_cap_are_refused_before_any_group_is_built(monkeypatch, trials):
-    # a trial costs about 2 ms, and a count past the cap once ran them all
+    # a trial costs about 1.2 ms, and a count past the cap once ran them all
     from epsilon_lab import twisted
 
     monkeypatch.setattr(twisted, "_zoo", lambda: pytest.fail("a group was built"))

@@ -4,6 +4,7 @@ induction, coset signatures, and the two transfer routes."""
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -52,8 +53,10 @@ def element_order(group, a):
 
 
 def multiplier(group, coeff, fn):
-    """The multiplier with table fn(a, b) on every pair."""
-    return Multiplier(group, coeff, [[fn(a, b) for b in range(group.n)] for a in range(group.n)])
+    """The multiplier with table fn(a, b) mod ell on every pair, built as
+    the constructor takes it: a tuple of reduced row tuples."""
+    ell, n = coeff.ell, group.n
+    return Multiplier(group, coeff, tuple(tuple(fn(a, b) % ell for b in range(n)) for a in range(n)))
 
 
 def same_mult(a, b):
@@ -239,6 +242,62 @@ def test_group_axiom_validation():
         )
 
 
+def latin_squares(n):
+    """Every normalized Latin square of order n (row and column 0 read
+    0..n-1), by backtracking over the other cells row by row."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield tuple(map(tuple, rows))
+            return
+        i, j = cells[k]
+        used = set(rows[i][:j]) | {rows[r][j] for r in range(i)}
+        for v in range(n):
+            if v not in used:
+                rows[i][j] = v
+                yield from fill(k + 1)
+        rows[i][j] = None
+
+    yield from fill(0)
+
+
+def non_associative_triple(table):
+    """The first (a, b, c) with (ab)c != a(bc), by a scan of all n^3."""
+    n = len(table)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return a, b, c
+    return None
+
+
+def test_light_test_matches_a_brute_force_scan():
+    # FiniteGroup checks associativity on a generating set of middles only;
+    # on every normalized Latin square to order 6 it must refuse exactly the
+    # non-associative ones, naming a triple that really fails (order 6 holds
+    # 280 that the first middle alone passes, order 5 none)
+    counts, groups = {}, {}
+    for n in range(1, 7):
+        for table in latin_squares(n):
+            counts[n] = counts.get(n, 0) + 1
+            if non_associative_triple(table) is None:
+                assert FiniteGroup(table).table == table
+                groups[n] = groups.get(n, 0) + 1
+                continue
+            with pytest.raises(ValueError, match="not associative") as err:
+                FiniteGroup(table)
+            a, b, c = map(int, re.search(r"\((\d+),(\d+),(\d+)\)", str(err.value)).groups())
+            assert table[table[a][b]][c] != table[a][table[b][c]]
+    assert counts == {1: 1, 2: 1, 3: 1, 4: 4, 5: 56, 6: 9408}
+    # the group tables among them: each group once per relabeling of its
+    # other elements up to automorphism, so C4 three times and V4 once, C5
+    # 4!/4 times, C6 5!/2 and S3 5!/6 times
+    assert groups == {1: 1, 2: 1, 3: 1, 4: 4, 5: 6, 6: 80}
+    for group in twisted._zoo():
+        assert FiniteGroup(group.table).table == group.table
+
+
 def test_subgroup_enumeration():
     s3 = FiniteGroup.symmetric(3)
     subs = s3.subgroups()
@@ -255,11 +314,10 @@ def test_subgroup_enumeration():
 
 
 def test_multiplier_validation():
+    # the constructor stores a table as given; a broken one is a verdict
     v4 = klein()
-    with pytest.raises(ValueError):
-        multiplier(v4, C73, lambda g, h: 0 if (g, h) == (2, 3) else 1)
-    with pytest.raises(ValueError):
-        multiplier(v4, C73, lambda g, h: 2 if (g, h) == (0, 0) else 1)
+    assert not is_cocycle(multiplier(v4, C73, lambda g, h: 0 if (g, h) == (2, 3) else 1))
+    assert not is_cocycle(multiplier(v4, C73, lambda g, h: 2 if (g, h) == (0, 0) else 1))
     triv = Multiplier.trivial(v4, C73)
     assert is_cocycle(triv)
     assert same_mult(triv, triv ** 3) and same_mult(triv * triv, triv)
@@ -272,6 +330,35 @@ def test_multiplier_power_is_entrywise():
     for m in (-1, 0, 1, 2, 5):
         want = [[pow(v, m, ELL) for v in row] for row in mu.table]
         assert same_mult(mu ** m, multiplier(s4, C73, lambda g, h: want[g][h]))
+
+
+def test_multiplier_tables_are_built_reduced():
+    # the constructor stores a table unchecked, so every builder must hand
+    # it a tuple of n row tuples of units mod ell, 1 at the identity pair
+    rng = random.Random(67)
+    for group in (g for g in twisted._zoo() if g.n <= 12):
+        n, t = group.n, group.table
+        lams = [unit_cochain(group, rng) for _ in range(2)]
+
+        def coboundary(lam):
+            return [[lam[a] * lam[b] * pow(lam[t[a][b]], -1, ELL) % ELL for b in range(n)] for a in range(n)]
+
+        # d1 takes any integer representatives of the scalar values
+        mu, nu = (d1(group, C73, [v + ELL * rng.randrange(-2, 3) for v in lam]) for lam in lams)
+        ref_mu, ref_nu = map(coboundary, lams)
+        built = [
+            (mu, ref_mu),
+            (nu, ref_nu),
+            (mu * nu, [[x * y % ELL for x, y in zip(r, s)] for r, s in zip(ref_mu, ref_nu)]),
+            (Multiplier.trivial(group, C73), [[1] * n] * n),
+        ]
+        built += [(mu ** m, [[pow(v, m, ELL) for v in row] for row in ref_mu]) for m in (-1, 0, 2, 5)]
+        for mult, want in built:
+            table = mult.table
+            assert type(table) is tuple and len(table) == n
+            assert all(type(row) is tuple and len(row) == n for row in table)
+            assert table[0][0] == 1 and all(0 < v < ELL for row in table for v in row)
+            assert [list(row) for row in table] == want
 
 
 @settings(max_examples=20, deadline=None)
@@ -327,7 +414,7 @@ def test_twisted_algebra_associativity_iff_cocycle():
 
     broken = [list(row) for row in mu.table]
     broken[3][3] = 2
-    bad = Multiplier(group, C73, broken)
+    bad = Multiplier(group, C73, tuple(map(tuple, broken)))
     assert not is_cocycle(bad)
     witness = False
     for x in group.elements():
@@ -346,7 +433,7 @@ def test_twisted_regular_valid_iff_cocycle():
     assert twisted_regular(group, mu).is_valid()
     broken = [list(row) for row in mu.table]
     broken[3][3] = 2
-    bad = Multiplier(group, C73, broken)
+    bad = Multiplier(group, C73, tuple(map(tuple, broken)))
     assert not twisted_regular(group, bad).is_valid()
     # left multiplication in the algebra is exactly the regular matrix action
     reg = twisted_regular(group, mu)
@@ -798,7 +885,7 @@ def _double_d1_entry(real):
             return mu
         table = [list(row) for row in mu.table]
         table[1][2] = 2 * table[1][2] % coeff.ell
-        return Multiplier(group, coeff, table)
+        return Multiplier(group, coeff, tuple(map(tuple, table)))
 
     return mutant
 
@@ -933,7 +1020,7 @@ def test_rank_one_check_matches_the_general_path():
                     g, h = sub[rng.randrange(len(sub))], sub[rng.randrange(len(sub))]
                 table = [list(row) for row in mu.table]
                 table[g][h] = table[g][h] * rng.randrange(2, ELL) % ELL
-                one, two = verdicts(group, sub, Multiplier(group, C73, table), vals)
+                one, two = verdicts(group, sub, Multiplier(group, C73, tuple(map(tuple, table))), vals)
                 assert one == two
                 seen.add(one)
 
